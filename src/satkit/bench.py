@@ -21,9 +21,7 @@ import json
 import logging
 import random
 import statistics
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -173,14 +171,14 @@ def run_comparison(
     limits: Optional[SolveLimits] = None,
     repetitions: int = 3,
     seed: int = 0,
-    parallel: int = 1,
 ) -> list[BenchRecord]:
     """Benchmark VSIDS and the greedy learned policy on each instance.
 
-    Per instance and heuristic: ``repetitions`` identical runs, minimum
-    wall time kept; verdicts and counters are asserted identical across
-    repetitions (the solver is deterministic). Unknown verdicts are
-    recorded, not raised.
+    Instances run one after another, VSIDS first. Per instance and
+    heuristic: ``repetitions`` identical runs, minimum wall time kept;
+    verdicts and counters are asserted identical across repetitions
+    (the solver is deterministic). Unknown verdicts are recorded, not
+    raised.
     """
     if not test_set:
         raise BenchError("empty test set")
@@ -189,12 +187,8 @@ def run_comparison(
     limits = limits or SolveLimits()
 
     records: list[BenchRecord] = []
-    lock = threading.Lock()
-
-    def bench_instance(item: Instance) -> None:
-        local: list[BenchRecord] = []
-
-        def run_heuristic(name: str) -> None:
+    for item in test_set:
+        for name in ("vsids", "rl"):
             feature_time = 0.0
             times = []
             reference = None
@@ -222,7 +216,7 @@ def run_comparison(
                         f"{item.name}/{name}: nondeterministic repetition {reference[0]} vs {key}"
                     )
             _, result = reference
-            local.append(
+            records.append(
                 BenchRecord(
                     instance=item.name,
                     heuristic=name,
@@ -235,18 +229,6 @@ def run_comparison(
                     feature_time_s=feature_time,
                 )
             )
-
-        run_heuristic("vsids")
-        run_heuristic("rl")
-        with lock:
-            records.extend(local)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(bench_instance, test_set))
-    else:
-        for item in test_set:
-            bench_instance(item)
     records.sort(key=lambda r: (r.instance, r.heuristic))
     return records
 

@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--translator",
         default=None,
-        help="'stub:FIXTURE_FILE' or 'http:ENDPOINT' (english mode only)",
+        help="'stub:FILE' or an http(s):// URL (english mode only)",
     )
     p.add_argument("--timeout-s", type=float, default=30.0, help="translator timeout")
     p.add_argument("--out", default="-", help="DIMACS output path, '-' for stdout")
@@ -124,7 +124,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path (default OUT.summary.json)")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--uf-check", action="store_true", help="require 20 vars / 91 clauses per instance")
     return parser
@@ -150,7 +149,9 @@ def _make_translator(spec: str, timeout_s: float):
         return StubTranslator.from_fixture_file(spec[len("stub:") :])
     if spec.startswith("http://") or spec.startswith("https://"):
         return HttpTranslator(spec, timeout_s=timeout_s)
-    raise SatkitError(f"unknown translator spec {spec!r}")
+    raise SatkitError(
+        f"unknown translator spec {spec!r}: expected 'stub:FILE' or an http:// or https:// URL"
+    )
 
 
 def _cmd_convert(args) -> int:
@@ -270,7 +271,8 @@ def _cmd_train(args) -> int:
         save_policy_file(p, args.out)
 
     trained, logs = train(dataset, policy, args.steps, checkpoint=checkpoint)
-    save_policy_file(trained, args.out)
+    if not logs:  # no window ran, so no checkpoint wrote the untrained policy
+        save_policy_file(trained, args.out)
     log_path = args.log or f"{args.out}.log.csv"
     with open(log_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("window,steps,mean_reward,mean_decisions\n")
@@ -297,7 +299,6 @@ def _cmd_bench(args) -> int:
         limits=_make_limits(args),
         repetitions=args.reps,
         seed=args.seed,
-        parallel=args.parallel,
     )
     Path(args.out).write_text(records_to_csv(records), encoding="ascii", newline="\n")
     summary = summarize(records)

@@ -140,9 +140,6 @@ class Assignment:
             return UNDEF
         return TRUE if (v > 0) == (code > 0) else FALSE
 
-    def num_assigned(self) -> int:
-        return sum(1 for v in self.values if v != 0)
-
     def copy(self) -> "Assignment":
         return Assignment(self.num_vars, list(self.values))
 

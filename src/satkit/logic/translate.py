@@ -46,13 +46,6 @@ class MalformedTranslationError(TranslatorError):
 
 
 @dataclass(frozen=True)
-class TranslationRequest:
-    sentence: str
-    session_id: str
-    instruction_template: str = DEFAULT_INSTRUCTION_TEMPLATE
-
-
-@dataclass(frozen=True)
 class TranslationResponse:
     expression: str
     glossary: Mapping[str, str] = field(default_factory=dict)

@@ -2,7 +2,6 @@
 clipped-surrogate policy optimization, and episode collection."""
 
 from .observation import (
-    Observation,
     ShapeMismatchError,
     build_observation,
     clause_evaluations,
@@ -17,7 +16,6 @@ from .policy import (
     VersionMismatchError,
     load_policy,
     load_policy_file,
-    policy_decide,
     save_policy,
     save_policy_file,
 )
@@ -36,7 +34,6 @@ from .train import TrainWindowLog, run_episode, train
 __all__ = [
     "AllMaskedError",
     "NonFiniteLossError",
-    "Observation",
     "Policy",
     "PolicyFormatError",
     "PolicyHeuristic",
@@ -54,7 +51,6 @@ __all__ = [
     "compute_reward",
     "load_policy",
     "load_policy_file",
-    "policy_decide",
     "ppo_loss_and_grads",
     "run_episode",
     "save_policy",

@@ -65,14 +65,13 @@ class PolicyHeuristic(Heuristic):
             raise ShapeMismatchError("solver formula does not match policy shape")
 
     def decide(self, solver: Solver) -> HeuristicDecision:
-        observation = build_observation(
+        flat = build_observation(
             self.formula,
             solver.assignment,
             self._features,
             expected_shape=self.policy.shape,
             adjacency=self._adjacency,
         )
-        flat = observation.flatten()
         mask = legal_action_mask(solver.assignment)
         action, log_prob, value = self.policy.act(flat, mask, self.mode, self.rng)
         if self.record:

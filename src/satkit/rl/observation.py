@@ -8,14 +8,13 @@ fixed shape (n variables, m clauses):
     signed adjacency     (m*n) +1 positive literal, -1 negative, 0 absent
     global features      (48)
 
-flattened to length n + m + n*m + 48. Only original clauses appear;
-learned clauses are excluded so the shape never changes mid-run. The
-per-step reward is the satisfied-minus-falsified clause count.
+concatenated in that order to length n + m + n*m + 48. Only original
+clauses appear; learned clauses are excluded so the shape never
+changes mid-run. The per-step reward is the satisfied-minus-falsified
+clause count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +25,6 @@ from ..features import FEATURE_COUNT, FeatureVector
 
 class ShapeMismatchError(SatkitError):
     """Formula shape differs from the shape the consumer was built for."""
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    var_assign: np.ndarray  # (n,)
-    clause_eval: np.ndarray  # (m,)
-    adjacency: np.ndarray  # (m, n)
-    global_features: np.ndarray  # (FEATURE_COUNT,)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.var_assign,
-                self.clause_eval,
-                self.adjacency.reshape(-1),
-                self.global_features,
-            ]
-        )
 
 
 def flat_observation_dim(num_vars: int, num_clauses: int) -> int:
@@ -94,8 +75,8 @@ def build_observation(
     features: FeatureVector,
     expected_shape: "tuple[int, int] | None" = None,
     adjacency: "np.ndarray | None" = None,
-) -> Observation:
-    """Assemble the observation for the current solver state.
+) -> np.ndarray:
+    """Assemble the flat observation for the current solver state.
 
     ``adjacency`` may be passed in to reuse the precomputed static
     incidence matrix; it is recomputed from the formula otherwise.
@@ -107,9 +88,11 @@ def build_observation(
         )
     if adjacency is None:
         adjacency = signed_adjacency(formula)
-    return Observation(
-        var_assign=np.asarray(assignment.values, dtype=np.float64),
-        clause_eval=clause_evaluations(formula, assignment),
-        adjacency=adjacency,
-        global_features=features.values,
+    return np.concatenate(
+        [
+            np.asarray(assignment.values, dtype=np.float64),
+            clause_evaluations(formula, assignment),
+            adjacency.reshape(-1),
+            features.values,
+        ]
     )

@@ -10,7 +10,7 @@ hyperparameters, seed and weights, in the checkpoint format.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from ..cnf import Assignment
 from ..errors import SatkitError
 from ..solver.engine import HeuristicDecision
 from .network import Mlp
-from .observation import Observation, flat_observation_dim
+from .observation import flat_observation_dim
 
 POLICY_FORMAT_VERSION = 1
 _MAGIC = b"CNFPOLICY\x00"
@@ -128,27 +128,6 @@ class Policy:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         return action, float(logp[action]), self.value(obs_flat)
-
-    def decide(
-        self,
-        observation: Observation,
-        assignment: Assignment,
-        mode: str = "greedy",
-        rng: Optional[np.random.Generator] = None,
-    ) -> HeuristicDecision:
-        mask = legal_action_mask(assignment)
-        action, _, _ = self.act(observation.flatten(), mask, mode, rng)
-        return action_to_decision(action)
-
-
-def policy_decide(
-    policy: Policy,
-    observation: Observation,
-    assignment: Assignment,
-    mode: str = "greedy",
-    rng: Optional[np.random.Generator] = None,
-) -> HeuristicDecision:
-    return policy.decide(observation, assignment, mode, rng)
 
 
 def action_to_decision(action: int) -> HeuristicDecision:

@@ -62,8 +62,11 @@ def train(
 ) -> tuple[Policy, list[TrainWindowLog]]:
     """Collect ``steps`` decision-transitions and optimize per window.
 
-    ``checkpoint(policy, window_index)`` is invoked every
-    ``checkpoint_every`` windows and once at the end.
+    ``checkpoint(policy, window_index)`` is invoked after every
+    ``checkpoint_every``-th window and after the last window, at most
+    once per window: with ``checkpoint_every=1`` a run of k windows
+    calls it with indices 1, ..., k. A run of no steps has no window
+    and never calls it.
     """
     if steps <= 0:
         return policy, []
@@ -133,6 +136,6 @@ def train(
         if len(buffer) >= window or total >= steps:
             flush()
 
-    if checkpoint is not None:
+    if checkpoint is not None and window_index % checkpoint_every != 0:
         checkpoint(policy, window_index)
     return policy, logs

@@ -12,7 +12,6 @@ from .engine import (
 )
 from .heuristics import (
     RandomHeuristic,
-    VsidsConfig,
     VsidsHeuristic,
     VsidsScores,
     vsids_on_conflict,
@@ -28,7 +27,6 @@ __all__ = [
     "SolveStats",
     "Solver",
     "Verdict",
-    "VsidsConfig",
     "VsidsHeuristic",
     "VsidsScores",
     "solve",

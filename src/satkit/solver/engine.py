@@ -139,6 +139,7 @@ class Solver:
                 self.watches[codes[0]].append(idx)
                 self.watches[codes[1]].append(idx)
         self.num_original = len(self.clauses)
+        self.num_live_learned = 0  # learned clauses not yet deleted
         self._conflicts_since_restart = 0
 
     # -- state inspection ------------------------------------------------
@@ -272,6 +273,7 @@ class Solver:
             self.watches[learned[0]].append(idx)
             self.watches[learned[1]].append(idx)
         self.stats.learned += 1
+        self.num_live_learned += 1
         return idx
 
     def backjump(self, target_level: int) -> None:
@@ -308,13 +310,7 @@ class Solver:
             for w in clause[:2]:
                 self.watches[w].remove(ci)
             self.clauses[ci] = None
-
-    def _live_learned_count(self) -> int:
-        return sum(
-            1
-            for ci in range(self.num_original, len(self.clauses))
-            if self.clauses[ci] is not None
-        )
+            self.num_live_learned -= 1
 
     # -- main loop ------------------------------------------------------
 
@@ -412,7 +408,7 @@ class Solver:
                 self.stats.restarts += 1
             if (
                 self.enable_clause_deletion
-                and self._live_learned_count()
+                and self.num_live_learned
                 > self.max_learned_factor * max(1, self.num_original)
             ):
                 self._reduce_learned()

@@ -17,13 +17,6 @@ from .engine import Heuristic, HeuristicDecision, Solver
 
 
 @dataclass
-class VsidsConfig:
-    bump: float = 1.0
-    decay: float = 0.95
-    rescale_threshold: float = 1e100
-
-
-@dataclass
 class VsidsScores:
     activity: list[float]  # index 0 unused; activity[v] is variable v's score
     bump: float = 1.0
@@ -31,14 +24,8 @@ class VsidsScores:
     rescale_threshold: float = 1e100
 
     @classmethod
-    def for_num_vars(cls, num_vars: int, config: Optional[VsidsConfig] = None) -> "VsidsScores":
-        cfg = config or VsidsConfig()
-        return cls(
-            activity=[0.0] * (num_vars + 1),
-            bump=cfg.bump,
-            decay=cfg.decay,
-            rescale_threshold=cfg.rescale_threshold,
-        )
+    def for_num_vars(cls, num_vars: int) -> "VsidsScores":
+        return cls(activity=[0.0] * (num_vars + 1))
 
 
 def vsids_pick(
@@ -81,8 +68,8 @@ def vsids_on_conflict(scores: VsidsScores, learned: Sequence[int]) -> None:
 class VsidsHeuristic(Heuristic):
     name = "vsids"
 
-    def __init__(self, num_vars: int, config: Optional[VsidsConfig] = None):
-        self.scores = VsidsScores.for_num_vars(num_vars, config)
+    def __init__(self, num_vars: int):
+        self.scores = VsidsScores.for_num_vars(num_vars)
 
     def decide(self, solver: Solver) -> HeuristicDecision:
         return vsids_pick(self.scores, solver.assignment, solver.saved_phase)

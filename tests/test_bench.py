@@ -134,17 +134,6 @@ class TestRunComparison:
         )
         assert all(r.verdict == Verdict.UNKNOWN for r in records)
 
-    def test_parallel_matches_sequential_verdicts(self):
-        rng = random.Random(7)
-        instances = [
-            Instance(f"p{k}.cnf", planted_ksat(10, 35, rng)) for k in range(6)
-        ]
-        policy = Policy(10, 35, SMALL, seed=0)
-        seq = run_comparison(instances, policy, repetitions=1)
-        par = run_comparison(instances, policy, repetitions=1, parallel=3)
-        key = lambda rs: [(r.instance, r.heuristic, r.verdict, r.decisions) for r in rs]
-        assert key(seq) == key(par)
-
     def test_rerun_is_bit_identical_up_to_wall_time(self):
         rng = random.Random(8)
         instances = [

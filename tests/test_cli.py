@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from satkit import cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
-from satkit.rl.policy import Policy, PpoConfig, save_policy_file
+from satkit.rl.policy import Policy, PpoConfig, save_policy, save_policy_file
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -71,6 +72,14 @@ class TestConvert:
             ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
         )
         assert code == 2
+
+    def test_translator_spec_without_slashes_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "doc.txt"
+        src.write_text("The circus has a Ferris wheel.", encoding="utf-8")
+        code = main(["convert", str(src), "--mode", "english", "--translator", "http:host/x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "http://" in err and "stub:FILE" in err
 
     def test_bad_expression_exits_2_with_line(self, tmp_path, capsys):
         src = tmp_path / "exprs.txt"
@@ -142,7 +151,12 @@ class TestFeatures:
 
 
 class TestTrainAndBench:
-    def test_train_then_bench_end_to_end(self, tmp_path, capsys):
+    def test_train_then_bench_end_to_end(self, tmp_path, capsys, monkeypatch):
+        saved = []
+        real_save = cli.save_policy_file
+        monkeypatch.setattr(
+            cli, "save_policy_file", lambda p, path: saved.append(path) or real_save(p, path)
+        )
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=8, num_vars=8, num_clauses=24, seed=5)
         policy_path = tmp_path / "p.bin"
@@ -164,7 +178,7 @@ class TestTrainAndBench:
             ]
         )
         assert code == 0
-        assert policy_path.exists()
+        assert saved == [str(policy_path)]  # two windows, one write of the final policy
         log_path = Path(f"{policy_path}.log.csv")
         log_lines = log_path.read_text().splitlines()
         assert log_lines[0] == "window,steps,mean_reward,mean_decisions"
@@ -194,6 +208,19 @@ class TestTrainAndBench:
         assert "median_time_s.rl" in summary
         assert "median_time_s.vsids" in summary
         assert 0.0 <= summary["fraction_rl_faster"] <= 1.0
+
+    def test_zero_steps_writes_the_untrained_policy(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", "0", "--seed", "3"]
+        assert main(args + ["--out", str(policy_path), "--hidden", "16"]) == 0
+        expected = Policy(8, 24, PpoConfig(hidden_sizes=(16,)), seed=3)
+        assert policy_path.read_bytes() == save_policy(expected)
+
+    def test_bench_parallel_flag_is_usage_error(self, tmp_path, small_policy_file):
+        args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]
+        assert main(args + ["--out", str(tmp_path / "r.csv"), "--parallel", "2"]) == 1
 
     def test_bench_shape_mismatch_exits_2(self, tmp_path, small_policy_file):
         data_dir = tmp_path / "data"

@@ -24,16 +24,17 @@ def test_single_clause_observation():
     a = Assignment(2)
     a.assign(1, True)
     obs = build_observation(f, a, feats)
-    assert obs.var_assign.tolist() == [1.0, 0.0]
-    assert obs.clause_eval.tolist() == [1.0]
-    assert obs.adjacency.tolist() == [[1.0, 1.0]]
+    assert obs[:2].tolist() == [1.0, 0.0]  # variable assignments
+    assert obs[2:3].tolist() == [1.0]  # clause evaluations
+    assert obs[3:5].tolist() == [1.0, 1.0]  # signed adjacency, row-major
+    assert obs[5:].tolist() == feats.values.tolist()
 
 
 def test_empty_assignment_is_all_zero():
     f = CnfFormula.from_codes(3, [[1, -2], [-1, 3]])
     obs = build_observation(f, Assignment(3), extract_features(f))
-    assert not obs.var_assign.any()
-    assert not obs.clause_eval.any()
+    assert not obs[:3].any()  # variable assignments
+    assert not obs[3:5].any()  # clause evaluations
 
 
 def test_negative_literals_encode_minus_one():
@@ -51,7 +52,7 @@ def test_uf20_flattened_length():
     f = planted_ksat(20, 91, random.Random(0))
     obs = build_observation(f, Assignment(20), extract_features(f))
     assert flat_observation_dim(20, 91) == 20 + 91 + 1820 + 48 == 1979
-    assert obs.flatten().shape == (1979,)
+    assert obs.shape == (1979,)
 
 
 def test_shape_mismatch_raises():

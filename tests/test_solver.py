@@ -258,7 +258,7 @@ class TestSolve:
         for _ in range(20):
             f = random_ksat(10, 44, rng)
             plain = solve(f, VsidsHeuristic(10)).verdict
-            fancy = solve(
+            solver = Solver(
                 f,
                 VsidsHeuristic(10),
                 enable_restarts=True,
@@ -266,9 +266,32 @@ class TestSolve:
                 enable_clause_deletion=True,
                 max_learned_factor=0.5,
             )
+            fancy = solver.run()
             assert fancy.verdict == plain
             if fancy.verdict == Verdict.SAT:
                 assert model_satisfies(f, fancy.model)
+            live = solver.clauses[solver.num_original :]
+            assert solver.num_live_learned == sum(c is not None for c in live)
+
+    def test_live_learned_counter_tracks_deletions(self):
+        rng = random.Random(32)
+        deleted = 0
+        for _ in range(10):
+            f = random_ksat(30, 128, rng)
+            plain = solve(f, VsidsHeuristic(30)).verdict
+            solver = Solver(
+                f,
+                VsidsHeuristic(30),
+                enable_restarts=True,
+                restart_interval=5,
+                enable_clause_deletion=True,
+                max_learned_factor=0.1,
+            )
+            assert solver.run().verdict == plain
+            live = solver.clauses[solver.num_original :]
+            assert solver.num_live_learned == sum(c is not None for c in live)
+            deleted += solver.num_live_learned < solver.stats.learned
+        assert deleted, "no run reached learned-clause deletion"
 
     def test_empty_formula_is_sat(self):
         f = CnfFormula(2, ())

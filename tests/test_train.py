@@ -118,7 +118,7 @@ class TestTrain:
         dataset = small_dataset(seed=31)
         policy = Policy(8, 24, FAST, seed=33)
         calls = []
-        train(
+        _, logs = train(
             dataset,
             policy,
             steps=150,
@@ -126,6 +126,20 @@ class TestTrain:
             checkpoint_every=1,
         )
         assert calls, "checkpoint hook never fired"
+        assert calls == list(range(1, len(logs) + 1))  # once per window, no repeat
+
+    def test_last_window_checkpointed_off_the_interval(self):
+        dataset = small_dataset(seed=31)
+        policy = Policy(8, 24, FAST, seed=33)
+        calls = []
+        _, logs = train(
+            dataset,
+            policy,
+            steps=150,
+            checkpoint=lambda p, w: calls.append(w),
+            checkpoint_every=2,
+        )
+        assert len(logs) == 3 and calls == [2, 3]
 
     def test_parameters_change_when_lr_positive(self):
         dataset = small_dataset(seed=41)
