@@ -3,10 +3,15 @@
 On each decision the heuristic builds the observation from the live
 solver state, asks the policy for an action and returns it as a
 branching decision. The static parts of the observation (signed
-adjacency, global features) are precomputed at construction, which is
-also what the benchmark harness times as feature-extraction cost.
+adjacency, global features) are computed at construction and folded
+into the actor's first layer there, so a decision multiplies only the
+n + m dynamic inputs. Construction is what the benchmark harness times
+as feature-extraction cost (``feature_time_s``), fold included; solve
+time excludes it.
 
-When recording, one Transition is stored per decision; its reward is
+When recording, one Transition is stored per decision, with the full
+observation and the critic's value (the critic is folded and evaluated
+only then; greedy and unrecorded runs never touch it). Its reward is
 filled in after the propagation (and any conflict resolution) that the
 decision triggered, and the final transition is marked done.
 """
@@ -55,14 +60,17 @@ class PolicyHeuristic(Heuristic):
         self.transitions: list[Transition] = []
         self._features = extract_features(formula)
         self._adjacency = signed_adjacency(formula)
+        # The observation's static tail, in build_observation's order.
+        static = np.concatenate([self._adjacency.reshape(-1), self._features.values])
+        self._actor_fold = policy.fold(policy.actor, static)
+        self._critic_fold = policy.fold(policy.critic, static) if record else None
         self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:
-        if solver.formula is not self.formula and (
-            solver.formula.num_vars,
-            solver.formula.num_clauses,
-        ) != self.policy.shape:
-            raise ShapeMismatchError("solver formula does not match policy shape")
+        # The folds belong to this formula; any other would be decided on
+        # with its clauses and adjacency.
+        if solver.formula is not self.formula and solver.formula != self.formula:
+            raise ShapeMismatchError("solver formula is not the formula this heuristic was built for")
 
     def decide(self, solver: Solver) -> HeuristicDecision:
         flat = build_observation(
@@ -72,8 +80,9 @@ class PolicyHeuristic(Heuristic):
             expected_shape=self.policy.shape,
             adjacency=self._adjacency,
         )
+        dynamic = flat[: self.policy.dynamic_dim]
         mask = legal_action_mask(solver.assignment)
-        action, log_prob, value = self.policy.act(flat, mask, self.mode, self.rng)
+        action, log_prob = self.policy.act(dynamic, mask, self.mode, self.rng, self._actor_fold)
         if self.record:
             self.transitions.append(
                 Transition(
@@ -81,7 +90,7 @@ class PolicyHeuristic(Heuristic):
                     action=action,
                     log_prob=log_prob,
                     reward=0.0,  # filled in by on_step
-                    value=value,
+                    value=self.policy.value(dynamic, self._critic_fold),
                     done=False,
                     mask=mask,
                 )

@@ -31,6 +31,11 @@ class Mlp:
     ``forward`` returns the output and a cache of layer activations;
     ``backward`` consumes the cache and the gradient at the output and
     returns per-parameter gradients in ``parameters()`` order.
+
+    Inputs that stay fixed across many calls can be folded: ``fold``
+    turns the trailing inputs into their share of the first layer's
+    pre-activation, bias included, and ``forward(head, folded)`` then
+    multiplies only the leading inputs ``head``.
     """
 
     def __init__(
@@ -53,17 +58,30 @@ class Mlp:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def fold(self, tail: np.ndarray) -> np.ndarray:
+        """First-layer pre-activation of the trailing inputs ``tail``,
+        bias included."""
+        w = self.weights[0]
+        return tail @ w[w.shape[0] - tail.shape[-1] :] + self.biases[0]
+
+    def forward(
+        self, x: np.ndarray, folded: "np.ndarray | None" = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output and activation cache for ``x``. With ``folded`` (from
+        ``fold``), ``x`` holds only the leading inputs and ``folded``
+        stands in for the rest; ``backward`` needs an unfolded cache."""
         h = np.asarray(x, dtype=np.float64)
         cache = [h]
-        for i in range(self.num_layers):
-            z = h @ self.weights[i] + self.biases[i]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i == 0 and folded is not None:
+                w, b = w[: h.shape[-1]], folded
+            z = h @ w + b
             h = np.tanh(z) if i < self.num_layers - 1 else z
             cache.append(h)
         return h, cache
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+    def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
+        return self.forward(x, folded)[0]
 
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> list[np.ndarray]:
         grads: list[np.ndarray] = [np.empty(0)] * (2 * self.num_layers)

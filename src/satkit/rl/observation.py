@@ -24,7 +24,8 @@ from ..features import FEATURE_COUNT, FeatureVector
 
 
 class ShapeMismatchError(SatkitError):
-    """Formula shape differs from the shape the consumer was built for."""
+    """Formula differs from the one the consumer was built for: another
+    shape, or, for a consumer bound to one formula, another formula."""
 
 
 def flat_observation_dim(num_vars: int, num_clauses: int) -> int:

@@ -71,6 +71,9 @@ class Policy:
         self.config = config
         self.seed = seed
         self.obs_dim = flat_observation_dim(num_vars, num_clauses)
+        # The observation leads with the n + m entries that change between
+        # decisions (assignments, clause evaluations); the rest is static.
+        self.dynamic_dim = num_vars + num_clauses
         self.num_actions = 2 * num_vars
         rng = np.random.default_rng(seed)
         hidden = list(config.hidden_sizes)
@@ -93,25 +96,51 @@ class Policy:
         """
         return obs / (1.0 + np.abs(obs))
 
-    def value(self, obs_flat: np.ndarray) -> float:
-        return float(self.critic(self.preprocess(obs_flat)[None, :])[0, 0])
+    def fold(self, net: Mlp, static: np.ndarray) -> np.ndarray:
+        """``net``'s first-layer pre-activation from the static block of an
+        observation (adjacency and features), bias included.
+
+        The block is fixed for a formula, so the fold is computed once
+        per instance; ``preprocess`` is elementwise, so the fold plus the
+        dynamic block's product equals the full first layer.
+        """
+        return net.fold(self.preprocess(static))
+
+    def _inputs(
+        self, obs: np.ndarray, net: Mlp, folded: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Preprocessed dynamic block and ``net``'s fold. A full
+        observation (``folded`` None) is split and folded here."""
+        if folded is None:
+            obs, folded = obs[: self.dynamic_dim], self.fold(net, obs[self.dynamic_dim :])
+        return self.preprocess(obs), folded
+
+    def value(self, obs: np.ndarray, folded: Optional[np.ndarray] = None) -> float:
+        """Critic estimate for a full observation, or for its dynamic
+        block given the critic's ``fold``."""
+        x, folded = self._inputs(obs, self.critic, folded)
+        return float(self.critic(x, folded)[0])
 
     def act(
         self,
-        obs_flat: np.ndarray,
+        obs: np.ndarray,
         mask: np.ndarray,
         mode: str = "greedy",
         rng: Optional[np.random.Generator] = None,
-    ) -> tuple[int, float, float]:
+        folded: Optional[np.ndarray] = None,
+    ) -> tuple[int, float]:
         """Pick an action under the mask.
 
-        Returns (action, log_probability, value_estimate). Greedy mode
+        ``obs`` is a full observation, or its dynamic block (assignments
+        and clause evaluations) when ``folded`` is the actor's ``fold`` of
+        the static block. Returns (action, log_probability). Greedy mode
         takes the masked argmax with ties to the lowest action index;
         sample mode draws from the masked softmax using ``rng``.
         """
         if not mask.any():
             raise AllMaskedError("no legal action remains")
-        logits = self.actor(self.preprocess(obs_flat)[None, :])[0]
+        x, folded = self._inputs(obs, self.actor, folded)
+        logits = self.actor(x, folded)
         logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
         if mode == "greedy":
             action = int(np.argmax(np.where(mask, logits, -np.inf)))
@@ -127,7 +156,7 @@ class Policy:
                 action -= 1  # float tail landed on a masked slot
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        return action, float(logp[action]), self.value(obs_flat)
+        return action, float(logp[action])
 
 
 def action_to_decision(action: int) -> HeuristicDecision:

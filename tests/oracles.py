@@ -125,9 +125,9 @@ def run_bandit(
     for u in range(1, updates + 1):
         batch = []
         for _ in range(batch_size):
-            action, logp, value = policy.act(obs, mask, "sample", rng)
+            action, logp = policy.act(obs, mask, "sample", rng)
             reward = 1.0 if action == 0 else 0.0
-            batch.append(Transition(obs.copy(), action, logp, reward, value, True, mask.copy()))
+            batch.append(Transition(obs.copy(), action, logp, reward, policy.value(obs), True, mask.copy()))
         optimizer.update(batch)
         logits = policy.actor(policy.preprocess(obs)[None, :])[0]
         prob_best = float(np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])[0])

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from satkit.cnf import Assignment
+from satkit.cnf import Assignment, CnfFormula
+from satkit.features import extract_features
 from satkit.generators import planted_ksat
 from satkit.rl.heuristic import PolicyHeuristic
-from satkit.rl.observation import ShapeMismatchError
+from satkit.rl.observation import ShapeMismatchError, build_observation
 from satkit.rl.policy import (
     AllMaskedError,
     Policy,
@@ -20,6 +21,7 @@ from satkit.rl.policy import (
     masked_log_softmax,
     save_policy,
 )
+from satkit.solver.engine import Heuristic, Solver, Verdict
 
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
@@ -68,7 +70,7 @@ class TestDecide:
         for _ in range(5):
             obs = random_obs(policy, rng)
             mask = legal_action_mask(a)
-            action, logp, _ = policy.act(obs, mask, "sample", rng)
+            action, logp = policy.act(obs, mask, "sample", rng)
             assert action in (4, 5)  # both polarities of x3
             assert math.isfinite(logp)
 
@@ -78,7 +80,7 @@ class TestDecide:
             w[...] = 0.0
         a = Assignment(4)
         obs = np.zeros(policy.obs_dim)
-        action, _, _ = policy.act(obs, legal_action_mask(a), "greedy")
+        action, _ = policy.act(obs, legal_action_mask(a), "greedy")
         assert action == 0
         decision = action_to_decision(action)
         assert decision.var == 1 and decision.value is True
@@ -104,7 +106,7 @@ class TestDecide:
         draws = 10_000
         counts = np.zeros(policy.num_actions)
         for _ in range(draws):
-            action, _, _ = policy.act(obs, mask, "sample", rng)
+            action, _ = policy.act(obs, mask, "sample", rng)
             counts[action] += 1
         freq = counts / draws
         for k in range(policy.num_actions):
@@ -159,3 +161,135 @@ class TestSaveLoad:
         wrong = planted_ksat(10, 40, random.Random(0))
         with pytest.raises(ShapeMismatchError):
             PolicyHeuristic(policy, wrong)
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Equal up to ``rel`` times the largest magnitude in ``expected``."""
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= rel * scale
+
+
+def full_logits(policy, obs):
+    return policy.actor(policy.preprocess(obs)[None, :])[0]
+
+
+def full_value(policy, obs):
+    return float(policy.critic(policy.preprocess(obs)[None, :])[0, 0])
+
+
+def random_partial_assignment(num_vars, rng):
+    a = Assignment(num_vars)
+    for var in range(1, num_vars + 1):
+        if rng.random() < 0.4:
+            a.assign(var, bool(rng.random() < 0.5))
+    return a
+
+
+class UnfoldedGreedy(Heuristic):
+    """Reference greedy heuristic: the whole observation through the
+    whole actor on every decision."""
+
+    name = "unfolded"
+
+    def __init__(self, policy, formula):
+        self.policy = policy
+        self.formula = formula
+        self.features = extract_features(formula)
+
+    def decide(self, solver):
+        obs = build_observation(self.formula, solver.assignment, self.features)
+        mask = legal_action_mask(solver.assignment)
+        logits = full_logits(self.policy, obs)
+        return action_to_decision(int(np.argmax(np.where(mask, logits, -np.inf))))
+
+
+class TestFoldedInference:
+    @pytest.mark.parametrize("hidden", [(256, 256), (8,), ()])
+    def test_folded_network_matches_full_network(self, hidden):
+        policy = Policy(20, 91, PpoConfig(hidden_sizes=hidden), seed=3)
+        d = policy.dynamic_dim
+        rng = np.random.default_rng(0)
+        for k in range(4):
+            formula = planted_ksat(20, 91, random.Random(k))
+            features = extract_features(formula)
+            obs = build_observation(formula, Assignment(20), features)
+            actor_fold = policy.fold(policy.actor, obs[d:])
+            critic_fold = policy.fold(policy.critic, obs[d:])
+            for _ in range(8):
+                a = random_partial_assignment(20, rng)
+                if not legal_action_mask(a).any():
+                    continue
+                obs = build_observation(formula, a, features)
+                mask = legal_action_mask(a)
+                logits = full_logits(policy, obs)
+                value = full_value(policy, obs)
+                assert_close(policy.actor(policy.preprocess(obs[:d]), actor_fold), logits)
+                assert_close(policy.value(obs[:d], critic_fold), value)
+                assert_close(policy.value(obs), value)
+                greedy = int(np.argmax(np.where(mask, logits, -np.inf)))
+                assert policy.act(obs[:d], mask, "greedy", folded=actor_fold)[0] == greedy
+                assert policy.act(obs, mask, "greedy")[0] == greedy
+
+    def test_greedy_runs_match_the_unfolded_network(self):
+        policy = Policy(20, 91, seed=0)
+        for k in range(30):
+            formula = planted_ksat(20, 91, random.Random(100 + k))
+            folded = Solver(formula, PolicyHeuristic(policy, formula)).run()
+            reference = Solver(formula, UnfoldedGreedy(policy, formula)).run()
+            assert folded.verdict == reference.verdict == Verdict.SAT
+            assert folded.model == reference.model
+            assert (folded.stats.decisions, folded.stats.conflicts, folded.stats.propagations) == (
+                reference.stats.decisions,
+                reference.stats.conflicts,
+                reference.stats.propagations,
+            )
+
+
+class TestPolicyHeuristic:
+    def test_greedy_solve_never_evaluates_the_critic(self, monkeypatch):
+        policy = Policy(20, 91, SMALL, seed=0)
+        calls = []
+        for name in ("fold", "forward"):
+            original = getattr(policy.critic, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(policy.critic, name, counted)
+        formula = planted_ksat(20, 91, random.Random(5))
+        result = Solver(formula, PolicyHeuristic(policy, formula, mode="greedy")).run()
+        assert result.verdict == Verdict.SAT and result.stats.decisions > 0
+        assert calls == []
+        rng = np.random.default_rng(0)
+        Solver(formula, PolicyHeuristic(policy, formula, "sample", rng, record=True)).run()
+        assert calls  # the counter sees the critic when it does run
+
+    def test_recorded_values_and_log_probs_match_the_full_network(self):
+        policy = Policy(20, 91, SMALL, seed=2)
+        rng = np.random.default_rng(4)
+        recorded = 0
+        for k in range(5):
+            formula = planted_ksat(20, 91, random.Random(k))
+            heuristic = PolicyHeuristic(policy, formula, "sample", rng, record=True)
+            Solver(formula, heuristic).run()
+            for t in heuristic.transitions:
+                logp = masked_log_softmax(
+                    full_logits(policy, t.observation)[None, :], t.mask[None, :]
+                )[0, t.action]
+                assert_close(t.log_prob, logp)
+                assert_close(t.value, policy.value(t.observation))
+                assert_close(t.value, full_value(policy, t.observation))
+                recorded += 1
+        assert recorded > 0
+
+    def test_attach_rejects_another_formula_of_the_same_shape(self):
+        policy = Policy(20, 91, SMALL, seed=0)
+        own = planted_ksat(20, 91, random.Random(0))
+        other = planted_ksat(20, 91, random.Random(1))
+        with pytest.raises(ShapeMismatchError):
+            Solver(other, PolicyHeuristic(policy, own)).run()
+        equal = CnfFormula(own.num_vars, tuple(own.clauses))
+        assert equal is not own
+        assert Solver(equal, PolicyHeuristic(policy, own)).run().verdict == Verdict.SAT
