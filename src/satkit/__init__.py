@@ -5,9 +5,7 @@ from .cnf import (
     TRUE,
     UNDEF,
     Assignment,
-    Clause,
     CnfFormula,
-    Literal,
     evaluate_clause,
     evaluate_formula,
 )
@@ -17,10 +15,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "Clause",
     "CnfFormula",
     "FALSE",
-    "Literal",
     "TRUE",
     "UNDEF",
     "evaluate_clause",

@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     CSV_SCHEMA_VERSION,
@@ -205,9 +203,7 @@ def _cmd_solve(args) -> int:
         if not args.policy:
             raise _UsageError("--heuristic rl requires --policy FILE")
         policy = load_policy_file(args.policy)
-        heuristic = PolicyHeuristic(
-            policy, formula, mode="greedy", rng=np.random.default_rng(args.seed)
-        )
+        heuristic = PolicyHeuristic(policy, formula, mode="greedy")
     result = Solver(formula, heuristic, _make_limits(args)).run()
     s = result.stats
     print(
@@ -275,10 +271,15 @@ def _cmd_train(args) -> int:
         save_policy_file(trained, args.out)
     log_path = args.log or f"{args.out}.log.csv"
     with open(log_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("window,steps,mean_reward,mean_decisions\n")
+        fh.write(
+            "window,steps,mean_reward,mean_decisions,"
+            "policy_loss,value_loss,entropy,clip_fraction\n"
+        )
         for row in logs:
+            m = row.metrics
             fh.write(
-                f"{row.window},{row.steps},{row.mean_reward:.6f},{row.mean_decisions:.6f}\n"
+                f"{row.window},{row.steps},{row.mean_reward:.6f},{row.mean_decisions:.6f},"
+                f"{m.policy_loss:.6f},{m.value_loss:.6f},{m.entropy:.6f},{m.clip_fraction:.6f}\n"
             )
     print(f"trained {len(logs)} windows; policy -> {args.out}; log -> {log_path}")
     return EXIT_OK

@@ -1,15 +1,19 @@
 """Integer-encoded CNF formulas and three-valued evaluation.
 
-Variables are 1-based. Externally a literal is encoded as +v (the
-variable) or -v (its negation); 0 never encodes a literal. Clause and
-formula evaluation is three-valued: TRUE (+1), FALSE (-1), UNDEF (0)
-for clauses that are neither satisfied nor fully falsified yet.
+Variables are 1-based. A literal is its DIMACS code, +v (the variable)
+or -v (its negation); 0 never encodes a literal. A clause is a tuple
+of such codes, the one format every layer uses, from the DIMACS reader
+and the logic pipeline to the solver, the features and the policy's
+observation. Evaluation is three-valued: TRUE (+1), FALSE (-1), UNDEF
+(0) for clauses that are neither satisfied nor fully falsified yet.
+``evaluate_clause`` is the only code that evaluates a clause against
+an assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 TRUE = 1
 FALSE = -1
@@ -17,85 +21,35 @@ UNDEF = 0
 
 
 @dataclass(frozen=True)
-class Literal:
-    var: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    @property
-    def code(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @classmethod
-    def from_code(cls, code: int) -> "Literal":
-        if code == 0:
-            raise ValueError("0 is the clause terminator, not a literal code")
-        return cls(abs(code), code < 0)
-
-    def negate(self) -> "Literal":
-        return Literal(self.var, not self.negated)
-
-    def __str__(self) -> str:
-        return str(self.code)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals. Never empty; duplicates are allowed
-    (simplification removes them)."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "literals", tuple(self.literals))
-        if not self.literals:
-            raise ValueError("a clause must contain at least one literal")
-
-    @classmethod
-    def from_codes(cls, codes: Iterable[int]) -> "Clause":
-        return cls(tuple(Literal.from_code(c) for c in codes))
-
-    def codes(self) -> tuple[int, ...]:
-        return tuple(lit.code for lit in self.literals)
-
-    def variables(self) -> set[int]:
-        return {lit.var for lit in self.literals}
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __str__(self) -> str:
-        return " ".join(str(lit) for lit in self.literals)
-
-
-@dataclass(frozen=True)
 class CnfFormula:
+    """A variable count and a tuple of clauses. A clause is a non-empty
+    tuple of literal codes; duplicates are allowed (simplification
+    removes them). Any iterable of iterables is accepted and stored as
+    tuples, so formulas built from lists or tuples compare and hash
+    equal."""
+
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+        clauses = tuple(tuple(clause) for clause in self.clauses)
+        object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        for clause in self.clauses:
-            for lit in clause:
-                if lit.var > self.num_vars:
+        for clause in clauses:
+            if not clause:
+                raise ValueError("a clause must contain at least one literal")
+            for code in clause:
+                if code == 0:
+                    raise ValueError("0 is the clause terminator, not a literal code")
+                if abs(code) > self.num_vars:
                     raise ValueError(
-                        f"literal {lit.code} exceeds declared variable count {self.num_vars}"
+                        f"literal {code} exceeds declared variable count {self.num_vars}"
                     )
 
     @classmethod
-    def from_codes(cls, num_vars: int, clause_codes: Iterable[Iterable[int]]) -> "CnfFormula":
-        return cls(num_vars, tuple(Clause.from_codes(c) for c in clause_codes))
-
-    def clause_codes(self) -> list[tuple[int, ...]]:
-        return [clause.codes() for clause in self.clauses]
+    def from_codes(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "CnfFormula":
+        return cls(num_vars, clauses)
 
     @property
     def num_clauses(self) -> int:
@@ -134,12 +88,6 @@ class Assignment:
     def unassign(self, var: int) -> None:
         self.values[var - 1] = 0
 
-    def literal_value(self, code: int) -> int:
-        v = self.values[abs(code) - 1]
-        if v == 0:
-            return UNDEF
-        return TRUE if (v > 0) == (code > 0) else FALSE
-
     def copy(self) -> "Assignment":
         return Assignment(self.num_vars, list(self.values))
 
@@ -155,16 +103,17 @@ class Assignment:
         return f"Assignment({self.values})"
 
 
-def evaluate_clause(clause: Clause, assignment: Assignment) -> int:
+def evaluate_clause(clause: tuple[int, ...], assignment: Assignment) -> int:
     """Three-valued clause semantics: TRUE if some literal is satisfied,
     FALSE if all are falsified, UNDEF otherwise."""
+    values = assignment.values
     any_undef = False
-    for lit in clause:
-        v = assignment.literal_value(lit.code)
-        if v == TRUE:
-            return TRUE
-        if v == UNDEF:
+    for code in clause:
+        v = values[abs(code) - 1]
+        if v == 0:
             any_undef = True
+        elif (v > 0) == (code > 0):
+            return TRUE
     return UNDEF if any_undef else FALSE
 
 

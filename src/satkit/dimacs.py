@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .cnf import Clause, CnfFormula
+from .cnf import CnfFormula
 from .errors import SatkitError
 
 _HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)\s*$")
@@ -65,7 +65,7 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
     if num_vars < 0:
         raise MissingHeaderError("no 'p cnf' header found")
 
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     current: list[int] = []
     done = len(clauses) == num_clauses
     for raw in lines[body_start:]:
@@ -82,7 +82,7 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
             if code == 0:
                 if not current:
                     raise DimacsError("empty clause (bare '0') is not supported")
-                clauses.append(Clause.from_codes(current))
+                clauses.append(current)
                 current = []
                 if len(clauses) == num_clauses:
                     done = True
@@ -102,13 +102,13 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
         raise ClauseCountMismatchError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars, tuple(clauses))
+    return CnfFormula(num_vars, clauses)
 
 
 def write_dimacs(formula: CnfFormula) -> str:
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     for clause in formula.clauses:
-        lines.append(" ".join(str(c) for c in clause.codes()) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

@@ -108,9 +108,6 @@ def extract_features(formula: CnfFormula) -> FeatureVector:
             f"need >= 1 variable and >= 1 clause, got {n} vars / {m} clauses"
         )
 
-    clause_vars = [clause.variables() for clause in formula.clauses]
-    clause_codes = [clause.codes() for clause in formula.clauses]
-
     var_degree = [0] * (n + 1)
     pos_occ = [0] * (n + 1)
     neg_occ = [0] * (n + 1)
@@ -121,7 +118,8 @@ def extract_features(formula: CnfFormula) -> FeatureVector:
     horn_flags = []
     binary = ternary = 0
 
-    for variables, codes in zip(clause_vars, clause_codes):
+    for codes in formula.clauses:
+        variables = {abs(code) for code in codes}
         for v in variables:
             var_degree[v] += 1
         positives = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .cnf import Clause, CnfFormula
+from .cnf import CnfFormula
 from .dimacs import write_dimacs_file
 
 
@@ -23,8 +23,8 @@ def random_ksat(num_vars: int, num_clauses: int, rng: random.Random, k: int = 3)
     for _ in range(num_clauses):
         variables = rng.sample(range(1, num_vars + 1), k)
         codes = [v if rng.random() < 0.5 else -v for v in variables]
-        clauses.append(Clause.from_codes(codes))
-    return CnfFormula(num_vars, tuple(clauses))
+        clauses.append(codes)
+    return CnfFormula(num_vars, clauses)
 
 
 def planted_ksat(num_vars: int, num_clauses: int, rng: random.Random, k: int = 3) -> CnfFormula:
@@ -37,8 +37,8 @@ def planted_ksat(num_vars: int, num_clauses: int, rng: random.Random, k: int = 3
         codes = [v if rng.random() < 0.5 else -v for v in variables]
         satisfied = any((c > 0) == hidden[abs(c) - 1] for c in codes)
         if satisfied:
-            clauses.append(Clause.from_codes(codes))
-    return CnfFormula(num_vars, tuple(clauses))
+            clauses.append(codes)
+    return CnfFormula(num_vars, clauses)
 
 
 def generate_dataset(

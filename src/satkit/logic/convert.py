@@ -13,7 +13,7 @@ clauses, and subsumed clauses (strict superset of another clause).
 
 from __future__ import annotations
 
-from ..cnf import Clause, CnfFormula
+from ..cnf import CnfFormula
 from ..errors import SatkitError
 from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or, atoms
 
@@ -139,20 +139,21 @@ def to_cnf(
         table = SymbolTable()
     for name in atoms(expr):
         table.intern(name)
-    clause_codes = _distribute(_nnf(expr, False), table, max_clauses)
-    return CnfFormula.from_codes(len(table), clause_codes)
+    clauses = _distribute(_nnf(expr, False), table, max_clauses)
+    return CnfFormula(len(table), clauses)
 
 
 def simplify_cnf(formula: CnfFormula) -> CnfFormula:
     """Apply the four redundancy rules; output is equivalent to the input
-    and never larger. Clause and literal order is otherwise preserved."""
+    and never larger. The order of clauses and literals is otherwise
+    preserved."""
     kept: list[tuple[int, ...]] = []
     kept_sets: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
     for clause in formula.clauses:
         codes: list[int] = []
         present: set[int] = set()
-        for code in clause.codes():
+        for code in clause:
             if code not in present:
                 present.add(code)
                 codes.append(code)
@@ -172,4 +173,4 @@ def simplify_cnf(formula: CnfFormula) -> CnfFormula:
         )
         if not subsumed:
             result.append(codes)
-    return CnfFormula.from_codes(formula.num_vars, result)
+    return CnfFormula(formula.num_vars, result)

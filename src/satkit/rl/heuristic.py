@@ -13,7 +13,9 @@ When recording, one Transition is stored per decision, with the full
 observation and the critic's value (the critic is folded and evaluated
 only then; greedy and unrecorded runs never touch it). Its reward is
 filled in after the propagation (and any conflict resolution) that the
-decision triggered, and the final transition is marked done.
+decision triggered. Marking the final transition done is left to
+``run_episode``, which alone knows where an episode ends, verdict or
+decision limit.
 """
 
 from __future__ import annotations
@@ -74,11 +76,7 @@ class PolicyHeuristic(Heuristic):
 
     def decide(self, solver: Solver) -> HeuristicDecision:
         flat = build_observation(
-            self.formula,
-            solver.assignment,
-            self._features,
-            expected_shape=self.policy.shape,
-            adjacency=self._adjacency,
+            self.formula, solver.assignment, self._features, adjacency=self._adjacency
         )
         dynamic = flat[: self.policy.dynamic_dim]
         mask = legal_action_mask(solver.assignment)
@@ -107,7 +105,4 @@ class PolicyHeuristic(Heuristic):
             self._prev_score = score
         else:
             reward = score
-        last = self.transitions[-1]
-        last.reward = float(reward)
-        if verdict is not None:
-            last.done = True
+        self.transitions[-1].reward = float(reward)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cnf import Assignment, CnfFormula
+from ..cnf import Assignment, CnfFormula, evaluate_clause
 from ..errors import SatkitError
 from ..features import FEATURE_COUNT, FeatureVector
 
@@ -33,36 +33,26 @@ def flat_observation_dim(num_vars: int, num_clauses: int) -> int:
 
 
 def signed_adjacency(formula: CnfFormula) -> np.ndarray:
-    """Clause-by-variable signed incidence matrix. A variable occurring
+    """Signed clause-by-variable incidence matrix. A variable occurring
     with both polarities in one clause stores +1 (cannot happen after
     tautology simplification)."""
     adj = np.zeros((formula.num_clauses, formula.num_vars), dtype=np.float64)
     for i, clause in enumerate(formula.clauses):
-        for lit in clause:
-            j = lit.var - 1
-            if lit.negated:
-                if adj[i, j] == 0:
-                    adj[i, j] = -1.0
-            else:
+        for code in clause:
+            j = abs(code) - 1
+            if code > 0:
                 adj[i, j] = 1.0
+            elif adj[i, j] == 0:
+                adj[i, j] = -1.0
     return adj
 
 
 def clause_evaluations(formula: CnfFormula, assignment: Assignment) -> np.ndarray:
     """Three-valued evaluation of every original clause, as +1/-1/0."""
-    out = np.zeros(formula.num_clauses, dtype=np.float64)
-    values = assignment.values
-    for i, clause in enumerate(formula.clauses):
-        verdict = -1.0
-        for lit in clause:
-            v = values[lit.var - 1]
-            if v == 0:
-                verdict = 0.0
-            elif (v > 0) != lit.negated:
-                verdict = 1.0
-                break
-        out[i] = verdict
-    return out
+    return np.array(
+        [evaluate_clause(clause, assignment) for clause in formula.clauses],
+        dtype=np.float64,
+    )
 
 
 def compute_reward(clause_eval: np.ndarray) -> int:
@@ -74,7 +64,6 @@ def build_observation(
     formula: CnfFormula,
     assignment: Assignment,
     features: FeatureVector,
-    expected_shape: "tuple[int, int] | None" = None,
     adjacency: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Assemble the flat observation for the current solver state.
@@ -82,11 +71,6 @@ def build_observation(
     ``adjacency`` may be passed in to reuse the precomputed static
     incidence matrix; it is recomputed from the formula otherwise.
     """
-    shape = (formula.num_vars, formula.num_clauses)
-    if expected_shape is not None and shape != tuple(expected_shape):
-        raise ShapeMismatchError(
-            f"formula shape {shape} does not match configured {tuple(expected_shape)}"
-        )
     if adjacency is None:
         adjacency = signed_adjacency(formula)
     return np.concatenate(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from ..cnf import Assignment, CnfFormula, FALSE, TRUE, UNDEF
+from ..cnf import Assignment, CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
 
 
 class Verdict(str, Enum):
@@ -130,7 +130,7 @@ class Solver:
             self.watches[-v] = []
         self._unit_clauses: list[int] = []
         for clause in formula.clauses:
-            codes = list(dict.fromkeys(clause.codes()))
+            codes = list(dict.fromkeys(clause))
             idx = len(self.clauses)
             self.clauses.append(codes)
             if len(codes) == 1:
@@ -155,12 +155,9 @@ class Solver:
         return TRUE if (v > 0) == (lit > 0) else FALSE
 
     def original_clauses_satisfied(self) -> bool:
-        for ci in range(self.num_original):
-            clause = self.clauses[ci]
-            for lit in clause:
-                if self.lit_value(lit) == TRUE:
-                    break
-            else:
+        assignment = self.assignment
+        for clause in self.formula.clauses:
+            if evaluate_clause(clause, assignment) != TRUE:
                 return False
         return True
 
@@ -325,7 +322,7 @@ class Solver:
     def _verify_model(self, model: list[int]) -> None:
         phase = {abs(code): code > 0 for code in model}
         for clause in self.formula.clauses:
-            if not any(phase[lit.var] == (not lit.negated) for lit in clause):
+            if not any(phase[abs(code)] == (code > 0) for code in clause):
                 raise AssertionError("internal error: SAT model fails verification")
 
     def _limit_reached(self, started: float) -> Optional[str]:

@@ -28,9 +28,9 @@ def formula_truth_column(formula: CnfFormula, table: np.ndarray) -> np.ndarray:
     result = np.ones(table.shape[0], dtype=bool)
     for clause in formula.clauses:
         clause_sat = np.zeros(table.shape[0], dtype=bool)
-        for lit in clause:
-            col = table[:, lit.var - 1]
-            clause_sat |= ~col if lit.negated else col
+        for code in clause:
+            col = table[:, abs(code) - 1]
+            clause_sat |= col if code > 0 else ~col
         result &= clause_sat
     return result
 

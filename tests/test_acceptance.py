@@ -49,7 +49,7 @@ def _digest(parts) -> str:
 def _model_satisfies(formula: CnfFormula, model) -> bool:
     phase = {abs(code): code > 0 for code in model}
     return all(
-        any(phase[lit.var] == (not lit.negated) for lit in clause)
+        any(phase[abs(code)] == (code > 0) for code in clause)
         for clause in formula.clauses
     )
 
@@ -63,17 +63,17 @@ def run_criterion_1() -> str:
     # and stays the equivalent (~P) & (Q | R).
     table = SymbolTable()
     fixture_or = to_cnf(Or((Not(P), And((Q, R)))), table)
-    assert fixture_or.clause_codes() == [(-1, 2), (-1, 3)]
+    assert list(fixture_or.clauses) == [(-1, 2), (-1, 3)]
     assert expr_equivalent_to_formula(Or((Not(P), And((Q, R)))), fixture_or, table)
 
     table2 = SymbolTable()
     fixture_and = to_cnf(And((Not(P), Or((Q, R)))), table2)
-    assert fixture_and.clause_codes() == [(-1,), (2, 3)]
+    assert list(fixture_and.clauses) == [(-1,), (2, 3)]
     assert expr_equivalent_to_formula(And((Not(P), Or((Q, R)))), fixture_and, table2)
 
     # Simplification fixture: P & (~Q | R) & (~Q | R) -> P & (~Q | R).
     dup = CnfFormula.from_codes(3, [[1], [-2, 3], [-2, 3]])
-    assert simplify_cnf(dup).clause_codes() == [(1,), (-2, 3)]
+    assert list(simplify_cnf(dup).clauses) == [(1,), (-2, 3)]
 
     # 500 seeded random expressions;  conversions that would exceed the
     # clause cap are skipped deterministically (they raise, by contract).

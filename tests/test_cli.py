@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class TestConvert:
         out = capsys.readouterr().out
         formula = parse_dimacs(out)
         assert formula.num_vars == 3
-        assert formula.clause_codes() == [(-1,), (2, 3)]
+        assert list(formula.clauses) == [(-1,), (2, 3)]
 
     def test_english_mode_with_stub(self, tmp_path, capsys):
         src = tmp_path / "doc.txt"
@@ -60,7 +61,7 @@ class TestConvert:
         assert code == 0
         formula = parse_dimacs(out_path.read_text())
         assert formula.num_vars == 2
-        assert formula.clause_codes() == [(1, 2)]
+        assert list(formula.clauses) == [(1, 2)]
         rows = [line.split("\t") for line in map_path.read_text().splitlines()]
         assert rows[0][0] == "P" and rows[0][1] == "1"
         assert rows[0][2] == "The circus has a ferris wheel"
@@ -181,8 +182,15 @@ class TestTrainAndBench:
         assert saved == [str(policy_path)]  # two windows, one write of the final policy
         log_path = Path(f"{policy_path}.log.csv")
         log_lines = log_path.read_text().splitlines()
-        assert log_lines[0] == "window,steps,mean_reward,mean_decisions"
+        assert log_lines[0] == (
+            "window,steps,mean_reward,mean_decisions,"
+            "policy_loss,value_loss,entropy,clip_fraction"
+        )
         assert len(log_lines) >= 2
+        for line in log_lines[1:]:
+            values = [float(v) for v in line.split(",")]
+            assert len(values) == 8
+            assert all(math.isfinite(v) for v in values)
 
         csv_path = tmp_path / "records.csv"
         code = main(

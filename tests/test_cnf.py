@@ -7,9 +7,7 @@ from satkit.cnf import (
     TRUE,
     UNDEF,
     Assignment,
-    Clause,
     CnfFormula,
-    Literal,
     evaluate_clause,
     evaluate_formula,
 )
@@ -19,7 +17,7 @@ def clause_strategy(max_var=6):
     codes = st.integers(min_value=1, max_value=max_var).flatmap(
         lambda v: st.sampled_from([v, -v])
     )
-    return st.lists(codes, min_size=1, max_size=5).map(Clause.from_codes)
+    return st.lists(codes, min_size=1, max_size=5).map(tuple)
 
 
 def formula_strategy(max_var=6, max_clauses=8):
@@ -34,36 +32,36 @@ def partial_assignment_strategy(num_vars=6):
     ).map(Assignment.from_values)
 
 
-class TestLiteral:
-    def test_sign_encoding(self):
-        assert Literal(3).code == 3
-        assert Literal(3, negated=True).code == -3
-        assert Literal.from_code(-5) == Literal(5, True)
-        assert Literal.from_code(5).negate() == Literal(5, True)
-
-    def test_zero_code_rejected(self):
-        with pytest.raises(ValueError):
-            Literal.from_code(0)
-
-    def test_var_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Literal(0)
-
-    @given(st.integers(min_value=1, max_value=100), st.booleans())
-    def test_code_round_trip(self, var, neg):
-        lit = Literal(var, neg)
-        assert Literal.from_code(lit.code) == lit
-        assert lit.code != 0
-
-
 class TestClauseAndFormula:
     def test_empty_clause_rejected(self):
         with pytest.raises(ValueError):
-            Clause(())
+            CnfFormula(1, [()])
 
     def test_duplicate_literals_allowed(self):
-        clause = Clause.from_codes([1, 1, -2])
-        assert clause.codes() == (1, 1, -2)
+        formula = CnfFormula.from_codes(2, [[1, 1, -2]])
+        assert formula.clauses == ((1, 1, -2),)
+
+    @pytest.mark.parametrize(
+        "num_vars, clauses",
+        [
+            (2, [[1, 0]]),  # 0 terminates a clause, it is no literal
+            (2, [[1, 3]]),
+            (2, [[-3, 1]]),
+            (2, [[1], []]),
+            (-1, []),
+        ],
+        ids=["zero-code", "above-range", "below-range", "empty-clause", "negative-num-vars"],
+    )
+    def test_malformed_formula_rejected(self, num_vars, clauses):
+        with pytest.raises(ValueError):
+            CnfFormula(num_vars, clauses)
+
+    def test_lists_and_tuples_build_equal_formulas(self):
+        from_lists = CnfFormula.from_codes(3, [[1, -2], [3]])
+        from_tuples = CnfFormula(3, ((1, -2), (3,)))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert from_lists.clauses == ((1, -2), (3,))
 
     def test_literal_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -81,17 +79,17 @@ class TestClauseAndFormula:
 
 class TestEvaluation:
     def test_satisfied_literal(self):
-        clause = Clause.from_codes([1, 2])
+        clause = (1, 2)
         a = Assignment.from_values([1, 0])
         assert evaluate_clause(clause, a) == TRUE
 
     def test_all_falsified(self):
-        clause = Clause.from_codes([1, 2])
+        clause = (1, 2)
         a = Assignment.from_values([-1, -1])
         assert evaluate_clause(clause, a) == FALSE
 
     def test_pending_literal(self):
-        clause = Clause.from_codes([1, 2])
+        clause = (1, 2)
         a = Assignment.from_values([-1, 0])
         assert evaluate_clause(clause, a) == UNDEF
 
@@ -146,9 +144,9 @@ class TestAssignment:
         a.assign(2, True)
         a.assign(3, False)
         assert a.values == [0, 1, -1]
-        assert a.literal_value(2) == TRUE
-        assert a.literal_value(-2) == FALSE
-        assert a.literal_value(1) == UNDEF
+        assert evaluate_clause((2,), a) == TRUE
+        assert evaluate_clause((-2,), a) == FALSE
+        assert evaluate_clause((1,), a) == UNDEF
         a.unassign(2)
         assert a.values == [0, 0, -1]
 

@@ -25,7 +25,7 @@ class TestSymbolTable:
         to_cnf(parse_expression("Or(P, Q)"), table)
         f2 = to_cnf(parse_expression("Or(Q, R)"), table)
         assert table.items() == [("P", 1), ("Q", 2), ("R", 3)]
-        assert f2.clause_codes() == [(2, 3)]
+        assert list(f2.clauses) == [(2, 3)]
 
     def test_determinism(self):
         t1, t2 = SymbolTable(), SymbolTable()
@@ -40,7 +40,7 @@ class TestToCnf:
         # ~P & (Q | R) is already CNF: two clauses.
         table = SymbolTable()
         formula = to_cnf(And((Not(P), Or((Q, R)))), table)
-        assert formula.clause_codes() == [(-1,), (2, 3)]
+        assert list(formula.clauses) == [(-1,), (2, 3)]
         assert expr_equivalent_to_formula(And((Not(P), Or((Q, R)))), formula, table)
 
     def test_distribution_of_or_over_and(self):
@@ -48,28 +48,28 @@ class TestToCnf:
         table = SymbolTable()
         expr = Or((Not(P), And((Q, R))))
         formula = to_cnf(expr, table)
-        assert formula.clause_codes() == [(-1, 2), (-1, 3)]
+        assert list(formula.clauses) == [(-1, 2), (-1, 3)]
         assert expr_equivalent_to_formula(expr, formula, table)
 
     def test_cnf_input_is_fixed_point(self):
         table = SymbolTable()
         expr = And((P, Or((Q, R))))
         formula = to_cnf(expr, table)
-        assert formula.clause_codes() == [(1,), (2, 3)]
+        assert list(formula.clauses) == [(1,), (2, 3)]
 
     def test_implication_elimination(self):
         formula = to_cnf(Implies(P, Q))
-        assert formula.clause_codes() == [(-1, 2)]
+        assert list(formula.clauses) == [(-1, 2)]
 
     def test_iff_expansion(self):
         table = SymbolTable()
         formula = to_cnf(Iff(P, Q), table)
-        assert formula.clause_codes() == [(-1, 2), (-2, 1)]
+        assert list(formula.clauses) == [(-1, 2), (-2, 1)]
         assert expr_equivalent_to_formula(Iff(P, Q), formula, table)
 
     def test_double_negation(self):
         formula = to_cnf(Not(Not(P)))
-        assert formula.clause_codes() == [(1,)]
+        assert list(formula.clauses) == [(1,)]
 
     def test_blowup_cap(self):
         # (A1&B1) | (A2&B2) | ... distributes to 2**k clauses.
@@ -92,23 +92,23 @@ class TestToCnf:
 class TestSimplify:
     def test_duplicate_clause_removed(self):
         f = CnfFormula.from_codes(3, [[1], [-2, 3], [-2, 3]])
-        assert simplify_cnf(f).clause_codes() == [(1,), (-2, 3)]
+        assert list(simplify_cnf(f).clauses) == [(1,), (-2, 3)]
 
     def test_tautology_removed(self):
         f = CnfFormula.from_codes(2, [[1, -1], [2]])
-        assert simplify_cnf(f).clause_codes() == [(2,)]
+        assert list(simplify_cnf(f).clauses) == [(2,)]
 
     def test_subsumed_clause_removed(self):
         f = CnfFormula.from_codes(2, [[1], [1, 2]])
-        assert simplify_cnf(f).clause_codes() == [(1,)]
+        assert list(simplify_cnf(f).clauses) == [(1,)]
 
     def test_duplicate_literals_dropped(self):
         f = CnfFormula.from_codes(2, [[1, 1, 2]])
-        assert simplify_cnf(f).clause_codes() == [(1, 2)]
+        assert list(simplify_cnf(f).clauses) == [(1, 2)]
 
     def test_duplicate_detection_ignores_literal_order(self):
         f = CnfFormula.from_codes(2, [[1, 2], [2, 1]])
-        assert simplify_cnf(f).clause_codes() == [(1, 2)]
+        assert list(simplify_cnf(f).clauses) == [(1, 2)]
 
     def test_all_clauses_tautological_gives_empty_formula(self):
         f = CnfFormula.from_codes(1, [[1, -1]])

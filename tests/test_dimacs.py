@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satkit.cnf import Clause, CnfFormula
+from satkit.cnf import CnfFormula
 from satkit.dimacs import (
     ClauseCountMismatchError,
     DimacsError,
@@ -22,8 +22,8 @@ def formula_strategy():
         clauses = []
         for spec in clause_specs:
             codes = [(v % num_vars) + 1 if s else -((v % num_vars) + 1) for v, s in spec]
-            clauses.append(Clause.from_codes(codes))
-        return CnfFormula(num_vars, tuple(clauses))
+            clauses.append(codes)
+        return CnfFormula(num_vars, clauses)
 
     return st.integers(min_value=1, max_value=10).flatmap(
         lambda n: st.lists(
@@ -42,7 +42,7 @@ class TestParse:
     def test_two_clause_example(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0\n-1 3 0\n")
         assert f.num_vars == 3
-        assert f.clause_codes() == [(1, -2), (-1, 3)]
+        assert list(f.clauses) == [(1, -2), (-1, 3)]
 
     def test_no_clauses(self):
         f = parse_dimacs("p cnf 1 0\n")
@@ -51,7 +51,7 @@ class TestParse:
 
     def test_accepts_bytes_and_crlf(self):
         f = parse_dimacs(b"c comment\r\np cnf 2 1\r\n1 2 0\r\n")
-        assert f.clause_codes() == [(1, 2)]
+        assert list(f.clauses) == [(1, 2)]
 
     def test_comments_anywhere(self):
         f = parse_dimacs("c head\np cnf 2 2\nc mid\n1 0\nc another\n2 0\n")
@@ -59,11 +59,11 @@ class TestParse:
 
     def test_clause_spanning_lines(self):
         f = parse_dimacs("p cnf 3 1\n1\n-2\n3 0\n")
-        assert f.clause_codes() == [(1, -2, 3)]
+        assert list(f.clauses) == [(1, -2, 3)]
 
     def test_clauses_sharing_a_line(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0 -1 3 0\n")
-        assert f.clause_codes() == [(1, -2), (-1, 3)]
+        assert list(f.clauses) == [(1, -2), (-1, 3)]
 
     def test_satlib_footer_tolerated(self):
         text = "p cnf 2 2\n1 2 0\n-1 -2 0\n%\n0\n"

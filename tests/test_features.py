@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satkit.cnf import Clause, CnfFormula
+from satkit.cnf import CnfFormula
 from satkit.features import (
     FEATURE_COUNT,
     FEATURE_SCHEMA,
@@ -78,10 +78,10 @@ def test_recount_oracle_on_random_instances():
         horn = 0
         binary = 0
         for clause in f.clauses:
-            variables = {lit.var for lit in clause}
+            variables = {abs(code) for code in clause}
             for v in variables:
                 degrees[v] += 1
-            if sum(1 for lit in clause if not lit.negated) <= 1:
+            if sum(1 for code in clause if code > 0) <= 1:
                 horn += 1
             if len(variables) == 2:
                 binary += 1
@@ -112,10 +112,7 @@ def test_permutation_invariance(seed):
     assert np.array_equal(extract_features(shuffled).values, base)
 
     # literal order within clauses
-    roto = CnfFormula(
-        f.num_vars,
-        tuple(Clause(tuple(reversed(c.literals))) for c in f.clauses),
-    )
+    roto = CnfFormula(f.num_vars, [reversed(c) for c in f.clauses])
     assert np.array_equal(extract_features(roto).values, base)
 
 
@@ -129,7 +126,7 @@ def test_variable_renaming_invariance(seed):
     renamed = CnfFormula.from_codes(
         n,
         [
-            [perm[abs(c) - 1] * (1 if c > 0 else -1) for c in clause.codes()]
+            [perm[abs(c) - 1] * (1 if c > 0 else -1) for c in clause]
             for clause in f.clauses
         ],
     )

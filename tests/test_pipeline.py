@@ -28,7 +28,7 @@ def test_single_sentence_document(stub):
         "The circus has a Ferris wheel or a rollercoaster.", stub
     )
     assert formula.num_vars == 2
-    assert formula.clause_codes() == [(1, 2)]
+    assert list(formula.clauses) == [(1, 2)]
     assert table.items() == [("P", 1), ("Q", 2)]
 
 
@@ -52,13 +52,13 @@ def test_paragraph_compiles_and_simplifies(stub):
     formula, table = compile_document(PARAGRAPH, stub)
     assert formula.num_vars == 4
     # (R | ~S) is subsumed by the unit clause (~S)
-    assert formula.clause_codes() == [(1, 2), (-1, 3), (-4,)]
+    assert list(formula.clauses) == [(1, 2), (-1, 3), (-4,)]
     assert len(table) == 4
 
 
 def test_contradictory_document_still_compiles(stub):
     formula, _ = compile_document("The lamp is on. The lamp is not on.", stub)
-    assert formula.clause_codes() == [(1,), (-1,)]
+    assert list(formula.clauses) == [(1,), (-1,)]
 
 
 def test_unknown_sentence_aggregated_with_index(stub):

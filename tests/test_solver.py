@@ -33,7 +33,7 @@ class ScriptedHeuristic(Heuristic):
 def model_satisfies(formula, model):
     phase = {abs(code): code > 0 for code in model}
     return all(
-        any(phase[lit.var] == (not lit.negated) for lit in clause)
+        any(phase[abs(code)] == (code > 0) for code in clause)
         for clause in formula.clauses
     )
 
