@@ -15,7 +15,6 @@ from pathlib import Path
 from . import __version__
 from .bench import (
     CSV_SCHEMA_VERSION,
-    BenchError,
     load_dataset,
     records_to_csv,
     run_comparison,

@@ -88,10 +88,6 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
                     done = True
                     break
             else:
-                if abs(code) > num_vars:
-                    raise LiteralOutOfRangeError(
-                        f"literal {code} exceeds declared variable count {num_vars}"
-                    )
                 current.append(code)
 
     if current:
@@ -102,7 +98,12 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
         raise ClauseCountMismatchError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars, clauses)
+    try:
+        return CnfFormula(num_vars, clauses)
+    except ValueError as exc:
+        # The header, terminators and clause count are checked above, so
+        # the only check left to the formula is the literal range.
+        raise LiteralOutOfRangeError(str(exc)) from None
 
 
 def write_dimacs(formula: CnfFormula) -> str:

@@ -17,8 +17,8 @@ coefficient is stddev/mean, defined as 0 when the mean is 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,21 +84,32 @@ class FeatureVector:
         return [(name, float(v)) for name, v in zip(FEATURE_SCHEMA, self.values)]
 
 
-def _entropy(sorted_sample: list[float]) -> float:
-    counts = Counter(sorted_sample)
-    n = len(sorted_sample)
-    return -sum((c / n) * math.log(c / n) for _, c in sorted(counts.items()))
+def _spreads(samples: np.ndarray) -> list[list[float]]:
+    """Mean, variation coefficient, min, max and entropy of each row.
 
-
-def _spread(sample: list[float]) -> list[float]:
-    # Sorting first makes every statistic bit-identical under any
-    # permutation of the input (float summation is order-sensitive).
-    ordered = sorted(sample)
-    arr = np.asarray(ordered, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std())
-    vc = std / mean if mean != 0 else 0.0
-    return [mean, vc, ordered[0], ordered[-1], _entropy(ordered)]
+    Each row is sorted first, which makes every statistic bit-identical
+    under any permutation of the sample (float summation is
+    order-sensitive); a row's mean and std over the sorted stack equal
+    those of the row alone. Entropy sums its terms in Python floats, in
+    increasing order of value.
+    """
+    ordered = np.sort(samples, axis=1)
+    rows, k = ordered.shape
+    # Runs of equal values in the sorted rows; a run's length is the gap
+    # to the next run's start, and a row's last run ends at the next
+    # row's first entry.
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    flat = np.flatnonzero(starts)
+    sums = [0.0] * rows
+    for row, count in zip((flat // k).tolist(), np.diff(flat, append=ordered.size).tolist()):
+        sums[row] += (count / k) * math.log(count / k)
+    out = []
+    stats = zip(ordered.tolist(), ordered.mean(axis=1).tolist(), ordered.std(axis=1).tolist(), sums)
+    for row, mean, std, total in stats:
+        vc = std / mean if mean != 0 else 0.0
+        out.append([mean, vc, row[0], row[-1], -total])
+    return out
 
 
 def extract_features(formula: CnfFormula) -> FeatureVector:
@@ -108,44 +119,31 @@ def extract_features(formula: CnfFormula) -> FeatureVector:
             f"need >= 1 variable and >= 1 clause, got {n} vars / {m} clauses"
         )
 
-    var_degree = [0] * (n + 1)
-    pos_occ = [0] * (n + 1)
-    neg_occ = [0] * (n + 1)
-    horn_count = [0] * (n + 1)
+    # One entry per literal occurrence, then one per distinct
+    # (clause, variable) pair: degrees count a variable once per clause,
+    # polarity counts every occurrence.
+    clauses = formula.clauses
+    lengths = np.fromiter(map(len, clauses), dtype=np.int64, count=m)
+    codes = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(m), lengths)
+    variables = np.abs(codes)
+    positive = codes > 0
+    pairs = np.sort(rows * (n + 1) + variables)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    pair_clause, pair_var = np.divmod(pairs, n + 1)
 
-    clause_degrees = []
-    clause_pos_fracs = []
-    horn_flags = []
-    binary = ternary = 0
+    positives = np.bincount(rows[positive], minlength=m)
+    is_horn = positives <= 1
+    clause_degree = np.bincount(pair_clause, minlength=m)
+    var_degree = np.bincount(pair_var, minlength=n + 1)[1:]
+    horn_count = np.bincount(pair_var[is_horn[pair_clause]], minlength=n + 1)[1:]
+    pos_occ = np.bincount(variables[positive], minlength=n + 1)[1:]
+    total_occ = np.bincount(variables, minlength=n + 1)[1:]
+    var_pos_frac = np.zeros(n)
+    np.divide(pos_occ, total_occ, out=var_pos_frac, where=total_occ > 0)
 
-    for codes in formula.clauses:
-        variables = {abs(code) for code in codes}
-        for v in variables:
-            var_degree[v] += 1
-        positives = 0
-        for code in codes:
-            if code > 0:
-                positives += 1
-                pos_occ[code] += 1
-            else:
-                neg_occ[-code] += 1
-        size = len(variables)
-        clause_degrees.append(float(size))
-        clause_pos_fracs.append(positives / len(codes))
-        if size == 2:
-            binary += 1
-        elif size == 3:
-            ternary += 1
-        is_horn = positives <= 1
-        horn_flags.append(is_horn)
-        if is_horn:
-            for v in variables:
-                horn_count[v] += 1
-
-    var_pos_fracs = []
-    for v in range(1, n + 1):
-        total = pos_occ[v] + neg_occ[v]
-        var_pos_fracs.append(pos_occ[v] / total if total else 0.0)
+    var_spreads = _spreads(np.stack([var_degree, var_pos_frac, horn_count]).astype(np.float64))
+    clause_spreads = _spreads(np.stack([clause_degree, positives / lengths]).astype(np.float64))
 
     ratio = m / n
     values = np.zeros(FEATURE_COUNT, dtype=np.float64)
@@ -158,12 +156,16 @@ def extract_features(formula: CnfFormula) -> FeatureVector:
     ]
     body = (
         head
-        + _spread([float(d) for d in var_degree[1:]])
-        + _spread(clause_degrees)
-        + _spread(clause_pos_fracs)
-        + _spread(var_pos_fracs)
-        + [binary / m, ternary / m, sum(horn_flags) / m]
-        + _spread([float(h) for h in horn_count[1:]])
+        + var_spreads[0]
+        + clause_spreads[0]
+        + clause_spreads[1]
+        + var_spreads[1]
+        + [
+            int(np.count_nonzero(clause_degree == 2)) / m,
+            int(np.count_nonzero(clause_degree == 3)) / m,
+            int(np.count_nonzero(is_horn)) / m,
+        ]
+        + var_spreads[2]
     )
     values[: len(body)] = body
     return FeatureVector(values)

@@ -12,13 +12,24 @@ concatenated in that order to length n + m + n*m + 48. Only original
 clauses appear; learned clauses are excluded so the shape never
 changes mid-run. The per-step reward is the satisfied-minus-falsified
 clause count.
+
+Clause status has one owner per solve: a ``ClauseStatus`` tracker
+keeps, for each original clause, its count of true and of false
+literals, and follows the solver's trail incrementally. The learned
+heuristic reads both its observation's clause block and its reward
+from it, so the solver itself keeps no per-clause counts and other
+heuristics pay nothing. ``clause_evaluations`` and ``compute_reward``
+recompute the same values from scratch; they are the reference the
+tracker is tested against, and ``build_observation`` uses them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from ..cnf import Assignment, CnfFormula, evaluate_clause
+from ..cnf import Assignment, CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
 from ..errors import SatkitError
 from ..features import FEATURE_COUNT, FeatureVector
 
@@ -36,14 +47,15 @@ def signed_adjacency(formula: CnfFormula) -> np.ndarray:
     """Signed clause-by-variable incidence matrix. A variable occurring
     with both polarities in one clause stores +1 (cannot happen after
     tautology simplification)."""
-    adj = np.zeros((formula.num_clauses, formula.num_vars), dtype=np.float64)
-    for i, clause in enumerate(formula.clauses):
-        for code in clause:
-            j = abs(code) - 1
-            if code > 0:
-                adj[i, j] = 1.0
-            elif adj[i, j] == 0:
-                adj[i, j] = -1.0
+    clauses, m = formula.clauses, formula.num_clauses
+    sizes = np.fromiter(map(len, clauses), dtype=np.int64, count=m)
+    codes = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(sizes.sum()))
+    rows = np.repeat(np.arange(m), sizes)
+    cols = np.abs(codes) - 1
+    positive = codes > 0
+    adj = np.zeros((m, formula.num_vars), dtype=np.float64)
+    adj[rows[~positive], cols[~positive]] = -1.0
+    adj[rows[positive], cols[positive]] = 1.0  # a positive occurrence wins
     return adj
 
 
@@ -58,6 +70,74 @@ def clause_evaluations(formula: CnfFormula, assignment: Assignment) -> np.ndarra
 def compute_reward(clause_eval: np.ndarray) -> int:
     """Satisfied clauses count +1 each, falsified -1, pending 0."""
     return int((clause_eval == 1.0).sum()) - int((clause_eval == -1.0).sum())
+
+
+class ClauseStatus:
+    """Three-valued status of every original clause of one formula,
+    kept in step with a solver's trail.
+
+    ``sync(trail)`` undoes the literals of the last trail it saw that
+    lie past the common prefix with ``trail``, then applies the new
+    ones, so a decision costs the clause occurrences of the literals it
+    changed rather than a pass over every clause. ``status[i]`` is then
+    TRUE, FALSE or UNDEF, equal to ``evaluate_clause`` on the trail's
+    assignment; duplicate and complementary literals count once per
+    occurrence.
+    """
+
+    def __init__(self, formula: CnfFormula):
+        m = formula.num_clauses
+        # Indexed by the signed code itself: 2n + 1 slots, slot -v being
+        # 2n + 1 - v. A clause is listed once per occurrence.
+        self._occurrences: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
+        for i, clause in enumerate(formula.clauses):
+            for code in clause:
+                self._occurrences[code].append(i)
+        self._size = [len(clause) for clause in formula.clauses]
+        self._true = [0] * m
+        self._false = [0] * m
+        self._trail: list[int] = []
+        self.status = [UNDEF] * m
+
+    def sync(self, trail: list[int]) -> None:
+        seen = self._trail
+        keep = len(seen)
+        if trail[:keep] != seen:
+            keep = 0
+            while keep < len(trail) and trail[keep] == seen[keep]:
+                keep += 1
+        for lit in seen[keep:]:
+            self._unset(lit)
+        for lit in trail[keep:]:
+            self._set(lit)
+        self._trail = trail[:]
+
+    def _set(self, lit: int) -> None:
+        status = self.status
+        true, false, size = self._true, self._false, self._size
+        for c in self._occurrences[lit]:
+            true[c] += 1
+            status[c] = TRUE
+        for c in self._occurrences[-lit]:
+            false[c] += 1
+            if false[c] == size[c]:
+                status[c] = FALSE
+
+    def _unset(self, lit: int) -> None:
+        status = self.status
+        true, false = self._true, self._false
+        for c in self._occurrences[lit]:
+            true[c] -= 1
+            if not true[c]:
+                status[c] = UNDEF
+        for c in self._occurrences[-lit]:
+            false[c] -= 1
+            if not true[c]:
+                status[c] = UNDEF
+
+    def reward(self) -> int:
+        """``compute_reward`` of the current status."""
+        return sum(self.status)
 
 
 def build_observation(

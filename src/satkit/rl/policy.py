@@ -128,25 +128,31 @@ class Policy:
         mode: str = "greedy",
         rng: Optional[np.random.Generator] = None,
         folded: Optional[np.ndarray] = None,
-    ) -> tuple[int, float]:
+        with_log_prob: bool = True,
+    ) -> tuple[int, Optional[float]]:
         """Pick an action under the mask.
 
         ``obs`` is a full observation, or its dynamic block (assignments
         and clause evaluations) when ``folded`` is the actor's ``fold`` of
         the static block. Returns (action, log_probability). Greedy mode
         takes the masked argmax with ties to the lowest action index;
-        sample mode draws from the masked softmax using ``rng``.
+        sample mode draws from the masked softmax using ``rng``. Greedy
+        mode without ``with_log_prob`` skips the softmax and returns None
+        for the log-probability.
         """
         if not mask.any():
             raise AllMaskedError("no legal action remains")
         x, folded = self._inputs(obs, self.actor, folded)
         logits = self.actor(x, folded)
-        logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
         if mode == "greedy":
             action = int(np.argmax(np.where(mask, logits, -np.inf)))
+            if not with_log_prob:
+                return action, None
+            logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
         elif mode == "sample":
             if rng is None:
                 raise ValueError("sample mode needs an rng")
+            logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
             probs = np.exp(logp)
             cumulative = np.cumsum(probs)
             draw = rng.random()

@@ -18,7 +18,7 @@ benchmark runs reproducible decision-for-decision.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -84,6 +84,17 @@ class TestParse:
         with pytest.raises(LiteralOutOfRangeError):
             parse_dimacs("p cnf 2 1\n3 0\n")
 
+    def test_literal_out_of_range_message(self):
+        with pytest.raises(LiteralOutOfRangeError, match=r"^literal -3 exceeds declared variable count 2$"):
+            parse_dimacs("p cnf 2 2\n1 2 0\n-3 1 0\n")
+
+    def test_clause_structure_is_reported_before_the_literal_range(self):
+        # The range is checked once, by CnfFormula, after every clause is read.
+        with pytest.raises(UnterminatedClauseError):
+            parse_dimacs("p cnf 2 2\n3 0\n1 2\n")
+        with pytest.raises(ClauseCountMismatchError):
+            parse_dimacs("p cnf 2 3\n3 0\n1 0\n")
+
     def test_unterminated_clause(self):
         with pytest.raises(UnterminatedClauseError):
             parse_dimacs("p cnf 2 1\n1 2\n")

@@ -145,3 +145,91 @@ def test_bounds_on_entropy_and_fractions(seed):
         if name.startswith("frac_") or name.endswith("frac_mean"):
             assert 0.0 <= fv.get(name) <= 1.0
     assert np.isfinite(fv.values).all()
+
+
+def reference_features(formula):
+    """The per-clause loop ``extract_features`` replaced, kept as its
+    oracle: every statistic from Python lists, one sample at a time."""
+
+    def entropy(ordered):
+        counts = Counter(ordered)
+        k = len(ordered)
+        return -sum((c / k) * math.log(c / k) for _, c in sorted(counts.items()))
+
+    def spread(sample):
+        ordered = sorted(sample)
+        arr = np.asarray(ordered, dtype=np.float64)
+        mean = float(arr.mean())
+        std = float(arr.std())
+        vc = std / mean if mean != 0 else 0.0
+        return [mean, vc, ordered[0], ordered[-1], entropy(ordered)]
+
+    n, m = formula.num_vars, formula.num_clauses
+    var_degree = [0] * (n + 1)
+    pos_occ = [0] * (n + 1)
+    neg_occ = [0] * (n + 1)
+    horn_count = [0] * (n + 1)
+    clause_degrees, clause_pos_fracs, horn_flags = [], [], []
+    binary = ternary = 0
+    for codes in formula.clauses:
+        variables = {abs(code) for code in codes}
+        for v in variables:
+            var_degree[v] += 1
+        positives = 0
+        for code in codes:
+            if code > 0:
+                positives += 1
+                pos_occ[code] += 1
+            else:
+                neg_occ[-code] += 1
+        size = len(variables)
+        clause_degrees.append(float(size))
+        clause_pos_fracs.append(positives / len(codes))
+        binary += size == 2
+        ternary += size == 3
+        horn_flags.append(positives <= 1)
+        if positives <= 1:
+            for v in variables:
+                horn_count[v] += 1
+    var_pos_fracs = []
+    for v in range(1, n + 1):
+        total = pos_occ[v] + neg_occ[v]
+        var_pos_fracs.append(pos_occ[v] / total if total else 0.0)
+    ratio = m / n
+    body = (
+        [float(n), float(m), ratio, n / m, abs(ratio - 4.26)]
+        + spread([float(d) for d in var_degree[1:]])
+        + spread(clause_degrees)
+        + spread(clause_pos_fracs)
+        + spread(var_pos_fracs)
+        + [binary / m, ternary / m, sum(horn_flags) / m]
+        + spread([float(h) for h in horn_count[1:]])
+    )
+    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
+    values[: len(body)] = body
+    return values
+
+
+@st.composite
+def any_formula(draw):
+    """Clauses of 1 to 6 literals, with duplicated and complementary
+    literals and unused variables allowed."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), min_size=1, max_size=60))
+    return CnfFormula(n, clauses)
+
+
+@given(any_formula())
+def test_features_match_the_per_clause_loop_bit_for_bit(formula):
+    assert extract_features(formula).values.tobytes() == reference_features(formula).tobytes()
+
+
+def test_features_match_the_per_clause_loop_on_generated_instances():
+    rng = random.Random(77)
+    for k in range(40):
+        n = rng.randint(5, 80)
+        m = rng.randint(1, 6 * n)
+        make = planted_ksat if k % 2 else random_ksat
+        f = make(n, m, rng)
+        assert extract_features(f).values.tobytes() == reference_features(f).tobytes()

@@ -284,6 +284,49 @@ class TestPolicyHeuristic:
                 recorded += 1
         assert recorded > 0
 
+    def test_greedy_unrecorded_solve_skips_softmax_critic_and_rng(self, monkeypatch):
+        import satkit.rl.policy as policy_module
+
+        policy = Policy(20, 91, SMALL, seed=0)
+        formula = planted_ksat(20, 91, random.Random(6))
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        monkeypatch.setattr(policy_module, "masked_log_softmax", forbidden("masked_log_softmax"))
+        monkeypatch.setattr(np.random, "default_rng", forbidden("default_rng"))
+        monkeypatch.setattr(Policy, "value", forbidden("Policy.value"))
+        for name in ("fold", "forward"):
+            monkeypatch.setattr(policy.critic, name, forbidden(f"critic.{name}"))
+        result = Solver(formula, PolicyHeuristic(policy, formula)).run()
+        assert result.verdict == Verdict.SAT and result.stats.decisions > 0
+        # The probes bite: a recorded run needs the critic and the softmax.
+        with pytest.raises(AssertionError, match="called"):
+            Solver(formula, PolicyHeuristic(policy, formula, record=True)).run()
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_recorded_log_prob_is_the_masked_log_softmax_entry(self, mode):
+        policy = Policy(20, 91, SMALL, seed=1)
+        d = policy.dynamic_dim
+        rng = np.random.default_rng(8)
+        recorded = 0
+        for k in range(4):
+            formula = planted_ksat(20, 91, random.Random(20 + k))
+            heuristic = PolicyHeuristic(policy, formula, mode, rng, record=True)
+            Solver(formula, heuristic).run()
+            for t in heuristic.transitions:
+                obs = t.observation
+                logits = policy.actor(policy.preprocess(obs[:d]), policy.fold(policy.actor, obs[d:]))
+                logp = masked_log_softmax(logits[None, :], t.mask[None, :])[0]
+                assert t.log_prob == float(logp[t.action])
+                if mode == "greedy":
+                    assert t.action == int(np.argmax(np.where(t.mask, logits, -np.inf)))
+                recorded += 1
+        assert recorded > 0
+
     def test_attach_rejects_another_formula_of_the_same_shape(self):
         policy = Policy(20, 91, SMALL, seed=0)
         own = planted_ksat(20, 91, random.Random(0))
