@@ -4,7 +4,6 @@ from .cnf import (
     FALSE,
     TRUE,
     UNDEF,
-    Assignment,
     CnfFormula,
     evaluate_clause,
     evaluate_formula,
@@ -14,7 +13,6 @@ from .dimacs import parse_dimacs, write_dimacs
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CnfFormula",
     "FALSE",
     "TRUE",

@@ -33,6 +33,7 @@ from .logic.translate import HttpTranslator, StubTranslator
 from .rl.heuristic import PolicyHeuristic
 from .rl.policy import (
     POLICY_FORMAT_VERSION,
+    REWARD_MODES,
     Policy,
     PpoConfig,
     load_policy_file,
@@ -90,19 +91,20 @@ def _build_parser() -> _Parser:
     p.add_argument("cnf", nargs="?", help="DIMACS-CNF file")
     p.add_argument("--schema", action="store_true", help="print feature names only")
 
+    defaults = PpoConfig()
     p = sub.add_parser("train", help="train the branching policy")
     p.add_argument("--dataset", required=True, help="directory of DIMACS files")
     p.add_argument("--steps", type=int, default=100_000, help="decision-transitions to collect")
-    p.add_argument("--lr", type=float, default=0.0002)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="policy checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV (default OUT.log.csv)")
-    p.add_argument("--hidden", type=int, nargs="+", default=[256, 256])
-    p.add_argument("--window", type=int, default=2048, help="rollout window size")
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--minibatch", type=int, default=64)
-    p.add_argument("--episode-cap", type=int, default=500)
-    p.add_argument("--reward-mode", choices=["absolute", "delta"], default="absolute")
+    p.add_argument("--hidden", type=int, nargs="+", default=list(defaults.hidden_sizes))
+    p.add_argument("--window", type=int, default=defaults.rollout_window, help="rollout window size")
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--minibatch", type=int, default=defaults.minibatch_size)
+    p.add_argument("--episode-cap", type=int, default=defaults.episode_max_decisions)
+    p.add_argument("--reward-mode", choices=REWARD_MODES, default=defaults.reward_mode)
     p.add_argument("--strict", action="store_true", help="abort on unparseable dataset files")
 
     p = sub.add_parser("bench", help="compare VSIDS against the learned policy")

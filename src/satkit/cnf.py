@@ -4,16 +4,18 @@ Variables are 1-based. A literal is its DIMACS code, +v (the variable)
 or -v (its negation); 0 never encodes a literal. A clause is a tuple
 of such codes, the one format every layer uses, from the DIMACS reader
 and the logic pipeline to the solver, the features and the policy's
-observation. Evaluation is three-valued: TRUE (+1), FALSE (-1), UNDEF
-(0) for clauses that are neither satisfied nor fully falsified yet.
-``evaluate_clause`` is the only code that evaluates a clause against
-an assignment.
+observation. An assignment is a plain list of per-variable values,
+``values[v - 1]`` being +1 (true), -1 (false) or 0 (unassigned) for
+variable v; the solver owns the one live list. Evaluation is
+three-valued: TRUE (+1), FALSE (-1), UNDEF (0) for clauses that are
+neither satisfied nor fully falsified yet. ``evaluate_clause`` is the
+only code that evaluates a clause against an assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Sequence
 
 TRUE = 1
 FALSE = -1
@@ -56,57 +58,9 @@ class CnfFormula:
         return len(self.clauses)
 
 
-class Assignment:
-    """Mutable per-variable ternary state.
-
-    ``values[i]`` holds +1 (true), -1 (false) or 0 (unassigned) for
-    variable ``i + 1``, which is exactly the external encoding.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, num_vars: int, values: Optional[list[int]] = None):
-        if values is None:
-            values = [0] * num_vars
-        elif len(values) != num_vars:
-            raise ValueError("assignment length must equal num_vars")
-        self.values = values
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.values)
-
-    def value(self, var: int) -> int:
-        return self.values[var - 1]
-
-    def is_assigned(self, var: int) -> bool:
-        return self.values[var - 1] != 0
-
-    def assign(self, var: int, value: bool) -> None:
-        self.values[var - 1] = 1 if value else -1
-
-    def unassign(self, var: int) -> None:
-        self.values[var - 1] = 0
-
-    def copy(self) -> "Assignment":
-        return Assignment(self.num_vars, list(self.values))
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "Assignment":
-        vals = list(values)
-        return cls(len(vals), vals)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Assignment) and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"Assignment({self.values})"
-
-
-def evaluate_clause(clause: tuple[int, ...], assignment: Assignment) -> int:
+def evaluate_clause(clause: tuple[int, ...], values: Sequence[int]) -> int:
     """Three-valued clause semantics: TRUE if some literal is satisfied,
     FALSE if all are falsified, UNDEF otherwise."""
-    values = assignment.values
     any_undef = False
     for code in clause:
         v = values[abs(code) - 1]
@@ -117,11 +71,11 @@ def evaluate_clause(clause: tuple[int, ...], assignment: Assignment) -> int:
     return UNDEF if any_undef else FALSE
 
 
-def evaluate_formula(formula: CnfFormula, assignment: Assignment) -> int:
+def evaluate_formula(formula: CnfFormula, values: Sequence[int]) -> int:
     """Three-valued conjunction over clauses; FALSE dominates UNDEF."""
     any_undef = False
     for clause in formula.clauses:
-        v = evaluate_clause(clause, assignment)
+        v = evaluate_clause(clause, values)
         if v == FALSE:
             return FALSE
         if v == UNDEF:

@@ -10,6 +10,7 @@ from .observation import (
 )
 from .policy import (
     AllMaskedError,
+    ConfigError,
     Policy,
     PolicyFormatError,
     PpoConfig,
@@ -29,10 +30,11 @@ from .ppo import (
     ppo_loss_and_grads,
 )
 from .heuristic import PolicyHeuristic
-from .train import TrainWindowLog, run_episode, train
+from .train import TrainingDataError, TrainWindowLog, run_episode, train
 
 __all__ = [
     "AllMaskedError",
+    "ConfigError",
     "NonFiniteLossError",
     "Policy",
     "PolicyFormatError",
@@ -41,6 +43,7 @@ __all__ = [
     "PpoOptimizer",
     "ShapeMismatchError",
     "TrainWindowLog",
+    "TrainingDataError",
     "Transition",
     "UpdateMetrics",
     "VersionMismatchError",

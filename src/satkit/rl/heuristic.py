@@ -2,8 +2,8 @@
 
 On each decision the heuristic builds the observation's dynamic block
 (variable assignments and clause status, n + m entries) from the live
-solver state, asks the policy for an action and returns it as a
-branching decision. The static parts of the observation (signed
+solver state, asks the policy for an action and returns the literal it
+branches on. The static parts of the observation (signed
 adjacency, global features) are computed at construction and folded
 into the actor's first layer there, so a decision multiplies only the
 dynamic inputs. Construction is what the benchmark harness times as
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..features import extract_features
-from ..solver.engine import Heuristic, HeuristicDecision, Solver, Verdict
+from ..solver.engine import Heuristic, Solver, Verdict
 from .observation import ClauseStatus, ShapeMismatchError, signed_adjacency
 from .policy import Policy, action_to_decision, legal_action_mask
 from .ppo import Transition
@@ -78,10 +78,10 @@ class PolicyHeuristic(Heuristic):
         if solver.formula is not self.formula and solver.formula != self.formula:
             raise ShapeMismatchError("solver formula is not the formula this heuristic was built for")
 
-    def decide(self, solver: Solver) -> HeuristicDecision:
+    def decide(self, solver: Solver) -> int:
         self.clause_status.sync(solver.trail)
-        dynamic = np.array(solver.assignment.values + self.clause_status.status, dtype=np.float64)
-        mask = legal_action_mask(solver.assignment)
+        dynamic = np.array(solver.values + self.clause_status.status, dtype=np.float64)
+        mask = legal_action_mask(solver.values)
         action, log_prob = self.policy.act(
             dynamic, mask, self.mode, self.rng, self._actor_fold, with_log_prob=self.record
         )

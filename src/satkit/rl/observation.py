@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..cnf import Assignment, CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
 from ..errors import SatkitError
 from ..features import FEATURE_COUNT, FeatureVector
 
@@ -59,10 +59,11 @@ def signed_adjacency(formula: CnfFormula) -> np.ndarray:
     return adj
 
 
-def clause_evaluations(formula: CnfFormula, assignment: Assignment) -> np.ndarray:
-    """Three-valued evaluation of every original clause, as +1/-1/0."""
+def clause_evaluations(formula: CnfFormula, values: list[int]) -> np.ndarray:
+    """Three-valued evaluation of every original clause under the
+    solver's ``values``, as +1/-1/0."""
     return np.array(
-        [evaluate_clause(clause, assignment) for clause in formula.clauses],
+        [evaluate_clause(clause, values) for clause in formula.clauses],
         dtype=np.float64,
     )
 
@@ -142,11 +143,11 @@ class ClauseStatus:
 
 def build_observation(
     formula: CnfFormula,
-    assignment: Assignment,
+    values: list[int],
     features: FeatureVector,
     adjacency: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Assemble the flat observation for the current solver state.
+    """Assemble the flat observation for the solver's ``values``.
 
     ``adjacency`` may be passed in to reuse the precomputed static
     incidence matrix; it is recomputed from the formula otherwise.
@@ -155,8 +156,8 @@ def build_observation(
         adjacency = signed_adjacency(formula)
     return np.concatenate(
         [
-            np.asarray(assignment.values, dtype=np.float64),
-            clause_evaluations(formula, assignment),
+            np.asarray(values, dtype=np.float64),
+            clause_evaluations(formula, values),
             adjacency.reshape(-1),
             features.values,
         ]

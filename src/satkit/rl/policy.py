@@ -15,14 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..cnf import Assignment
 from ..errors import SatkitError
-from ..solver.engine import HeuristicDecision
 from .network import Mlp
 from .observation import flat_observation_dim
 
 POLICY_FORMAT_VERSION = 1
 _MAGIC = b"CNFPOLICY\x00"
+REWARD_MODES = ("absolute", "delta")
 
 
 class AllMaskedError(SatkitError):
@@ -36,6 +35,10 @@ class PolicyFormatError(SatkitError):
 
 class VersionMismatchError(PolicyFormatError):
     pass
+
+
+class ConfigError(SatkitError, ValueError):
+    """A ``PpoConfig`` field is out of range."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,13 @@ class PpoConfig:
     reward_mode: str = "absolute"  # or "delta": per-step change in the count
     episode_max_decisions: int = 500
 
+    def __post_init__(self) -> None:
+        for name in ("epochs", "minibatch_size", "episode_max_decisions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.reward_mode not in REWARD_MODES:
+            raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
+
 
 class Policy:
     def __init__(
@@ -64,8 +74,6 @@ class Policy:
     ):
         if config is None:
             config = PpoConfig()
-        if config.reward_mode not in ("absolute", "delta"):
-            raise ValueError(f"unknown reward_mode {config.reward_mode!r}")
         self.num_vars = num_vars
         self.num_clauses = num_clauses
         self.config = config
@@ -165,14 +173,17 @@ class Policy:
         return action, float(logp[action])
 
 
-def action_to_decision(action: int) -> HeuristicDecision:
-    return HeuristicDecision(var=action // 2 + 1, value=action % 2 == 0)
+def action_to_decision(action: int) -> int:
+    """The literal an action branches on: +v for action 2(v-1), -v for
+    action 2(v-1)+1."""
+    var = action // 2 + 1
+    return -var if action % 2 else var
 
 
-def legal_action_mask(assignment: Assignment) -> np.ndarray:
-    """Boolean mask of length 2n; both actions of an assigned variable
-    are illegal."""
-    unassigned = np.asarray(assignment.values) == 0
+def legal_action_mask(values: list[int]) -> np.ndarray:
+    """Boolean mask of length 2n over the solver's per-variable
+    ``values``; both actions of an assigned variable are illegal."""
+    unassigned = np.asarray(values) == 0
     return np.repeat(unassigned, 2)
 
 

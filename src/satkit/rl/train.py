@@ -15,10 +15,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..cnf import CnfFormula
+from ..errors import SatkitError
 from ..solver.engine import SolveLimits, SolveResult, Solver
 from .heuristic import PolicyHeuristic
 from .policy import Policy
 from .ppo import PpoOptimizer, Transition, UpdateMetrics
+
+
+class TrainingDataError(SatkitError, ValueError):
+    """The dataset cannot be trained on: it is empty, an instance's shape
+    differs from the policy's, or no instance yields a decision."""
 
 
 @dataclass
@@ -71,10 +77,10 @@ def train(
     if steps <= 0:
         return policy, []
     if not dataset:
-        raise ValueError("empty training dataset")
+        raise TrainingDataError("empty training dataset")
     for f in dataset:
         if (f.num_vars, f.num_clauses) != policy.shape:
-            raise ValueError(
+            raise TrainingDataError(
                 f"dataset instance shape {(f.num_vars, f.num_clauses)} "
                 f"does not match policy shape {policy.shape}"
             )
@@ -114,7 +120,7 @@ def train(
     while total < steps:
         if cursor >= len(order):
             if not yielded_any:
-                raise ValueError("training dataset produced no decisions")
+                raise TrainingDataError("training dataset produced no decisions")
             order = list(order_rng.permutation(len(dataset)))
             cursor = 0
             yielded_any = False

@@ -2,7 +2,6 @@
 
 from .engine import (
     Heuristic,
-    HeuristicDecision,
     Solver,
     SolveLimits,
     SolveResult,
@@ -20,7 +19,6 @@ from .heuristics import (
 
 __all__ = [
     "Heuristic",
-    "HeuristicDecision",
     "RandomHeuristic",
     "SolveLimits",
     "SolveResult",

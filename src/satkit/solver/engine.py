@@ -2,8 +2,10 @@
 
 The solver follows the classic loop: decide, propagate to fixpoint,
 and on conflict learn the first-UIP clause, jump back to its assertion
-level and continue. The branching step is a pluggable heuristic. A run
-is deterministic given (formula, heuristic, seed): every iteration
+level and continue. The branching step is a pluggable heuristic that
+reads the solver's value list and returns the literal to branch on as
+a DIMACS code, the way MiniSat's ``pickBranchLit`` does. A run is
+deterministic given (formula, heuristic, seed): every iteration
 order is fixed and there is no wall-clock dependence except the
 timeout check itself.
 
@@ -22,19 +24,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..cnf import Assignment, CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+
+
+RESTART_MULTIPLIER = 1.5  # growth of the restart threshold per restart
 
 
 class Verdict(str, Enum):
     SAT = "SAT"
     UNSAT = "UNSAT"
     UNKNOWN = "UNKNOWN"
-
-
-@dataclass(frozen=True)
-class HeuristicDecision:
-    var: int
-    value: bool
 
 
 @dataclass
@@ -64,8 +63,10 @@ class SolveResult:
 class Heuristic:
     """Branching-heuristic interface.
 
-    ``decide`` must return a decision on an unassigned variable; it is
-    only called when one exists. ``on_conflict`` fires once per learned
+    ``decide`` returns the literal to branch on as a DIMACS code, +v to
+    set variable v true and -v to set it false; v must be unassigned
+    (``solver.values[v - 1] == 0``), and ``decide`` is only called when
+    such a variable exists. ``on_conflict`` fires once per learned
     clause, ``on_step`` after the propagation that follows each
     decision has reached a fixpoint (or produced a verdict). Heuristic
     objects are single-solve: create a fresh one per run.
@@ -76,7 +77,7 @@ class Heuristic:
     def attach(self, solver: "Solver") -> None:
         pass
 
-    def decide(self, solver: "Solver") -> HeuristicDecision:
+    def decide(self, solver: "Solver") -> int:
         raise NotImplementedError
 
     def on_conflict(self, solver: "Solver", learned: list[int]) -> None:
@@ -94,7 +95,6 @@ class Solver:
         limits: Optional[SolveLimits] = None,
         enable_restarts: bool = False,
         restart_interval: int = 100,
-        restart_multiplier: float = 1.5,
         enable_clause_deletion: bool = False,
         max_learned_factor: float = 2.0,
     ):
@@ -103,14 +103,12 @@ class Solver:
         self.limits = limits or SolveLimits()
         self.enable_restarts = enable_restarts
         self.restart_threshold = restart_interval
-        self.restart_multiplier = restart_multiplier
         self.enable_clause_deletion = enable_clause_deletion
         self.max_learned_factor = max_learned_factor
 
         n = formula.num_vars
         self.num_vars = n
-        self.assignment = Assignment(n)
-        self._values = self.assignment.values  # alias: ternary codes, var-1 indexed
+        self.values = [0] * n  # +1 true, -1 false, 0 unassigned; var-1 indexed
         self.level = [0] * (n + 1)
         self.reason: list[Optional[int]] = [None] * (n + 1)
         self.saved_phase = [False] * (n + 1)
@@ -149,15 +147,15 @@ class Solver:
         return len(self.trail_lim)
 
     def lit_value(self, lit: int) -> int:
-        v = self._values[abs(lit) - 1]
+        v = self.values[abs(lit) - 1]
         if v == 0:
             return UNDEF
         return TRUE if (v > 0) == (lit > 0) else FALSE
 
     def original_clauses_satisfied(self) -> bool:
-        assignment = self.assignment
+        values = self.values
         for clause in self.formula.clauses:
-            if evaluate_clause(clause, assignment) != TRUE:
+            if evaluate_clause(clause, values) != TRUE:
                 return False
         return True
 
@@ -165,7 +163,7 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: Optional[int]) -> None:
         var = abs(lit)
-        self._values[var - 1] = 1 if lit > 0 else -1
+        self.values[var - 1] = 1 if lit > 0 else -1
         self.level[var] = self.current_level
         self.reason[var] = reason
         self.trail.append(lit)
@@ -281,7 +279,7 @@ class Solver:
             lit = self.trail[j]
             var = abs(lit)
             self.saved_phase[var] = lit > 0
-            self._values[var - 1] = 0
+            self.values[var - 1] = 0
             self.reason[var] = None
             self.level[var] = 0
         del self.trail[keep:]
@@ -314,7 +312,7 @@ class Solver:
     def _complete_model(self) -> list[int]:
         model = []
         for var in range(1, self.num_vars + 1):
-            v = self._values[var - 1]
+            v = self.values[var - 1]
             positive = v > 0 if v != 0 else self.saved_phase[var]
             model.append(var if positive else -var)
         return model
@@ -367,11 +365,11 @@ class Solver:
             if limit is not None:
                 return self._finish(Verdict.UNKNOWN, started, limit)
 
-            decision = self.heuristic.decide(self)
-            assert not self.assignment.is_assigned(decision.var), "heuristic picked an assigned variable"
+            lit = self.heuristic.decide(self)
+            assert lit and self.values[abs(lit) - 1] == 0, "heuristic picked an assigned variable"
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(decision.var if decision.value else -decision.var, None)
+            self._enqueue(lit, None)
 
             verdict: Optional[Verdict] = None
             conflict = self.propagate()
@@ -401,7 +399,10 @@ class Solver:
             ):
                 self.backjump(0)
                 self._conflicts_since_restart = 0
-                self.restart_threshold = int(self.restart_threshold * self.restart_multiplier)
+                threshold = self.restart_threshold
+                # Grow by at least one, or an interval of 1 restarts after
+                # every conflict forever (int(1 * 1.5) == 1).
+                self.restart_threshold = max(threshold + 1, int(threshold * RESTART_MULTIPLIER))
                 self.stats.restarts += 1
             if (
                 self.enable_clause_deletion

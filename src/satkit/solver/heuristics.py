@@ -3,7 +3,9 @@
 VSIDS keeps one exponentially decayed activity per variable. Variables
 in each learned clause are bumped; decay is folded into a growing bump
 amount, with a global rescale once activities threaten overflow.
-Polarity comes from phase saving (initially False).
+Polarity comes from phase saving (initially False). Both heuristics
+read the solver's value list directly and return the literal to branch
+on as a DIMACS code.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..cnf import Assignment
-from .engine import Heuristic, HeuristicDecision, Solver
+from .engine import Heuristic, Solver
 
 
 @dataclass
@@ -30,24 +31,26 @@ class VsidsScores:
 
 def vsids_pick(
     scores: VsidsScores,
-    assignment: Assignment,
+    values: Sequence[int],
     saved_phase: Optional[Sequence[bool]] = None,
-) -> HeuristicDecision:
-    """Unassigned variable of maximal activity, ties to the lowest index;
-    polarity is the saved phase (False when none was ever saved)."""
+) -> int:
+    """Literal on the unassigned variable of maximal activity, ties to
+    the lowest index; polarity is the saved phase (False when none was
+    ever saved). ``values[v - 1]`` is variable v's value, 0 if
+    unassigned."""
+    activity = scores.activity
     best_var = 0
     best_activity = -1.0
-    for var in range(1, assignment.num_vars + 1):
-        if assignment.is_assigned(var):
+    for var, value in enumerate(values, 1):
+        if value:
             continue
-        activity = scores.activity[var]
-        if activity > best_activity:
-            best_activity = activity
+        if activity[var] > best_activity:
+            best_activity = activity[var]
             best_var = var
     if best_var == 0:
         raise ValueError("no unassigned variable to decide on")
     phase = saved_phase[best_var] if saved_phase is not None else False
-    return HeuristicDecision(best_var, phase)
+    return best_var if phase else -best_var
 
 
 def vsids_on_conflict(scores: VsidsScores, learned: Sequence[int]) -> None:
@@ -71,8 +74,8 @@ class VsidsHeuristic(Heuristic):
     def __init__(self, num_vars: int):
         self.scores = VsidsScores.for_num_vars(num_vars)
 
-    def decide(self, solver: Solver) -> HeuristicDecision:
-        return vsids_pick(self.scores, solver.assignment, solver.saved_phase)
+    def decide(self, solver: Solver) -> int:
+        return vsids_pick(self.scores, solver.values, solver.saved_phase)
 
     def on_conflict(self, solver: Solver, learned: list[int]) -> None:
         vsids_on_conflict(self.scores, learned)
@@ -86,9 +89,7 @@ class RandomHeuristic(Heuristic):
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def decide(self, solver: Solver) -> HeuristicDecision:
-        unassigned = [
-            v for v in range(1, solver.num_vars + 1) if not solver.assignment.is_assigned(v)
-        ]
+    def decide(self, solver: Solver) -> int:
+        unassigned = [var for var, value in enumerate(solver.values, 1) if not value]
         var = self.rng.choice(unassigned)
-        return HeuristicDecision(var, self.rng.random() < 0.5)
+        return var if self.rng.random() < 0.5 else -var

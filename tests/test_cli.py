@@ -9,7 +9,13 @@ from satkit import cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
-from satkit.rl.policy import Policy, PpoConfig, save_policy, save_policy_file
+from satkit.rl.policy import (
+    Policy,
+    PpoConfig,
+    load_policy_file,
+    save_policy,
+    save_policy_file,
+)
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -225,6 +231,37 @@ class TestTrainAndBench:
         assert main(args + ["--out", str(policy_path), "--hidden", "16"]) == 0
         expected = Policy(8, 24, PpoConfig(hidden_sizes=(16,)), seed=3)
         assert policy_path.read_bytes() == save_policy(expected)
+
+    def test_train_defaults_are_the_config_defaults(self, tmp_path):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", "0", "--out", str(policy_path)]
+        assert main(args) == 0
+        assert load_policy_file(policy_path).config == PpoConfig()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--episode-cap", "0"], ["--minibatch", "0"], ["--epochs", "0"]],
+        ids=["episode-cap", "minibatch", "epochs"],
+    )
+    def test_out_of_range_training_flag_exits_2(self, tmp_path, capsys, flags):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        args = ["train", "--dataset", str(data_dir), "--steps", "20", "--hidden", "8"]
+        assert main(args + ["--out", str(tmp_path / "p.bin")] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_dataset_without_decisions_exits_2(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "unit.cnf").write_text("p cnf 1 1\n1 0\n", encoding="ascii")
+        args = ["train", "--dataset", str(data_dir), "--steps", "20", "--hidden", "8"]
+        assert main(args + ["--out", str(tmp_path / "p.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "no decisions" in err
 
     def test_bench_parallel_flag_is_usage_error(self, tmp_path, small_policy_file):
         args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]

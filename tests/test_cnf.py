@@ -6,7 +6,6 @@ from satkit.cnf import (
     FALSE,
     TRUE,
     UNDEF,
-    Assignment,
     CnfFormula,
     evaluate_clause,
     evaluate_formula,
@@ -27,9 +26,7 @@ def formula_strategy(max_var=6, max_clauses=8):
 
 
 def partial_assignment_strategy(num_vars=6):
-    return st.lists(
-        st.sampled_from([1, -1, 0]), min_size=num_vars, max_size=num_vars
-    ).map(Assignment.from_values)
+    return st.lists(st.sampled_from([1, -1, 0]), min_size=num_vars, max_size=num_vars)
 
 
 class TestClauseAndFormula:
@@ -80,37 +77,31 @@ class TestClauseAndFormula:
 class TestEvaluation:
     def test_satisfied_literal(self):
         clause = (1, 2)
-        a = Assignment.from_values([1, 0])
-        assert evaluate_clause(clause, a) == TRUE
+        assert evaluate_clause(clause, [1, 0]) == TRUE
 
     def test_all_falsified(self):
         clause = (1, 2)
-        a = Assignment.from_values([-1, -1])
-        assert evaluate_clause(clause, a) == FALSE
+        assert evaluate_clause(clause, [-1, -1]) == FALSE
 
     def test_pending_literal(self):
         clause = (1, 2)
-        a = Assignment.from_values([-1, 0])
-        assert evaluate_clause(clause, a) == UNDEF
+        assert evaluate_clause(clause, [-1, 0]) == UNDEF
 
     def test_formula_true(self):
         # (x1 | ~x2) & (~x1 | x3) under all-true
         f = CnfFormula.from_codes(3, [[1, -2], [-1, 3]])
-        a = Assignment.from_values([1, 1, 1])
-        assert evaluate_formula(f, a) == TRUE
+        assert evaluate_formula(f, [1, 1, 1]) == TRUE
 
     def test_formula_contradiction(self):
         f = CnfFormula.from_codes(1, [[1], [-1]])
-        a = Assignment.from_values([1])
-        assert evaluate_formula(f, a) == FALSE
+        assert evaluate_formula(f, [1]) == FALSE
 
     def test_empty_formula_vacuously_true(self):
         f = CnfFormula(0, ())
-        a = Assignment(0)
-        assert evaluate_formula(f, a) == TRUE
+        assert evaluate_formula(f, []) == TRUE
 
     @given(formula_strategy(), partial_assignment_strategy())
-    def test_formula_is_three_valued_fold_of_clauses(self, formula, assignment):
+    def test_formula_is_three_valued_fold_of_clauses(self, formula, values):
         def and3(a, b):
             if a == FALSE or b == FALSE:
                 return FALSE
@@ -120,36 +111,16 @@ class TestEvaluation:
 
         folded = TRUE
         for clause in formula.clauses:
-            folded = and3(folded, evaluate_clause(clause, assignment))
-        assert evaluate_formula(formula, assignment) == folded
+            folded = and3(folded, evaluate_clause(clause, values))
+        assert evaluate_formula(formula, values) == folded
 
     @given(clause_strategy(), partial_assignment_strategy())
-    def test_extension_never_flips_determined_value(self, clause, assignment):
-        before = evaluate_clause(clause, assignment)
-        extended = assignment.copy()
-        for var in range(1, extended.num_vars + 1):
-            if not extended.is_assigned(var):
-                extended.assign(var, var % 2 == 0)
+    def test_extension_never_flips_determined_value(self, clause, values):
+        before = evaluate_clause(clause, values)
+        extended = [v or (1 if var % 2 == 0 else -1) for var, v in enumerate(values, 1)]
         after = evaluate_clause(clause, extended)
         if before == TRUE:
             assert after == TRUE
         if before == FALSE:
             assert after == FALSE
 
-
-class TestAssignment:
-    def test_ternary_codes(self):
-        a = Assignment(3)
-        assert a.values == [0, 0, 0]
-        a.assign(2, True)
-        a.assign(3, False)
-        assert a.values == [0, 1, -1]
-        assert evaluate_clause((2,), a) == TRUE
-        assert evaluate_clause((-2,), a) == FALSE
-        assert evaluate_clause((1,), a) == UNDEF
-        a.unassign(2)
-        assert a.values == [0, 0, -1]
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            Assignment(2, [0, 0, 0])

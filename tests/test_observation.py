@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.cnf import Assignment, CnfFormula
+from satkit.cnf import CnfFormula
 from satkit.features import FEATURE_COUNT, extract_features
 from satkit.generators import planted_ksat, random_ksat
 from satkit.rl.heuristic import PolicyHeuristic
@@ -24,9 +24,7 @@ from satkit.solver.engine import SolveLimits, Solver
 def test_single_clause_observation():
     f = CnfFormula.from_codes(2, [[1, 2]])
     feats = extract_features(f)
-    a = Assignment(2)
-    a.assign(1, True)
-    obs = build_observation(f, a, feats)
+    obs = build_observation(f, [1, 0], feats)
     assert obs[:2].tolist() == [1.0, 0.0]  # variable assignments
     assert obs[2:3].tolist() == [1.0]  # clause evaluations
     assert obs[3:5].tolist() == [1.0, 1.0]  # signed adjacency, row-major
@@ -35,7 +33,7 @@ def test_single_clause_observation():
 
 def test_empty_assignment_is_all_zero():
     f = CnfFormula.from_codes(3, [[1, -2], [-1, 3]])
-    obs = build_observation(f, Assignment(3), extract_features(f))
+    obs = build_observation(f, [0] * 3, extract_features(f))
     assert not obs[:3].any()  # variable assignments
     assert not obs[3:5].any()  # clause evaluations
 
@@ -53,7 +51,7 @@ def test_both_polarities_store_plus_one():
 
 def test_uf20_flattened_length():
     f = planted_ksat(20, 91, random.Random(0))
-    obs = build_observation(f, Assignment(20), extract_features(f))
+    obs = build_observation(f, [0] * 20, extract_features(f))
     assert flat_observation_dim(20, 91) == 20 + 91 + 1820 + 48 == 1979
     assert obs.shape == (1979,)
 
@@ -62,16 +60,12 @@ def test_uf20_flattened_length():
 def test_clause_evaluations_match_cnf_semantics(seed):
     rng = random.Random(seed)
     f = planted_ksat(6, 14, rng)
-    a = Assignment(6)
-    for var in range(1, 7):
-        state = rng.choice([0, 1, -1])
-        if state:
-            a.assign(var, state > 0)
+    a = [rng.choice([0, 1, -1]) for _ in range(6)]
     # Reference from the incidence matrix: a clause is satisfied when one
     # of its literals agrees in sign with its variable's value, pending
     # when none does and one of its variables is unassigned.
     adj = signed_adjacency(f)
-    values = np.array(a.values, dtype=np.float64)
+    values = np.array(a, dtype=np.float64)
     satisfied = (adj * values > 0).any(axis=1)
     pending = ((adj != 0) & (values == 0)).any(axis=1)
     expected = np.where(satisfied, 1.0, np.where(pending, 0.0, -1.0))
@@ -134,11 +128,11 @@ def test_adjacency_matches_the_per_literal_loop(formula):
     assert signed_adjacency(formula).tobytes() == reference_adjacency(formula).tobytes()
 
 
-def assignment_of(num_vars, trail):
-    a = Assignment(num_vars)
+def values_of(num_vars, trail):
+    values = [0] * num_vars
     for lit in trail:
-        a.assign(abs(lit), lit > 0)
-    return a
+        values[abs(lit) - 1] = 1 if lit > 0 else -1
+    return values
 
 
 @given(formulas_with_repeats(), st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=12))
@@ -154,7 +148,7 @@ def test_clause_status_follows_any_sequence_of_trails(formula, seeds):
         rng.shuffle(free)
         trail = trail + [v if rng.random() < 0.5 else -v for v in free[: rng.randint(0, len(free))]]
         status.sync(list(trail))
-        expected = clause_evaluations(formula, assignment_of(formula.num_vars, trail))
+        expected = clause_evaluations(formula, values_of(formula.num_vars, trail))
         assert status.status == expected.tolist()
         assert status.reward() == compute_reward(expected)
 
@@ -168,18 +162,18 @@ class CheckedHeuristic(PolicyHeuristic):
 
     def decide(self, solver):
         decision = super().decide(solver)  # the solver has not assigned it yet
-        expected = clause_evaluations(self.formula, solver.assignment)
+        expected = clause_evaluations(self.formula, solver.values)
         assert self.clause_status.status == expected.tolist()
         assert self.clause_status.reward() == compute_reward(expected)
         if self.record:
-            full = build_observation(self.formula, solver.assignment, extract_features(self.formula))
+            full = build_observation(self.formula, solver.values, extract_features(self.formula))
             assert self.transitions[-1].observation.tobytes() == full.tobytes()
         self.checks += 1
         return decision
 
     def on_step(self, solver, verdict):
         super().on_step(solver, verdict)
-        expected = clause_evaluations(self.formula, solver.assignment)
+        expected = clause_evaluations(self.formula, solver.values)
         if self.record:
             assert self.transitions[-1].reward == float(compute_reward(expected))
         else:

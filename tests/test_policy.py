@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from satkit.cnf import Assignment, CnfFormula
+from satkit.cnf import CnfFormula
 from satkit.features import extract_features
 from satkit.generators import planted_ksat
 from satkit.rl.heuristic import PolicyHeuristic
@@ -36,14 +36,13 @@ def random_obs(policy, rng):
 
 class TestActionMapping:
     def test_even_actions_assign_true(self):
-        assert action_to_decision(0).var == 1 and action_to_decision(0).value is True
-        assert action_to_decision(1).var == 1 and action_to_decision(1).value is False
-        assert action_to_decision(8).var == 5 and action_to_decision(8).value is True
+        assert action_to_decision(0) == 1
+        assert action_to_decision(1) == -1
+        assert action_to_decision(8) == 5
+        assert action_to_decision(9) == -5
 
     def test_mask_blocks_assigned_variables(self):
-        a = Assignment(3)
-        a.assign(2, True)
-        assert legal_action_mask(a).tolist() == [True, True, False, False, True, True]
+        assert legal_action_mask([0, 1, 0]).tolist() == [True, True, False, False, True, True]
 
 
 class TestMaskedSoftmax:
@@ -63,9 +62,7 @@ class TestMaskedSoftmax:
 class TestDecide:
     def test_only_one_variable_unassigned(self):
         policy = make_policy()
-        a = Assignment(4)
-        for var in (1, 2, 4):
-            a.assign(var, True)
+        a = [1, 1, 0, 1]
         rng = np.random.default_rng(0)
         for _ in range(5):
             obs = random_obs(policy, rng)
@@ -78,28 +75,21 @@ class TestDecide:
         policy = make_policy()
         for w in policy.actor.parameters():
             w[...] = 0.0
-        a = Assignment(4)
         obs = np.zeros(policy.obs_dim)
-        action, _ = policy.act(obs, legal_action_mask(a), "greedy")
+        action, _ = policy.act(obs, legal_action_mask([0] * 4), "greedy")
         assert action == 0
-        decision = action_to_decision(action)
-        assert decision.var == 1 and decision.value is True
+        assert action_to_decision(action) == 1
 
     def test_all_masked_raises(self):
         policy = make_policy()
-        a = Assignment(4)
-        for var in range(1, 5):
-            a.assign(var, False)
         with pytest.raises(AllMaskedError):
-            policy.act(np.zeros(policy.obs_dim), legal_action_mask(a), "greedy")
+            policy.act(np.zeros(policy.obs_dim), legal_action_mask([-1] * 4), "greedy")
 
     def test_sampled_frequencies_match_masked_softmax(self):
         policy = make_policy(n=3, m=4)
         rng = np.random.default_rng(7)
         obs = random_obs(policy, rng)
-        a = Assignment(3)
-        a.assign(2, False)
-        mask = legal_action_mask(a)
+        mask = legal_action_mask([0, -1, 0])
         logits = policy.actor(policy.preprocess(obs)[None, :])[0]
         exact = np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])
 
@@ -116,7 +106,7 @@ class TestDecide:
     def test_sampling_is_deterministic_under_seed(self):
         policy = make_policy()
         obs = np.linspace(-1, 1, policy.obs_dim)
-        mask = legal_action_mask(Assignment(4))
+        mask = legal_action_mask([0] * 4)
         a1 = [policy.act(obs, mask, "sample", np.random.default_rng(5))[0] for _ in range(10)]
         a2 = [policy.act(obs, mask, "sample", np.random.default_rng(5))[0] for _ in range(10)]
         assert a1 == a2
@@ -129,8 +119,7 @@ class TestSaveLoad:
         assert restored.shape == policy.shape
         assert restored.config == policy.config
         rng = np.random.default_rng(1)
-        a = Assignment(5)
-        mask = legal_action_mask(a)
+        mask = legal_action_mask([0] * 5)
         for _ in range(100):
             obs = random_obs(policy, rng)
             assert policy.act(obs, mask, "greedy")[0] == restored.act(obs, mask, "greedy")[0]
@@ -179,11 +168,10 @@ def full_value(policy, obs):
 
 
 def random_partial_assignment(num_vars, rng):
-    a = Assignment(num_vars)
-    for var in range(1, num_vars + 1):
-        if rng.random() < 0.4:
-            a.assign(var, bool(rng.random() < 0.5))
-    return a
+    return [
+        (1 if rng.random() < 0.5 else -1) if rng.random() < 0.4 else 0
+        for _ in range(num_vars)
+    ]
 
 
 class UnfoldedGreedy(Heuristic):
@@ -198,8 +186,8 @@ class UnfoldedGreedy(Heuristic):
         self.features = extract_features(formula)
 
     def decide(self, solver):
-        obs = build_observation(self.formula, solver.assignment, self.features)
-        mask = legal_action_mask(solver.assignment)
+        obs = build_observation(self.formula, solver.values, self.features)
+        mask = legal_action_mask(solver.values)
         logits = full_logits(self.policy, obs)
         return action_to_decision(int(np.argmax(np.where(mask, logits, -np.inf))))
 
@@ -213,7 +201,7 @@ class TestFoldedInference:
         for k in range(4):
             formula = planted_ksat(20, 91, random.Random(k))
             features = extract_features(formula)
-            obs = build_observation(formula, Assignment(20), features)
+            obs = build_observation(formula, [0] * 20, features)
             actor_fold = policy.fold(policy.actor, obs[d:])
             critic_fold = policy.fold(policy.critic, obs[d:])
             for _ in range(8):

@@ -6,7 +6,6 @@ from satkit.cnf import CnfFormula, FALSE, TRUE, UNDEF
 from satkit.generators import planted_ksat, random_ksat
 from satkit.solver.engine import (
     Heuristic,
-    HeuristicDecision,
     SolveLimits,
     Solver,
     Verdict,
@@ -18,16 +17,15 @@ from oracles import brute_force_satisfiable
 
 
 class ScriptedHeuristic(Heuristic):
-    """Plays back a fixed decision sequence; for hand-built traces."""
+    """Plays back a fixed sequence of literals; for hand-built traces."""
 
     name = "scripted"
 
-    def __init__(self, decisions):
-        self.queue = list(decisions)
+    def __init__(self, literals):
+        self.queue = list(literals)
 
     def decide(self, solver):
-        var, value = self.queue.pop(0)
-        return HeuristicDecision(var, value)
+        return self.queue.pop(0)
 
 
 def model_satisfies(formula, model):
@@ -54,7 +52,7 @@ class TestPropagate:
     def test_unit_from_partial_assignment(self):
         # x1=F, x2=F forces x3=T from (x1 | x2 | x3)
         f = CnfFormula.from_codes(3, [[1, 2, 3]])
-        solver = Solver(f, ScriptedHeuristic([(1, False), (2, False)]))
+        solver = Solver(f, ScriptedHeuristic([-1, -2]))
         result = solver.run()
         assert result.verdict == Verdict.SAT
         assert result.model is not None and 3 in result.model
@@ -72,7 +70,7 @@ class TestConflictAnalysis:
         # falsifies the second; resolving the two clauses on x3 gives
         # (~x1 | ~x2), asserting at level 1.
         f = CnfFormula.from_codes(3, [[-1, -2, 3], [-1, -2, -3]])
-        solver = Solver(f, ScriptedHeuristic([(1, True), (2, True)]))
+        solver = Solver(f, ScriptedHeuristic([1, 2]))
 
         solver.trail_lim.append(len(solver.trail))
         solver._enqueue(1, None)
@@ -143,8 +141,7 @@ class TestBackjump:
         solver.backjump(1)
         assert solver.current_level == 1
         assert solver.trail == [1]
-        assert not solver.assignment.is_assigned(3)
-        assert not solver.assignment.is_assigned(5)
+        assert solver.values == [1, 0, 0, 0, 0, 0]
 
     def test_jump_to_level_zero(self):
         solver = self._three_level_solver()
@@ -292,6 +289,29 @@ class TestSolve:
             assert solver.num_live_learned == sum(c is not None for c in live)
             deleted += solver.num_live_learned < solver.stats.learned
         assert deleted, "no run reached learned-clause deletion"
+
+    def test_restart_interval_one_still_terminates(self):
+        # int(1 * 1.5) == 1, so a threshold grown by the multiplier alone
+        # restarted after every conflict and, with clause deletion, this
+        # greedy policy cycled until the decision limit.
+        from satkit.rl.heuristic import PolicyHeuristic
+        from satkit.rl.policy import Policy, PpoConfig
+
+        f = random_ksat(10, 45, random.Random(1))
+        policy = Policy(10, 45, PpoConfig(hidden_sizes=(8,)), seed=1)
+        solver = Solver(
+            f,
+            PolicyHeuristic(policy, f),
+            SolveLimits(max_decisions=20000),
+            enable_restarts=True,
+            restart_interval=1,
+            enable_clause_deletion=True,
+            max_learned_factor=0.02,
+        )
+        result = solver.run()
+        assert result.verdict != Verdict.UNKNOWN
+        assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)
+        assert result.stats.restarts >= 1
 
     def test_empty_formula_is_sat(self):
         f = CnfFormula(2, ())

@@ -1,10 +1,7 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satkit.cnf import Assignment
 from satkit.solver.heuristics import VsidsScores, vsids_on_conflict, vsids_pick
 
 
@@ -21,32 +18,25 @@ def scores_for(n, activities=None, bump=1.0, decay=0.95):
 class TestPick:
     def test_unique_argmax(self):
         s = scores_for(2, {1: 0.0, 2: 5.0})
-        a = Assignment(2)
-        assert vsids_pick(s, a).var == 2
+        assert vsids_pick(s, [0, 0]) == -2
 
     def test_all_zero_ties_to_lowest_index(self):
         s = scores_for(4)
-        a = Assignment(4)
-        assert vsids_pick(s, a).var == 1
+        assert vsids_pick(s, [0, 0, 0, 0]) == -1
 
     def test_assigned_variables_skipped(self):
         s = scores_for(3, {1: 9.0, 2: 1.0})
-        a = Assignment(3)
-        a.assign(1, True)
-        assert vsids_pick(s, a).var == 2
+        assert vsids_pick(s, [1, 0, 0]) == -2
 
     def test_polarity_from_saved_phase(self):
         s = scores_for(2, {2: 3.0})
-        a = Assignment(2)
-        assert vsids_pick(s, a).value is False  # initial phase
-        assert vsids_pick(s, a, [False, False, True]).value is True
+        assert vsids_pick(s, [0, 0]) == -2  # initial phase
+        assert vsids_pick(s, [0, 0], [False, False, True]) == 2
 
     def test_no_unassigned_raises(self):
         s = scores_for(1)
-        a = Assignment(1)
-        a.assign(1, False)
         with pytest.raises(ValueError):
-            vsids_pick(s, a)
+            vsids_pick(s, [-1])
 
 
 class TestOnConflict:
@@ -60,8 +50,7 @@ class TestOnConflict:
         s = scores_for(4)
         vsids_on_conflict(s, [2, -4])
         vsids_on_conflict(s, [4])
-        a = Assignment(4)
-        assert vsids_pick(s, a).var == 4  # two bumps, the second one larger
+        assert vsids_pick(s, [0, 0, 0, 0]) == -4  # two bumps, the second one larger
 
     def test_no_conflicts_means_all_zero(self):
         s = scores_for(5)
