@@ -244,27 +244,35 @@ def load_policy(data: bytes) -> Policy:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PolicyFormatError(f"unreadable checkpoint header: {exc}") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise PolicyFormatError("checkpoint header is not a JSON object")
     version = header.get("format_version")
     if version != POLICY_FORMAT_VERSION:
         raise VersionMismatchError(
             f"checkpoint format {version!r}, expected {POLICY_FORMAT_VERSION}"
         )
-    cfg = dict(header["config"])
-    cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
-    policy = Policy(
-        header["num_vars"],
-        header["num_clauses"],
-        PpoConfig(**cfg),
-        header["seed"],
-    )
+    try:
+        cfg = dict(header["config"])
+        cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
+        policy = Policy(
+            header["num_vars"],
+            header["num_clauses"],
+            PpoConfig(**cfg),
+            header["seed"],
+        )
+        declared = [(meta["name"], tuple(meta["shape"])) for meta in header["arrays"]]
+    except SatkitError:
+        raise
+    except KeyError as exc:
+        raise PolicyFormatError(f"checkpoint header lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise PolicyFormatError(f"malformed checkpoint header: {exc}") from None
     arrays = _array_manifest(policy)
-    declared = header["arrays"]
-    if [a["name"] for a in declared] != [name for name, _ in arrays]:
+    if [name for name, _ in declared] != [name for name, _ in arrays]:
         raise PolicyFormatError("checkpoint array manifest does not match")
-    for meta, (_, arr) in zip(declared, arrays):
-        shape = tuple(meta["shape"])
+    for (name, shape), (_, arr) in zip(declared, arrays):
         if shape != arr.shape:
-            raise PolicyFormatError(f"array {meta['name']} has shape {shape}, expected {arr.shape}")
+            raise PolicyFormatError(f"array {name} has shape {shape}, expected {arr.shape}")
         nbytes = int(np.prod(shape)) * 8 if shape else 8
         chunk = data[offset : offset + nbytes]
         if len(chunk) != nbytes:

@@ -9,6 +9,16 @@ deterministic given (formula, heuristic, seed): every iteration
 order is fixed and there is no wall-clock dependence except the
 timeout check itself.
 
+The watch table ``Solver.watches`` is a list of ``2n + 1`` lists indexed
+by literal code: slot v holds the clauses watching +v and slot
+``2n + 1 - v`` those watching -v, so ``watches[lit]`` works directly
+for a negative ``lit`` through Python's negative indexing (slot 0 is
+unused). Every live clause of length >= 2 is listed exactly once under
+each of its two watched literals, slots 0 and 1 of the clause. The hot
+loops read ``values`` inline with a sign test in place of
+``lit_value``: ``values[l - 1] if l > 0 else -values[-l - 1]`` is > 0
+for a true literal, < 0 for a false one and 0 for an unassigned one.
+
 Satisfiability is declared as soon as every original clause evaluates
 true; a partial assignment is completed from saved phases before the
 model is verified and returned. Unsatisfiability is declared exactly
@@ -122,10 +132,7 @@ class Solver:
         # ones. Watched literals sit at slots 0 and 1. Size-1 clauses
         # are asserted at level 0 instead of being watched.
         self.clauses: list[Optional[list[int]]] = []
-        self.watches: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self._unit_clauses: list[int] = []
         for clause in formula.clauses:
             codes = list(dict.fromkeys(clause))
@@ -174,40 +181,64 @@ class Solver:
         Returns the index of a conflicting clause, or None. Implied
         literals are appended to the trail with their reason clause.
         """
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            watchlist = self.watches[falsified]
+        trail = self.trail
+        values = self.values
+        watches = self.watches
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        current = len(self.trail_lim)  # BCP never opens a level
+        qhead = self.qhead
+        propagations = 0
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchlist = watches[falsified]
             i = 0
-            while i < len(watchlist):
+            end = len(watchlist)
+            while i < end:
                 ci = watchlist[i]
-                clause = self.clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[ci]
                 first = clause[0]
-                if self.lit_value(first) == TRUE:
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                value = values[first - 1] if first > 0 else -values[-first - 1]
+                if value > 0:
                     i += 1
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self.lit_value(clause[k]) != FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        watchlist[i] = watchlist[-1]
+                size = len(clause)
+                k = 2
+                while k < size:
+                    lit = clause[k]
+                    if (values[lit - 1] if lit > 0 else -values[-lit - 1]) >= 0:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(ci)
+                        end -= 1
+                        watchlist[i] = watchlist[end]
                         watchlist.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                value = self.lit_value(first)
-                if value == FALSE:
-                    self.qhead = len(self.trail)
-                    return ci
-                if value == UNDEF:
-                    self._enqueue(first, ci)
-                    self.stats.propagations += 1
-                i += 1
+                    k += 1
+                else:
+                    if value < 0:
+                        self.qhead = len(trail)
+                        self.stats.propagations += propagations
+                        return ci
+                    if first > 0:
+                        values[first - 1] = 1
+                        level[first] = current
+                        reason[first] = ci
+                    else:
+                        values[-first - 1] = -1
+                        level[-first] = current
+                        reason[-first] = ci
+                    trail.append(first)
+                    propagations += 1
+                    i += 1
+        self.qhead = qhead
+        self.stats.propagations += propagations
         return None
 
     def analyze_conflict(self, conflict: int) -> tuple[list[int], int]:
@@ -218,43 +249,50 @@ class Solver:
         carries the backjump-level literal so the watch invariant holds
         right after the jump.
         """
-        assert self.current_level >= 1, "level-0 conflicts short-circuit to UNSAT"
+        current = len(self.trail_lim)
+        assert current >= 1, "level-0 conflicts short-circuit to UNSAT"
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        clauses = self.clauses
         seen = bytearray(self.num_vars + 1)
         tail: list[int] = []
         counter = 0
-        p: Optional[int] = None
-        ci = conflict
-        index = len(self.trail) - 1
-        current = self.current_level
+        index = len(trail) - 1
+        lits = clauses[conflict]
 
         while True:
-            clause = self.clauses[ci]
-            start = 0 if p is None else 1  # slot 0 of a reason is its asserted literal
-            for q in clause[start:]:
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = 1
-                    if self.level[var] >= current:
-                        counter += 1
-                    else:
-                        tail.append(q)
-            while not seen[abs(self.trail[index])]:
+            for q in lits:
+                var = q if q > 0 else -q
+                if not seen[var]:
+                    lv = level[var]
+                    if lv > 0:
+                        seen[var] = 1
+                        if lv >= current:
+                            counter += 1
+                        else:
+                            tail.append(q)
+            while True:
+                p = trail[index]
                 index -= 1
-            p = self.trail[index]
-            var = abs(p)
+                var = p if p > 0 else -p
+                if seen[var]:
+                    break
             seen[var] = 0
-            index -= 1
             counter -= 1
             if counter == 0:
                 break
-            ci = self.reason[var]  # never None here: decisions end the count
+            # Never None here: decisions end the count. Slot 0 of a
+            # reason is the literal it asserted, which is p.
+            lits = clauses[reason[var]][1:]
 
         learned = [-p] + tail
         backjump = 0
         if len(learned) > 1:
             pos = 1
             for k in range(1, len(learned)):
-                lv = self.level[abs(learned[k])]
+                q = learned[k]
+                lv = level[q if q > 0 else -q]
                 if lv > backjump:
                     backjump = lv
                     pos = k
@@ -273,18 +311,23 @@ class Solver:
 
     def backjump(self, target_level: int) -> None:
         """Unassign everything above ``target_level``."""
-        assert target_level < self.current_level
-        keep = self.trail_lim[target_level]
-        for j in range(len(self.trail) - 1, keep - 1, -1):
-            lit = self.trail[j]
-            var = abs(lit)
-            self.saved_phase[var] = lit > 0
-            self.values[var - 1] = 0
-            self.reason[var] = None
-            self.level[var] = 0
-        del self.trail[keep:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        trail_lim = self.trail_lim
+        assert target_level < len(trail_lim)
+        trail = self.trail
+        values = self.values
+        saved_phase = self.saved_phase
+        reason = self.reason
+        level = self.level
+        keep = trail_lim[target_level]
+        for lit in reversed(trail[keep:]):
+            var = lit if lit > 0 else -lit
+            saved_phase[var] = lit > 0
+            values[var - 1] = 0
+            reason[var] = None
+            level[var] = 0
+        del trail[keep:]
+        del trail_lim[target_level:]
+        self.qhead = keep
 
     # -- learned clause deletion (off by default) ---------------------------
 
@@ -412,6 +455,19 @@ class Solver:
                 self._reduce_learned()
 
     # -- debug invariants (used by the test suite) -------------------------
+
+    def check_watch_invariants(self) -> None:
+        n = self.num_vars
+        assert len(self.watches) == 2 * n + 1 and not self.watches[0], "watch table shape"
+        expected = set()
+        for ci, clause in enumerate(self.clauses):
+            if clause is not None and len(clause) >= 2:
+                assert clause[0] != clause[1], "clause watches one literal twice"
+                expected.add((clause[0], ci))
+                expected.add((clause[1], ci))
+        listed = [(lit, ci) for v in range(1, n + 1) for lit in (v, -v) for ci in self.watches[lit]]
+        assert len(listed) == len(set(listed)), "clause listed twice under one literal"
+        assert set(listed) == expected, "watch lists do not match the clauses' watched slots"
 
     def check_trail_invariants(self) -> None:
         position = {abs(lit): i for i, lit in enumerate(self.trail)}

@@ -133,6 +133,16 @@ class TestSolve:
         code = main(["solve", str(path), "--heuristic", "rl", "--policy", str(small_policy_file)])
         assert code == 2
 
+    def test_edited_policy_header_exits_2(self, uf_file, tmp_path, small_policy_file, capsys):
+        blob = small_policy_file.read_bytes()
+        assert b'"epochs"' in blob
+        path = tmp_path / "edited.bin"
+        path.write_bytes(blob.replace(b'"epochs"', b'"epochz"'))  # same header length
+        code = main(["solve", str(uf_file), "--heuristic", "rl", "--policy", str(path)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == 2
 

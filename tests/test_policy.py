@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -28,6 +29,17 @@ SMALL = PpoConfig(hidden_sizes=(16, 16))
 
 def make_policy(n=4, m=6, seed=0, config=SMALL):
     return Policy(n, m, config, seed)
+
+
+def edit_header(blob, edit):
+    """Re-encode a checkpoint after ``edit`` has changed its JSON header."""
+    magic_len = len(b"CNFPOLICY\x00")
+    header_len = int.from_bytes(blob[magic_len : magic_len + 8], "little")
+    header = json.loads(blob[magic_len + 8 : magic_len + 8 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
+    payload = blob[magic_len + 8 + header_len :]
+    return blob[:magic_len] + len(header_bytes).to_bytes(8, "little") + header_bytes + payload
 
 
 def random_obs(policy, rng):
@@ -144,6 +156,24 @@ class TestSaveLoad:
     def test_garbage_rejected(self):
         with pytest.raises(PolicyFormatError):
             load_policy(b"definitely not a checkpoint")
+
+    def test_unknown_config_key_rejected(self):
+        blob = edit_header(save_policy(make_policy()), lambda h: h["config"].update(momentum=0.9))
+        with pytest.raises(PolicyFormatError, match="momentum"):
+            load_policy(blob)
+
+    @pytest.mark.parametrize("field", ["num_vars", "config"])
+    def test_missing_header_field_rejected(self, field):
+        blob = edit_header(save_policy(make_policy()), lambda h: h.pop(field))
+        with pytest.raises(PolicyFormatError, match=field):
+            load_policy(blob)
+
+    def test_scalar_hidden_sizes_rejected(self):
+        blob = edit_header(
+            save_policy(make_policy()), lambda h: h["config"].update(hidden_sizes=5)
+        )
+        with pytest.raises(PolicyFormatError):
+            load_policy(blob)
 
     def test_loading_policy_for_wrong_formula_shape(self):
         policy = load_policy(save_policy(Policy(20, 91, SMALL, seed=0)))
