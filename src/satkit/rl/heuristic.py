@@ -40,8 +40,6 @@ from .ppo import Transition
 
 
 class PolicyHeuristic(Heuristic):
-    name = "rl"
-
     def __init__(
         self,
         policy: Policy,

@@ -78,15 +78,15 @@ class Policy:
         self.num_clauses = num_clauses
         self.config = config
         self.seed = seed
-        self.obs_dim = flat_observation_dim(num_vars, num_clauses)
+        actor_sizes, critic_sizes = _layer_sizes(num_vars, num_clauses, config.hidden_sizes)
+        self.obs_dim = actor_sizes[0]
         # The observation leads with the n + m entries that change between
         # decisions (assignments, clause evaluations); the rest is static.
         self.dynamic_dim = num_vars + num_clauses
-        self.num_actions = 2 * num_vars
+        self.num_actions = actor_sizes[-1]
         rng = np.random.default_rng(seed)
-        hidden = list(config.hidden_sizes)
-        self.actor = Mlp([self.obs_dim] + hidden + [self.num_actions], rng, out_gain=0.01)
-        self.critic = Mlp([self.obs_dim] + hidden + [1], rng, out_gain=1.0)
+        self.actor = Mlp(actor_sizes, rng, out_gain=0.01)
+        self.critic = Mlp(critic_sizes, rng, out_gain=1.0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -199,7 +199,24 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return np.where(mask, shifted - np.log(total), -np.inf)
 
 
+def _layer_sizes(num_vars: int, num_clauses: int, hidden_sizes) -> tuple[list[int], list[int]]:
+    """Actor and critic layer widths, observation first."""
+    body = [flat_observation_dim(num_vars, num_clauses), *hidden_sizes]
+    return body + [2 * num_vars], body + [1]
+
+
 # -- checkpoint format --------------------------------------------------
+
+
+def _payload_bytes(num_vars: int, num_clauses: int, hidden_sizes) -> int:
+    """Bytes of float64 weights and biases a policy of this shape saves."""
+    if not all(isinstance(d, int) for d in (num_vars, num_clauses, *hidden_sizes)):
+        raise TypeError("policy dimensions must be integers")
+    return 8 * sum(
+        fan_in * fan_out + fan_out
+        for sizes in _layer_sizes(num_vars, num_clauses, hidden_sizes)
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    )
 
 
 def _array_manifest(policy: Policy) -> list[tuple[str, np.ndarray]]:
@@ -254,12 +271,16 @@ def load_policy(data: bytes) -> Policy:
     try:
         cfg = dict(header["config"])
         cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
-        policy = Policy(
-            header["num_vars"],
-            header["num_clauses"],
-            PpoConfig(**cfg),
-            header["seed"],
-        )
+        config = PpoConfig(**cfg)
+        num_vars, num_clauses = header["num_vars"], header["num_clauses"]
+        # Checked before any weight is allocated: an edited header must
+        # not make a small file allocate a large policy.
+        implied = _payload_bytes(num_vars, num_clauses, config.hidden_sizes)
+        if implied != len(data) - offset:
+            raise PolicyFormatError(
+                f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
+            )
+        policy = Policy(num_vars, num_clauses, config, header["seed"])
         declared = [(meta["name"], tuple(meta["shape"])) for meta in header["arrays"]]
     except SatkitError:
         raise
@@ -273,14 +294,8 @@ def load_policy(data: bytes) -> Policy:
     for (name, shape), (_, arr) in zip(declared, arrays):
         if shape != arr.shape:
             raise PolicyFormatError(f"array {name} has shape {shape}, expected {arr.shape}")
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
-        chunk = data[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise PolicyFormatError("truncated checkpoint payload")
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
-        offset += nbytes
-    if offset != len(data):
-        raise PolicyFormatError("trailing bytes after checkpoint payload")
+        arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(shape)
+        offset += arr.nbytes
     return policy
 
 

@@ -16,7 +16,7 @@ separate Adam optimizers for actor and critic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,12 +94,12 @@ def _batch_arrays(batch: Sequence[Transition]):
 class PpoOptimizer:
     """Stateful updater: owns the Adam moments and the minibatch rng."""
 
-    def __init__(self, policy: Policy, seed: Optional[int] = None):
+    def __init__(self, policy: Policy):
         self.policy = policy
         cfg = policy.config
         self.actor_opt = Adam(policy.actor.parameters(), cfg.learning_rate)
         self.critic_opt = Adam(policy.critic.parameters(), cfg.learning_rate)
-        self.rng = np.random.default_rng(policy.seed if seed is None else seed)
+        self.rng = np.random.default_rng(policy.seed)
 
     def update(self, batch: Sequence[Transition]) -> UpdateMetrics:
         if not batch:

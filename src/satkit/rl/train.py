@@ -41,9 +41,8 @@ def run_episode(
     policy: Policy,
     limits: Optional[SolveLimits] = None,
     rng: Optional[np.random.Generator] = None,
-    mode: str = "sample",
 ) -> tuple[list[Transition], SolveResult]:
-    """One solver run with the policy deciding (sampling by default).
+    """One solver run with the policy sampling every decision.
 
     Returns the recorded trajectory, one transition per decision, with
     the final transition marked done; instances solved purely by unit
@@ -51,7 +50,7 @@ def run_episode(
     """
     if limits is None:
         limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
-    heuristic = PolicyHeuristic(policy, formula, mode=mode, rng=rng, record=True)
+    heuristic = PolicyHeuristic(policy, formula, mode="sample", rng=rng, record=True)
     result = Solver(formula, heuristic, limits).run()
     transitions = heuristic.transitions
     if transitions:
@@ -87,7 +86,7 @@ def train(
 
     order_rng = np.random.default_rng([policy.seed, 1])
     episode_rng = np.random.default_rng([policy.seed, 2])
-    optimizer = PpoOptimizer(policy, seed=policy.seed)
+    optimizer = PpoOptimizer(policy)
     window = policy.config.rollout_window
     limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
 

@@ -7,15 +7,8 @@ from .engine import (
     SolveResult,
     SolveStats,
     Verdict,
-    solve,
 )
-from .heuristics import (
-    RandomHeuristic,
-    VsidsHeuristic,
-    VsidsScores,
-    vsids_on_conflict,
-    vsids_pick,
-)
+from .heuristics import RandomHeuristic, VsidsHeuristic
 
 __all__ = [
     "Heuristic",
@@ -26,8 +19,4 @@ __all__ = [
     "Solver",
     "Verdict",
     "VsidsHeuristic",
-    "VsidsScores",
-    "solve",
-    "vsids_on_conflict",
-    "vsids_pick",
 ]

@@ -22,9 +22,10 @@ for a true literal, < 0 for a false one and 0 for an unassigned one.
 Satisfiability is declared as soon as every original clause evaluates
 true; a partial assignment is completed from saved phases before the
 model is verified and returned. Unsatisfiability is declared exactly
-on a conflict at decision level 0. Restarts and learned-clause
-deletion exist behind flags and are off by default, which keeps
-benchmark runs reproducible decision-for-decision.
+on a conflict at decision level 0. Restarts (``restart_interval``) and
+learned-clause deletion (``max_learned_factor``) are off when ``None``,
+the default, which keeps benchmark runs reproducible
+decision-for-decision.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ class Heuristic:
     objects are single-solve: create a fresh one per run.
     """
 
-    name = "base"
-
     def attach(self, solver: "Solver") -> None:
         pass
 
@@ -103,18 +102,14 @@ class Solver:
         formula: CnfFormula,
         heuristic: Heuristic,
         limits: Optional[SolveLimits] = None,
-        enable_restarts: bool = False,
-        restart_interval: int = 100,
-        enable_clause_deletion: bool = False,
-        max_learned_factor: float = 2.0,
+        restart_interval: Optional[int] = None,
+        max_learned_factor: Optional[float] = None,
     ):
         self.formula = formula
         self.heuristic = heuristic
         self.limits = limits or SolveLimits()
-        self.enable_restarts = enable_restarts
-        self.restart_threshold = restart_interval
-        self.enable_clause_deletion = enable_clause_deletion
-        self.max_learned_factor = max_learned_factor
+        self.restart_threshold = restart_interval  # None: no restarts
+        self.max_learned_factor = max_learned_factor  # None: no deletion
 
         n = formula.num_vars
         self.num_vars = n
@@ -436,7 +431,7 @@ class Solver:
                 return self._finish(verdict, started)
 
             if (
-                self.enable_restarts
+                self.restart_threshold is not None
                 and self._conflicts_since_restart >= self.restart_threshold
                 and self.current_level > 0
             ):
@@ -448,7 +443,7 @@ class Solver:
                 self.restart_threshold = max(threshold + 1, int(threshold * RESTART_MULTIPLIER))
                 self.stats.restarts += 1
             if (
-                self.enable_clause_deletion
+                self.max_learned_factor is not None
                 and self.num_live_learned
                 > self.max_learned_factor * max(1, self.num_original)
             ):
@@ -486,12 +481,3 @@ class Solver:
                         continue
                     assert self.lit_value(other) == FALSE, "reason clause not unit at append"
                     assert position[abs(other)] < i, "reason literal assigned later"
-
-
-def solve(
-    formula: CnfFormula,
-    heuristic: Heuristic,
-    limits: Optional[SolveLimits] = None,
-    **solver_options,
-) -> SolveResult:
-    return Solver(formula, heuristic, limits, **solver_options).run()

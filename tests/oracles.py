@@ -115,7 +115,7 @@ def run_bandit(
         rollout_window=batch_size,
     )
     policy = Policy(1, 1, config, seed)  # one variable -> two actions
-    optimizer = PpoOptimizer(policy, seed=seed)
+    optimizer = PpoOptimizer(policy)
     rng = np.random.default_rng(seed)
     obs = np.zeros(policy.obs_dim)
     obs[0] = 1.0

@@ -1,12 +1,15 @@
 """Every module under src/satkit uses each name it imports, or lists it
-in ``__all__`` as a re-export."""
+in ``__all__`` as a re-export; every name a script imports from satkit
+exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "satkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "satkit"
 
 
 def _annotation_strings(tree):
@@ -65,3 +68,32 @@ def test_the_scan_flags_unused_and_spares_used_and_exported_names():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["Unused", "os"]
+
+
+def missing_satkit_imports(source: str) -> list[str]:
+    """``module.name`` for each ``from satkit... import name`` whose
+    module lacks the name."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] == "satkit"
+        ):
+            module = importlib.import_module(node.module)
+            missing.extend(
+                f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
+            )
+    return missing
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_script_imports_only_names_satkit_defines(path):
+    assert missing_satkit_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_script_scan_flags_a_deleted_name():
+    source = "import os\nfrom satkit.solver import Solver, solve\nfrom satkit.cnf import CnfFormula\n"
+    assert missing_satkit_imports(source) == ["satkit.solver.solve"]

@@ -184,7 +184,7 @@ class CheckedHeuristic(PolicyHeuristic):
 
 
 SOLVER_FLAGS = [
-    dict(enable_restarts=restarts, restart_interval=2, enable_clause_deletion=deletion, max_learned_factor=0.02)
+    dict(restart_interval=2 if restarts else None, max_learned_factor=0.02 if deletion else None)
     for restarts in (False, True)
     for deletion in (False, True)
 ]
@@ -222,5 +222,5 @@ def test_the_checked_runs_restart_delete_and_backjump(flags, mode, record):
         restarts += result.stats.restarts
         deletions += result.stats.learned - live_learned
     assert conflicts > 0
-    assert (restarts > 0) == flags["enable_restarts"]
-    assert (deletions > 0) == flags["enable_clause_deletion"]
+    assert (restarts > 0) == (flags["restart_interval"] is not None)
+    assert (deletions > 0) == (flags["max_learned_factor"] is not None)

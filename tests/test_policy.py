@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ class TestSaveLoad:
         with pytest.raises(PolicyFormatError, match=field):
             load_policy(blob)
 
+    def test_edited_shape_rejected_before_allocating_the_policy(self):
+        # The header of a (4, 6) file claims a (100, 110) policy with
+        # 256-wide layers, about 100 MB of weights if it were built.
+        def enlarge(header):
+            header.update(num_vars=100, num_clauses=110)
+            header["config"]["hidden_sizes"] = [256, 256]
+
+        blob = edit_header(save_policy(make_policy()), enlarge)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PolicyFormatError):
+                load_policy(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_scalar_hidden_sizes_rejected(self):
         blob = edit_header(
             save_policy(make_policy()), lambda h: h["config"].update(hidden_sizes=5)
@@ -207,8 +225,6 @@ def random_partial_assignment(num_vars, rng):
 class UnfoldedGreedy(Heuristic):
     """Reference greedy heuristic: the whole observation through the
     whole actor on every decision."""
-
-    name = "unfolded"
 
     def __init__(self, policy, formula):
         self.policy = policy

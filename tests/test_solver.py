@@ -9,7 +9,6 @@ from satkit.solver.engine import (
     SolveLimits,
     Solver,
     Verdict,
-    solve,
 )
 from satkit.solver.heuristics import RandomHeuristic, VsidsHeuristic
 
@@ -18,8 +17,6 @@ from oracles import brute_force_satisfiable
 
 class ScriptedHeuristic(Heuristic):
     """Plays back a fixed sequence of literals; for hand-built traces."""
-
-    name = "scripted"
 
     def __init__(self, literals):
         self.queue = list(literals)
@@ -47,7 +44,7 @@ class TestPropagate:
 
     def test_conflicting_units(self):
         f = CnfFormula.from_codes(1, [[1], [-1]])
-        assert solve(f, VsidsHeuristic(1)).verdict == Verdict.UNSAT
+        assert Solver(f, VsidsHeuristic(1)).run().verdict == Verdict.UNSAT
 
     def test_unit_from_partial_assignment(self):
         # x1=F, x2=F forces x3=T from (x1 | x2 | x3)
@@ -123,7 +120,7 @@ class TestConflictAnalysis:
 
         for _ in range(40):
             f = random_ksat(8, 34, rng)
-            solve(f, Watcher(8))
+            Solver(f, Watcher(8)).run()
 
 
 class TestBackjump:
@@ -158,33 +155,33 @@ class TestBackjump:
 class TestSolve:
     def test_two_clause_formula_sat(self):
         f = CnfFormula.from_codes(3, [[1, -2], [-1, 3]])
-        result = solve(f, VsidsHeuristic(3))
+        result = Solver(f, VsidsHeuristic(3)).run()
         assert result.verdict == Verdict.SAT
         assert model_satisfies(f, result.model)
 
     def test_unsat_pair(self):
         f = CnfFormula.from_codes(1, [[1], [-1]])
-        assert solve(f, VsidsHeuristic(1)).verdict == Verdict.UNSAT
+        assert Solver(f, VsidsHeuristic(1)).run().verdict == Verdict.UNSAT
 
     def test_uf20_shaped_instances_all_sat(self):
         rng = random.Random(3)
         for _ in range(10):
             f = planted_ksat(20, 91, rng)
-            result = solve(f, VsidsHeuristic(20), SolveLimits(timeout_s=10))
+            result = Solver(f, VsidsHeuristic(20), SolveLimits(timeout_s=10)).run()
             assert result.verdict == Verdict.SAT
             assert model_satisfies(f, result.model)
 
     def test_decision_limit_reports_unknown(self):
         rng = random.Random(5)
         f = planted_ksat(20, 91, rng)
-        result = solve(f, VsidsHeuristic(20), SolveLimits(max_decisions=0))
+        result = Solver(f, VsidsHeuristic(20), SolveLimits(max_decisions=0)).run()
         assert result.verdict == Verdict.UNKNOWN
         assert result.limit == "decisions"
 
     def test_timeout_reports_unknown(self):
         rng = random.Random(6)
         f = random_ksat(12, 55, rng)
-        result = solve(f, VsidsHeuristic(12), SolveLimits(timeout_s=0.0))
+        result = Solver(f, VsidsHeuristic(12), SolveLimits(timeout_s=0.0)).run()
         assert result.verdict == Verdict.UNKNOWN
         assert result.limit == "timeout"
 
@@ -203,7 +200,7 @@ class TestSolve:
                     learned_store.append(tuple(learned))
                     super().on_conflict(solver, learned)
 
-            solve(f, Recorder(9))
+            Solver(f, Recorder(9)).run()
             table = assignment_matrix(9)
             models = formula_truth_column(f, table)
             if not models.any():
@@ -226,14 +223,14 @@ class TestSolve:
 
         for _ in range(10):
             f = random_ksat(10, 44, rng)
-            solve(f, Checking(10))
+            Solver(f, Checking(10)).run()
 
     def test_determinism_given_seed(self):
         rng = random.Random(123)
         f = random_ksat(12, 50, rng)
 
         def run_stats(seed):
-            r = solve(f, RandomHeuristic(seed))
+            r = Solver(f, RandomHeuristic(seed)).run()
             return (r.verdict, r.stats.decisions, r.stats.conflicts, r.stats.learned, r.model)
 
         assert run_stats(7) == run_stats(7)
@@ -243,13 +240,11 @@ class TestSolve:
         deleted = 0
         for _ in range(10):
             f = random_ksat(30, 128, rng)
-            plain = solve(f, VsidsHeuristic(30)).verdict
+            plain = Solver(f, VsidsHeuristic(30)).run().verdict
             solver = Solver(
                 f,
                 VsidsHeuristic(30),
-                enable_restarts=True,
                 restart_interval=5,
-                enable_clause_deletion=True,
                 max_learned_factor=0.1,
             )
             assert solver.run().verdict == plain
@@ -271,9 +266,7 @@ class TestSolve:
             f,
             PolicyHeuristic(policy, f),
             SolveLimits(max_decisions=20000),
-            enable_restarts=True,
             restart_interval=1,
-            enable_clause_deletion=True,
             max_learned_factor=0.02,
         )
         result = solver.run()
@@ -283,14 +276,14 @@ class TestSolve:
 
     def test_empty_formula_is_sat(self):
         f = CnfFormula(2, ())
-        result = solve(f, VsidsHeuristic(2))
+        result = Solver(f, VsidsHeuristic(2)).run()
         assert result.verdict == Verdict.SAT
         assert result.model == [-1, -2]  # default phase False
 
     def test_stats_are_populated(self):
         rng = random.Random(8)
         f = random_ksat(12, 50, rng)
-        result = solve(f, VsidsHeuristic(12))
+        result = Solver(f, VsidsHeuristic(12)).run()
         assert result.stats.wall_time_s >= 0
         assert result.stats.decisions >= 1
 
@@ -460,11 +453,11 @@ FLAG_COMBINATIONS = [
 
 class InvariantChecking(Heuristic):
     """Delegates to a heuristic and checks the trail and watch-table
-    invariants after every propagation fixpoint."""
+    invariants after every propagation fixpoint, and that each learned
+    clause lists every variable once (VSIDS bumps each listed one)."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.name = inner.name
 
     def attach(self, solver):
         self.inner.attach(solver)
@@ -473,6 +466,8 @@ class InvariantChecking(Heuristic):
         return self.inner.decide(solver)
 
     def on_conflict(self, solver, learned):
+        variables = [abs(code) for code in learned]
+        assert len(set(variables)) == len(variables), "learned clause repeats a variable"
         self.inner.on_conflict(solver, learned)
 
     def on_step(self, solver, verdict):
@@ -491,10 +486,8 @@ class TestGoldenRuns:
                 result = Solver(
                     f,
                     h,
-                    enable_restarts=restarts,
-                    restart_interval=20,
-                    enable_clause_deletion=deletion,
-                    max_learned_factor=0.25,
+                    restart_interval=20 if restarts else None,
+                    max_learned_factor=0.25 if deletion else None,
                 ).run()
                 s = result.stats
                 got = (result.verdict.value, s.decisions, s.conflicts, s.propagations, s.learned, s.restarts)
@@ -514,10 +507,8 @@ class TestFlagCombinations:
             solver = Solver(
                 f,
                 InvariantChecking(inner),
-                enable_restarts=restarts,
-                restart_interval=3,
-                enable_clause_deletion=deletion,
-                max_learned_factor=0.05,
+                restart_interval=3 if restarts else None,
+                max_learned_factor=0.05 if deletion else None,
             )
             result = solver.run()
             assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)

@@ -1,76 +1,80 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satkit.solver.heuristics import VsidsScores, vsids_on_conflict, vsids_pick
+from satkit.solver import heuristics
+from satkit.solver.heuristics import VsidsHeuristic
 
 
-def scores_for(n, activities=None, bump=1.0, decay=0.95):
-    s = VsidsScores.for_num_vars(n)
-    s.bump = bump
-    s.decay = decay
+def vsids_for(n, activities=None, bump=1.0):
+    h = VsidsHeuristic(n)
+    h.bump = bump
     if activities:
         for var, a in activities.items():
-            s.activity[var] = a
-    return s
+            h.activity[var] = a
+    return h
+
+
+def state(values, saved_phase=None):
+    """The two solver fields VSIDS reads; ``saved_phase`` is indexed by
+    variable (slot 0 unused) and defaults to all False."""
+    if saved_phase is None:
+        saved_phase = [False] * (len(values) + 1)
+    return SimpleNamespace(values=values, saved_phase=saved_phase)
 
 
 class TestPick:
     def test_unique_argmax(self):
-        s = scores_for(2, {1: 0.0, 2: 5.0})
-        assert vsids_pick(s, [0, 0]) == -2
+        h = vsids_for(2, {1: 0.0, 2: 5.0})
+        assert h.decide(state([0, 0])) == -2
 
     def test_all_zero_ties_to_lowest_index(self):
-        s = scores_for(4)
-        assert vsids_pick(s, [0, 0, 0, 0]) == -1
+        h = vsids_for(4)
+        assert h.decide(state([0, 0, 0, 0])) == -1
 
     def test_assigned_variables_skipped(self):
-        s = scores_for(3, {1: 9.0, 2: 1.0})
-        assert vsids_pick(s, [1, 0, 0]) == -2
+        h = vsids_for(3, {1: 9.0, 2: 1.0})
+        assert h.decide(state([1, 0, 0])) == -2
 
     def test_polarity_from_saved_phase(self):
-        s = scores_for(2, {2: 3.0})
-        assert vsids_pick(s, [0, 0]) == -2  # initial phase
-        assert vsids_pick(s, [0, 0], [False, False, True]) == 2
+        h = vsids_for(2, {2: 3.0})
+        assert h.decide(state([0, 0])) == -2  # initial phase
+        assert h.decide(state([0, 0], [False, False, True])) == 2
 
     def test_no_unassigned_raises(self):
-        s = scores_for(1)
+        h = vsids_for(1)
         with pytest.raises(ValueError):
-            vsids_pick(s, [-1])
+            h.decide(state([-1]))
 
 
 class TestOnConflict:
     def test_bump_then_decay_arithmetic(self):
-        s = scores_for(3, bump=1.0, decay=0.95)
-        vsids_on_conflict(s, [-3])
-        assert s.activity[3] == 1.0
-        assert s.bump == pytest.approx(1.0 / 0.95)
+        h = vsids_for(3, bump=1.0)
+        h.on_conflict(None, [-3])
+        assert h.activity[3] == 1.0
+        assert h.bump == pytest.approx(1.0 / 0.95)
 
     def test_bumped_variable_becomes_argmax(self):
-        s = scores_for(4)
-        vsids_on_conflict(s, [2, -4])
-        vsids_on_conflict(s, [4])
-        assert vsids_pick(s, [0, 0, 0, 0]) == -4  # two bumps, the second one larger
+        h = vsids_for(4)
+        h.on_conflict(None, [2, -4])
+        h.on_conflict(None, [4])
+        assert h.decide(state([0, 0, 0, 0])) == -4  # two bumps, the second one larger
 
     def test_no_conflicts_means_all_zero(self):
-        s = scores_for(5)
-        assert s.activity == [0.0] * 6
+        h = vsids_for(5)
+        assert h.activity == [0.0] * 6
 
-    def test_duplicate_variables_bumped_once(self):
-        s = scores_for(2)
-        vsids_on_conflict(s, [1, -1])
-        assert s.activity[1] == 1.0
-
-    def test_rescale_preserves_argmax_order(self):
-        s = scores_for(3, {1: 2.0, 2: 5.0, 3: 1.0})
-        s.rescale_threshold = 10.0
-        s.bump = 8.0
-        vsids_on_conflict(s, [3])  # activity[3] = 9 -> no rescale
-        order_before = sorted(range(1, 4), key=lambda v: -s.activity[v])
-        vsids_on_conflict(s, [3])  # exceeds 10 -> rescale
-        order_after = sorted(range(1, 4), key=lambda v: -s.activity[v])
+    def test_rescale_preserves_argmax_order(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "VSIDS_RESCALE_LIMIT", 10.0)
+        h = vsids_for(3, {1: 2.0, 2: 5.0, 3: 1.0}, bump=8.0)
+        h.on_conflict(None, [3])  # activity[3] = 9 -> no rescale
+        order_before = sorted(range(1, 4), key=lambda v: -h.activity[v])
+        h.on_conflict(None, [3])  # exceeds 10 -> rescale
+        order_after = sorted(range(1, 4), key=lambda v: -h.activity[v])
         assert order_before == order_after
-        assert max(s.activity) <= 10.0
+        assert max(h.activity) <= 10.0
 
     @given(
         st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
@@ -79,9 +83,10 @@ class TestOnConflict:
     def test_activities_stay_finite(self, learned_vars, rounds):
         import math
 
-        s = scores_for(6)
-        s.rescale_threshold = 1e6
-        for _ in range(rounds):
-            vsids_on_conflict(s, learned_vars)
-        assert all(math.isfinite(a) for a in s.activity)
-        assert math.isfinite(s.bump)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heuristics, "VSIDS_RESCALE_LIMIT", 1e6)
+            h = vsids_for(6)
+            for _ in range(rounds):
+                h.on_conflict(None, learned_vars)
+        assert all(math.isfinite(a) for a in h.activity)
+        assert math.isfinite(h.bump)
