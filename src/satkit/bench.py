@@ -158,7 +158,7 @@ def split_dataset(files: Sequence[str], ratio: float = 0.8, seed: int = 0) -> Da
     """Deterministic shuffle of the name-sorted file list, then a prefix
     split with floor(N * ratio) names in train and the rest in test."""
     if not 0 <= ratio < 1:
-        raise ValueError("ratio must be in [0, 1)")
+        raise BenchError(f"split ratio must be in [0, 1), got {ratio}")
     ordered = sorted(files)
     random.Random(seed).shuffle(ordered)
     cut = int(len(ordered) * ratio)
@@ -183,7 +183,7 @@ def run_comparison(
     if not test_set:
         raise BenchError("empty test set")
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise BenchError(f"repetitions must be >= 1, got {repetitions}")
     limits = limits or SolveLimits()
 
     records: list[BenchRecord] = []
@@ -197,7 +197,7 @@ def run_comparison(
                     heuristic = VsidsHeuristic(item.formula.num_vars)
                 else:
                     t0 = time.perf_counter()
-                    heuristic = PolicyHeuristic(policy, item.formula, mode="greedy")
+                    heuristic = PolicyHeuristic(policy, item.formula)
                     elapsed = time.perf_counter() - t0
                     feature_time = elapsed if rep == 0 else min(feature_time, elapsed)
                 solver = Solver(item.formula, heuristic, limits)

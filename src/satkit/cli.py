@@ -22,7 +22,6 @@ from .bench import (
     summarize,
     write_summary_files,
 )
-from .cnf import CnfFormula
 from .dimacs import read_dimacs_file, write_dimacs
 from .errors import SatkitError
 from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_VERSION, extract_features
@@ -136,9 +135,12 @@ def _print_versions() -> None:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SatkitError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _make_translator(spec: str, timeout_s: float):
@@ -204,7 +206,7 @@ def _cmd_solve(args) -> int:
         if not args.policy:
             raise _UsageError("--heuristic rl requires --policy FILE")
         policy = load_policy_file(args.policy)
-        heuristic = PolicyHeuristic(policy, formula, mode="greedy")
+        heuristic = PolicyHeuristic(policy, formula)
     result = Solver(formula, heuristic, _make_limits(args)).run()
     s = result.stats
     print(
@@ -236,22 +238,15 @@ def _cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _load_training_set(args) -> list[CnfFormula]:
-    instances = load_dataset(args.dataset, strict=args.strict)
+def _load_instances(args, expect_shape=None):
+    instances = load_dataset(args.dataset, strict=args.strict, expect_shape=expect_shape)
     if not instances:
         raise SatkitError(f"no usable instances in {args.dataset}")
-    shape = (instances[0].formula.num_vars, instances[0].formula.num_clauses)
-    for inst in instances:
-        if (inst.formula.num_vars, inst.formula.num_clauses) != shape:
-            raise SatkitError(
-                f"{inst.name}: shape {(inst.formula.num_vars, inst.formula.num_clauses)} "
-                f"differs from {shape}; training needs a fixed shape"
-            )
-    return [inst.formula for inst in instances]
+    return instances
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_training_set(args)
+    dataset = [inst.formula for inst in _load_instances(args)]
     shape = (dataset[0].num_vars, dataset[0].num_clauses)
     config = PpoConfig(
         learning_rate=args.lr,
@@ -287,10 +282,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    expect = (20, 91) if args.uf_check else None
-    instances = load_dataset(args.dataset, strict=args.strict, expect_shape=expect)
-    if not instances:
-        raise SatkitError(f"no usable instances in {args.dataset}")
+    instances = _load_instances(args, (20, 91) if args.uf_check else None)
     split = split_dataset([inst.name for inst in instances], args.split_ratio, args.split_seed)
     test_names = set(split.test)
     test_set = [inst for inst in instances if inst.name in test_names]

@@ -79,7 +79,7 @@ class StubTranslator:
                 continue
             parts = line.split("\t")
             if len(parts) < 2:
-                raise ValueError(f"fixture line {lineno} needs 'sentence<TAB>expression'")
+                raise TranslatorError(f"fixture line {lineno} needs 'sentence<TAB>expression'")
             sentence, expression = parts[0].strip(), parts[1].strip()
             glossary = {}
             if len(parts) > 2 and parts[2].strip():
@@ -94,8 +94,12 @@ class StubTranslator:
 
     @classmethod
     def from_fixture_file(cls, path) -> "StubTranslator":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_fixture_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TranslatorError(f"fixture {path}: not UTF-8 text ({exc.reason})") from None
+        return cls.from_fixture_text(text)
 
     def translate(self, sentence: str) -> TranslationResponse:
         key = sentence.strip()

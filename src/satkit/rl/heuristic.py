@@ -1,4 +1,4 @@
-"""Solver heuristic backed by a policy, with optional episode recording.
+"""Solver heuristic backed by a policy: greedy, or sampled and recorded.
 
 On each decision the heuristic builds the observation's dynamic block
 (variable assignments and clause status, n + m entries) from the live
@@ -15,14 +15,15 @@ which it syncs from ``solver.trail`` before each read: ``decide`` reads
 the clause block, ``on_step`` the reward. The solver keeps no clause
 counts of its own, so no other heuristic pays for them.
 
-A greedy, unrecorded decision is the lean path: no full observation,
-no log-probability, no critic and no rng. When recording, one
-Transition is stored per decision, with the full observation, the
-log-probability and the critic's value (the critic is folded and
-evaluated only then). Its reward is filled in after the propagation
-(and any conflict resolution) that the decision triggered. Marking the
-final transition done is left to ``run_episode``, which alone knows
-where an episode ends, verdict or decision limit.
+Built without an rng, the heuristic is greedy and records nothing: no
+full observation, no softmax, no critic. Built with one, it samples
+each decision from the masked softmax and records one Transition per
+decision, with the full observation, the log-probability and the
+critic's value (the critic is folded and evaluated only then). Its
+reward is filled in after the propagation (and any conflict
+resolution) that the decision triggered. Marking the final transition
+done is left to ``run_episode``, which alone knows where an episode
+ends, verdict or decision limit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..features import extract_features
-from ..solver.engine import Heuristic, Solver, Verdict
+from ..solver.engine import Heuristic, Solver
 from .observation import ClauseStatus, ShapeMismatchError, signed_adjacency
 from .policy import Policy, action_to_decision, legal_action_mask
 from .ppo import Transition
@@ -44,9 +45,7 @@ class PolicyHeuristic(Heuristic):
         self,
         policy: Policy,
         formula: CnfFormula,
-        mode: str = "greedy",
         rng: Optional[np.random.Generator] = None,
-        record: bool = False,
     ):
         shape = (formula.num_vars, formula.num_clauses)
         if shape != policy.shape:
@@ -55,11 +54,7 @@ class PolicyHeuristic(Heuristic):
             )
         self.policy = policy
         self.formula = formula
-        self.mode = mode
-        if rng is None and mode == "sample":
-            rng = np.random.default_rng(policy.seed)
         self.rng = rng
-        self.record = record
         self.transitions: list[Transition] = []
         self.clause_status = ClauseStatus(formula)
         # The observation's static tail, in build_observation's order.
@@ -67,7 +62,7 @@ class PolicyHeuristic(Heuristic):
             [signed_adjacency(formula).reshape(-1), extract_features(formula).values]
         )
         self._actor_fold = policy.fold(policy.actor, self._static)
-        self._critic_fold = policy.fold(policy.critic, self._static) if record else None
+        self._critic_fold = policy.fold(policy.critic, self._static) if rng is not None else None
         self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:
@@ -80,10 +75,8 @@ class PolicyHeuristic(Heuristic):
         self.clause_status.sync(solver.trail)
         dynamic = np.array(solver.values + self.clause_status.status, dtype=np.float64)
         mask = legal_action_mask(solver.values)
-        action, log_prob = self.policy.act(
-            dynamic, mask, self.mode, self.rng, self._actor_fold, with_log_prob=self.record
-        )
-        if self.record:
+        action, log_prob = self.policy.act(dynamic, mask, self._actor_fold, self.rng)
+        if self.rng is not None:
             self.transitions.append(
                 Transition(
                     observation=np.concatenate([dynamic, self._static]),
@@ -97,8 +90,8 @@ class PolicyHeuristic(Heuristic):
             )
         return action_to_decision(action)
 
-    def on_step(self, solver: Solver, verdict: Optional[Verdict]) -> None:
-        if not self.record or not self.transitions:
+    def on_step(self, solver: Solver) -> None:
+        if not self.transitions:
             return
         self.clause_status.sync(solver.trail)
         score = self.clause_status.reward()

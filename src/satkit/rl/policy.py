@@ -5,6 +5,13 @@ variable j+1 True, action 2j+1 assigns it False. Actions on assigned
 variables are masked to probability zero before sampling. The policy
 is bound to one formula shape (n, m), which is recorded, along with
 hyperparameters, seed and weights, in the checkpoint format.
+
+Inference reads an observation in two parts: its dynamic block, the
+n + m entries that change between decisions, and a network's ``fold``
+of the static rest, computed once per formula. ``act`` without an rng
+is greedy; with one it samples and returns the log-probability.
+Training's forward pass over whole observations is
+``ppo.ppo_loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -57,9 +64,11 @@ class PpoConfig:
     episode_max_decisions: int = 500
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "minibatch_size", "episode_max_decisions"):
+        for name in ("epochs", "minibatch_size", "rollout_window", "episode_max_decisions"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.reward_mode not in REWARD_MODES:
             raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
 
@@ -114,62 +123,38 @@ class Policy:
         """
         return net.fold(self.preprocess(static))
 
-    def _inputs(
-        self, obs: np.ndarray, net: Mlp, folded: Optional[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Preprocessed dynamic block and ``net``'s fold. A full
-        observation (``folded`` None) is split and folded here."""
-        if folded is None:
-            obs, folded = obs[: self.dynamic_dim], self.fold(net, obs[self.dynamic_dim :])
-        return self.preprocess(obs), folded
-
-    def value(self, obs: np.ndarray, folded: Optional[np.ndarray] = None) -> float:
-        """Critic estimate for a full observation, or for its dynamic
-        block given the critic's ``fold``."""
-        x, folded = self._inputs(obs, self.critic, folded)
-        return float(self.critic(x, folded)[0])
+    def value(self, dynamic: np.ndarray, fold: np.ndarray) -> float:
+        """Critic estimate from an observation's dynamic block and the
+        critic's ``fold`` of its static block."""
+        return float(self.critic(self.preprocess(dynamic), fold)[0])
 
     def act(
         self,
-        obs: np.ndarray,
+        dynamic: np.ndarray,
         mask: np.ndarray,
-        mode: str = "greedy",
+        fold: np.ndarray,
         rng: Optional[np.random.Generator] = None,
-        folded: Optional[np.ndarray] = None,
-        with_log_prob: bool = True,
     ) -> tuple[int, Optional[float]]:
-        """Pick an action under the mask.
+        """Pick an action under the mask from an observation's dynamic
+        block (assignments and clause evaluations) and the actor's
+        ``fold`` of its static block.
 
-        ``obs`` is a full observation, or its dynamic block (assignments
-        and clause evaluations) when ``folded`` is the actor's ``fold`` of
-        the static block. Returns (action, log_probability). Greedy mode
-        takes the masked argmax with ties to the lowest action index;
-        sample mode draws from the masked softmax using ``rng``. Greedy
-        mode without ``with_log_prob`` skips the softmax and returns None
-        for the log-probability.
+        Without ``rng``: the masked argmax, ties to the lowest action
+        index, and None for the log-probability (no softmax is taken).
+        With ``rng``: a draw from the masked softmax and its
+        log-probability.
         """
         if not mask.any():
             raise AllMaskedError("no legal action remains")
-        x, folded = self._inputs(obs, self.actor, folded)
-        logits = self.actor(x, folded)
-        if mode == "greedy":
-            action = int(np.argmax(np.where(mask, logits, -np.inf)))
-            if not with_log_prob:
-                return action, None
-            logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
-        elif mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
-            probs = np.exp(logp)
-            cumulative = np.cumsum(probs)
-            draw = rng.random()
-            action = int(np.searchsorted(cumulative, draw, side="right"))
-            action = min(action, self.num_actions - 1)
-            while not mask[action]:
-                action -= 1  # float tail landed on a masked slot
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        logits = self.actor(self.preprocess(dynamic), fold)
+        if rng is None:
+            return int(np.argmax(np.where(mask, logits, -np.inf))), None
+        logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
+        cumulative = np.cumsum(np.exp(logp))
+        action = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        action = min(action, self.num_actions - 1)
+        while not mask[action]:
+            action -= 1  # float tail landed on a masked slot
         return action, float(logp[action])
 
 

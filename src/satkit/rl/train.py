@@ -39,10 +39,10 @@ class TrainWindowLog:
 def run_episode(
     formula: CnfFormula,
     policy: Policy,
+    rng: np.random.Generator,
     limits: Optional[SolveLimits] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> tuple[list[Transition], SolveResult]:
-    """One solver run with the policy sampling every decision.
+    """One solver run with the policy sampling every decision from ``rng``.
 
     Returns the recorded trajectory, one transition per decision, with
     the final transition marked done; instances solved purely by unit
@@ -50,7 +50,7 @@ def run_episode(
     """
     if limits is None:
         limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
-    heuristic = PolicyHeuristic(policy, formula, mode="sample", rng=rng, record=True)
+    heuristic = PolicyHeuristic(policy, formula, rng)
     result = Solver(formula, heuristic, limits).run()
     transitions = heuristic.transitions
     if transitions:
@@ -71,18 +71,18 @@ def train(
     ``checkpoint_every``-th window and after the last window, at most
     once per window: with ``checkpoint_every=1`` a run of k windows
     calls it with indices 1, ..., k. A run of no steps has no window
-    and never calls it.
+    and never calls it, but its dataset is checked all the same.
     """
-    if steps <= 0:
-        return policy, []
     if not dataset:
         raise TrainingDataError("empty training dataset")
-    for f in dataset:
+    for i, f in enumerate(dataset):
         if (f.num_vars, f.num_clauses) != policy.shape:
             raise TrainingDataError(
-                f"dataset instance shape {(f.num_vars, f.num_clauses)} "
-                f"does not match policy shape {policy.shape}"
+                f"dataset instance {i} has shape {(f.num_vars, f.num_clauses)}, "
+                f"the policy {policy.shape}; training needs a fixed shape"
             )
+    if steps <= 0:
+        return policy, []
 
     order_rng = np.random.default_rng([policy.seed, 1])
     episode_rng = np.random.default_rng([policy.seed, 2])
@@ -125,7 +125,7 @@ def train(
             yielded_any = False
         formula = dataset[order[cursor]]
         cursor += 1
-        trajectory, _ = run_episode(formula, policy, limits, episode_rng)
+        trajectory, _ = run_episode(formula, policy, episode_rng, limits)
         if not trajectory:
             continue
         yielded_any = True

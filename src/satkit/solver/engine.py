@@ -92,7 +92,7 @@ class Heuristic:
     def on_conflict(self, solver: "Solver", learned: list[int]) -> None:
         pass
 
-    def on_step(self, solver: "Solver", verdict: Optional[Verdict]) -> None:
+    def on_step(self, solver: "Solver") -> None:
         pass
 
 
@@ -426,7 +426,7 @@ class Solver:
 
             if verdict is None and self.original_clauses_satisfied():
                 verdict = Verdict.SAT
-            self.heuristic.on_step(self, verdict)
+            self.heuristic.on_step(self)
             if verdict is not None:
                 return self._finish(verdict, started)
 

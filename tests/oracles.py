@@ -91,6 +91,17 @@ def expr_equivalent_to_formula(
     return bool(np.array_equal(lhs, rhs))
 
 
+def full_logits(policy, obs: np.ndarray) -> np.ndarray:
+    """Actor logits for a whole observation, through the whole first
+    layer: the reference the folded inference path must match."""
+    return policy.actor(policy.preprocess(obs)[None, :])[0]
+
+
+def full_value(policy, obs: np.ndarray) -> float:
+    """Critic value for a whole observation, unfolded."""
+    return float(policy.critic(policy.preprocess(obs)[None, :])[0, 0])
+
+
 def run_bandit(
     updates: int = 200,
     lr: float = 0.01,
@@ -121,15 +132,19 @@ def run_bandit(
     obs[0] = 1.0
     mask = np.ones(2, dtype=bool)
 
+    dynamic, static = obs[: policy.dynamic_dim], obs[policy.dynamic_dim :]
+
     prob_best = 0.0
     for u in range(1, updates + 1):
+        actor_fold = policy.fold(policy.actor, static)
+        value = policy.value(dynamic, policy.fold(policy.critic, static))
         batch = []
         for _ in range(batch_size):
-            action, logp = policy.act(obs, mask, "sample", rng)
+            action, logp = policy.act(dynamic, mask, actor_fold, rng)
             reward = 1.0 if action == 0 else 0.0
-            batch.append(Transition(obs.copy(), action, logp, reward, policy.value(obs), True, mask.copy()))
+            batch.append(Transition(obs.copy(), action, logp, reward, value, True, mask.copy()))
         optimizer.update(batch)
-        logits = policy.actor(policy.preprocess(obs)[None, :])[0]
+        logits = full_logits(policy, obs)
         prob_best = float(np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])[0])
         if prob_best > target:
             return u, prob_best

@@ -31,6 +31,8 @@ from oracles import (
     brute_force_satisfiable,
     expr_equivalent_to_formula,
     finite_difference_check,
+    full_logits,
+    full_value,
     random_expression,
     run_bandit,
 )
@@ -118,9 +120,7 @@ def run_criterion_2() -> str:
         key = (n, m)
         if key not in policy_cache:
             policy_cache[key] = Policy(n, m, config, seed=0)
-        heuristic = PolicyHeuristic(
-            policy_cache[key], formula, mode="sample", rng=np.random.default_rng(i)
-        )
+        heuristic = PolicyHeuristic(policy_cache[key], formula, np.random.default_rng(i))
         rl_result = Solver(formula, heuristic).run()
         assert rl_result.verdict == expected, f"rl wrong on instance {i}"
         if rl_result.verdict == Verdict.SAT:
@@ -162,7 +162,7 @@ def run_criterion_3() -> str:
         assert vsids_result.verdict == Verdict.SAT, f"vsids instance {i}: {vsids_result.verdict}"
         assert _model_satisfies(formula, vsids_result.model)
 
-        heuristic = PolicyHeuristic(policy, formula, mode="greedy")
+        heuristic = PolicyHeuristic(policy, formula)
         rl_result = Solver(formula, heuristic, limits).run()
         assert rl_result.verdict == Verdict.SAT, f"rl instance {i}: {rl_result.verdict}"
         assert _model_satisfies(formula, rl_result.model)
@@ -185,7 +185,7 @@ def run_criterion_4() -> str:
     for i in range(5):
         formula = planted_ksat(20, 91, rng)
         trajectory, result = run_episode(
-            formula, policy, SolveLimits(max_decisions=10_000), episode_rng
+            formula, policy, episode_rng, SolveLimits(max_decisions=10_000)
         )
         assert result.verdict == Verdict.SAT
         assert trajectory, "planted instances require at least one decision"
@@ -295,9 +295,9 @@ def test_criterion_6_gradient_correctness():
         from satkit.rl.policy import masked_log_softmax
         from satkit.rl.ppo import Transition
 
-        logits = policy.actor(policy.preprocess(obs)[None, :])
+        logits = full_logits(policy, obs)[None, :]
         logp = float(masked_log_softmax(logits, mask[None, :])[0, 0])
-        batch = [Transition(obs, 0, logp + 0.1, 1.0, policy.value(obs), True, mask)]
+        batch = [Transition(obs, 0, logp + 0.1, 1.0, full_value(policy, obs), True, mask)]
         worst = max(worst, finite_difference_check(policy, batch, tol=1e-4))
     print(f"ACCEPTANCE 6 PASS: worst gradient relative error {worst:.2e} < 1e-4")
 

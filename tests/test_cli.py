@@ -88,6 +88,25 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "http://" in err and "stub:FILE" in err
 
+    @pytest.mark.parametrize(
+        "document,fixture",
+        [
+            (b"The circus has a Ferris wheel.", b"The circus has a Ferris wheel. P\n"),
+            (b"The circus has a Ferris wheel.", b"The circus \xff\tP\n"),
+            (b"The circus \xff", None),
+        ],
+        ids=["fixture-line-without-tab", "non-utf8-fixture", "non-utf8-input"],
+    )
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, document, fixture):
+        src = tmp_path / "doc.txt"
+        src.write_bytes(document)
+        table = tmp_path / "table.tsv"
+        table.write_bytes(fixture if fixture is not None else FIXTURE_PATH.read_bytes())
+        code = main(["convert", str(src), "--mode", "english", "--translator", f"stub:{table}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_expression_exits_2_with_line(self, tmp_path, capsys):
         src = tmp_path / "exprs.txt"
         src.write_text("P\nOr(P)\n", encoding="utf-8")
@@ -252,8 +271,14 @@ class TestTrainAndBench:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--episode-cap", "0"], ["--minibatch", "0"], ["--epochs", "0"]],
-        ids=["episode-cap", "minibatch", "epochs"],
+        [
+            ["--episode-cap", "0"],
+            ["--minibatch", "0"],
+            ["--epochs", "0"],
+            ["--window", "0"],
+            ["--hidden", "8", "0"],
+        ],
+        ids=["episode-cap", "minibatch", "epochs", "window", "hidden"],
     )
     def test_out_of_range_training_flag_exits_2(self, tmp_path, capsys, flags):
         data_dir = tmp_path / "data"
@@ -262,6 +287,19 @@ class TestTrainAndBench:
         assert main(args + ["--out", str(tmp_path / "p.bin")] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", ["0", "20"])
+    def test_mixed_shape_dataset_exits_2(self, tmp_path, capsys, steps):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        write_dimacs_file(planted_ksat(9, 24, random.Random(0)), data_dir / "z.cnf")
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", steps, "--hidden", "8"]
+        assert main(args + ["--out", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "instance 2" in err and "(9, 24)" in err
+        assert not policy_path.exists()
 
     def test_dataset_without_decisions_exits_2(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -276,6 +314,19 @@ class TestTrainAndBench:
     def test_bench_parallel_flag_is_usage_error(self, tmp_path, small_policy_file):
         args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]
         assert main(args + ["--out", str(tmp_path / "r.csv"), "--parallel", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--reps", "0"], ["--split-ratio", "1"], ["--split-ratio", "-0.5"]],
+        ids=["reps", "split-ratio-one", "split-ratio-negative"],
+    )
+    def test_out_of_range_bench_flag_exits_2(self, tmp_path, capsys, small_policy_file, flags):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=20, num_clauses=91, seed=6)
+        args = ["bench", "--dataset", str(data_dir), "--policy", str(small_policy_file)]
+        assert main(args + ["--out", str(tmp_path / "r.csv")] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bench_shape_mismatch_exits_2(self, tmp_path, small_policy_file):
         data_dir = tmp_path / "data"

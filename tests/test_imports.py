@@ -1,5 +1,6 @@
 """Every module under src/satkit uses each name it imports, or lists it
-in ``__all__`` as a re-export; every name a script imports from satkit
+in ``__all__`` as a re-export; every name that a script under
+``scripts/`` or the benchmark under ``perfbench/`` imports from satkit
 exists."""
 
 import ast
@@ -88,7 +89,9 @@ def missing_satkit_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+    "path",
+    sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
 )
 def test_script_imports_only_names_satkit_defines(path):
     assert missing_satkit_imports(path.read_text(encoding="utf-8")) == []

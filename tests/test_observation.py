@@ -156,7 +156,8 @@ def test_clause_status_follows_any_sequence_of_trails(formula, seeds):
 class CheckedHeuristic(PolicyHeuristic):
     """A policy heuristic that checks, at every decision and step, its
     clause-status tracker against the from-scratch evaluation; when
-    recording, also the transition's observation and reward."""
+    sampling and recording, also the transition's observation and
+    reward."""
 
     checks = 0
 
@@ -165,16 +166,16 @@ class CheckedHeuristic(PolicyHeuristic):
         expected = clause_evaluations(self.formula, solver.values)
         assert self.clause_status.status == expected.tolist()
         assert self.clause_status.reward() == compute_reward(expected)
-        if self.record:
+        if self.rng is not None:
             full = build_observation(self.formula, solver.values, extract_features(self.formula))
             assert self.transitions[-1].observation.tobytes() == full.tobytes()
         self.checks += 1
         return decision
 
-    def on_step(self, solver, verdict):
-        super().on_step(solver, verdict)
+    def on_step(self, solver):
+        super().on_step(solver)
         expected = clause_evaluations(self.formula, solver.values)
-        if self.record:
+        if self.rng is not None:
             assert self.transitions[-1].reward == float(compute_reward(expected))
         else:
             self.clause_status.sync(solver.trail)  # only recording syncs here
@@ -188,35 +189,36 @@ SOLVER_FLAGS = [
     for restarts in (False, True)
     for deletion in (False, True)
 ]
-MODES = [("greedy", False), ("sample", True)]
+# Greedy unrecorded runs, and sampled recorded ones.
+RECORD = dict(argnames="record", argvalues=[False, True], ids=["greedy-False", "sample-True"])
 
 
-def checked_solve(formula, flags, mode, record, seed=0):
+def checked_solve(formula, flags, record, seed=0):
     policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
-    heuristic = CheckedHeuristic(policy, formula, mode, np.random.default_rng(seed), record)
+    heuristic = CheckedHeuristic(policy, formula, np.random.default_rng(seed) if record else None)
     solver = Solver(formula, heuristic, SolveLimits(max_decisions=2000), **flags)
     result = solver.run()
     return heuristic, result, solver.num_live_learned
 
 
 @pytest.mark.parametrize("flags", SOLVER_FLAGS)
-@pytest.mark.parametrize("mode,record", MODES)
+@pytest.mark.parametrize(**RECORD)
 @settings(max_examples=50, deadline=None)
 @given(formula=formulas_with_repeats(max_vars=12), seed=st.integers(0, 1000))
-def test_clause_status_equals_the_reference_at_every_step(flags, mode, record, formula, seed):
-    heuristic, result, _ = checked_solve(formula, flags, mode, record, seed)
+def test_clause_status_equals_the_reference_at_every_step(flags, record, formula, seed):
+    heuristic, result, _ = checked_solve(formula, flags, record, seed)
     assert heuristic.checks == 2 * result.stats.decisions
 
 
 @pytest.mark.parametrize("flags", SOLVER_FLAGS)
-@pytest.mark.parametrize("mode,record", MODES)
-def test_the_checked_runs_restart_delete_and_backjump(flags, mode, record):
+@pytest.mark.parametrize(**RECORD)
+def test_the_checked_runs_restart_delete_and_backjump(flags, record):
     """On these 3-SAT instances the flags take effect, so the tracker is
     checked across backjumps, restarts and learned-clause deletions."""
     restarts = deletions = conflicts = 0
     for k in range(4):
         formula = random_ksat(16, 72, random.Random(k))
-        heuristic, result, live_learned = checked_solve(formula, flags, mode, record, k)
+        heuristic, result, live_learned = checked_solve(formula, flags, record, k)
         assert heuristic.checks == 2 * result.stats.decisions
         conflicts += result.stats.conflicts
         restarts += result.stats.restarts

@@ -25,6 +25,8 @@ from satkit.rl.policy import (
 )
 from satkit.solver.engine import Heuristic, Solver, Verdict
 
+from oracles import full_logits, full_value
+
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
 
@@ -45,6 +47,12 @@ def edit_header(blob, edit):
 
 def random_obs(policy, rng):
     return rng.standard_normal(policy.obs_dim)
+
+
+def act(policy, obs, mask, rng=None):
+    """``policy.act`` on a whole observation, split and folded."""
+    d = policy.dynamic_dim
+    return policy.act(obs[:d], mask, policy.fold(policy.actor, obs[d:]), rng)
 
 
 class TestActionMapping:
@@ -80,7 +88,7 @@ class TestDecide:
         for _ in range(5):
             obs = random_obs(policy, rng)
             mask = legal_action_mask(a)
-            action, logp = policy.act(obs, mask, "sample", rng)
+            action, logp = act(policy, obs, mask, rng)
             assert action in (4, 5)  # both polarities of x3
             assert math.isfinite(logp)
 
@@ -89,27 +97,29 @@ class TestDecide:
         for w in policy.actor.parameters():
             w[...] = 0.0
         obs = np.zeros(policy.obs_dim)
-        action, _ = policy.act(obs, legal_action_mask([0] * 4), "greedy")
-        assert action == 0
+        action, logp = act(policy, obs, legal_action_mask([0] * 4))
+        assert action == 0 and logp is None
         assert action_to_decision(action) == 1
 
     def test_all_masked_raises(self):
         policy = make_policy()
         with pytest.raises(AllMaskedError):
-            policy.act(np.zeros(policy.obs_dim), legal_action_mask([-1] * 4), "greedy")
+            act(policy, np.zeros(policy.obs_dim), legal_action_mask([-1] * 4))
 
     def test_sampled_frequencies_match_masked_softmax(self):
         policy = make_policy(n=3, m=4)
         rng = np.random.default_rng(7)
         obs = random_obs(policy, rng)
         mask = legal_action_mask([0, -1, 0])
-        logits = policy.actor(policy.preprocess(obs)[None, :])[0]
+        logits = full_logits(policy, obs)
         exact = np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])
+        d = policy.dynamic_dim
+        fold = policy.fold(policy.actor, obs[d:])
 
         draws = 10_000
         counts = np.zeros(policy.num_actions)
         for _ in range(draws):
-            action, _ = policy.act(obs, mask, "sample", rng)
+            action, _ = policy.act(obs[:d], mask, fold, rng)
             counts[action] += 1
         freq = counts / draws
         for k in range(policy.num_actions):
@@ -120,8 +130,8 @@ class TestDecide:
         policy = make_policy()
         obs = np.linspace(-1, 1, policy.obs_dim)
         mask = legal_action_mask([0] * 4)
-        a1 = [policy.act(obs, mask, "sample", np.random.default_rng(5))[0] for _ in range(10)]
-        a2 = [policy.act(obs, mask, "sample", np.random.default_rng(5))[0] for _ in range(10)]
+        a1 = [act(policy, obs, mask, np.random.default_rng(5))[0] for _ in range(10)]
+        a2 = [act(policy, obs, mask, np.random.default_rng(5))[0] for _ in range(10)]
         assert a1 == a2
 
 
@@ -135,7 +145,7 @@ class TestSaveLoad:
         mask = legal_action_mask([0] * 5)
         for _ in range(100):
             obs = random_obs(policy, rng)
-            assert policy.act(obs, mask, "greedy")[0] == restored.act(obs, mask, "greedy")[0]
+            assert act(policy, obs, mask)[0] == act(restored, obs, mask)[0]
 
     def test_round_trip_bytes_are_stable(self):
         policy = make_policy(seed=11)
@@ -207,14 +217,6 @@ def assert_close(actual, expected, rel=1e-12):
     assert float(np.abs(actual - expected).max()) <= rel * scale
 
 
-def full_logits(policy, obs):
-    return policy.actor(policy.preprocess(obs)[None, :])[0]
-
-
-def full_value(policy, obs):
-    return float(policy.critic(policy.preprocess(obs)[None, :])[0, 0])
-
-
 def random_partial_assignment(num_vars, rng):
     return [
         (1 if rng.random() < 0.5 else -1) if rng.random() < 0.4 else 0
@@ -260,10 +262,8 @@ class TestFoldedInference:
                 value = full_value(policy, obs)
                 assert_close(policy.actor(policy.preprocess(obs[:d]), actor_fold), logits)
                 assert_close(policy.value(obs[:d], critic_fold), value)
-                assert_close(policy.value(obs), value)
                 greedy = int(np.argmax(np.where(mask, logits, -np.inf)))
-                assert policy.act(obs[:d], mask, "greedy", folded=actor_fold)[0] == greedy
-                assert policy.act(obs, mask, "greedy")[0] == greedy
+                assert policy.act(obs[:d], mask, actor_fold) == (greedy, None)
 
     def test_greedy_runs_match_the_unfolded_network(self):
         policy = Policy(20, 91, seed=0)
@@ -293,11 +293,10 @@ class TestPolicyHeuristic:
 
             monkeypatch.setattr(policy.critic, name, counted)
         formula = planted_ksat(20, 91, random.Random(5))
-        result = Solver(formula, PolicyHeuristic(policy, formula, mode="greedy")).run()
+        result = Solver(formula, PolicyHeuristic(policy, formula)).run()
         assert result.verdict == Verdict.SAT and result.stats.decisions > 0
         assert calls == []
-        rng = np.random.default_rng(0)
-        Solver(formula, PolicyHeuristic(policy, formula, "sample", rng, record=True)).run()
+        Solver(formula, PolicyHeuristic(policy, formula, np.random.default_rng(0))).run()
         assert calls  # the counter sees the critic when it does run
 
     def test_recorded_values_and_log_probs_match_the_full_network(self):
@@ -306,14 +305,13 @@ class TestPolicyHeuristic:
         recorded = 0
         for k in range(5):
             formula = planted_ksat(20, 91, random.Random(k))
-            heuristic = PolicyHeuristic(policy, formula, "sample", rng, record=True)
+            heuristic = PolicyHeuristic(policy, formula, rng)
             Solver(formula, heuristic).run()
             for t in heuristic.transitions:
                 logp = masked_log_softmax(
                     full_logits(policy, t.observation)[None, :], t.mask[None, :]
                 )[0, t.action]
                 assert_close(t.log_prob, logp)
-                assert_close(t.value, policy.value(t.observation))
                 assert_close(t.value, full_value(policy, t.observation))
                 recorded += 1
         assert recorded > 0
@@ -323,6 +321,7 @@ class TestPolicyHeuristic:
 
         policy = Policy(20, 91, SMALL, seed=0)
         formula = planted_ksat(20, 91, random.Random(6))
+        rng = np.random.default_rng(0)
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -337,27 +336,24 @@ class TestPolicyHeuristic:
             monkeypatch.setattr(policy.critic, name, forbidden(f"critic.{name}"))
         result = Solver(formula, PolicyHeuristic(policy, formula)).run()
         assert result.verdict == Verdict.SAT and result.stats.decisions > 0
-        # The probes bite: a recorded run needs the critic and the softmax.
+        # The probes bite: a sampled, recorded run needs the critic and the softmax.
         with pytest.raises(AssertionError, match="called"):
-            Solver(formula, PolicyHeuristic(policy, formula, record=True)).run()
+            Solver(formula, PolicyHeuristic(policy, formula, rng)).run()
 
-    @pytest.mark.parametrize("mode", ["greedy", "sample"])
-    def test_recorded_log_prob_is_the_masked_log_softmax_entry(self, mode):
+    def test_recorded_log_prob_is_the_masked_log_softmax_entry(self):
         policy = Policy(20, 91, SMALL, seed=1)
         d = policy.dynamic_dim
         rng = np.random.default_rng(8)
         recorded = 0
         for k in range(4):
             formula = planted_ksat(20, 91, random.Random(20 + k))
-            heuristic = PolicyHeuristic(policy, formula, mode, rng, record=True)
+            heuristic = PolicyHeuristic(policy, formula, rng)
             Solver(formula, heuristic).run()
             for t in heuristic.transitions:
                 obs = t.observation
                 logits = policy.actor(policy.preprocess(obs[:d]), policy.fold(policy.actor, obs[d:]))
                 logp = masked_log_softmax(logits[None, :], t.mask[None, :])[0]
                 assert t.log_prob == float(logp[t.action])
-                if mode == "greedy":
-                    assert t.action == int(np.argmax(np.where(t.mask, logits, -np.inf)))
                 recorded += 1
         assert recorded > 0
 

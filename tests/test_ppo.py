@@ -12,7 +12,7 @@ from satkit.rl.ppo import (
     ppo_loss_and_grads,
 )
 
-from oracles import run_bandit
+from oracles import full_logits, full_value, run_bandit
 
 TINY = PpoConfig(hidden_sizes=(2,), minibatch_size=4, epochs=1)
 
@@ -22,9 +22,9 @@ def make_transition(policy, rng, action=0, logp_offset=0.0, reward=1.0, done=Tru
 
     obs = rng.standard_normal(policy.obs_dim)
     mask = np.ones(policy.num_actions, dtype=bool)
-    logits = policy.actor(policy.preprocess(obs)[None, :])
+    logits = full_logits(policy, obs)[None, :]
     logp = float(masked_log_softmax(logits, mask[None, :])[0, action])
-    value = policy.value(obs)
+    value = full_value(policy, obs)
     return Transition(obs, action, logp + logp_offset, reward, value, done, mask)
 
 

@@ -217,7 +217,7 @@ class TestSolve:
         rng = random.Random(23)
 
         class Checking(VsidsHeuristic):
-            def on_step(self, solver, verdict):
+            def on_step(self, solver):
                 solver.check_trail_invariants()
                 solver.check_watch_invariants()
 
@@ -470,10 +470,10 @@ class InvariantChecking(Heuristic):
         assert len(set(variables)) == len(variables), "learned clause repeats a variable"
         self.inner.on_conflict(solver, learned)
 
-    def on_step(self, solver, verdict):
+    def on_step(self, solver):
         solver.check_trail_invariants()
         solver.check_watch_invariants()
-        self.inner.on_step(solver, verdict)
+        self.inner.on_step(solver)
 
 
 class TestGoldenRuns:

@@ -49,7 +49,7 @@ class TestRunEpisode:
     def test_unit_propagation_only_instance_has_empty_trajectory(self):
         f = CnfFormula.from_codes(3, [[1], [-1, 2], [-2, 3]])
         policy = Policy(3, 3, FAST, seed=0)
-        trajectory, result = run_episode(f, policy)
+        trajectory, result = run_episode(f, policy, np.random.default_rng(0))
         assert trajectory == []
         assert result.verdict == Verdict.SAT
 
@@ -87,9 +87,10 @@ class TestTrain:
 
     def test_shape_mismatch_rejected(self):
         policy = Policy(8, 24, FAST, seed=7)
-        bad = [planted_ksat(9, 24, random.Random(0))]
-        with pytest.raises(ValueError):
-            train(bad, policy, steps=10)
+        bad = small_dataset(count=2) + [planted_ksat(9, 24, random.Random(0))]
+        for steps in (10, 0):  # a run of no steps checks its dataset too
+            with pytest.raises(ValueError, match="instance 2"):
+                train(bad, policy, steps=steps)
 
     def test_training_is_bit_deterministic(self):
         def run():
