@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one behaviour digest per stored benchmark pool.
+"""Print one behaviour digest per stored benchmark pool, and one of training.
 
 Every instance of ``perfbench/race_pool.json`` (800 planted uf20-91)
 and ``perfbench/uniform_pool.json`` (400 uniform n=75 m=320) is
@@ -9,8 +9,14 @@ vector and signed adjacency bytes, and for each heuristic the verdict,
 decisions, conflicts, propagations, learned clauses and model. The
 race pool is solved by the greedy untrained ``Policy(20, 91, seed=0)``
 and by VSIDS; the uniform pool, whose shape that policy does not fit,
-by VSIDS only. A change that must keep behaviour identical prints the
-same lines before and after:
+by VSIDS only.
+
+The third line digests ``train`` on the train-uf20 benchmark inputs
+(64 planted uf20-91 from ``random.Random(f"train-{seed}")``,
+``PpoConfig(rollout_window=150)``, 750 steps) at seeds 1 and 2: every
+``TrainWindowLog``, update metrics included, and the final
+``save_policy`` bytes. A change that must keep behaviour identical
+prints the same three lines before and after:
 
     python3 scripts/fingerprint_pools.py
 """
@@ -24,10 +30,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import pool  # noqa: E402
+from workloads import TrainUf20  # noqa: E402
 
 from satkit.cnf import CnfFormula  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
-from satkit.rl import Policy, PolicyHeuristic  # noqa: E402
+from satkit.rl import Policy, PolicyHeuristic, save_policy, train  # noqa: E402
 from satkit.rl.observation import signed_adjacency  # noqa: E402
 from satkit.solver import Solver, VsidsHeuristic  # noqa: E402
 
@@ -50,11 +57,29 @@ def _digest(num_vars, instances, policy=None) -> str:
     return h.hexdigest()
 
 
+def _train_digest(seeds) -> str:
+    h = hashlib.sha256()
+    workload = TrainUf20()
+    for seed in seeds:
+        inputs = workload.build(seed)
+        policy = Policy(20, 91, inputs.config, seed)
+        _, logs = train(inputs.dataset, policy, workload.window * workload.windows)
+        for log in logs:
+            m = log.metrics
+            fields = (log.window, log.steps, log.mean_reward, log.mean_decisions,
+                      m.policy_loss, m.value_loss, m.entropy, m.clip_fraction)
+            h.update(repr(fields).encode("ascii"))
+        h.update(save_policy(policy))
+    return h.hexdigest()
+
+
 def main() -> int:
     race = (pool.race_instance(i) for i in range(pool.RACE_POOL_SIZE))
     print("race_pool", pool.RACE_POOL_SIZE, _digest(20, race, Policy(20, 91, seed=0)))
     uniform = (pool.pool_instance(i) for i in range(pool.POOL_SIZE))
     print("uniform_pool", pool.POOL_SIZE, _digest(pool.POOL_VARS, uniform))
+    seeds = (1, 2)
+    print("train_uf20", *seeds, _train_digest(seeds))
     return 0
 
 

@@ -165,6 +165,11 @@ def split_dataset(files: Sequence[str], ratio: float = 0.8, seed: int = 0) -> Da
     return DatasetSplit(tuple(ordered[:cut]), tuple(ordered[cut:]), seed)
 
 
+def _counters(result) -> tuple:
+    s = result.stats
+    return (result.verdict, s.decisions, s.conflicts, s.propagations)
+
+
 def run_comparison(
     test_set: Sequence[Instance],
     policy: Policy,
@@ -178,7 +183,9 @@ def run_comparison(
     heuristic: ``repetitions`` identical runs, minimum wall time kept;
     verdicts and counters are asserted identical across repetitions
     (the solver is deterministic). Unknown verdicts are recorded, not
-    raised.
+    raised. A wall-clock timeout does not stop at the same decision
+    twice, so if any repetition times out, the first that did is
+    recorded with its own time and the repetitions are not compared.
     """
     if not test_set:
         raise BenchError("empty test set")
@@ -190,8 +197,7 @@ def run_comparison(
     for item in test_set:
         for name in ("vsids", "rl"):
             feature_time = 0.0
-            times = []
-            reference = None
+            results = []
             for rep in range(repetitions):
                 if name == "vsids":
                     heuristic = VsidsHeuristic(item.formula.num_vars)
@@ -200,28 +206,27 @@ def run_comparison(
                     heuristic = PolicyHeuristic(policy, item.formula)
                     elapsed = time.perf_counter() - t0
                     feature_time = elapsed if rep == 0 else min(feature_time, elapsed)
-                solver = Solver(item.formula, heuristic, limits)
-                result = solver.run()
-                times.append(result.stats.wall_time_s)
-                key = (
-                    result.verdict,
-                    result.stats.decisions,
-                    result.stats.conflicts,
-                    result.stats.propagations,
-                )
-                if reference is None:
-                    reference = (key, result)
-                elif reference[0] != key:
-                    raise BenchError(
-                        f"{item.name}/{name}: nondeterministic repetition {reference[0]} vs {key}"
-                    )
-            _, result = reference
+                results.append(Solver(item.formula, heuristic, limits).run())
+            timed_out = [r for r in results if r.limit == "timeout"]
+            if timed_out:
+                result = timed_out[0]
+                time_s = result.stats.wall_time_s
+            else:
+                result = results[0]
+                key = _counters(result)
+                for other in results[1:]:
+                    if _counters(other) != key:
+                        raise BenchError(
+                            f"{item.name}/{name}: nondeterministic repetition "
+                            f"{key} vs {_counters(other)}"
+                        )
+                time_s = min(r.stats.wall_time_s for r in results)
             records.append(
                 BenchRecord(
                     instance=item.name,
                     heuristic=name,
                     verdict=result.verdict,
-                    time_s=min(times),
+                    time_s=time_s,
                     decisions=result.stats.decisions,
                     conflicts=result.stats.conflicts,
                     propagations=result.stats.propagations,

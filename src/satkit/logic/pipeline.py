@@ -8,9 +8,14 @@ from ..cnf import CnfFormula
 from ..errors import SatkitError
 from .convert import DEFAULT_CLAUSE_CAP, SymbolTable, simplify_cnf, to_cnf
 from .expressions import And, LogicalExpr
-from .parser import parse_expression
+from .parser import ExpressionError, parse_expression
 from .sentences import DEFAULT_ABBREVIATIONS, split_sentences
-from .translate import TranslatorClient, TranslatorError, translate_sentence
+from .translate import (
+    MalformedTranslationError,
+    TranslatorClient,
+    TranslatorError,
+    translate_sentence,
+)
 
 
 class DocumentError(SatkitError):
@@ -38,17 +43,26 @@ def compile_document(
     max_clauses: int = DEFAULT_CLAUSE_CAP,
 ) -> tuple[CnfFormula, SymbolTable]:
     """Split, translate and parse each sentence, conjoin the expressions,
-    convert to CNF and simplify. Per-sentence failures are aggregated
-    into a single DocumentError carrying the sentence indices."""
+    convert to CNF and simplify. Each reply is parsed once; one that
+    does not parse is a MalformedTranslationError carrying the reply.
+    Per-sentence failures are aggregated into a single DocumentError
+    carrying the sentence indices."""
     sentences = split_sentences(text, abbreviations)
     exprs: list[LogicalExpr] = []
     failures: list[tuple[int, str, Exception]] = []
     for i, sentence in enumerate(sentences):
         try:
             response = translate_sentence(client, sentence)
-            exprs.append(parse_expression(response.expression))
         except TranslatorError as exc:
             failures.append((i, sentence, exc))
+            continue
+        try:
+            exprs.append(parse_expression(response.expression))
+        except ExpressionError as exc:
+            error = MalformedTranslationError(
+                f"translated expression does not parse ({exc})", response.expression
+            )
+            failures.append((i, sentence, error))
     if failures:
         raise DocumentError(failures)
     table = SymbolTable()

@@ -4,7 +4,9 @@ Translation itself is delegated to an external service; this module
 fixes the contract. ``StubTranslator`` answers from a fixture table and
 is what every test uses, so the suite never needs the network.
 ``HttpTranslator`` speaks the JSON contract to a live endpoint, with
-the credential taken from an environment variable.
+the credential taken from an environment variable. A reply whose
+expression does not parse is rejected where it is parsed, in
+``pipeline.compile_document``.
 
 Session contract: a client accumulates a glossary (atom -> source
 phrase) across calls, and repeated concepts reuse the same atom name.
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
 from ..errors import SatkitError
-from .parser import ExpressionError, parse_expression
 
 DEFAULT_INSTRUCTION_TEMPLATE = "functional-prefix-v1"
 DEFAULT_API_KEY_ENV = "SATKIT_TRANSLATOR_API_KEY"
@@ -170,13 +171,5 @@ class HttpTranslator:
 
 
 def translate_sentence(client: TranslatorClient, sentence: str) -> TranslationResponse:
-    """Call the client and enforce the contract: the reply must parse
-    under the expression grammar."""
-    response = client.translate(sentence)
-    try:
-        parse_expression(response.expression)
-    except ExpressionError as exc:
-        raise MalformedTranslationError(
-            f"translated expression does not parse ({exc})", response.expression
-        ) from None
-    return response
+    """The client's reply for one sentence, unparsed."""
+    return client.translate(sentence)

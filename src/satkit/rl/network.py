@@ -11,6 +11,11 @@ import math
 
 import numpy as np
 
+HIDDEN_GAIN = math.sqrt(2.0)  # orthogonal-init gain of the tanh hidden layers
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: float) -> np.ndarray:
     """Orthogonal weight matrix scaled by ``gain``, deterministic in rng."""
@@ -38,19 +43,12 @@ class Mlp:
     multiplies only the leading inputs ``head``.
     """
 
-    def __init__(
-        self,
-        sizes: list[int],
-        rng: np.random.Generator,
-        hidden_gain: float = math.sqrt(2.0),
-        out_gain: float = 1.0,
-    ):
-        self.sizes = list(sizes)
+    def __init__(self, sizes: list[int], rng: np.random.Generator, out_gain: float = 1.0):
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         last = len(sizes) - 2
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            gain = out_gain if i == last else hidden_gain
+            gain = out_gain if i == last else HIDDEN_GAIN
             self.weights.append(orthogonal_init(rng, (fan_in, fan_out), gain))
             self.biases.append(np.zeros(fan_out, dtype=np.float64))
 
@@ -100,47 +98,31 @@ class Mlp:
             out.append(b)
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        expected = self.parameters()
-        if len(params) != len(expected):
-            raise ValueError("parameter count mismatch")
-        for i in range(self.num_layers):
-            self.weights[i] = params[2 * i].reshape(self.weights[i].shape).copy()
-            self.biases[i] = params[2 * i + 1].reshape(self.biases[i].shape).copy()
-
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
 
 class Adam:
-    """Adam with per-parameter-array state; lr is mutable."""
+    """Adam over a fixed list of parameter arrays, updated in place.
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    The moments are kept per array and the step count is shared, so one
+    optimizer over two networks' parameter lists updates each array
+    exactly as one optimizer per network would at the same ``lr``.
+    """
+
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
     def state(self) -> dict:
         return {

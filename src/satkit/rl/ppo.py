@@ -9,8 +9,8 @@ The update maximizes
 with r the new/old probability ratio and A the GAE advantage computed
 per episode (done flags cut the recursion). Advantages are not
 normalized, so the surrogate at the collection point equals the mean
-advantage exactly, which the identity tests rely on. Gradients feed
-separate Adam optimizers for actor and critic.
+advantage exactly, which the identity tests rely on. One Adam optimizer
+steps the actor's and the critic's parameters together.
 """
 
 from __future__ import annotations
@@ -92,13 +92,13 @@ def _batch_arrays(batch: Sequence[Transition]):
 
 
 class PpoOptimizer:
-    """Stateful updater: owns the Adam moments and the minibatch rng."""
+    """Stateful updater: owns the parameter list (actor, then critic),
+    its Adam moments and the minibatch rng."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        cfg = policy.config
-        self.actor_opt = Adam(policy.actor.parameters(), cfg.learning_rate)
-        self.critic_opt = Adam(policy.critic.parameters(), cfg.learning_rate)
+        self.params = policy.actor.parameters() + policy.critic.parameters()
+        self.adam = Adam(self.params, policy.config.learning_rate)
         self.rng = np.random.default_rng(policy.seed)
 
     def update(self, batch: Sequence[Transition]) -> UpdateMetrics:
@@ -110,12 +110,8 @@ class PpoOptimizer:
             rewards, values, dones, cfg.discount, cfg.gae_lambda
         )
 
-        snapshot = (
-            self.policy.actor.copy_parameters(),
-            self.policy.critic.copy_parameters(),
-            self.actor_opt.state(),
-            self.critic_opt.state(),
-        )
+        saved_params = [p.copy() for p in self.params]
+        saved_adam = self.adam.state()
         totals = np.zeros(4)
         steps = 0
         n = len(batch)
@@ -135,22 +131,20 @@ class PpoOptimizer:
                     totals += metrics
                     steps += 1
         except NonFiniteLossError:
-            self.policy.actor.set_parameters(snapshot[0])
-            self.policy.critic.set_parameters(snapshot[1])
-            self.actor_opt.restore(snapshot[2])
-            self.critic_opt.restore(snapshot[3])
+            for p, old in zip(self.params, saved_params):
+                p[...] = old
+            self.adam.restore(saved_adam)
             raise
         mean = totals / steps
         return UpdateMetrics(*mean)
 
     def _step(self, obs, actions, old_logp, advantages, returns, masks) -> np.ndarray:
-        metrics, actor_grads, critic_grads = ppo_loss_and_grads(
+        metrics, grads = ppo_loss_and_grads(
             self.policy, obs, actions, old_logp, advantages, returns, masks
         )
         if not np.isfinite(metrics[:3]).all():
             raise NonFiniteLossError("non-finite loss in update step")
-        self.actor_opt.step(self.policy.actor.parameters(), actor_grads)
-        self.critic_opt.step(self.policy.critic.parameters(), critic_grads)
+        self.adam.step(self.params, grads)
         return metrics
 
 
@@ -162,12 +156,14 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     masks: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Losses and analytic gradients for one minibatch, without stepping.
 
     The scalar being descended is
         policy_loss + value_coef * value_loss - entropy_coef * entropy,
-    returned metrics are [policy_loss, value_loss, entropy, clip_fraction].
+    returned metrics are [policy_loss, value_loss, entropy, clip_fraction]
+    and the gradients are in ``PpoOptimizer.params`` order: the actor's
+    parameters, then the critic's.
     """
     cfg = policy.config
     batch_size = len(obs)
@@ -182,8 +178,7 @@ def ppo_loss_and_grads(
 
     ratio = np.exp(logp - old_logp)
     surr1 = ratio * advantages
-    surr2 = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages
-    surrogate = np.minimum(surr1, surr2)
+    surrogate = clipped_surrogate(ratio, advantages, cfg.clip_epsilon)
     entropy = -(probs * safe_logp).sum(axis=1)
 
     value_pred, critic_cache = policy.critic.forward(obs)
@@ -194,8 +189,7 @@ def ppo_loss_and_grads(
     mean_entropy = float(entropy.mean())
 
     # d(-surrogate)/d logp: the clipped branch has zero gradient.
-    active = surr1 <= surr2
-    coef = np.where(active, ratio * advantages, 0.0) / batch_size
+    coef = np.where(surr1 == surrogate, surr1, 0.0) / batch_size
     one_hot = np.zeros_like(logp_all)
     one_hot[rows, actions] = 1.0
     grad_logits = -coef[:, None] * (one_hot - probs)
@@ -204,11 +198,11 @@ def ppo_loss_and_grads(
         cfg.entropy_coef * (-(probs * (safe_logp + entropy[:, None]))) / batch_size
     )
     grad_logits = np.where(masks, grad_logits, 0.0)
-    actor_grads = policy.actor.backward(actor_cache, grad_logits)
+    grads = policy.actor.backward(actor_cache, grad_logits)
 
     grad_value = (cfg.value_coef * 2.0 * value_err / batch_size)[:, None]
-    critic_grads = policy.critic.backward(critic_cache, grad_value)
+    grads += policy.critic.backward(critic_cache, grad_value)
 
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
     metrics = np.array([policy_loss, value_loss, mean_entropy, clip_fraction])
-    return metrics, actor_grads, critic_grads
+    return metrics, grads

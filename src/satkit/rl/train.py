@@ -33,7 +33,7 @@ class TrainWindowLog:
     steps: int  # cumulative transitions collected
     mean_reward: float  # mean per-step reward over the window's transitions
     mean_decisions: float  # mean length of episodes completed in the window
-    metrics: Optional[UpdateMetrics] = None
+    metrics: UpdateMetrics
 
 
 def run_episode(
@@ -92,7 +92,7 @@ def train(
 
     logs: list[TrainWindowLog] = []
     buffer: list[Transition] = []
-    episode_stats: list[tuple[float, int]] = []
+    episode_lengths: list[int] = []
     total = 0
     window_index = 0
     order = list(order_rng.permutation(len(dataset)))
@@ -100,18 +100,18 @@ def train(
     yielded_any = False
 
     def flush() -> None:
-        nonlocal buffer, episode_stats, window_index
+        nonlocal buffer, episode_lengths, window_index
         metrics = optimizer.update(buffer)
         mean_reward = float(np.mean([t.reward for t in buffer]))
-        if episode_stats:
-            mean_decisions = float(np.mean([d for _, d in episode_stats]))
+        if episode_lengths:
+            mean_decisions = float(np.mean(episode_lengths))
         else:  # window made of one truncated episode
             mean_decisions = float(len(buffer))
         logs.append(
             TrainWindowLog(window_index, total, mean_reward, mean_decisions, metrics)
         )
         buffer = []
-        episode_stats = []
+        episode_lengths = []
         window_index += 1
         if checkpoint is not None and window_index % checkpoint_every == 0:
             checkpoint(policy, window_index)
@@ -133,9 +133,7 @@ def train(
         if len(trajectory) > remaining:
             trajectory = trajectory[:remaining]  # truncated tail, no done flag
         else:
-            episode_stats.append(
-                (sum(t.reward for t in trajectory), len(trajectory))
-            )
+            episode_lengths.append(len(trajectory))
         buffer.extend(trajectory)
         total += len(trajectory)
         if len(buffer) >= window or total >= steps:

@@ -152,8 +152,9 @@ def run_bandit(
 
 
 def finite_difference_check(policy, batch, h: float = 1e-6, tol: float = 1e-4) -> float:
-    """Compare analytic actor/critic gradients against central finite
-    differences of the total loss; returns the worst relative error."""
+    """Compare analytic gradients (actor parameters, then critic) against
+    central finite differences of the total loss; returns the worst
+    relative error."""
     from satkit.rl.ppo import ppo_loss_and_grads
 
     obs = np.stack([t.observation for t in batch])
@@ -165,29 +166,29 @@ def finite_difference_check(policy, batch, h: float = 1e-6, tol: float = 1e-4) -
     cfg = policy.config
 
     def total_loss():
-        metrics, _, _ = ppo_loss_and_grads(
+        metrics, _ = ppo_loss_and_grads(
             policy, obs, actions, old_logp, advantages, returns, masks
         )
         return metrics[0] + cfg.value_coef * metrics[1] - cfg.entropy_coef * metrics[2]
 
-    _, actor_grads, critic_grads = ppo_loss_and_grads(
-        policy, obs, actions, old_logp, advantages, returns, masks
-    )
+    _, grads = ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns, masks)
+    params = policy.actor.parameters() + policy.critic.parameters()
+    assert len(grads) == len(params)
     worst = 0.0
-    for net, grads in ((policy.actor, actor_grads), (policy.critic, critic_grads)):
-        for param, grad in zip(net.parameters(), grads):
-            for index in np.ndindex(param.shape):
-                keep = param[index]
-                param[index] = keep + h
-                up = total_loss()
-                param[index] = keep - h
-                down = total_loss()
-                param[index] = keep
-                fd = (up - down) / (2 * h)
-                an = grad[index]
-                err = abs(fd - an) / max(abs(fd), abs(an), 1e-4)
-                worst = max(worst, err)
-                assert err < tol, f"grad mismatch: analytic {an}, fd {fd}"
+    for param, grad in zip(params, grads):
+        assert grad.shape == param.shape
+        for index in np.ndindex(param.shape):
+            keep = param[index]
+            param[index] = keep + h
+            up = total_loss()
+            param[index] = keep - h
+            down = total_loss()
+            param[index] = keep
+            fd = (up - down) / (2 * h)
+            an = grad[index]
+            err = abs(fd - an) / max(abs(fd), abs(an), 1e-4)
+            worst = max(worst, err)
+            assert err < tol, f"grad mismatch: analytic {an}, fd {fd}"
     return worst
 
 

@@ -16,7 +16,7 @@ from satkit.bench import (
     CSV_COLUMNS,
 )
 from satkit.dimacs import write_dimacs_file
-from satkit.generators import generate_dataset, planted_ksat
+from satkit.generators import generate_dataset, planted_ksat, random_ksat
 from satkit.rl.policy import Policy, PpoConfig
 from satkit.solver.engine import SolveLimits, Verdict
 
@@ -133,6 +133,33 @@ class TestRunComparison:
             repetitions=1,
         )
         assert all(r.verdict == Verdict.UNKNOWN for r in records)
+
+    def test_timeout_recorded_without_comparing_repetitions(self, monkeypatch):
+        import types
+
+        from satkit.solver import engine
+
+        def install_clock():
+            # Each reading advances further than the last, so a later
+            # repetition reaches the timeout after fewer decisions.
+            readings = iter(range(10**6))
+            clock = types.SimpleNamespace(monotonic=lambda: float(next(readings) ** 2))
+            monkeypatch.setattr(engine, "time", clock)
+
+        f = random_ksat(75, 320, random.Random(9))
+        policy = Policy(75, 320, SMALL, seed=0)
+        limits = SolveLimits(timeout_s=30.0)
+        install_clock()
+        records = run_comparison([Instance("t.cnf", f)], policy, limits, repetitions=3)
+        assert [r.verdict for r in records] == [Verdict.UNKNOWN, Verdict.UNKNOWN]
+        install_clock()
+        # records sort rl before vsids, and VSIDS runs first, from the fresh clock
+        [_, first] = run_comparison([Instance("t.cnf", f)], policy, limits, repetitions=1)
+        vsids = records[1]
+        assert first.heuristic == vsids.heuristic == "vsids" and first.decisions > 1
+        assert (vsids.decisions, vsids.conflicts, vsids.propagations, vsids.time_s) == (
+            first.decisions, first.conflicts, first.propagations, first.time_s
+        )
 
     def test_rerun_is_bit_identical_up_to_wall_time(self):
         rng = random.Random(8)

@@ -365,3 +365,22 @@ class TestTopLevel:
     def test_verbose_prints_effective_config(self, uf_file, capsys):
         main(["--verbose", "features", str(uf_file)])
         assert "c config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{cnf}/x"],
+            ["features", "{cnf}/x"],
+            ["convert", "{expr}", "--out", "{cnf}/x"],
+            ["convert", "{expr}", "--map", "{cnf}/x"],
+            ["solve", "{cnf}", "--heuristic", "rl", "--policy", "{cnf}/x"],
+        ],
+        ids=["solve", "features", "convert-out", "convert-map", "solve-policy"],
+    )
+    def test_file_as_directory_component_exits_2(self, uf_file, tmp_path, capsys, argv):
+        expr = tmp_path / "e.txt"
+        expr.write_text("Or(P, Q)\n", encoding="utf-8")
+        argv = [a.format(cnf=uf_file, expr=expr) for a in argv]
+        assert main(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

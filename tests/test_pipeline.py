@@ -77,6 +77,23 @@ def test_all_failures_collected(stub):
     assert [f[0] for f in exc_info.value.failures] == [0, 1]
 
 
+def test_each_sentence_is_parsed_once(stub, monkeypatch):
+    import satkit.logic.pipeline
+    import satkit.logic.translate
+
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_expression(text)
+
+    for module in (satkit.logic.pipeline, satkit.logic.translate):
+        if hasattr(module, "parse_expression"):
+            monkeypatch.setattr(module, "parse_expression", counting_parse)
+    compile_document(PARAGRAPH, stub)
+    assert len(calls) == 4
+
+
 def test_empty_document(stub):
     with pytest.raises(EmptyInputError):
         compile_document("   ", stub)

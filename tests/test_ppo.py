@@ -28,6 +28,14 @@ def make_transition(policy, rng, action=0, logp_offset=0.0, reward=1.0, done=Tru
     return Transition(obs, action, logp + logp_offset, reward, value, done, mask)
 
 
+def count_adam_steps(optimizer):
+    """Record each Adam step ``optimizer`` takes in the returned list."""
+    steps = []
+    step = optimizer.adam.step
+    optimizer.adam.step = lambda params, grads: (steps.append(optimizer.adam.t), step(params, grads))
+    return steps
+
+
 class TestClippedSurrogate:
     def test_analytic_clip_case(self):
         # r=2.0, A=1, eps=0.2 -> min(2.0, 1.2) = 1.2
@@ -141,7 +149,7 @@ class TestUpdate:
         masks = np.stack([t.mask for t in batch])
         cfg = policy.config
         advantages, returns = compute_gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
-        metrics, _, _ = ppo_loss_and_grads(
+        metrics, _ = ppo_loss_and_grads(
             policy, obs, actions, old_logp, advantages, returns, masks
         )
         assert metrics[0] == pytest.approx(-float(advantages.mean()), rel=1e-9, abs=1e-9)
@@ -150,13 +158,46 @@ class TestUpdate:
     def test_non_finite_loss_rolls_back(self):
         policy = Policy(2, 3, PpoConfig(hidden_sizes=(8,), minibatch_size=2), seed=7)
         rng = np.random.default_rng(5)
-        batch = [make_transition(policy, rng) for _ in range(3)]
-        batch.append(make_transition(policy, rng, reward=float("inf")))
+        batch = [make_transition(policy, rng) for _ in range(5)]
+        # An infinite reward makes its own advantage infinite and, through
+        # the GAE recursion, every earlier one NaN: only index 0 is poisoned.
+        poisoned = [make_transition(policy, rng, reward=float("inf"))] + batch
+        optimizer = PpoOptimizer(policy)
+        optimizer.update(batch)  # moves the weights and the Adam moments
         before = save_policy(policy)
+        adam_before = optimizer.adam.state()
+        steps = count_adam_steps(optimizer)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteLossError):
-                PpoOptimizer(policy).update(batch)
+                optimizer.update(poisoned)
+        assert steps, "the poisoned minibatch came first; nothing was rolled back"
+        assert optimizer.adam.t == adam_before["t"]
         assert save_policy(policy) == before
+        adam_after = optimizer.adam.state()
+        for key in ("m", "v"):
+            assert len(adam_after[key]) == len(adam_before[key])
+            for after, saved in zip(adam_after[key], adam_before[key]):
+                assert np.array_equal(after, saved)
+
+    def test_update_after_rollback_matches_a_fresh_optimizer(self):
+        config = PpoConfig(hidden_sizes=(8,), minibatch_size=2)
+        rng = np.random.default_rng(5)
+        policy = Policy(2, 3, config, seed=7)
+        batch = [make_transition(policy, rng) for _ in range(5)]
+        poisoned = [make_transition(policy, rng, reward=float("inf"))] + batch
+
+        optimizer = PpoOptimizer(policy)
+        steps = count_adam_steps(optimizer)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteLossError):
+                optimizer.update(poisoned)
+        assert steps, "the poisoned minibatch came first; nothing was rolled back"
+        optimizer.rng = np.random.default_rng(policy.seed)  # same minibatch order
+        optimizer.update(batch)
+
+        fresh = Policy(2, 3, config, seed=7)
+        PpoOptimizer(fresh).update(batch)
+        assert save_policy(policy) == save_policy(fresh)
 
     def test_empty_batch_rejected(self):
         policy = Policy(1, 1, TINY, seed=0)

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from satkit.logic.pipeline import DocumentError, compile_document
 from satkit.logic.translate import (
     HttpTranslator,
     MalformedTranslationError,
@@ -19,6 +20,18 @@ The circus has a Ferris wheel or a rollercoaster.\tOr(P, Q)\tP=The circus has a 
 The lamp is on.\tP\tP=The lamp is on
 Broken reply here.\tOr(P
 """
+
+
+def assert_malformed_reply(client, sentence, raw):
+    """A reply that does not parse fails its sentence in compile_document
+    as a MalformedTranslationError carrying the reply."""
+    with pytest.raises(DocumentError) as exc_info:
+        compile_document(sentence, client)
+    [(index, _, error)] = exc_info.value.failures
+    assert index == 0
+    assert isinstance(error, MalformedTranslationError)
+    assert error.raw == raw
+    assert "does not parse" in str(error)
 
 
 class TestStub:
@@ -40,9 +53,7 @@ class TestStub:
 
     def test_unparseable_reply_carries_raw(self):
         stub = StubTranslator.from_fixture_text(FIXTURES)
-        with pytest.raises(MalformedTranslationError) as exc_info:
-            translate_sentence(stub, "Broken reply here.")
-        assert exc_info.value.raw == "Or(P"
+        assert_malformed_reply(stub, "Broken reply here.", "Or(P")
 
     def test_session_glossary_accumulates_first_wins(self):
         stub = StubTranslator(
@@ -126,5 +137,4 @@ class TestHttpClient:
         _Handler.status = 200
         _Handler.reply = json.dumps({"expression": "Or(P"}).encode()
         client = HttpTranslator(http_server, timeout_s=5)
-        with pytest.raises(MalformedTranslationError):
-            translate_sentence(client, "anything")
+        assert_malformed_reply(client, "Anything goes here.", "Or(P")
