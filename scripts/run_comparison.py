@@ -87,7 +87,6 @@ def main() -> int:
         "bench",
         "--dataset", str(test_dir),
         "--policy", str(policy),
-        "--split-ratio", "0",
         "--reps", str(args.reps),
         "--out", str(workdir / "records.csv"),
     )

@@ -1,16 +1,19 @@
 """Dataset management and the two-heuristic comparison protocol.
 
-``run_comparison`` solves every test instance with the VSIDS baseline
-and with the greedy learned policy under identical limits and seeds,
-taking the minimum wall time over repetitions. Solve time excludes
-parsing; the policy's feature-extraction and setup cost is timed
-separately and reported in its own column. ``summarize`` reduces the
-records to per-heuristic medians and the fraction of instances where
-the learned heuristic is strictly faster (ties excluded from the
-numerator, all instances in the denominator).
+``run_comparison`` solves every given instance with the VSIDS baseline
+and with the greedy learned policy under identical limits, taking the
+minimum wall time over repetitions. Solve time excludes parsing; the
+policy's feature-extraction and setup cost is timed separately and
+reported in its own column. ``summarize`` reduces the records to
+per-heuristic medians and the fraction of instances where the learned
+heuristic is strictly faster (ties excluded from the numerator, all
+instances in the denominator). ``split_dataset`` makes the train/test
+file lists that ``scripts/run_comparison.py`` writes to two
+directories; the benchmark itself runs every instance it is given.
 
 CSV schema: instance,heuristic,verdict,time_s,decisions,conflicts,
-propagations,seed plus a trailing feature_time_s column.
+propagations,seed plus a trailing feature_time_s column; ``seed`` is
+the policy's seed.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class Instance:
 class DatasetSplit:
     train: tuple[str, ...]
     test: tuple[str, ...]
-    seed: int
 
 
 @dataclass
@@ -128,7 +130,7 @@ def load_dataset(
 
     Parse failures are logged and skipped unless ``strict``. With
     ``expect_shape`` each instance must have exactly that
-    (num_vars, num_clauses), the uf20-91 integrity check.
+    (num_vars, num_clauses); one that does not is skipped the same way.
     """
     root = Path(directory)
     paths = sorted(root.glob("*.cnf"), key=lambda p: p.name)
@@ -142,9 +144,7 @@ def load_dataset(
             if expect_shape is not None:
                 shape = (formula.num_vars, formula.num_clauses)
                 if shape != expect_shape:
-                    raise BenchError(
-                        f"{path.name}: shape {shape}, expected {expect_shape}"
-                    )
+                    raise BenchError(f"shape {shape}, expected {expect_shape}")
         except (DimacsError, BenchError, OSError) as exc:
             if strict:
                 raise BenchError(f"{path.name}: {exc}") from exc
@@ -162,7 +162,7 @@ def split_dataset(files: Sequence[str], ratio: float = 0.8, seed: int = 0) -> Da
     ordered = sorted(files)
     random.Random(seed).shuffle(ordered)
     cut = int(len(ordered) * ratio)
-    return DatasetSplit(tuple(ordered[:cut]), tuple(ordered[cut:]), seed)
+    return DatasetSplit(tuple(ordered[:cut]), tuple(ordered[cut:]))
 
 
 def _counters(result) -> tuple:
@@ -175,17 +175,17 @@ def run_comparison(
     policy: Policy,
     limits: Optional[SolveLimits] = None,
     repetitions: int = 3,
-    seed: int = 0,
 ) -> list[BenchRecord]:
     """Benchmark VSIDS and the greedy learned policy on each instance.
 
     Instances run one after another, VSIDS first. Per instance and
     heuristic: ``repetitions`` identical runs, minimum wall time kept;
     verdicts and counters are asserted identical across repetitions
-    (the solver is deterministic). Unknown verdicts are recorded, not
-    raised. A wall-clock timeout does not stop at the same decision
-    twice, so if any repetition times out, the first that did is
-    recorded with its own time and the repetitions are not compared.
+    (the solver is deterministic). Every record carries the policy's
+    seed. Unknown verdicts are recorded, not raised. A wall-clock
+    timeout does not stop at the same decision twice, so if any
+    repetition times out, the first that did is recorded with its own
+    time and the repetitions are not compared.
     """
     if not test_set:
         raise BenchError("empty test set")
@@ -230,7 +230,7 @@ def run_comparison(
                     decisions=result.stats.decisions,
                     conflicts=result.stats.conflicts,
                     propagations=result.stats.propagations,
-                    seed=seed,
+                    seed=policy.seed,
                     feature_time_s=feature_time,
                 )
             )
@@ -301,26 +301,6 @@ def records_to_csv(records: Sequence[BenchRecord]) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def records_from_csv(text: str) -> list[BenchRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        out.append(
-            BenchRecord(
-                instance=row["instance"],
-                heuristic=row["heuristic"],
-                verdict=Verdict(row["verdict"]),
-                time_s=float(row["time_s"]),
-                decisions=int(row["decisions"]),
-                conflicts=int(row["conflicts"]),
-                propagations=int(row["propagations"]),
-                seed=int(row["seed"]),
-                feature_time_s=float(row.get("feature_time_s", 0.0)),
-            )
-        )
-    return out
 
 
 def write_summary_files(summary: Summary, json_path) -> None:

@@ -18,7 +18,6 @@ from .bench import (
     load_dataset,
     records_to_csv,
     run_comparison,
-    split_dataset,
     summarize,
     write_summary_files,
 )
@@ -109,21 +108,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare VSIDS against the learned policy")
     p.add_argument("--dataset", required=True, help="directory of DIMACS files")
     p.add_argument("--policy", required=True, help="policy checkpoint")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument(
-        "--split-ratio",
-        type=float,
-        default=0.8,
-        help="train fraction withheld from the bench (0 benches everything)",
-    )
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--timeout-ms", type=int, default=None)
     p.add_argument("--max-decisions", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path (default OUT.summary.json)")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--uf-check", action="store_true", help="require 20 vars / 91 clauses per instance")
+    p.add_argument("--strict", action="store_true", help="abort on unparseable or other-shape files")
     return parser
 
 
@@ -282,18 +272,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    instances = _load_instances(args, (20, 91) if args.uf_check else None)
-    split = split_dataset([inst.name for inst in instances], args.split_ratio, args.split_seed)
-    test_names = set(split.test)
-    test_set = [inst for inst in instances if inst.name in test_names]
     policy = load_policy_file(args.policy)
-    records = run_comparison(
-        test_set,
-        policy,
-        limits=_make_limits(args),
-        repetitions=args.reps,
-        seed=args.seed,
-    )
+    instances = _load_instances(args, policy.shape)
+    records = run_comparison(instances, policy, _make_limits(args), args.reps)
     Path(args.out).write_text(records_to_csv(records), encoding="ascii", newline="\n")
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"

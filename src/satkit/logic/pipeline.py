@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..cnf import CnfFormula
 from ..errors import SatkitError
 from .convert import DEFAULT_CLAUSE_CAP, SymbolTable, simplify_cnf, to_cnf
 from .expressions import And, LogicalExpr
 from .parser import ExpressionError, parse_expression
-from .sentences import DEFAULT_ABBREVIATIONS, split_sentences
+from .sentences import split_sentences
 from .translate import (
     MalformedTranslationError,
     TranslatorClient,
@@ -39,7 +37,6 @@ def conjoin(exprs: list[LogicalExpr]) -> LogicalExpr:
 def compile_document(
     text: str,
     client: TranslatorClient,
-    abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS,
     max_clauses: int = DEFAULT_CLAUSE_CAP,
 ) -> tuple[CnfFormula, SymbolTable]:
     """Split, translate and parse each sentence, conjoin the expressions,
@@ -47,7 +44,7 @@ def compile_document(
     does not parse is a MalformedTranslationError carrying the reply.
     Per-sentence failures are aggregated into a single DocumentError
     carrying the sentence indices."""
-    sentences = split_sentences(text, abbreviations)
+    sentences = split_sentences(text)
     exprs: list[LogicalExpr] = []
     failures: list[tuple[int, str, Exception]] = []
     for i, sentence in enumerate(sentences):

@@ -145,20 +145,13 @@ def build_observation(
     formula: CnfFormula,
     values: list[int],
     features: FeatureVector,
-    adjacency: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Assemble the flat observation for the solver's ``values``.
-
-    ``adjacency`` may be passed in to reuse the precomputed static
-    incidence matrix; it is recomputed from the formula otherwise.
-    """
-    if adjacency is None:
-        adjacency = signed_adjacency(formula)
+    """Assemble the flat observation for the solver's ``values``."""
     return np.concatenate(
         [
             np.asarray(values, dtype=np.float64),
             clause_evaluations(formula, values),
-            adjacency.reshape(-1),
+            signed_adjacency(formula).reshape(-1),
             features.values,
         ]
     )

@@ -112,6 +112,7 @@ class PpoOptimizer:
 
         saved_params = [p.copy() for p in self.params]
         saved_adam = self.adam.state()
+        saved_rng = self.rng.bit_generator.state
         totals = np.zeros(4)
         steps = 0
         n = len(batch)
@@ -134,6 +135,7 @@ class PpoOptimizer:
             for p, old in zip(self.params, saved_params):
                 p[...] = old
             self.adam.restore(saved_adam)
+            self.rng.bit_generator.state = saved_rng
             raise
         mean = totals / steps
         return UpdateMetrics(*mean)

@@ -316,10 +316,8 @@ def test_criterion_7_benchmark_protocol(tmp_path):
             "bench",
             "--dataset", str(data_dir),
             "--policy", str(policy_path),
-            "--split-ratio", "0",
             "--reps", "1",
             "--timeout-ms", "10000",
-            "--uf-check",
             "--out", str(csv_path),
         ]
     )

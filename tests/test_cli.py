@@ -1,10 +1,17 @@
+import csv
 import json
 import math
+import os
 import random
+import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import satkit
 from satkit import cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
@@ -235,8 +242,6 @@ class TestTrainAndBench:
                 str(data_dir),
                 "--policy",
                 str(policy_path),
-                "--split-ratio",
-                "0.5",
                 "--reps",
                 "2",
                 "--out",
@@ -246,7 +251,7 @@ class TestTrainAndBench:
         assert code == 0
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("instance,heuristic,verdict,time_s,decisions,")
-        assert len(lines) == 1 + 2 * 4  # half of 8 instances, two heuristics
+        assert len(lines) == 1 + 2 * 8  # every instance, two heuristics
         summary = json.loads(Path(f"{csv_path}.summary.json").read_text())
         assert "median_time_s.rl" in summary
         assert "median_time_s.vsids" in summary
@@ -315,11 +320,7 @@ class TestTrainAndBench:
         args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]
         assert main(args + ["--out", str(tmp_path / "r.csv"), "--parallel", "2"]) == 1
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--reps", "0"], ["--split-ratio", "1"], ["--split-ratio", "-0.5"]],
-        ids=["reps", "split-ratio-one", "split-ratio-negative"],
-    )
+    @pytest.mark.parametrize("flags", [["--reps", "0"]], ids=["reps"])
     def test_out_of_range_bench_flag_exits_2(self, tmp_path, capsys, small_policy_file, flags):
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=2, num_vars=20, num_clauses=91, seed=6)
@@ -338,13 +339,65 @@ class TestTrainAndBench:
                 str(data_dir),
                 "--policy",
                 str(small_policy_file),
-                "--split-ratio",
-                "0",
                 "--out",
                 str(tmp_path / "r.csv"),
             ]
         )
         assert code == 2
+
+    @staticmethod
+    def _mixed_shape_bench(tmp_path):
+        """Four (8, 24) instances, one (9, 24) among them, an (8, 24)
+        policy of seed 11; returns the bench arguments."""
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=4, num_vars=8, num_clauses=24, seed=5)
+        write_dimacs_file(planted_ksat(9, 24, random.Random(0)), data_dir / "inst_002b.cnf")
+        policy_path = tmp_path / "p.bin"
+        save_policy_file(Policy(8, 24, SMALL, seed=11), policy_path)
+        return [
+            "bench",
+            "--dataset",
+            str(data_dir),
+            "--policy",
+            str(policy_path),
+            "--reps",
+            "1",
+            "--out",
+            str(tmp_path / "r.csv"),
+        ]
+
+    def test_bench_skips_a_file_of_another_shape(self, tmp_path):
+        args = self._mixed_shape_bench(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(satkit.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "satkit.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.count("inst_002b.cnf") == 1
+        assert "(9, 24)" in run.stderr
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 4
+        assert not any(row.startswith("inst_002b.cnf") for row in rows)
+
+    def test_strict_bench_rejects_a_file_of_another_shape(self, tmp_path, capsys):
+        args = self._mixed_shape_bench(tmp_path)
+        assert main(args + ["--strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("inst_002b.cnf") == 1 and "(9, 24)" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_bench_rows_carry_the_policy_seed(self, tmp_path, capsys):
+        args = self._mixed_shape_bench(tmp_path)
+        (tmp_path / "data" / "inst_002b.cnf").unlink()
+        assert main(args) == 0
+        rows = list(csv.DictReader((tmp_path / "r.csv").open()))
+        assert len(rows) == 2 * 4
+        assert {row["seed"] for row in rows} == {"11"}
 
 
 class TestTopLevel:
@@ -384,3 +437,32 @@ class TestTopLevel:
         assert main(argv) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def readme_commands():
+    """Every ``satkit ...`` command in the README's bash blocks, as an
+    argument list: continuation lines joined, pipelines split."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            lexer = shlex.shlex(line, posix=True, punctuation_chars="|")
+            lexer.whitespace_split = True
+            lexer.commenters = "#"
+            tokens = list(lexer)
+            while tokens:
+                stage = tokens[: tokens.index("|")] if "|" in tokens else tokens
+                tokens = tokens[len(stage) + 1 :]
+                if stage[:1] == ["satkit"]:
+                    commands.append(stage[1:])
+    return commands
+
+
+class TestReadme:
+    def test_examples_are_found(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} >= {"convert", "solve", "train", "bench"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_cli_example_parses(self, argv):
+        cli._build_parser().parse_args(argv)

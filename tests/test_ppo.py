@@ -192,7 +192,6 @@ class TestUpdate:
             with pytest.raises(NonFiniteLossError):
                 optimizer.update(poisoned)
         assert steps, "the poisoned minibatch came first; nothing was rolled back"
-        optimizer.rng = np.random.default_rng(policy.seed)  # same minibatch order
         optimizer.update(batch)
 
         fresh = Policy(2, 3, config, seed=7)
