@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one behaviour digest per stored benchmark pool, and one of training.
+"""Print one behaviour digest per stored benchmark pool, one of training
+and one of document compilation.
 
 Every instance of ``perfbench/race_pool.json`` (800 planted uf20-91)
 and ``perfbench/uniform_pool.json`` (400 uniform n=75 m=320) is
@@ -15,8 +16,14 @@ The third line digests ``train`` on the train-uf20 benchmark inputs
 (64 planted uf20-91 from ``random.Random(f"train-{seed}")``,
 ``PpoConfig(rollout_window=150)``, 750 steps) at seeds 1 and 2: every
 ``TrainWindowLog``, update metrics included, and the final
-``save_policy`` bytes. A change that must keep behaviour identical
-prints the same three lines before and after:
+``save_policy`` bytes.
+
+The fourth line digests the langsat-docs benchmark documents at seeds
+1 to 3 (100 each, with the stub translator built from their fixture
+table): per document, in order, the ``write_dimacs`` text of
+``compile_document``'s formula and the symbol table's names. A change
+that must keep behaviour identical prints the same four lines before
+and after:
 
     python3 scripts/fingerprint_pools.py
 """
@@ -30,10 +37,12 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import pool  # noqa: E402
-from workloads import TrainUf20  # noqa: E402
+from workloads import LangsatDocs, TrainUf20  # noqa: E402
 
 from satkit.cnf import CnfFormula  # noqa: E402
+from satkit.dimacs import write_dimacs  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
+from satkit.logic import compile_document  # noqa: E402
 from satkit.rl import Policy, PolicyHeuristic, save_policy, train  # noqa: E402
 from satkit.rl.observation import signed_adjacency  # noqa: E402
 from satkit.solver import Solver, VsidsHeuristic  # noqa: E402
@@ -73,6 +82,18 @@ def _train_digest(seeds) -> str:
     return h.hexdigest()
 
 
+def _documents_digest(seeds) -> str:
+    h = hashlib.sha256()
+    workload = LangsatDocs()
+    for seed in seeds:
+        inputs = workload.build(seed)
+        for doc in inputs.documents:
+            formula, table = compile_document(doc.text, inputs.translator)
+            h.update(write_dimacs(formula).encode("ascii"))
+            h.update(repr(table.names()).encode("ascii"))
+    return h.hexdigest()
+
+
 def main() -> int:
     race = (pool.race_instance(i) for i in range(pool.RACE_POOL_SIZE))
     print("race_pool", pool.RACE_POOL_SIZE, _digest(20, race, Policy(20, 91, seed=0)))
@@ -80,6 +101,8 @@ def main() -> int:
     print("uniform_pool", pool.POOL_SIZE, _digest(pool.POOL_VARS, uniform))
     seeds = (1, 2)
     print("train_uf20", *seeds, _train_digest(seeds))
+    seeds = (1, 2, 3)
+    print("langsat_docs", *seeds, _documents_digest(seeds))
     return 0
 
 

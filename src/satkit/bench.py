@@ -21,9 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import random
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +49,6 @@ CSV_COLUMNS = [
     "seed",
     "feature_time_s",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class BenchError(SatkitError):
@@ -128,14 +126,16 @@ def load_dataset(
 ) -> list[Instance]:
     """Parse every *.cnf file in name-sorted order.
 
-    Parse failures are logged and skipped unless ``strict``. With
-    ``expect_shape`` each instance must have exactly that
-    (num_vars, num_clauses); one that does not is skipped the same way.
+    A file that fails to parse is skipped with a line
+    ``warning: skipping <file>: <reason>`` on stderr, or rejected under
+    ``strict``. With ``expect_shape`` each instance must have exactly
+    that (num_vars, num_clauses); one that does not is skipped the same
+    way.
     """
     root = Path(directory)
     paths = sorted(root.glob("*.cnf"), key=lambda p: p.name)
     if not paths:
-        logger.warning("no .cnf files found in %s", root)
+        print(f"warning: no .cnf files found in {root}", file=sys.stderr)
         return []
     out: list[Instance] = []
     for path in paths:
@@ -148,7 +148,7 @@ def load_dataset(
         except (DimacsError, BenchError, OSError) as exc:
             if strict:
                 raise BenchError(f"{path.name}: {exc}") from exc
-            logger.warning("skipping %s: %s", path.name, exc)
+            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
         out.append(Instance(path.name, formula))
     return out

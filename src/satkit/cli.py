@@ -24,9 +24,8 @@ from .bench import (
 from .dimacs import read_dimacs_file, write_dimacs
 from .errors import SatkitError
 from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_VERSION, extract_features
-from .logic.convert import SymbolTable, simplify_cnf, to_cnf
 from .logic.parser import parse_expression
-from .logic.pipeline import compile_document, conjoin
+from .logic.pipeline import compile_document, compile_expressions
 from .logic.translate import HttpTranslator, StubTranslator
 from .rl.heuristic import PolicyHeuristic
 from .rl.policy import (
@@ -163,8 +162,7 @@ def _cmd_convert(args) -> int:
                 raise SatkitError(f"line {lineno}: {exc}") from None
         if not exprs:
             raise SatkitError("no expressions in input")
-        table = SymbolTable()
-        formula = simplify_cnf(to_cnf(conjoin(exprs), table, args.max_clauses))
+        formula, table = compile_expressions(exprs, args.max_clauses)
         glossary = {}
 
     dimacs = write_dimacs(formula)

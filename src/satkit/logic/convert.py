@@ -1,10 +1,13 @@
 """Expression-to-CNF conversion and CNF simplification.
 
-Conversion is by logical equivalence, not Tseytin: arrows are
-eliminated, negations pushed to atoms, then Or distributed over And.
-The result is equivalent to the input over the same atoms, which the
-truth-table tests rely on. Distribution can blow up exponentially, so
-a clause cap (default 10,000) guards it.
+Conversion is by logical equivalence, not Tseytin. One walk over the
+expression, ``_clauses(expr, negate)``, eliminates arrows, pushes
+negations to the atoms and distributes Or over And, returning clause
+lists directly; no negation normal form tree is built. The result is
+equivalent to the input over the same atoms, which the truth-table
+tests rely on. Distribution can blow up exponentially, so a clause cap
+(default 10,000) guards it: a conjunction is checked after each part,
+a disjunction before each product.
 
 Simplification applies exactly four equivalence-preserving rules:
 duplicate literals within a clause, tautological clauses, duplicate
@@ -12,6 +15,8 @@ clauses, and subsumed clauses (strict superset of another clause).
 """
 
 from __future__ import annotations
+
+from operator import neg
 
 from ..cnf import CnfFormula
 from ..errors import SatkitError
@@ -60,68 +65,46 @@ class SymbolTable:
         return len(self._names)
 
 
-def _nnf(expr: LogicalExpr, negate: bool) -> LogicalExpr:
-    """Eliminate Implies/Iff and push negations down to atoms."""
-    match expr:
-        case Atom(_):
-            return Not(expr) if negate else expr
-        case Not(child):
-            return _nnf(child, not negate)
-        case And(children):
-            parts = tuple(_nnf(c, negate) for c in children)
-            return Or(parts) if negate else And(parts)
-        case Or(children):
-            parts = tuple(_nnf(c, negate) for c in children)
-            return And(parts) if negate else Or(parts)
-        case Implies(lhs, rhs):
-            if negate:  # ~(a -> b)  ==  a & ~b
-                return And((_nnf(lhs, False), _nnf(rhs, True)))
-            return Or((_nnf(lhs, True), _nnf(rhs, False)))
-        case Iff(lhs, rhs):
-            if negate:  # ~(a <-> b)  ==  (a | b) & (~a | ~b)
-                return And(
-                    (
-                        Or((_nnf(lhs, False), _nnf(rhs, False))),
-                        Or((_nnf(lhs, True), _nnf(rhs, True))),
-                    )
-                )
-            # a <-> b  ==  (~a | b) & (~b | a)
-            return And(
-                (
-                    Or((_nnf(lhs, True), _nnf(rhs, False))),
-                    Or((_nnf(rhs, True), _nnf(lhs, False))),
-                )
-            )
-    raise TypeError(f"not a logical expression: {expr!r}")
+def _clauses(expr: LogicalExpr, negate: bool, index: dict[str, int], cap: int) -> list[list[int]]:
+    """Clause lists of literal codes for ``expr``, or for its negation if
+    ``negate``: arrows eliminated, negations pushed to the atoms and Or
+    distributed over And in the same walk."""
+    kind = type(expr)
+    if kind is Atom:
+        code = index[expr.name]
+        return [[-code if negate else code]]
+    if kind is Not:
+        return _clauses(expr.child, not negate, index, cap)
+    if kind is And or kind is Or:
+        parts = [(child, negate) for child in expr.children]
+        conjunction = (kind is And) != negate  # ~(a | b) == ~a & ~b
+    elif kind is Implies:  # a -> b == ~a | b;  ~(a -> b) == a & ~b
+        parts = [(expr.lhs, not negate), (expr.rhs, negate)]
+        conjunction = negate
+    elif kind is Iff:
+        a, b = expr.lhs, expr.rhs
+        if negate:  # ~(a <-> b) == (a | b) & ~(a & b)
+            parts = [(Or((a, b)), False), (And((a, b)), True)]
+        else:  # a <-> b == (a -> b) & (b -> a)
+            parts = [(Implies(a, b), False), (Implies(b, a), False)]
+        conjunction = True
+    else:
+        raise TypeError(f"not a logical expression: {expr!r}")
 
-
-def _distribute(expr: LogicalExpr, table: SymbolTable, cap: int) -> list[list[int]]:
-    """NNF tree -> clause lists of literal codes, distributing Or over And."""
-    match expr:
-        case Atom(name):
-            return [[table.index_of(name)]]
-        case Not(Atom(name)):
-            return [[-table.index_of(name)]]
-        case And(children):
-            out: list[list[int]] = []
-            for child in children:
-                out.extend(_distribute(child, table, cap))
-                if len(out) > cap:
-                    raise BlowupExceededError(
-                        f"CNF conversion exceeds the {cap}-clause cap"
-                    )
-            return out
-        case Or(children):
-            acc: list[list[int]] = [[]]
-            for child in children:
-                branches = _distribute(child, table, cap)
-                if len(acc) * len(branches) > cap:
-                    raise BlowupExceededError(
-                        f"CNF conversion exceeds the {cap}-clause cap"
-                    )
-                acc = [a + b for a in acc for b in branches]
-            return acc
-    raise AssertionError(f"non-NNF node after normalization: {expr!r}")
+    if conjunction:
+        out: list[list[int]] = []
+        for part, part_negate in parts:
+            out.extend(_clauses(part, part_negate, index, cap))
+            if len(out) > cap:
+                raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
+        return out
+    acc: list[list[int]] = [[]]
+    for part, part_negate in parts:
+        branches = _clauses(part, part_negate, index, cap)
+        if len(acc) * len(branches) > cap:
+            raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
+        acc = [a + b for a in acc for b in branches]
+    return acc
 
 
 def to_cnf(
@@ -139,7 +122,7 @@ def to_cnf(
         table = SymbolTable()
     for name in atoms(expr):
         table.intern(name)
-    clauses = _distribute(_nnf(expr, False), table, max_clauses)
+    clauses = _clauses(expr, False, table._index, max_clauses)
     return CnfFormula(len(table), clauses)
 
 
@@ -147,30 +130,25 @@ def simplify_cnf(formula: CnfFormula) -> CnfFormula:
     """Apply the four redundancy rules; output is equivalent to the input
     and never larger. The order of clauses and literals is otherwise
     preserved."""
-    kept: list[tuple[int, ...]] = []
-    kept_sets: list[frozenset[int]] = []
+    kept: list[tuple[tuple[int, ...], frozenset[int]]] = []
     seen: set[frozenset[int]] = set()
     for clause in formula.clauses:
-        codes: list[int] = []
-        present: set[int] = set()
-        for code in clause:
-            if code not in present:
-                present.add(code)
-                codes.append(code)
-        if any(-code in present for code in codes):
-            continue  # tautology
-        key = frozenset(codes)
-        if key in seen:
-            continue  # duplicate clause
+        key = frozenset(clause)
+        if key in seen or not key.isdisjoint(map(neg, key)):
+            continue  # duplicate clause or tautology
         seen.add(key)
-        kept.append(tuple(codes))
-        kept_sets.append(key)
+        codes = clause if len(key) == len(clause) else tuple(dict.fromkeys(clause))
+        kept.append((codes, key))
 
-    result = []
-    for i, codes in enumerate(kept):
-        subsumed = any(
-            j != i and kept_sets[j] < kept_sets[i] for j in range(len(kept))
-        )
-        if not subsumed:
-            result.append(codes)
+    # A strict subset of a clause holds only literals of that clause, so
+    # each clause is listed under its first literal and checked only
+    # against the clauses listed under its own literals.
+    listed: dict[int, list[frozenset[int]]] = {}
+    for codes, key in kept:
+        listed.setdefault(codes[0], []).append(key)
+    result = [
+        codes
+        for codes, key in kept
+        if not any(other < key for code in codes for other in listed.get(code, ()))
+    ]
     return CnfFormula(formula.num_vars, result)

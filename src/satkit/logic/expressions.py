@@ -66,17 +66,17 @@ def atoms(expr: LogicalExpr) -> list[str]:
     seen: dict[str, None] = {}
 
     def walk(node: LogicalExpr) -> None:
-        match node:
-            case Atom(name):
-                seen.setdefault(name, None)
-            case Not(child):
+        kind = type(node)
+        if kind is Atom:
+            seen[node.name] = None
+        elif kind is Not:
+            walk(node.child)
+        elif kind is And or kind is Or:
+            for child in node.children:
                 walk(child)
-            case And(children) | Or(children):
-                for c in children:
-                    walk(c)
-            case Implies(lhs, rhs) | Iff(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
+        elif kind is Implies or kind is Iff:
+            walk(node.lhs)
+            walk(node.rhs)
 
     walk(expr)
     return list(seen)

@@ -4,26 +4,37 @@
     KIND := 'And' | 'Or' | 'Not' | 'Implies' | 'Iff'
 
 Whitespace is insignificant, keywords are case-sensitive and reserved.
-Errors carry the character offset into the input line.
+
+Tokens are plain strings, '(', ')', ',' or an identifier, from one
+``findall``; a line whose tokens do not cover all of its non-whitespace
+characters holds a character no token can take, and fails there. The
+parser is one recursive function over the token list, which ends in an
+empty string standing for the end of input. Errors carry the character
+offset into the line. Token offsets are not kept: an error recomputes
+the offset of the token it names.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from ..errors import SatkitError
 from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"[(),]|[A-Za-z_][A-Za-z0-9_]*")
+# A character that is neither whitespace nor in a token: anything outside
+# the token alphabet, or a digit that does not continue an identifier.
+_BAD_CHARACTER = re.compile(r"[^\sA-Za-z0-9_(),]|(?<![A-Za-z0-9_])[0-9]")
+_END = ""
+_NOT_AN_IDENTIFIER = frozenset(("(", ")", ",", _END))
 
-# operator name -> (min_arity, max_arity or None for unbounded)
+# operator name -> (min_arity, max_arity or None for unbounded, node class)
 _OPERATORS = {
-    "And": (2, None),
-    "Or": (2, None),
-    "Not": (1, 1),
-    "Implies": (2, 2),
-    "Iff": (2, 2),
+    "And": (2, None, And),
+    "Or": (2, None, Or),
+    "Not": (1, 1, Not),
+    "Implies": (2, 2, Implies),
+    "Iff": (2, 2, Iff),
 }
 
 
@@ -41,90 +52,52 @@ class ArityError(ExpressionError):
     pass
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT | LPAREN | RPAREN | COMMA | END
-    text: str
-    offset: int
+def _offset(line: str, index: int) -> int:
+    """Character offset of token ``index``; past the last token, the end
+    of the line."""
+    for k, m in enumerate(_TOKEN.finditer(line)):
+        if k == index:
+            return m.start()
+    return len(line)
 
 
-def _tokenize(line: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-            i += 1
-        elif ch == ",":
-            tokens.append(_Token("COMMA", ch, i))
-            i += 1
-        else:
-            m = _IDENT.match(line, i)
-            if m is None:
-                raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-            tokens.append(_Token("IDENT", m.group(), i))
-            i = m.end()
-    tokens.append(_Token("END", "", n))
-    return tokens
+def _expected(line: str, tokens: list[str], index: int, what: str) -> ExpressionSyntaxError:
+    got = tokens[index] or "end of input"
+    return ExpressionSyntaxError(f"expected {what}, got {got!r}", _offset(line, index))
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != kind:
-            raise ExpressionSyntaxError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.offset)
-        return tok
-
-    def parse_expr(self) -> LogicalExpr:
-        tok = self.expect("IDENT", "an identifier")
-        if tok.text not in _OPERATORS:
-            return Atom(tok.text)
-        self.expect("LPAREN", f"'(' after operator {tok.text}")
-        args = [self.parse_expr()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            args.append(self.parse_expr())
-        self.expect("RPAREN", "')' or ','")
-        lo, hi = _OPERATORS[tok.text]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            bound = f"exactly {lo}" if hi == lo else f"at least {lo}"
-            raise ArityError(f"{tok.text} takes {bound} argument(s), got {len(args)}", tok.offset)
-        match tok.text:
-            case "And":
-                return And(tuple(args))
-            case "Or":
-                return Or(tuple(args))
-            case "Not":
-                return Not(args[0])
-            case "Implies":
-                return Implies(args[0], args[1])
-            case "Iff":
-                return Iff(args[0], args[1])
-        raise AssertionError("unreachable")
+def _parse(line: str, tokens: list[str], pos: int) -> tuple[LogicalExpr, int]:
+    """Parse the expression at token ``pos``; return it and the position
+    of the token after it."""
+    name = tokens[pos]
+    operator = _OPERATORS.get(name)
+    if operator is None:
+        if name in _NOT_AN_IDENTIFIER:
+            raise _expected(line, tokens, pos, "an identifier")
+        return Atom(name), pos + 1
+    if tokens[pos + 1] != "(":
+        raise _expected(line, tokens, pos + 1, f"'(' after operator {name}")
+    arg, k = _parse(line, tokens, pos + 2)
+    args = [arg]
+    while tokens[k] == ",":
+        arg, k = _parse(line, tokens, k + 1)
+        args.append(arg)
+    if tokens[k] != ")":
+        raise _expected(line, tokens, k, "')' or ','")
+    lo, hi, node = operator
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        bound = f"exactly {lo}" if hi == lo else f"at least {lo}"
+        raise ArityError(f"{name} takes {bound} argument(s), got {len(args)}", _offset(line, pos))
+    return (node(tuple(args)) if hi is None else node(*args)), k + 1
 
 
 def parse_expression(line: str) -> LogicalExpr:
-    parser = _Parser(_tokenize(line))
-    expr = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ExpressionSyntaxError(f"unexpected trailing input {tail.text!r}", tail.offset)
+    tokens = _TOKEN.findall(line)
+    if len("".join(tokens)) != len("".join(line.split())):  # a character outside every token
+        bad = _BAD_CHARACTER.search(line)
+        raise ExpressionSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens.append(_END)
+    expr, pos = _parse(line, tokens, 0)
+    if tokens[pos] != _END:
+        raise ExpressionSyntaxError(f"unexpected trailing input {tokens[pos]!r}", _offset(line, pos))
     return expr

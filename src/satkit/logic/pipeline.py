@@ -34,16 +34,25 @@ def conjoin(exprs: list[LogicalExpr]) -> LogicalExpr:
     return exprs[0] if len(exprs) == 1 else And(tuple(exprs))
 
 
+def compile_expressions(
+    exprs: list[LogicalExpr], max_clauses: int = DEFAULT_CLAUSE_CAP
+) -> tuple[CnfFormula, SymbolTable]:
+    """Conjoin the expressions, convert them to CNF over a new symbol
+    table and simplify."""
+    table = SymbolTable()
+    return simplify_cnf(to_cnf(conjoin(exprs), table, max_clauses)), table
+
+
 def compile_document(
     text: str,
     client: TranslatorClient,
     max_clauses: int = DEFAULT_CLAUSE_CAP,
 ) -> tuple[CnfFormula, SymbolTable]:
-    """Split, translate and parse each sentence, conjoin the expressions,
-    convert to CNF and simplify. Each reply is parsed once; one that
-    does not parse is a MalformedTranslationError carrying the reply.
-    Per-sentence failures are aggregated into a single DocumentError
-    carrying the sentence indices."""
+    """Split, translate and parse each sentence, then compile the
+    expressions with ``compile_expressions``. Each reply is parsed once;
+    one that does not parse is a MalformedTranslationError carrying the
+    reply. Per-sentence failures are aggregated into a single
+    DocumentError carrying the sentence indices."""
     sentences = split_sentences(text)
     exprs: list[LogicalExpr] = []
     failures: list[tuple[int, str, Exception]] = []
@@ -62,6 +71,4 @@ def compile_document(
             failures.append((i, sentence, error))
     if failures:
         raise DocumentError(failures)
-    table = SymbolTable()
-    formula = to_cnf(conjoin(exprs), table, max_clauses)
-    return simplify_cnf(formula), table
+    return compile_expressions(exprs, max_clauses)

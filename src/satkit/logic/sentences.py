@@ -1,20 +1,24 @@
 """Deterministic rule-based sentence splitting.
 
 A sentence boundary is '.', '!' or '?' followed by whitespace and an
-uppercase letter, or by end of text. A configurable abbreviation list
-protects tokens like "Dr." from splitting. Joining the output with
-single spaces reproduces the input up to inter-sentence whitespace.
+uppercase letter, unless the whitespace-free token the terminator ends
+is in a configurable abbreviation list ("Dr.", "e.g."). One compiled
+regex finds the candidates, terminators followed by whitespace; the
+loop applies only the uppercase test and then the abbreviation test to
+each. Joining the output with single spaces reproduces the input up to
+inter-sentence whitespace.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from ..errors import SatkitError
 
 DEFAULT_ABBREVIATIONS = frozenset({"Mr.", "Mrs.", "Dr.", "e.g.", "i.e."})
 
-_TERMINATORS = ".!?"
+_CANDIDATE = re.compile(r"[.!?]\s+")
 
 
 class EmptyInputError(SatkitError):
@@ -30,23 +34,14 @@ def split_sentences(text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATI
 
     sentences = []
     start = 0
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] in _TERMINATORS:
-            trailing = text[start : i + 1].split()
-            token = trailing[-1] if trailing else ""
-            if token in protect:
-                i += 1
-                continue
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < n and text[j].isupper():
-                sentences.append(text[start : i + 1].strip())
+    n = len(text)
+    for m in _CANDIDATE.finditer(text):
+        j = m.end()
+        if j < n and text[j].isupper():
+            sentence = text[start : m.start() + 1]
+            if sentence.rsplit(None, 1)[-1] not in protect:
+                sentences.append(sentence.strip())
                 start = j
-                i = j
-                continue
-        i += 1
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

@@ -1,18 +1,28 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here enumerates truth tables directly and shares no code
-with the conversion or solving paths it checks.
+Everything here enumerates truth tables directly, or is a plain
+reference implementation, and shares no code with the conversion or
+solving paths it checks. The ``reference_*`` functions are the
+character-loop sentence splitter, the token-object parser and the
+two-walk (negation normal form, then distribution) CNF conversion with
+all-pairs subsumption that the one-pass Lang2Logic stages must match
+result for result and error for error. They share only the error
+classes and ``SymbolTable`` with the code they check.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from satkit.cnf import CnfFormula
-from satkit.logic.convert import SymbolTable
+from satkit.logic.convert import BlowupExceededError, SymbolTable
 from satkit.logic.expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
+from satkit.logic.parser import ArityError, ExpressionSyntaxError
+from satkit.logic.sentences import DEFAULT_ABBREVIATIONS, EmptyInputError
 
 
 def assignment_matrix(num_vars: int) -> np.ndarray:
@@ -211,3 +221,229 @@ def random_expression(rng: random.Random, max_atoms: int = 8, max_depth: int = 5
         return And(children) if kind == "And" else Or(children)
 
     return build(0)
+
+
+# -- Lang2Logic references -------------------------------------------------------
+
+
+def reference_split_sentences(
+    text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
+) -> list[str]:
+    """The splitter one character at a time."""
+    if not text or not text.strip():
+        raise EmptyInputError("input text is empty")
+    protect = frozenset(abbreviations)
+
+    sentences = []
+    start = 0
+    i, n = 0, len(text)
+    while i < n:
+        if text[i] in ".!?":
+            trailing = text[start : i + 1].split()
+            token = trailing[-1] if trailing else ""
+            if token in protect:
+                i += 1
+                continue
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j > i + 1 and j < n and text[j].isupper():
+                sentences.append(text[start : i + 1].strip())
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+_REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REFERENCE_ARITY = {"And": (2, None), "Or": (2, None), "Not": (1, 1), "Implies": (2, 2), "Iff": (2, 2)}
+
+
+class _Token(NamedTuple):
+    kind: str  # IDENT | LPAREN | RPAREN | COMMA | END
+    text: str
+    offset: int
+
+
+def _reference_tokenize(line: str) -> list[_Token]:
+    tokens = []
+    i, n = 0, len(line)
+    while i < n:
+        ch = line[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "(),":
+            tokens.append(_Token({"(": "LPAREN", ")": "RPAREN", ",": "COMMA"}[ch], ch, i))
+            i += 1
+        else:
+            m = _REFERENCE_IDENT.match(line, i)
+            if m is None:
+                raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+            tokens.append(_Token("IDENT", m.group(), i))
+            i = m.end()
+    tokens.append(_Token("END", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok.kind != kind:
+            raise ExpressionSyntaxError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.offset)
+        return tok
+
+    def parse_expr(self) -> LogicalExpr:
+        tok = self.expect("IDENT", "an identifier")
+        if tok.text not in _REFERENCE_ARITY:
+            return Atom(tok.text)
+        self.expect("LPAREN", f"'(' after operator {tok.text}")
+        args = [self.parse_expr()]
+        while self.peek().kind == "COMMA":
+            self.pos += 1
+            args.append(self.parse_expr())
+        self.expect("RPAREN", "')' or ','")
+        lo, hi = _REFERENCE_ARITY[tok.text]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            bound = f"exactly {lo}" if hi == lo else f"at least {lo}"
+            raise ArityError(f"{tok.text} takes {bound} argument(s), got {len(args)}", tok.offset)
+        match tok.text:
+            case "And":
+                return And(tuple(args))
+            case "Or":
+                return Or(tuple(args))
+            case "Not":
+                return Not(args[0])
+            case "Implies":
+                return Implies(args[0], args[1])
+            case "Iff":
+                return Iff(args[0], args[1])
+        raise AssertionError("unreachable")
+
+
+def reference_parse_expression(line: str) -> LogicalExpr:
+    """Tokens as (kind, text, offset) records, parsed by a parser object."""
+    parser = _Parser(_reference_tokenize(line))
+    expr = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "END":
+        raise ExpressionSyntaxError(f"unexpected trailing input {tail.text!r}", tail.offset)
+    return expr
+
+
+def _reference_atoms(expr: LogicalExpr) -> list[str]:
+    seen: dict[str, None] = {}
+
+    def walk(node: LogicalExpr) -> None:
+        match node:
+            case Atom(name):
+                seen.setdefault(name, None)
+            case Not(child):
+                walk(child)
+            case And(children) | Or(children):
+                for c in children:
+                    walk(c)
+            case Implies(lhs, rhs) | Iff(lhs, rhs):
+                walk(lhs)
+                walk(rhs)
+
+    walk(expr)
+    return list(seen)
+
+
+def _reference_nnf(expr: LogicalExpr, negate: bool) -> LogicalExpr:
+    """Eliminate Implies/Iff and push negations down to atoms."""
+    match expr:
+        case Atom(_):
+            return Not(expr) if negate else expr
+        case Not(child):
+            return _reference_nnf(child, not negate)
+        case And(children):
+            parts = tuple(_reference_nnf(c, negate) for c in children)
+            return Or(parts) if negate else And(parts)
+        case Or(children):
+            parts = tuple(_reference_nnf(c, negate) for c in children)
+            return And(parts) if negate else Or(parts)
+        case Implies(lhs, rhs):
+            if negate:
+                return And((_reference_nnf(lhs, False), _reference_nnf(rhs, True)))
+            return Or((_reference_nnf(lhs, True), _reference_nnf(rhs, False)))
+        case Iff(lhs, rhs):
+            if negate:
+                return And((
+                    Or((_reference_nnf(lhs, False), _reference_nnf(rhs, False))),
+                    Or((_reference_nnf(lhs, True), _reference_nnf(rhs, True))),
+                ))
+            return And((
+                Or((_reference_nnf(lhs, True), _reference_nnf(rhs, False))),
+                Or((_reference_nnf(rhs, True), _reference_nnf(lhs, False))),
+            ))
+    raise TypeError(f"not a logical expression: {expr!r}")
+
+
+def _reference_distribute(expr: LogicalExpr, table: SymbolTable, cap: int) -> list[list[int]]:
+    """NNF tree -> clause lists of literal codes, distributing Or over And."""
+    match expr:
+        case Atom(name):
+            return [[table.index_of(name)]]
+        case Not(Atom(name)):
+            return [[-table.index_of(name)]]
+        case And(children):
+            out: list[list[int]] = []
+            for child in children:
+                out.extend(_reference_distribute(child, table, cap))
+                if len(out) > cap:
+                    raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
+            return out
+        case Or(children):
+            acc: list[list[int]] = [[]]
+            for child in children:
+                branches = _reference_distribute(child, table, cap)
+                if len(acc) * len(branches) > cap:
+                    raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
+                acc = [a + b for a in acc for b in branches]
+            return acc
+    raise AssertionError(f"non-NNF node after normalization: {expr!r}")
+
+
+def reference_to_cnf(expr: LogicalExpr, table: SymbolTable, max_clauses: int) -> CnfFormula:
+    """A negation normal form tree first, then a second walk that
+    distributes Or over And."""
+    for name in _reference_atoms(expr):
+        table.intern(name)
+    return CnfFormula(len(table), _reference_distribute(_reference_nnf(expr, False), table, max_clauses))
+
+
+def reference_simplify_cnf(formula: CnfFormula) -> CnfFormula:
+    """The four redundancy rules, subsumption by comparing every pair."""
+    kept: list[tuple[int, ...]] = []
+    kept_sets: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for clause in formula.clauses:
+        codes = list(dict.fromkeys(clause))
+        if any(-code in codes for code in codes):
+            continue
+        key = frozenset(codes)
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append(tuple(codes))
+        kept_sets.append(key)
+    result = [
+        codes
+        for i, codes in enumerate(kept)
+        if not any(j != i and kept_sets[j] < kept_sets[i] for j in range(len(kept)))
+    ]
+    return CnfFormula(formula.num_vars, result)

@@ -75,31 +75,29 @@ class TestLoadDataset:
         assert [i.name for i in instances] == sorted(i.name for i in instances)
         assert all(i.formula.num_vars == 10 for i in instances)
 
-    def test_empty_directory_warns_and_returns_empty(self, tmp_path, caplog):
-        with caplog.at_level("WARNING"):
-            assert load_dataset(tmp_path) == []
-        assert "no .cnf files" in caplog.text
+    def test_empty_directory_warns_and_returns_empty(self, tmp_path, capsys):
+        assert load_dataset(tmp_path) == []
+        assert capsys.readouterr().err == f"warning: no .cnf files found in {tmp_path}\n"
 
-    def test_corrupt_file_skipped_unless_strict(self, tmp_path, caplog):
+    def test_corrupt_file_skipped_unless_strict(self, tmp_path, capsys):
         generate_dataset(tmp_path, count=2, num_vars=8, num_clauses=20, seed=1)
         bad = tmp_path / "inst_zzz.cnf"
         bad.write_text("p cnf 2 2\n1 0\n", encoding="ascii")
-        with caplog.at_level("WARNING"):
-            instances = load_dataset(tmp_path)
+        instances = load_dataset(tmp_path)
         assert len(instances) == 2
-        assert "inst_zzz.cnf" in caplog.text
+        assert capsys.readouterr().err.startswith("warning: skipping inst_zzz.cnf: ")
         with pytest.raises(BenchError) as exc_info:
             load_dataset(tmp_path, strict=True)
         assert "inst_zzz.cnf" in str(exc_info.value)
 
-    def test_shape_check(self, tmp_path, caplog):
+    def test_shape_check(self, tmp_path, capsys):
         f = planted_ksat(10, 30, random.Random(0))
         write_dimacs_file(f, tmp_path / "a.cnf")
         assert load_dataset(tmp_path, expect_shape=(10, 30))
-        with caplog.at_level("WARNING"):
-            assert load_dataset(tmp_path, expect_shape=(20, 91)) == []
-        assert caplog.text.count("a.cnf") == 1
-        assert "(10, 30)" in caplog.text
+        assert load_dataset(tmp_path, expect_shape=(20, 91)) == []
+        err = capsys.readouterr().err
+        assert err.count("a.cnf") == 1
+        assert "(10, 30)" in err
         with pytest.raises(BenchError) as exc_info:
             load_dataset(tmp_path, expect_shape=(20, 91), strict=True)
         assert str(exc_info.value).count("a.cnf") == 1

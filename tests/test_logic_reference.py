@@ -1,0 +1,149 @@
+"""Differential tests: each one-pass Lang2Logic stage against its
+reference in ``oracles.py``, result for result and error for error
+(class, message and, for expression errors, offset)."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from satkit.cnf import CnfFormula
+from satkit.logic.convert import DEFAULT_CLAUSE_CAP, SymbolTable, simplify_cnf, to_cnf
+from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, format_expr
+from satkit.logic.parser import parse_expression
+from satkit.logic.sentences import DEFAULT_ABBREVIATIONS, split_sentences
+
+from oracles import (
+    reference_parse_expression,
+    reference_simplify_cnf,
+    reference_split_sentences,
+    reference_to_cnf,
+)
+
+UNICODE_SPACES = ["\x1c", "\x85", "\xa0", "\u2009", "\u3000"]
+NON_ASCII = ["é", "É", "Σ", "ǅ", "ß", "\u0301"]
+
+
+def outcome(fn, *args):
+    """The result of a call, or what identifies the error it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the error is the outcome under comparison
+        return ("error", type(exc), str(exc), getattr(exc, "offset", None))
+
+
+# -- split_sentences ---------------------------------------------------------------
+
+sentence_words = st.sampled_from(
+    ["The", "the", "A", "it", "Dr.", "Mr.", "Mrs.", "e.g.", "i.e.", "3.50", "end.", "Stop!", "Why?",
+     ".", "?!", "x.", "Élan.", "élan", "ǅ", "Σ", "ß.", "\u0301."]
+)
+sentence_gaps = st.sampled_from(["", " ", "  ", "\n", "\t", *UNICODE_SPACES])
+abbreviation_sets = st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), {"Prof.", "end."}, {"."}])
+
+
+@given(st.lists(st.tuples(sentence_words, sentence_gaps), max_size=30), abbreviation_sets)
+def test_split_sentences_matches_the_character_loop(pieces, abbreviations):
+    text = "".join(word + gap for word, gap in pieces)
+    assert outcome(split_sentences, text, abbreviations) == outcome(
+        reference_split_sentences, text, abbreviations
+    )
+
+
+@given(st.text(max_size=60))
+def test_split_sentences_matches_on_any_text(text):
+    assert outcome(split_sentences, text) == outcome(reference_split_sentences, text)
+
+
+def test_split_sentences_treats_unicode_whitespace_as_whitespace():
+    for space in UNICODE_SPACES:
+        text = f"It is lit.{space}The mill is busy.{space}"
+        assert split_sentences(text) == reference_split_sentences(text) == ["It is lit.", "The mill is busy."]
+
+
+# -- parse_expression ----------------------------------------------------------------
+
+names = st.sampled_from(["A", "B", "C", "D", "x_1", "_y", "Dr"])
+expressions = st.recursive(
+    names.map(Atom),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=4).map(lambda c: And(tuple(c))),
+        st.lists(sub, min_size=2, max_size=4).map(lambda c: Or(tuple(c))),
+        st.tuples(sub, sub).map(lambda p: Implies(*p)),
+        st.tuples(sub, sub).map(lambda p: Iff(*p)),
+    ),
+    max_leaves=16,
+)
+line_pieces = ["And", "Or", "Not", "Implies", "Iff", "(", ")", ",", "A", "b1", "_", "9", "$", " ", "\n",
+               *UNICODE_SPACES, *NON_ASCII]
+
+
+@st.composite
+def corrupted_lines(draw):
+    """A printed expression with characters inserted, deleted or replaced."""
+    line = format_expr(draw(expressions))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = draw(st.sampled_from(line_pieces))
+        if edit == "insert":
+            line = line[:i] + piece + line[i:]
+        elif edit == "delete":
+            line = line[:i] + line[i + 1 :]
+        else:
+            line = line[:i] + piece + line[i + 1 :]
+    return line
+
+
+@given(st.one_of(
+    expressions.map(format_expr),
+    corrupted_lines(),
+    st.lists(st.sampled_from(line_pieces), max_size=24).map("".join),
+    st.text(max_size=30),
+))
+def test_parse_expression_matches_the_token_parser(line):
+    assert outcome(parse_expression, line) == outcome(reference_parse_expression, line)
+
+
+@pytest.mark.parametrize("line", ["", "   ", "And(A", "And(A,", "And(A B)", "Not", "Not(A, B)", "Or(A)",
+                                  "A B", "A)", "(A)", "And(,A)", "9", "a\x85b", "And(A,\xa0é)", "Iff(A,B,C)"])
+def test_parse_expression_errors_match(line):
+    got = outcome(parse_expression, line)
+    assert got[0] == "error"
+    assert got == outcome(reference_parse_expression, line)
+
+
+# -- to_cnf and simplify_cnf ---------------------------------------------------------
+
+@given(
+    st.lists(expressions, min_size=1, max_size=3),
+    st.one_of(st.sampled_from([DEFAULT_CLAUSE_CAP, 7, 30]), st.integers(1, 40)),
+)
+def test_to_cnf_and_simplify_match_the_two_walk_conversion(exprs, cap):
+    table, reference_table = SymbolTable(), SymbolTable()
+    for table_ in (table, reference_table):  # a shared table that already holds names
+        table_.intern("D")
+    for expr in exprs:
+        got = outcome(to_cnf, expr, table, cap)
+        assert got == outcome(reference_to_cnf, expr, reference_table, cap)
+        assert table.names() == reference_table.names()
+        if got[0] == "ok":
+            assert simplify_cnf(got[1]) == reference_simplify_cnf(got[1])
+
+
+@pytest.mark.parametrize("line", ["And(A, B, C, D, E, F, G, H)", "Or(And(A, B), And(C, D, E, F))",
+                                  "Iff(And(A, B), Or(C, D))", "Not(Implies(Or(A, B), And(C, D, E, F)))"])
+@pytest.mark.parametrize("cap", [7, 8])
+def test_to_cnf_clause_cap_boundary_matches(line, cap):
+    expr = parse_expression(line)
+    got = outcome(to_cnf, expr, SymbolTable(), cap)
+    assert got == outcome(reference_to_cnf, expr, SymbolTable(), cap)
+
+
+literals = st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@given(st.lists(st.lists(literals, min_size=1, max_size=5), max_size=30))
+def test_simplify_cnf_matches_all_pairs_subsumption(clauses):
+    formula = CnfFormula(6, clauses)
+    assert simplify_cnf(formula) == reference_simplify_cnf(formula)
