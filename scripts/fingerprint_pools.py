@@ -26,11 +26,23 @@ that must keep behaviour identical prints the same four lines before
 and after:
 
     python3 scripts/fingerprint_pools.py
+
+The training line reads the policy's first-layer folds, whose last bits
+depend on the BLAS build and its thread count. So, as
+``perfbench/run.py`` does, the script sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to min(2, cores) before
+numpy is imported, whatever the caller's environment says; the line
+then depends only on the machine's BLAS build.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
+
+BLAS_THREADS = str(max(1, min(2, os.cpu_count() or 1)))
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

@@ -11,7 +11,10 @@ the vector shape consumed by the learned heuristic never changes.
 
 Entropy here is the natural-log entropy of the empirical distribution
 of exact values in a sample, bounded by log(support size). Variation
-coefficient is stddev/mean, defined as 0 when the mean is 0.
+coefficient is stddev/mean, defined as 0 when the mean is 0; mean and
+std are the reductions ``np.mean`` and ``np.std`` make, called directly.
+``clause_incidence`` decodes the clauses once, for the features and for
+the signed adjacency's nonzero entries that the policy folds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,10 +77,6 @@ class FeatureVector:
         if self.values.shape != (FEATURE_COUNT,):
             raise ValueError(f"feature vector must have {FEATURE_COUNT} entries")
 
-    @property
-    def schema(self) -> tuple[str, ...]:
-        return FEATURE_SCHEMA
-
     def get(self, name: str) -> float:
         return float(self.values[_INDEX[name]])
 
@@ -84,88 +84,98 @@ class FeatureVector:
         return [(name, float(v)) for name, v in zip(FEATURE_SCHEMA, self.values)]
 
 
+class Incidence(NamedTuple):
+    """Clause lengths; per literal occurrence its code and clause; per distinct
+    (clause, variable) pair, row-major, both and whether the variable is positive."""
+
+    lengths: np.ndarray
+    codes: np.ndarray
+    rows: np.ndarray
+    pair_clause: np.ndarray
+    pair_var: np.ndarray
+    pair_positive: np.ndarray
+
+
+def clause_incidence(formula: CnfFormula) -> Incidence:
+    n, m = formula.num_vars, formula.num_clauses
+    lengths = np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m)
+    codes = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(m), lengths)
+    # A set low bit marks a negative occurrence, so a pair's occurrences
+    # sort together, any positive one first.
+    keys = np.sort((rows * (n + 1) + np.abs(codes)) * 2 + (codes < 0))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = (keys[1:] >> 1) != (keys[:-1] >> 1)
+    keys = keys[first]
+    pair_clause, pair_var = np.divmod(keys >> 1, n + 1)
+    return Incidence(lengths, codes, rows, pair_clause, pair_var, (keys & 1) == 0)
+
+
 def _spreads(samples: np.ndarray) -> list[list[float]]:
     """Mean, variation coefficient, min, max and entropy of each row.
 
     Each row is sorted first, which makes every statistic bit-identical
     under any permutation of the sample (float summation is
-    order-sensitive); a row's mean and std over the sorted stack equal
-    those of the row alone. Entropy sums its terms in Python floats, in
+    order-sensitive). Entropy sums its terms in Python floats, in
     increasing order of value.
     """
     ordered = np.sort(samples, axis=1)
     rows, k = ordered.shape
-    # Runs of equal values in the sorted rows; a run's length is the gap
-    # to the next run's start, and a row's last run ends at the next
-    # row's first entry.
+    means = np.add.reduce(ordered, axis=1) / k
+    deviations = ordered - means[:, None]
+    stds = np.sqrt(np.add.reduce(deviations * deviations, axis=1) / k)
+    # Runs of equal values in the sorted rows; a run ends where the next
+    # one starts, a row's last run at the next row's first entry.
     starts = np.ones(ordered.shape, dtype=bool)
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    flat = np.flatnonzero(starts)
+    bounds = np.flatnonzero(starts).tolist()
     sums = [0.0] * rows
-    for row, count in zip((flat // k).tolist(), np.diff(flat, append=ordered.size).tolist()):
-        sums[row] += (count / k) * math.log(count / k)
+    for start, end in zip(bounds, bounds[1:] + [ordered.size]):
+        sums[start // k] += ((end - start) / k) * math.log((end - start) / k)
     out = []
-    stats = zip(ordered.tolist(), ordered.mean(axis=1).tolist(), ordered.std(axis=1).tolist(), sums)
-    for row, mean, std, total in stats:
-        vc = std / mean if mean != 0 else 0.0
-        out.append([mean, vc, row[0], row[-1], -total])
+    stats = zip(means.tolist(), stds.tolist(), ordered[:, 0].tolist(), ordered[:, -1].tolist(), sums)
+    for mean, std, low, high, total in stats:
+        out.append([mean, std / mean if mean != 0 else 0.0, low, high, -total])
     return out
 
 
-def extract_features(formula: CnfFormula) -> FeatureVector:
+def extract_features(formula: CnfFormula, incidence: Optional[Incidence] = None) -> FeatureVector:
+    """``formula``'s features, from its ``clause_incidence`` if given."""
     n, m = formula.num_vars, formula.num_clauses
     if n < 1 or m < 1:
         raise DegenerateFormulaError(
             f"need >= 1 variable and >= 1 clause, got {n} vars / {m} clauses"
         )
 
-    # One entry per literal occurrence, then one per distinct
-    # (clause, variable) pair: degrees count a variable once per clause,
+    # Degrees count a variable once per clause (the distinct pairs),
     # polarity counts every occurrence.
-    clauses = formula.clauses
-    lengths = np.fromiter(map(len, clauses), dtype=np.int64, count=m)
-    codes = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(lengths.sum()))
-    rows = np.repeat(np.arange(m), lengths)
-    variables = np.abs(codes)
-    positive = codes > 0
-    pairs = np.sort(rows * (n + 1) + variables)
-    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    pair_clause, pair_var = np.divmod(pairs, n + 1)
-
-    positives = np.bincount(rows[positive], minlength=m)
+    inc = clause_incidence(formula) if incidence is None else incidence
+    variables = np.abs(inc.codes)
+    positive = inc.codes > 0
+    positives = np.bincount(inc.rows[positive], minlength=m)
     is_horn = positives <= 1
-    clause_degree = np.bincount(pair_clause, minlength=m)
-    var_degree = np.bincount(pair_var, minlength=n + 1)[1:]
-    horn_count = np.bincount(pair_var[is_horn[pair_clause]], minlength=n + 1)[1:]
+    clause_degree = np.bincount(inc.pair_clause, minlength=m)
     pos_occ = np.bincount(variables[positive], minlength=n + 1)[1:]
     total_occ = np.bincount(variables, minlength=n + 1)[1:]
-    var_pos_frac = np.zeros(n)
-    np.divide(pos_occ, total_occ, out=var_pos_frac, where=total_occ > 0)
-
-    var_spreads = _spreads(np.stack([var_degree, var_pos_frac, horn_count]).astype(np.float64))
-    clause_spreads = _spreads(np.stack([clause_degree, positives / lengths]).astype(np.float64))
+    var_samples = np.empty((3, n))  # degree, positive fraction (0 if unused), Horn count
+    var_samples[0] = np.bincount(inc.pair_var, minlength=n + 1)[1:]
+    np.divide(pos_occ, np.maximum(total_occ, 1), out=var_samples[1])
+    var_samples[2] = np.bincount(inc.pair_var[is_horn[inc.pair_clause]], minlength=n + 1)[1:]
+    clause_samples = np.array([clause_degree, positives / inc.lengths], dtype=np.float64)
+    var_spreads = _spreads(var_samples)
+    clause_spreads = _spreads(clause_samples)
+    degree_counts = np.bincount(clause_degree, minlength=4)
 
     ratio = m / n
-    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    head = [
-        float(n),
-        float(m),
-        ratio,
-        n / m,
-        abs(ratio - 4.26),
-    ]
     body = (
-        head
+        [float(n), float(m), ratio, n / m, abs(ratio - 4.26)]
         + var_spreads[0]
         + clause_spreads[0]
         + clause_spreads[1]
         + var_spreads[1]
-        + [
-            int(np.count_nonzero(clause_degree == 2)) / m,
-            int(np.count_nonzero(clause_degree == 3)) / m,
-            int(np.count_nonzero(is_horn)) / m,
-        ]
+        + [int(degree_counts[2]) / m, int(degree_counts[3]) / m, int(np.count_nonzero(is_horn)) / m]
         + var_spreads[2]
     )
+    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
     values[: len(body)] = body
     return FeatureVector(values)

@@ -7,7 +7,8 @@ lists directly; no negation normal form tree is built. The result is
 equivalent to the input over the same atoms, which the truth-table
 tests rely on. Distribution can blow up exponentially, so a clause cap
 (default 10,000) guards it: a conjunction is checked after each part,
-a disjunction before each product.
+a disjunction before each product. An expression nested past Python's
+recursion limit is a ``NestingTooDeepError``.
 
 Simplification applies exactly four equivalence-preserving rules:
 duplicate literals within a clause, tautological clauses, duplicate
@@ -28,6 +29,10 @@ DEFAULT_CLAUSE_CAP = 10_000
 class BlowupExceededError(SatkitError):
     """Distribution would exceed the clause cap. Tseytin-style encoding
     would sidestep this at the cost of equivalence; not implemented."""
+
+
+class NestingTooDeepError(SatkitError):
+    """The expression is nested deeper than the conversion can recurse."""
 
 
 class SymbolTable:
@@ -57,9 +62,6 @@ class SymbolTable:
 
     def items(self) -> list[tuple[str, int]]:
         return [(name, i + 1) for i, name in enumerate(self._names)]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __len__(self) -> int:
         return len(self._names)
@@ -120,9 +122,12 @@ def to_cnf(
     """
     if table is None:
         table = SymbolTable()
-    for name in atoms(expr):
-        table.intern(name)
-    clauses = _clauses(expr, False, table._index, max_clauses)
+    try:
+        for name in atoms(expr):
+            table.intern(name)
+        clauses = _clauses(expr, False, table._index, max_clauses)
+    except RecursionError:
+        raise NestingTooDeepError("expression nested too deeply to convert to CNF") from None
     return CnfFormula(len(table), clauses)
 
 

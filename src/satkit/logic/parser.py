@@ -11,12 +11,14 @@ characters holds a character no token can take, and fails there. The
 parser is one recursive function over the token list, which ends in an
 empty string standing for the end of input. Errors carry the character
 offset into the line. Token offsets are not kept: an error recomputes
-the offset of the token it names.
+the offset of the token it names. A line nested deeper than Python's
+recursion limit allows fails at its first token of greatest depth.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from ..errors import SatkitError
 from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
@@ -97,7 +99,12 @@ def parse_expression(line: str) -> LogicalExpr:
         bad = _BAD_CHARACTER.search(line)
         raise ExpressionSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
     tokens.append(_END)
-    expr, pos = _parse(line, tokens, 0)
+    try:
+        expr, pos = _parse(line, tokens, 0)
+    except RecursionError:
+        depths = list(accumulate((token == "(") - (token == ")") for token in tokens))
+        message = f"expression nested {max(depths)} levels deep, too deep to parse"
+        raise ExpressionSyntaxError(message, _offset(line, depths.index(max(depths)) + 1)) from None
     if tokens[pos] != _END:
         raise ExpressionSyntaxError(f"unexpected trailing input {tokens[pos]!r}", _offset(line, pos))
     return expr

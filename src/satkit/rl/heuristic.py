@@ -3,12 +3,13 @@
 On each decision the heuristic builds the observation's dynamic block
 (variable assignments and clause status, n + m entries) from the live
 solver state, asks the policy for an action and returns the literal it
-branches on. The static parts of the observation (signed
-adjacency, global features) are computed at construction and folded
-into the actor's first layer there, so a decision multiplies only the
-dynamic inputs. Construction is what the benchmark harness times as
-feature-extraction cost (``feature_time_s``), fold included; solve
-time excludes it.
+branches on. Construction decodes the clauses once for the static
+parts of the observation (signed adjacency, global features) and folds
+only their nonzero entries into the actor's first layer (the fold's
+last bits depend on the BLAS build and thread count), so a decision
+multiplies only the dynamic inputs. Construction is what the benchmark
+harness times as feature-extraction cost (``feature_time_s``), fold
+included; solve time excludes it.
 
 Clause status comes from the heuristic's ``ClauseStatus`` tracker,
 which it syncs from ``solver.trail`` before each read: ``decide`` reads
@@ -19,11 +20,11 @@ Built without an rng, the heuristic is greedy and records nothing: no
 full observation, no softmax, no critic. Built with one, it samples
 each decision from the masked softmax and records one Transition per
 decision, with the full observation, the log-probability and the
-critic's value (the critic is folded and evaluated only then). Its
-reward is filled in after the propagation (and any conflict
-resolution) that the decision triggered. Marking the final transition
-done is left to ``run_episode``, which alone knows where an episode
-ends, verdict or decision limit.
+critic's value (the dense static block is built and the critic folded
+only then). Its reward is filled in after the propagation (and any
+conflict resolution) that the decision triggered. Marking the final
+transition done is left to ``run_episode``, which alone knows where an
+episode ends, verdict or decision limit.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from ..cnf import CnfFormula
-from ..features import extract_features
+from ..features import clause_incidence, extract_features
 from ..solver.engine import Heuristic, Solver
-from .observation import ClauseStatus, ShapeMismatchError, signed_adjacency
+from .observation import ClauseStatus, ShapeMismatchError, signed_adjacency, static_entries
 from .policy import Policy, action_to_decision, legal_action_mask
 from .ppo import Transition
 
@@ -57,12 +58,14 @@ class PolicyHeuristic(Heuristic):
         self.rng = rng
         self.transitions: list[Transition] = []
         self.clause_status = ClauseStatus(formula)
-        # The observation's static tail, in build_observation's order.
-        self._static = np.concatenate(
-            [signed_adjacency(formula).reshape(-1), extract_features(formula).values]
-        )
-        self._actor_fold = policy.fold(policy.actor, self._static)
-        self._critic_fold = policy.fold(policy.critic, self._static) if rng is not None else None
+        incidence = clause_incidence(formula)
+        features = extract_features(formula, incidence).values
+        static = static_entries(incidence, features, formula.num_vars)
+        self._actor_fold = policy.fold(policy.actor, *static)
+        if rng is not None:
+            # The observation's static tail, in build_observation's order.
+            self._static = np.concatenate([signed_adjacency(formula).reshape(-1), features])
+            self._critic_fold = policy.fold(policy.critic, *static)
         self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:

@@ -38,9 +38,9 @@ class Mlp:
     returns per-parameter gradients in ``parameters()`` order.
 
     Inputs that stay fixed across many calls can be folded: ``fold``
-    turns the trailing inputs into their share of the first layer's
-    pre-activation, bias included, and ``forward(head, folded)`` then
-    multiplies only the leading inputs ``head``.
+    turns the nonzero trailing inputs into their share of the first
+    layer's pre-activation, bias included, and ``forward(head, folded)``
+    then multiplies only the leading inputs ``head``.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator, out_gain: float = 1.0):
@@ -56,11 +56,10 @@ class Mlp:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def fold(self, tail: np.ndarray) -> np.ndarray:
-        """First-layer pre-activation of the trailing inputs ``tail``,
-        bias included."""
-        w = self.weights[0]
-        return tail @ w[w.shape[0] - tail.shape[-1] :] + self.biases[0]
+    def fold(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """First-layer pre-activation of the inputs ``x`` at positions
+        ``rows``, every other trailing input 0, bias included."""
+        return x @ self.weights[0][rows] + self.biases[0]
 
     def forward(
         self, x: np.ndarray, folded: "np.ndarray | None" = None

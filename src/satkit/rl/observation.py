@@ -25,13 +25,11 @@ tracker is tested against, and ``build_observation`` uses them.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
 from ..errors import SatkitError
-from ..features import FEATURE_COUNT, FeatureVector
+from ..features import FEATURE_COUNT, FeatureVector, Incidence, clause_incidence
 
 
 class ShapeMismatchError(SatkitError):
@@ -47,16 +45,22 @@ def signed_adjacency(formula: CnfFormula) -> np.ndarray:
     """Signed clause-by-variable incidence matrix. A variable occurring
     with both polarities in one clause stores +1 (cannot happen after
     tautology simplification)."""
-    clauses, m = formula.clauses, formula.num_clauses
-    sizes = np.fromiter(map(len, clauses), dtype=np.int64, count=m)
-    codes = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(sizes.sum()))
-    rows = np.repeat(np.arange(m), sizes)
-    cols = np.abs(codes) - 1
-    positive = codes > 0
-    adj = np.zeros((m, formula.num_vars), dtype=np.float64)
-    adj[rows[~positive], cols[~positive]] = -1.0
-    adj[rows[positive], cols[positive]] = 1.0  # a positive occurrence wins
+    inc = clause_incidence(formula)
+    adj = np.zeros((formula.num_clauses, formula.num_vars), dtype=np.float64)
+    adj[inc.pair_clause, inc.pair_var - 1] = np.where(inc.pair_positive, 1.0, -1.0)
     return adj
+
+
+def static_entries(
+    incidence: Incidence, features: np.ndarray, num_vars: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of an observation's static block, signed
+    adjacency then global ``features``, as increasing positions in the
+    block and their values, from a formula's ``clause_incidence``."""
+    nonzero = np.flatnonzero(features)
+    adjacency = incidence.pair_clause * num_vars + (incidence.pair_var - 1)
+    index = np.concatenate([adjacency, len(incidence.lengths) * num_vars + nonzero])
+    return index, np.concatenate([np.where(incidence.pair_positive, 1.0, -1.0), features[nonzero]])
 
 
 def clause_evaluations(formula: CnfFormula, values: list[int]) -> np.ndarray:

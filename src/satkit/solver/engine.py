@@ -129,9 +129,8 @@ class Solver:
         self.clauses: list[Optional[list[int]]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self._unit_clauses: list[int] = []
-        for clause in formula.clauses:
-            codes = list(dict.fromkeys(clause))
-            idx = len(self.clauses)
+        for idx, clause in enumerate(formula.clauses):
+            codes = list(clause) if len(set(clause)) == len(clause) else list(dict.fromkeys(clause))
             self.clauses.append(codes)
             if len(codes) == 1:
                 self._unit_clauses.append(idx)
@@ -356,9 +355,9 @@ class Solver:
         return model
 
     def _verify_model(self, model: list[int]) -> None:
-        phase = {abs(code): code > 0 for code in model}
+        true = set(model)
         for clause in self.formula.clauses:
-            if not any(phase[abs(code)] == (code > 0) for code in clause):
+            if true.isdisjoint(clause):
                 raise AssertionError("internal error: SAT model fails verification")
 
     def _limit_reached(self, started: float) -> Optional[str]:
@@ -448,36 +447,3 @@ class Solver:
                 > self.max_learned_factor * max(1, self.num_original)
             ):
                 self._reduce_learned()
-
-    # -- debug invariants (used by the test suite) -------------------------
-
-    def check_watch_invariants(self) -> None:
-        n = self.num_vars
-        assert len(self.watches) == 2 * n + 1 and not self.watches[0], "watch table shape"
-        expected = set()
-        for ci, clause in enumerate(self.clauses):
-            if clause is not None and len(clause) >= 2:
-                assert clause[0] != clause[1], "clause watches one literal twice"
-                expected.add((clause[0], ci))
-                expected.add((clause[1], ci))
-        listed = [(lit, ci) for v in range(1, n + 1) for lit in (v, -v) for ci in self.watches[lit]]
-        assert len(listed) == len(set(listed)), "clause listed twice under one literal"
-        assert set(listed) == expected, "watch lists do not match the clauses' watched slots"
-
-    def check_trail_invariants(self) -> None:
-        position = {abs(lit): i for i, lit in enumerate(self.trail)}
-        last_level = 0
-        for i, lit in enumerate(self.trail):
-            var = abs(lit)
-            assert self.lit_value(lit) == TRUE, "trail literal not assigned true"
-            assert self.level[var] >= last_level, "trail levels not monotone"
-            last_level = self.level[var]
-            reason = self.reason[var]
-            if reason is not None:
-                clause = self.clauses[reason]
-                assert clause[0] == lit or len(clause) == 1, "asserted literal not at slot 0"
-                for other in clause:
-                    if other == lit:
-                        continue
-                    assert self.lit_value(other) == FALSE, "reason clause not unit at append"
-                    assert position[abs(other)] < i, "reason literal assigned later"

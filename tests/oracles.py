@@ -7,18 +7,27 @@ character-loop sentence splitter, the token-object parser and the
 two-walk (negation normal form, then distribution) CNF conversion with
 all-pairs subsumption that the one-pass Lang2Logic stages must match
 result for result and error for error. They share only the error
-classes and ``SymbolTable`` with the code they check.
+classes and ``SymbolTable`` with the code they check. Likewise
+``reference_fold`` is the fold over the whole static block that the
+nonzero-row fold replaced, and ``reference_extract_features`` the
+feature extraction (``np.mean``/``np.std`` over stacked samples) that
+the leaner one must match bit for bit. ``check_watch_invariants`` and
+``check_trail_invariants`` assert a solver's internal invariants.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
-from satkit.cnf import CnfFormula
+from satkit.cnf import FALSE, TRUE, CnfFormula
+from satkit.features import FEATURE_COUNT
 from satkit.logic.convert import BlowupExceededError, SymbolTable
 from satkit.logic.expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
 from satkit.logic.parser import ArityError, ExpressionSyntaxError
@@ -43,6 +52,16 @@ def formula_truth_column(formula: CnfFormula, table: np.ndarray) -> np.ndarray:
             clause_sat |= col if code > 0 else ~col
         result &= clause_sat
     return result
+
+
+@st.composite
+def any_formula(draw):
+    """Clauses of 1 to 6 literals, with duplicated and complementary
+    literals and unused variables allowed."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), min_size=1, max_size=60))
+    return CnfFormula(n, clauses)
 
 
 def brute_force_satisfiable(formula: CnfFormula) -> bool:
@@ -112,6 +131,21 @@ def full_value(policy, obs: np.ndarray) -> float:
     return float(policy.critic(policy.preprocess(obs)[None, :])[0, 0])
 
 
+def fold_block(policy, net, static: np.ndarray) -> np.ndarray:
+    """``policy.fold`` of a whole static block, through its nonzero
+    entries."""
+    index = np.flatnonzero(static)
+    return policy.fold(net, index, static[index])
+
+
+def reference_fold(policy, net, static: np.ndarray) -> np.ndarray:
+    """The dense fold: the whole preprocessed static block times the
+    first layer's trailing rows, bias included."""
+    w = net.weights[0]
+    tail = policy.preprocess(static)
+    return tail @ w[w.shape[0] - tail.shape[-1] :] + net.biases[0]
+
+
 def run_bandit(
     updates: int = 200,
     lr: float = 0.01,
@@ -146,8 +180,8 @@ def run_bandit(
 
     prob_best = 0.0
     for u in range(1, updates + 1):
-        actor_fold = policy.fold(policy.actor, static)
-        value = policy.value(dynamic, policy.fold(policy.critic, static))
+        actor_fold = fold_block(policy, policy.actor, static)
+        value = policy.value(dynamic, fold_block(policy, policy.critic, static))
         batch = []
         for _ in range(batch_size):
             action, logp = policy.act(dynamic, mask, actor_fold, rng)
@@ -447,3 +481,105 @@ def reference_simplify_cnf(formula: CnfFormula) -> CnfFormula:
         if not any(j != i and kept_sets[j] < kept_sets[i] for j in range(len(kept)))
     ]
     return CnfFormula(formula.num_vars, result)
+
+
+def _reference_spreads(samples: np.ndarray) -> list[list[float]]:
+    """Mean, variation coefficient, min, max and entropy of each sorted
+    row, through ``np.mean``, ``np.std`` and ``np.diff(append=)``."""
+    ordered = np.sort(samples, axis=1)
+    rows, k = ordered.shape
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    flat = np.flatnonzero(starts)
+    sums = [0.0] * rows
+    for row, count in zip((flat // k).tolist(), np.diff(flat, append=ordered.size).tolist()):
+        sums[row] += (count / k) * math.log(count / k)
+    out = []
+    stats = zip(ordered.tolist(), ordered.mean(axis=1).tolist(), ordered.std(axis=1).tolist(), sums)
+    for row, mean, std, total in stats:
+        vc = std / mean if mean != 0 else 0.0
+        out.append([mean, vc, row[0], row[-1], -total])
+    return out
+
+
+def reference_extract_features(formula: CnfFormula) -> np.ndarray:
+    """The feature values, from stacked samples and one decode per call."""
+    n, m = formula.num_vars, formula.num_clauses
+    clauses = formula.clauses
+    lengths = np.fromiter(map(len, clauses), dtype=np.int64, count=m)
+    codes = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(m), lengths)
+    variables = np.abs(codes)
+    positive = codes > 0
+    pairs = np.sort(rows * (n + 1) + variables)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    pair_clause, pair_var = np.divmod(pairs, n + 1)
+
+    positives = np.bincount(rows[positive], minlength=m)
+    is_horn = positives <= 1
+    clause_degree = np.bincount(pair_clause, minlength=m)
+    var_degree = np.bincount(pair_var, minlength=n + 1)[1:]
+    horn_count = np.bincount(pair_var[is_horn[pair_clause]], minlength=n + 1)[1:]
+    pos_occ = np.bincount(variables[positive], minlength=n + 1)[1:]
+    total_occ = np.bincount(variables, minlength=n + 1)[1:]
+    var_pos_frac = np.zeros(n)
+    np.divide(pos_occ, total_occ, out=var_pos_frac, where=total_occ > 0)
+
+    var_spreads = _reference_spreads(np.stack([var_degree, var_pos_frac, horn_count]).astype(np.float64))
+    clause_spreads = _reference_spreads(np.stack([clause_degree, positives / lengths]).astype(np.float64))
+
+    ratio = m / n
+    body = (
+        [float(n), float(m), ratio, n / m, abs(ratio - 4.26)]
+        + var_spreads[0]
+        + clause_spreads[0]
+        + clause_spreads[1]
+        + var_spreads[1]
+        + [
+            int(np.count_nonzero(clause_degree == 2)) / m,
+            int(np.count_nonzero(clause_degree == 3)) / m,
+            int(np.count_nonzero(is_horn)) / m,
+        ]
+        + var_spreads[2]
+    )
+    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
+    values[: len(body)] = body
+    return values
+
+
+def check_watch_invariants(solver) -> None:
+    """The solver's watch table lists every live clause of length >= 2
+    exactly once under each of its two watched literals, slots 0 and 1."""
+    n = solver.num_vars
+    assert len(solver.watches) == 2 * n + 1 and not solver.watches[0], "watch table shape"
+    expected = set()
+    for ci, clause in enumerate(solver.clauses):
+        if clause is not None and len(clause) >= 2:
+            assert clause[0] != clause[1], "clause watches one literal twice"
+            expected.add((clause[0], ci))
+            expected.add((clause[1], ci))
+    listed = [(lit, ci) for v in range(1, n + 1) for lit in (v, -v) for ci in solver.watches[lit]]
+    assert len(listed) == len(set(listed)), "clause listed twice under one literal"
+    assert set(listed) == expected, "watch lists do not match the clauses' watched slots"
+
+
+def check_trail_invariants(solver) -> None:
+    """Every trail literal is true, levels never fall along the trail,
+    and a reason clause asserted its literal at slot 0 with every other
+    literal false and assigned earlier."""
+    position = {abs(lit): i for i, lit in enumerate(solver.trail)}
+    last_level = 0
+    for i, lit in enumerate(solver.trail):
+        var = abs(lit)
+        assert solver.lit_value(lit) == TRUE, "trail literal not assigned true"
+        assert solver.level[var] >= last_level, "trail levels not monotone"
+        last_level = solver.level[var]
+        reason = solver.reason[var]
+        if reason is not None:
+            clause = solver.clauses[reason]
+            assert clause[0] == lit or len(clause) == 1, "asserted literal not at slot 0"
+            for other in clause:
+                if other == lit:
+                    continue
+                assert solver.lit_value(other) == FALSE, "reason clause not unit at append"
+                assert position[abs(other)] < i, "reason literal assigned later"

@@ -116,6 +116,14 @@ class TestConvert:
         assert main(["convert", str(src)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_deeply_nested_expression_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "exprs.txt"
+        src.write_text("P\n" + "Not(" * 1200 + "A" + ")" * 1200 + "\n", encoding="utf-8")
+        assert main(["convert", str(src), "--mode", "expr"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: expression nested 1200 levels deep")
+        assert "Traceback" not in err
+
 
 class TestSolve:
     def test_sat_exit_10_with_model(self, tmp_path, capsys):

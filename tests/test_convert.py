@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
-from satkit.logic.convert import BlowupExceededError, SymbolTable, simplify_cnf, to_cnf
+from satkit.logic.convert import (
+    BlowupExceededError,
+    NestingTooDeepError,
+    SymbolTable,
+    simplify_cnf,
+    to_cnf,
+)
 from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or
 from satkit.logic.parser import parse_expression
 
@@ -126,3 +132,11 @@ class TestSimplify:
         assert once.num_clauses <= formula.num_clauses
         total = lambda f: sum(len(c) for c in f.clauses)
         assert total(once) <= total(formula)
+
+
+def test_expression_nested_past_the_recursion_limit_is_a_typed_error():
+    expr = P
+    for _ in range(5000):  # built directly: the parser refuses such depth
+        expr = Not(expr)
+    with pytest.raises(NestingTooDeepError):
+        to_cnf(expr)

@@ -11,6 +11,12 @@ from oracles import random_expression
 
 
 class TestParse:
+    def test_nesting_past_the_recursion_limit_fails_at_its_deepest_token(self):
+        line = "Or(Q, " + "Not(" * 1200 + "A" + ")" * 1201
+        with pytest.raises(ExpressionSyntaxError, match="nested 1201 levels deep") as exc_info:
+            parse_expression(line)
+        assert exc_info.value.offset == line.index("A")
+
     def test_nested_operators(self):
         expr = parse_expression("And(Not(P), Or(Q, R))")
         assert expr == And((Not(Atom("P")), Or((Atom("Q"), Atom("R")))))

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
@@ -12,9 +12,12 @@ from satkit.features import (
     FEATURE_COUNT,
     FEATURE_SCHEMA,
     DegenerateFormulaError,
+    clause_incidence,
     extract_features,
 )
 from satkit.generators import planted_ksat, random_ksat
+
+from oracles import any_formula, reference_extract_features
 
 
 def test_schema_is_48_slots_with_reserved_tail():
@@ -210,16 +213,6 @@ def reference_features(formula):
     return values
 
 
-@st.composite
-def any_formula(draw):
-    """Clauses of 1 to 6 literals, with duplicated and complementary
-    literals and unused variables allowed."""
-    n = draw(st.integers(min_value=1, max_value=30))
-    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
-    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), min_size=1, max_size=60))
-    return CnfFormula(n, clauses)
-
-
 @given(any_formula())
 def test_features_match_the_per_clause_loop_bit_for_bit(formula):
     assert extract_features(formula).values.tobytes() == reference_features(formula).tobytes()
@@ -233,3 +226,22 @@ def test_features_match_the_per_clause_loop_on_generated_instances():
         make = planted_ksat if k % 2 else random_ksat
         f = make(n, m, rng)
         assert extract_features(f).values.tobytes() == reference_features(f).tobytes()
+
+
+@given(any_formula())
+@example(CnfFormula(1, [[1, -1, 1]]))
+@example(CnfFormula(1, [[-1], [1, 1], [-1, 1]]))
+@example(CnfFormula(4, [[2, -3, 2, -2]]))
+def test_features_match_the_reference_extraction_bit_for_bit(formula):
+    expected = reference_extract_features(formula).tobytes()
+    assert extract_features(formula).values.tobytes() == expected
+    incidence = clause_incidence(formula)
+    assert extract_features(formula, incidence).values.tobytes() == expected
+
+
+def test_features_match_the_reference_extraction_on_generated_instances():
+    rng = random.Random(78)
+    for k in range(60):
+        n = rng.randint(3, 80)
+        f = (planted_ksat if k % 2 else random_ksat)(n, rng.randint(1, 6 * n), rng)
+        assert extract_features(f).values.tobytes() == reference_extract_features(f).tobytes()

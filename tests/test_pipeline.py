@@ -6,7 +6,12 @@ from satkit.logic.convert import SymbolTable, to_cnf
 from satkit.logic.parser import parse_expression
 from satkit.logic.pipeline import DocumentError, compile_document, conjoin
 from satkit.logic.sentences import EmptyInputError
-from satkit.logic.translate import StubTranslator, translate_sentence
+from satkit.logic.translate import (
+    MalformedTranslationError,
+    StubTranslator,
+    TranslationResponse,
+    translate_sentence,
+)
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 
@@ -75,6 +80,17 @@ def test_all_failures_collected(stub):
     with pytest.raises(DocumentError) as exc_info:
         compile_document("Mystery one. Mystery two.", stub)
     assert [f[0] for f in exc_info.value.failures] == [0, 1]
+
+
+def test_deeply_nested_translation_is_a_per_sentence_failure(stub):
+    deep = "Not(" * 1200 + "P" + ")" * 1200
+    stub.table["The tower is deep."] = TranslationResponse(deep)
+    with pytest.raises(DocumentError) as exc_info:
+        compile_document("The lamp is on. The tower is deep.", stub)
+    [(index, sentence, error)] = exc_info.value.failures
+    assert (index, sentence) == (1, "The tower is deep.")
+    assert isinstance(error, MalformedTranslationError)
+    assert "nested 1200 levels deep" in str(error)
 
 
 def test_each_sentence_is_parsed_once(stub, monkeypatch):

@@ -1,16 +1,27 @@
+import importlib
 import json
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
-from satkit.features import extract_features
+from satkit.features import clause_incidence, extract_features
 from satkit.generators import planted_ksat
 from satkit.rl.heuristic import PolicyHeuristic
-from satkit.rl.observation import ShapeMismatchError, build_observation
+from satkit.rl.observation import (
+    ShapeMismatchError,
+    build_observation,
+    clause_evaluations,
+    signed_adjacency,
+    static_entries,
+)
 from satkit.rl.policy import (
     AllMaskedError,
     Policy,
@@ -23,9 +34,19 @@ from satkit.rl.policy import (
     masked_log_softmax,
     save_policy,
 )
+from satkit.rl.train import train
 from satkit.solver.engine import Heuristic, Solver, Verdict
 
-from oracles import full_logits, full_value
+from oracles import (
+    any_formula,
+    fold_block,
+    full_logits,
+    full_value,
+    reference_extract_features,
+    reference_fold,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
@@ -52,7 +73,7 @@ def random_obs(policy, rng):
 def act(policy, obs, mask, rng=None):
     """``policy.act`` on a whole observation, split and folded."""
     d = policy.dynamic_dim
-    return policy.act(obs[:d], mask, policy.fold(policy.actor, obs[d:]), rng)
+    return policy.act(obs[:d], mask, fold_block(policy, policy.actor, obs[d:]), rng)
 
 
 class TestActionMapping:
@@ -114,7 +135,7 @@ class TestDecide:
         logits = full_logits(policy, obs)
         exact = np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])
         d = policy.dynamic_dim
-        fold = policy.fold(policy.actor, obs[d:])
+        fold = fold_block(policy, policy.actor, obs[d:])
 
         draws = 10_000
         counts = np.zeros(policy.num_actions)
@@ -250,8 +271,8 @@ class TestFoldedInference:
             formula = planted_ksat(20, 91, random.Random(k))
             features = extract_features(formula)
             obs = build_observation(formula, [0] * 20, features)
-            actor_fold = policy.fold(policy.actor, obs[d:])
-            critic_fold = policy.fold(policy.critic, obs[d:])
+            actor_fold = fold_block(policy, policy.actor, obs[d:])
+            critic_fold = fold_block(policy, policy.critic, obs[d:])
             for _ in range(8):
                 a = random_partial_assignment(20, rng)
                 if not legal_action_mask(a).any():
@@ -278,6 +299,105 @@ class TestFoldedInference:
                 reference.stats.conflicts,
                 reference.stats.propagations,
             )
+
+
+def perfbench_module(name):
+    """A module of the benchmark: its instance pools and generators."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def dense_fold(policy, net, index, values):
+    """``Policy.fold`` through ``reference_fold``, the whole static block."""
+    static = np.zeros(policy.obs_dim - policy.dynamic_dim)
+    static[index] = values
+    return reference_fold(policy, net, static)
+
+
+class DenseFoldGreedy(Heuristic):
+    """Greedy decisions from the reference features and the dense fold
+    of the whole static block, with their literals recorded."""
+
+    def __init__(self, policy, formula):
+        self.policy = policy
+        self.formula = formula
+        static = np.concatenate(
+            [signed_adjacency(formula).reshape(-1), reference_extract_features(formula)]
+        )
+        self.fold = reference_fold(policy, policy.actor, static)
+        self.decisions = []
+
+    def decide(self, solver):
+        values = solver.values
+        dynamic = np.concatenate([np.asarray(values, dtype=np.float64), clause_evaluations(self.formula, values)])
+        action, _ = self.policy.act(dynamic, legal_action_mask(values), self.fold)
+        self.decisions.append(action_to_decision(action))
+        return self.decisions[-1]
+
+
+class RecordedGreedy(PolicyHeuristic):
+    def __init__(self, policy, formula):
+        super().__init__(policy, formula)
+        self.decisions = []
+
+    def decide(self, solver):
+        self.decisions.append(super().decide(solver))
+        return self.decisions[-1]
+
+
+class TestNonzeroFold:
+    """The fold over the static block's nonzero entries against the
+    dense fold it replaced: within 1e-12, and the same decisions."""
+
+    @given(any_formula(), st.integers(0, 2**16))
+    @example(CnfFormula(1, [[1, -1, 1]]), 0)
+    @example(CnfFormula(3, [[2, 2, -2]]), 1)
+    @example(CnfFormula(1, [[-1], [1, 1], [-1, 1]]), 2)
+    def test_fold_is_within_1e_12_of_the_dense_fold(self, formula, seed):
+        policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(16,)), seed)
+        incidence = clause_incidence(formula)
+        features = extract_features(formula, incidence).values
+        index, values = static_entries(incidence, features, formula.num_vars)
+        static = np.concatenate([signed_adjacency(formula).reshape(-1), features])
+        assert np.array_equal(np.flatnonzero(static), index)
+        assert np.array_equal(static[index], values)
+        for net in (policy.actor, policy.critic):
+            folded = policy.fold(net, index, values)
+            assert float(np.abs(folded - reference_fold(policy, net, static)).max()) <= 1e-12
+
+    def test_greedy_decisions_match_the_dense_fold_on_the_race_pool(self):
+        pool = perfbench_module("pool")
+        policy = Policy(20, 91, seed=0)
+        decided = 0
+        for i in range(200):
+            formula = CnfFormula(20, pool.race_instance(i))
+            new, old = RecordedGreedy(policy, formula), DenseFoldGreedy(policy, formula)
+            result, expected = Solver(formula, new).run(), Solver(formula, old).run()
+            assert new.decisions == old.decisions, f"race pool instance {i}"
+            assert result.model == expected.model
+            decided += len(new.decisions)
+        assert decided > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_training_matches_the_dense_fold(self, seed, monkeypatch):
+        """The train-uf20 benchmark's inputs: the same windows, and update
+        metrics within 1e-9 relative."""
+        reference = perfbench_module("reference")
+        rng = random.Random(f"train-{seed}")
+        dataset = [CnfFormula(20, reference.planted_3sat(20, 91, rng)[0]) for _ in range(64)]
+        config = PpoConfig(rollout_window=150)
+        _, logs = train(dataset, Policy(20, 91, config, seed), 750)
+        monkeypatch.setattr(Policy, "fold", dense_fold)
+        _, expected = train(dataset, Policy(20, 91, config, seed), 750)
+
+        def windows(logs):
+            return [(log.window, log.steps, log.mean_reward, log.mean_decisions) for log in logs]
+
+        assert windows(logs) == windows(expected) and len(logs) == 5
+        for log, want in zip(logs, expected):
+            for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
+                assert getattr(log.metrics, name) == pytest.approx(getattr(want.metrics, name), rel=1e-9)
 
 
 class TestPolicyHeuristic:
@@ -351,7 +471,7 @@ class TestPolicyHeuristic:
             Solver(formula, heuristic).run()
             for t in heuristic.transitions:
                 obs = t.observation
-                logits = policy.actor(policy.preprocess(obs[:d]), policy.fold(policy.actor, obs[d:]))
+                logits = policy.actor(policy.preprocess(obs[:d]), fold_block(policy, policy.actor, obs[d:]))
                 logp = masked_log_softmax(logits[None, :], t.mask[None, :])[0]
                 assert t.log_prob == float(logp[t.action])
                 recorded += 1

@@ -12,7 +12,7 @@ from satkit.solver.engine import (
 )
 from satkit.solver.heuristics import RandomHeuristic, VsidsHeuristic
 
-from oracles import brute_force_satisfiable
+from oracles import brute_force_satisfiable, check_trail_invariants, check_watch_invariants
 
 
 class ScriptedHeuristic(Heuristic):
@@ -31,6 +31,51 @@ def model_satisfies(formula, model):
         any(phase[abs(code)] == (code > 0) for code in clause)
         for clause in formula.clauses
     )
+
+
+class TestModelCheck:
+    """``Solver._verify_model``: every original clause must hold a
+    literal of the model, repeated and complementary literals included."""
+
+    FORMULA = CnfFormula.from_codes(3, [[1, 1, 2], [3, -3], [-2, -2]])
+
+    def test_accepts_a_model_that_satisfies_every_clause(self):
+        Solver(self.FORMULA, VsidsHeuristic(3))._verify_model([1, -2, 3])
+
+    @pytest.mark.parametrize("model", [[-1, -2, 3], [1, 2, -3], [-1, 2, 3]])
+    def test_raises_on_a_model_that_falsifies_a_clause(self, model):
+        with pytest.raises(AssertionError, match="fails verification"):
+            Solver(self.FORMULA, VsidsHeuristic(3))._verify_model(model)
+
+    def test_raises_exactly_when_the_reference_check_fails(self):
+        rng = random.Random(12)
+        raised = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            clauses = [
+                [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(1, 8))
+            ]
+            f = CnfFormula.from_codes(n, clauses)
+            model = [v if rng.random() < 0.5 else -v for v in range(1, n + 1)]
+            solver = Solver(f, VsidsHeuristic(n))
+            if model_satisfies(f, model):
+                solver._verify_model(model)
+            else:
+                raised += 1
+                with pytest.raises(AssertionError):
+                    solver._verify_model(model)
+        assert 50 < raised < 350
+
+
+def test_only_clauses_with_a_repeated_literal_are_deduped():
+    f = CnfFormula.from_codes(3, [[1, 1, 2], [-2, -2], [3, -3, 3], [1, -3]])
+    solver = Solver(f, VsidsHeuristic(3))
+    assert solver.clauses == [[1, 2], [-2], [3, -3], [1, -3]]
+    assert solver._unit_clauses == [1]
+    check_watch_invariants(solver)
+    result = solver.run()
+    assert result.verdict == Verdict.SAT and model_satisfies(f, result.model)
 
 
 class TestPropagate:
@@ -90,7 +135,7 @@ class TestConflictAnalysis:
         assert all(solver.lit_value(lit) == FALSE for lit in others)
         solver._enqueue(learned[0], ci)
         assert solver.propagate() is None
-        solver.check_trail_invariants()
+        check_trail_invariants(solver)
 
     def test_conflict_clause_already_at_first_uip(self):
         # x1=T@1 forces x3=T; deciding x2=T@2 falsifies (~x3 | ~x2),
@@ -218,8 +263,8 @@ class TestSolve:
 
         class Checking(VsidsHeuristic):
             def on_step(self, solver):
-                solver.check_trail_invariants()
-                solver.check_watch_invariants()
+                check_trail_invariants(solver)
+                check_watch_invariants(solver)
 
         for _ in range(10):
             f = random_ksat(10, 44, rng)
@@ -471,8 +516,8 @@ class InvariantChecking(Heuristic):
         self.inner.on_conflict(solver, learned)
 
     def on_step(self, solver):
-        solver.check_trail_invariants()
-        solver.check_watch_invariants()
+        check_trail_invariants(solver)
+        check_watch_invariants(solver)
         self.inner.on_step(solver)
 
 
@@ -514,6 +559,7 @@ class TestFlagCombinations:
             assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)
             if result.verdict == Verdict.SAT:
                 assert model_satisfies(f, result.model)
+                solver._verify_model(result.model)
             live = solver.clauses[solver.num_original :]
             assert solver.num_live_learned == sum(c is not None for c in live)
             restarted += solver.stats.restarts > 0
