@@ -15,6 +15,9 @@ HIDDEN_GAIN = math.sqrt(2.0)  # orthogonal-init gain of the tanh hidden layers
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per Adam block: a block of p, g, m and v plus two scratch
+# blocks is 1.5 MB of float64, which stays in a 2 MB L2 cache.
+ADAM_BLOCK = 1 << 15
 
 
 def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: float) -> np.ndarray:
@@ -104,24 +107,53 @@ class Adam:
     The moments are kept per array and the step count is shared, so one
     optimizer over two networks' parameter lists updates each array
     exactly as one optimizer per network would at the same ``lr``.
+
+    A step walks each array in blocks of ``ADAM_BLOCK`` elements and
+    finishes the update of one block, through two scratch buffers
+    allocated once, before it starts the next. A step thus allocates no
+    full-size temporaries, whose fresh pages cost a whole-array update
+    much of its time in training, and each array crosses memory once.
+    Every element still sees the same float64 operations on the same
+    operands in the same order as in a whole-array update, so the
+    parameters and moments are bit-identical to it. The blocks are
+    views of the flattened arrays, so parameters must be C-contiguous.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float):
+        for i, p in enumerate(params):
+            if not p.flags.c_contiguous:
+                raise ValueError(f"Adam updates C-contiguous arrays only; parameter {i} is not")
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = np.empty((2, ADAM_BLOCK))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        for arrays in zip(params, grads, self.m, self.v):
+            p, g, m, v = (x.reshape(-1) for x in arrays)
+            for start in range(0, p.size, ADAM_BLOCK):
+                end = start + ADAM_BLOCK
+                pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+                a, b = self._scratch[:, : pb.size]
+                mb *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, gb, out=a)
+                mb += a
+                vb *= ADAM_BETA2
+                np.multiply(gb, gb, out=a)
+                np.multiply(1.0 - ADAM_BETA2, a, out=a)
+                vb += a
+                # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), term by term
+                np.divide(mb, b1t, out=a)
+                np.multiply(self.lr, a, out=a)
+                np.divide(vb, b2t, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                a /= b
+                pb -= a
 
     def state(self) -> dict:
         return {

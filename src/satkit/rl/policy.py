@@ -17,6 +17,7 @@ Training's forward pass over whole observations is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -71,6 +72,14 @@ class PpoConfig:
             raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.reward_mode not in REWARD_MODES:
             raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
+        for name in ("learning_rate", "clip_epsilon", "entropy_coef", "value_coef"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("discount", "gae_lambda"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
 
 class Policy:

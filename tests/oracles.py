@@ -11,8 +11,10 @@ classes and ``SymbolTable`` with the code they check. Likewise
 ``reference_fold`` is the fold over the whole static block that the
 nonzero-row fold replaced, and ``reference_extract_features`` the
 feature extraction (``np.mean``/``np.std`` over stacked samples) that
-the leaner one must match bit for bit. ``check_watch_invariants`` and
-``check_trail_invariants`` assert a solver's internal invariants.
+the leaner one must match bit for bit, and ``adam_step_reference`` the
+whole-array Adam step that the blocked ``Adam.step`` must match bit for
+bit. ``check_watch_invariants`` and ``check_trail_invariants`` assert a
+solver's internal invariants.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from satkit.logic.convert import BlowupExceededError, SymbolTable
 from satkit.logic.expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
 from satkit.logic.parser import ArityError, ExpressionSyntaxError
 from satkit.logic.sentences import DEFAULT_ABBREVIATIONS, EmptyInputError
+from satkit.rl.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def assignment_matrix(num_vars: int) -> np.ndarray:
@@ -144,6 +147,26 @@ def reference_fold(policy, net, static: np.ndarray) -> np.ndarray:
     w = net.weights[0]
     tail = policy.preprocess(static)
     return tail @ w[w.shape[0] - tail.shape[-1] :] + net.biases[0]
+
+
+def adam_step_reference(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+    t: int,
+    lr: float,
+) -> None:
+    """Adam step ``t`` (1-based) over whole arrays, updating ``params``,
+    ``m`` and ``v`` in place."""
+    b1t = 1.0 - ADAM_BETA1**t
+    b2t = 1.0 - ADAM_BETA2**t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= ADAM_BETA1
+        mi += (1.0 - ADAM_BETA1) * g
+        vi *= ADAM_BETA2
+        vi += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + ADAM_EPS)
 
 
 def run_bandit(

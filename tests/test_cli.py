@@ -286,8 +286,11 @@ class TestTrainAndBench:
             ["--epochs", "0"],
             ["--window", "0"],
             ["--hidden", "8", "0"],
+            ["--lr", "-1"],
+            ["--lr", "nan"],
+            ["--lr", "inf"],
         ],
-        ids=["episode-cap", "minibatch", "epochs", "window", "hidden"],
+        ids=["episode-cap", "minibatch", "epochs", "window", "hidden", "lr-neg", "lr-nan", "lr-inf"],
     )
     def test_out_of_range_training_flag_exits_2(self, tmp_path, capsys, flags):
         data_dir = tmp_path / "data"

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from satkit.rl.network import Adam, Mlp, orthogonal_init
-from satkit.rl.policy import Policy, PpoConfig, save_policy
+from satkit.rl.network import ADAM_BLOCK, Adam, Mlp, orthogonal_init
+from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
     NonFiniteLossError,
     PpoOptimizer,
@@ -12,7 +14,7 @@ from satkit.rl.ppo import (
     ppo_loss_and_grads,
 )
 
-from oracles import full_logits, full_value, run_bandit
+from oracles import adam_step_reference, full_logits, full_value, run_bandit
 
 TINY = PpoConfig(hidden_sizes=(2,), minibatch_size=4, epochs=1)
 
@@ -93,6 +95,81 @@ class TestNetwork:
         opt.step(net.parameters(), grads)
         for b, a in zip(before, net.parameters()):
             assert np.array_equal(b, a)
+
+
+def policy_parameters(rng):
+    policy = Policy(20, 91, seed=0)
+    return policy.actor.parameters() + policy.critic.parameters()
+
+
+class TestAdam:
+    @pytest.mark.parametrize(
+        "make_params",
+        [
+            pytest.param(lambda rng: [rng.standard_normal(37)], id="bias-under-one-block"),
+            pytest.param(lambda rng: [rng.standard_normal(ADAM_BLOCK)], id="exactly-one-block"),
+            pytest.param(lambda rng: [rng.standard_normal(ADAM_BLOCK + 1)], id="one-block-plus-one"),
+            # 37,000 does not divide the block, so blocks end mid-row
+            pytest.param(
+                lambda rng: [rng.standard_normal((3, 37_000)), rng.standard_normal(5)],
+                id="rows-straddle-blocks",
+            ),
+            pytest.param(policy_parameters, id="policy-20-91"),
+        ],
+    )
+    def test_blocked_step_matches_whole_array_reference(self, make_params):
+        rng = np.random.default_rng(5)
+        params = make_params(rng)
+        expected = [p.copy() for p in params]
+        m_ref = [np.zeros_like(p) for p in params]
+        v_ref = [np.zeros_like(p) for p in params]
+        adam = Adam(params, lr=2e-4)
+        for t in range(1, 6):
+            # magnitudes from 1e-6 to 1e2, and some exact zeros
+            grads = [
+                rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+                * (rng.random(p.shape) > 0.1)
+                for p in params
+            ]
+            adam.step(params, grads)
+            adam_step_reference(expected, grads, m_ref, v_ref, t, lr=2e-4)
+            for got, want in zip(params + adam.m + adam.v, expected + m_ref + v_ref):
+                assert np.array_equal(got, want), f"step {t} differs"
+        assert adam.t == 5
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: np.asfortranarray(np.ones((3, 4))), lambda: np.ones((4, 3)).T],
+        ids=["fortran-order", "transposed-view"],
+    )
+    def test_non_c_contiguous_parameter_rejected_at_construction(self, make):
+        # A block of such an array would be a copy, and the update lost:
+        # Adam refuses the array instead of updating it.
+        with pytest.raises(ValueError, match="parameter 1 is not"):
+            Adam([np.ones(4), make()], lr=0.1)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            pytest.param("learning_rate", [-1.0, math.nan, math.inf], id="learning_rate"),
+            pytest.param("clip_epsilon", [-0.5, math.nan, math.inf], id="clip_epsilon"),
+            pytest.param("entropy_coef", [-0.01, math.nan, -math.inf], id="entropy_coef"),
+            pytest.param("value_coef", [-0.5, math.nan, math.inf], id="value_coef"),
+            pytest.param("discount", [2.0, -0.1, math.nan], id="discount"),
+            pytest.param("gae_lambda", [-1.0, 1.5, math.nan], id="gae_lambda"),
+        ],
+    )
+    def test_out_of_range_float_rejected(self, field, values):
+        for value in values:
+            with pytest.raises(ConfigError, match=field):
+                PpoConfig(**{field: value})
+
+    def test_range_ends_accepted(self):
+        PpoConfig(learning_rate=0.0, clip_epsilon=0.0, entropy_coef=0.0, value_coef=0.0)
+        PpoConfig(discount=0.0, gae_lambda=0.0)
+        PpoConfig(discount=1.0, gae_lambda=1.0)
 
 
 from oracles import finite_difference_check
@@ -197,6 +274,15 @@ class TestUpdate:
         fresh = Policy(2, 3, config, seed=7)
         PpoOptimizer(fresh).update(batch)
         assert save_policy(policy) == save_policy(fresh)
+
+    def test_update_moves_the_policy_arrays_in_place(self):
+        policy = Policy(2, 3, PpoConfig(hidden_sizes=(8,)), seed=6)
+        first_layer = policy.actor.weights[0]
+        before = first_layer.copy()
+        rng = np.random.default_rng(4)
+        PpoOptimizer(policy).update([make_transition(policy, rng) for _ in range(5)])
+        assert policy.actor.weights[0] is first_layer
+        assert not np.array_equal(first_layer, before)
 
     def test_empty_batch_rejected(self):
         policy = Policy(1, 1, TINY, seed=0)
