@@ -21,9 +21,18 @@ The third line digests ``train`` on the train-uf20 benchmark inputs
 The fourth line digests the langsat-docs benchmark documents at seeds
 1 to 3 (100 each, with the stub translator built from their fixture
 table): per document, in order, the ``write_dimacs`` text of
-``compile_document``'s formula and the symbol table's names. A change
-that must keep behaviour identical prints the same four lines before
-and after:
+``compile_document``'s formula and the symbol table's names.
+
+The fifth line digests ``satkit bench`` on race-pool indices 0 to 99,
+written to a temporary directory, against a saved untrained
+``Policy(20, 91, seed=0)`` with ``--reps 1``, run through
+``cli.main`` with stdout redirected: every CSV column but ``time_s``
+and ``feature_time_s``, and every summary key whose name contains
+neither ``time`` nor ``fraction``. It reads nothing but the CLI and
+its files, so it fingerprints any version of the CLI.
+
+A change that must keep behaviour identical prints the same five lines
+before and after:
 
     python3 scripts/fingerprint_pools.py
 
@@ -35,9 +44,14 @@ numpy is imported, whatever the caller's environment says; the line
 then depends only on the machine's BLAS build.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 BLAS_THREADS = str(max(1, min(2, os.cpu_count() or 1)))
@@ -51,11 +65,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import pool  # noqa: E402
 from workloads import LangsatDocs, TrainUf20  # noqa: E402
 
+from satkit import cli  # noqa: E402
 from satkit.cnf import CnfFormula  # noqa: E402
-from satkit.dimacs import write_dimacs  # noqa: E402
+from satkit.dimacs import write_dimacs, write_dimacs_file  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
 from satkit.logic import compile_document  # noqa: E402
-from satkit.rl import Policy, PolicyHeuristic, save_policy, train  # noqa: E402
+from satkit.rl import Policy, PolicyHeuristic, save_policy, save_policy_file, train  # noqa: E402
 from satkit.rl.observation import signed_adjacency  # noqa: E402
 from satkit.solver import Solver, VsidsHeuristic  # noqa: E402
 
@@ -106,6 +121,30 @@ def _documents_digest(seeds) -> str:
     return h.hexdigest()
 
 
+def _bench_digest(count) -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data = root / "data"
+        data.mkdir()
+        for i in range(count):
+            write_dimacs_file(CnfFormula(20, pool.race_instance(i)), data / f"race-{i:03d}.cnf")
+        save_policy_file(Policy(20, 91, seed=0), root / "policy.bin")
+        out = root / "records.csv"
+        argv = ["bench", "--dataset", str(data), "--policy", str(root / "policy.bin"),
+                "--out", str(out), "--reps", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise SystemExit("satkit bench failed")
+        for row in csv.DictReader(out.read_text(encoding="ascii").splitlines()):
+            kept = [(k, v) for k, v in row.items() if k not in ("time_s", "feature_time_s")]
+            h.update(repr(kept).encode("ascii"))
+        summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="ascii"))
+        kept = sorted((k, v) for k, v in summary.items() if "time" not in k and "fraction" not in k)
+        h.update(repr(kept).encode("ascii"))
+    return h.hexdigest()
+
+
 def main() -> int:
     race = (pool.race_instance(i) for i in range(pool.RACE_POOL_SIZE))
     print("race_pool", pool.RACE_POOL_SIZE, _digest(20, race, Policy(20, 91, seed=0)))
@@ -115,6 +154,7 @@ def main() -> int:
     print("train_uf20", *seeds, _train_digest(seeds))
     seeds = (1, 2, 3)
     print("langsat_docs", *seeds, _documents_digest(seeds))
+    print("bench", 100, _bench_digest(100))
     return 0
 
 

@@ -1,19 +1,17 @@
-"""Dataset management and the two-heuristic comparison protocol.
+"""Dataset management and the race between branching heuristics.
 
-``run_comparison`` solves every given instance with the VSIDS baseline
-and with the greedy learned policy under identical limits, taking the
-minimum wall time over repetitions. Solve time excludes parsing; the
-policy's feature-extraction and setup cost is timed separately and
-reported in its own column. ``summarize`` reduces the records to
-per-heuristic medians and the fraction of instances where the learned
-heuristic is strictly faster (ties excluded from the numerator, all
-instances in the denominator). ``split_dataset`` makes the train/test
-file lists that ``scripts/run_comparison.py`` writes to two
-directories; the benchmark itself runs every instance it is given.
+``ENTRANTS`` maps each heuristic in the race to the factory that builds
+it for one formula; the others race against ``BASELINE``.
+``run_comparison`` solves every given instance with every entrant under
+identical limits, timing each entrant's set-up (the factory call) apart
+from its solve; neither includes parsing. ``summarize`` reduces the
+records to one flat dict. ``split_dataset`` makes the train/test file
+lists that ``scripts/run_comparison.py`` writes to two directories; the
+benchmark itself runs every instance it is given.
 
 CSV schema: instance,heuristic,verdict,time_s,decisions,conflicts,
-propagations,seed plus a trailing feature_time_s column; ``seed`` is
-the policy's seed.
+propagations,seed plus a trailing feature_time_s column, the set-up
+time; ``seed`` is the policy's seed.
 """
 
 from __future__ import annotations
@@ -27,14 +25,14 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cnf import CnfFormula
 from .dimacs import DimacsError, read_dimacs_file
 from .errors import SatkitError
 from .rl.heuristic import PolicyHeuristic
 from .rl.policy import Policy
-from .solver.engine import SolveLimits, Solver, Verdict
+from .solver.engine import Heuristic, SolveLimits, Solver, Verdict
 from .solver.heuristics import VsidsHeuristic
 
 CSV_SCHEMA_VERSION = 1
@@ -50,13 +48,20 @@ CSV_COLUMNS = [
     "feature_time_s",
 ]
 
+BASELINE = "vsids"
+ENTRANTS: dict[str, Callable[[Policy, CnfFormula], Heuristic]] = {
+    "vsids": lambda policy, formula: VsidsHeuristic(formula.num_vars),
+    "rl": PolicyHeuristic,
+}
+
 
 class BenchError(SatkitError):
     pass
 
 
 class MismatchedCoverageError(BenchError):
-    """The two heuristics do not cover identical instance sets."""
+    """The baseline or every other heuristic is missing, or they cover
+    different instance sets."""
 
 
 @dataclass(frozen=True)
@@ -81,42 +86,7 @@ class BenchRecord:
     conflicts: int
     propagations: int
     seed: int
-    feature_time_s: float = 0.0
-
-
-@dataclass
-class Summary:
-    instances: int
-    median_time: dict[str, float]
-    median_decisions: dict[str, float]
-    mean_decisions: dict[str, float]
-    mean_conflicts: dict[str, float]
-    fraction_rl_faster: float
-
-    def as_flat_dict(self) -> dict[str, float]:
-        flat: dict[str, float] = {"instances": self.instances}
-        for name, value in sorted(self.median_time.items()):
-            flat[f"median_time_s.{name}"] = value
-        for name, value in sorted(self.median_decisions.items()):
-            flat[f"median_decisions.{name}"] = value
-        for name, value in sorted(self.mean_decisions.items()):
-            flat[f"mean_decisions.{name}"] = value
-        for name, value in sorted(self.mean_conflicts.items()):
-            flat[f"mean_conflicts.{name}"] = value
-        flat["fraction_rl_faster"] = self.fraction_rl_faster
-        return flat
-
-    def render_text(self) -> str:
-        lines = [f"instances: {self.instances}"]
-        for name in sorted(self.median_time):
-            lines.append(
-                f"{name}: median_time_s={self.median_time[name]:.6f} "
-                f"median_decisions={self.median_decisions[name]:.1f} "
-                f"mean_decisions={self.mean_decisions[name]:.2f} "
-                f"mean_conflicts={self.mean_conflicts[name]:.2f}"
-            )
-        lines.append(f"fraction_rl_faster: {self.fraction_rl_faster:.4f}")
-        return "\n".join(lines) + "\n"
+    feature_time_s: float
 
 
 def load_dataset(
@@ -176,16 +146,17 @@ def run_comparison(
     limits: Optional[SolveLimits] = None,
     repetitions: int = 3,
 ) -> list[BenchRecord]:
-    """Benchmark VSIDS and the greedy learned policy on each instance.
+    """Benchmark every entrant of ``ENTRANTS`` on each instance.
 
-    Instances run one after another, VSIDS first. Per instance and
-    heuristic: ``repetitions`` identical runs, minimum wall time kept;
-    verdicts and counters are asserted identical across repetitions
-    (the solver is deterministic). Every record carries the policy's
-    seed. Unknown verdicts are recorded, not raised. A wall-clock
-    timeout does not stop at the same decision twice, so if any
-    repetition times out, the first that did is recorded with its own
-    time and the repetitions are not compared.
+    Instances run one after another, the entrants in table order. Per
+    instance and entrant: ``repetitions`` identical runs, each building
+    its heuristic anew; the minimum set-up time and the minimum wall
+    time are kept. Verdicts and counters are asserted identical across
+    repetitions (the solver is deterministic). Every record carries the
+    policy's seed. Unknown verdicts are recorded, not raised. A
+    wall-clock timeout does not stop at the same decision twice, so if
+    any repetition times out, the first that did is recorded with its
+    own time and the repetitions are not compared.
     """
     if not test_set:
         raise BenchError("empty test set")
@@ -195,17 +166,13 @@ def run_comparison(
 
     records: list[BenchRecord] = []
     for item in test_set:
-        for name in ("vsids", "rl"):
-            feature_time = 0.0
+        for name, make in ENTRANTS.items():
+            setup_times = []
             results = []
-            for rep in range(repetitions):
-                if name == "vsids":
-                    heuristic = VsidsHeuristic(item.formula.num_vars)
-                else:
-                    t0 = time.perf_counter()
-                    heuristic = PolicyHeuristic(policy, item.formula)
-                    elapsed = time.perf_counter() - t0
-                    feature_time = elapsed if rep == 0 else min(feature_time, elapsed)
+            for _ in range(repetitions):
+                t0 = time.perf_counter()
+                heuristic = make(policy, item.formula)
+                setup_times.append(time.perf_counter() - t0)
                 results.append(Solver(item.formula, heuristic, limits).run())
             timed_out = [r for r in results if r.limit == "timeout"]
             if timed_out:
@@ -231,55 +198,56 @@ def run_comparison(
                     conflicts=result.stats.conflicts,
                     propagations=result.stats.propagations,
                     seed=policy.seed,
-                    feature_time_s=feature_time,
+                    feature_time_s=min(setup_times),
                 )
             )
     records.sort(key=lambda r: (r.instance, r.heuristic))
     return records
 
 
-def summarize(records: Sequence[BenchRecord]) -> Summary:
+def summarize(records: Sequence[BenchRecord]) -> dict[str, float]:
+    """The flat summary that ``write_summary_files`` stores: ``instances``;
+    per heuristic, ``median_time_s``, ``median_decisions``,
+    ``mean_decisions`` and ``mean_conflicts``, each suffixed
+    ``.<name>``; and for each heuristic but ``BASELINE`` the share of
+    instances it beats the baseline on strictly (ties lose), by
+    ``time_s`` in ``fraction_faster.<name>`` and by ``feature_time_s +
+    time_s`` in ``fraction_faster_with_setup.<name>``.
+    ``fraction_rl_faster`` is ``fraction_faster.rl`` (0.0 without
+    ``rl`` records) under its original name.
+    """
     by_heuristic: dict[str, dict[str, BenchRecord]] = {}
     for record in records:
         by_heuristic.setdefault(record.heuristic, {})[record.instance] = record
-    if len(by_heuristic) < 2:
-        raise MismatchedCoverageError("need records for two heuristics")
-    coverage = {name: set(recs) for name, recs in by_heuristic.items()}
-    baseline_cov = next(iter(coverage.values()))
-    if any(cov != baseline_cov for cov in coverage.values()):
+    if BASELINE not in by_heuristic or len(by_heuristic) < 2:
         raise MismatchedCoverageError(
-            f"instance sets differ across heuristics: { {k: len(v) for k, v in coverage.items()} }"
+            f"need records for {BASELINE} and at least one other heuristic, "
+            f"got {sorted(by_heuristic)}"
+        )
+    baseline = by_heuristic[BASELINE]
+    if any(recs.keys() != baseline.keys() for recs in by_heuristic.values()):
+        raise MismatchedCoverageError(
+            f"instance sets differ across heuristics: { {k: len(v) for k, v in by_heuristic.items()} }"
         )
 
-    median_time = {}
-    median_decisions = {}
-    mean_decisions = {}
-    mean_conflicts = {}
-    for name, recs in by_heuristic.items():
-        times = [r.time_s for r in recs.values()]
-        decisions = [r.decisions for r in recs.values()]
-        conflicts = [r.conflicts for r in recs.values()]
-        median_time[name] = float(statistics.median(times))
-        median_decisions[name] = float(statistics.median(decisions))
-        mean_decisions[name] = float(statistics.mean(decisions))
-        mean_conflicts[name] = float(statistics.mean(conflicts))
-
-    fraction = 0.0
-    if "rl" in by_heuristic and "vsids" in by_heuristic:
-        wins = sum(
-            1
-            for instance in baseline_cov
-            if by_heuristic["rl"][instance].time_s < by_heuristic["vsids"][instance].time_s
-        )
-        fraction = wins / len(baseline_cov)
-    return Summary(
-        instances=len(baseline_cov),
-        median_time=median_time,
-        median_decisions=median_decisions,
-        mean_decisions=mean_decisions,
-        mean_conflicts=mean_conflicts,
-        fraction_rl_faster=fraction,
-    )
+    summary: dict[str, float] = {"instances": len(baseline)}
+    for name, recs in sorted(by_heuristic.items()):
+        rows = list(recs.values())
+        decisions = [r.decisions for r in rows]
+        summary[f"median_time_s.{name}"] = float(statistics.median([r.time_s for r in rows]))
+        summary[f"median_decisions.{name}"] = float(statistics.median(decisions))
+        summary[f"mean_decisions.{name}"] = float(statistics.mean(decisions))
+        summary[f"mean_conflicts.{name}"] = float(statistics.mean([r.conflicts for r in rows]))
+        if name != BASELINE:
+            pairs = [(recs[i], baseline[i]) for i in baseline]
+            summary[f"fraction_faster.{name}"] = sum(
+                r.time_s < b.time_s for r, b in pairs
+            ) / len(pairs)
+            summary[f"fraction_faster_with_setup.{name}"] = sum(
+                r.feature_time_s + r.time_s < b.feature_time_s + b.time_s for r, b in pairs
+            ) / len(pairs)
+    summary["fraction_rl_faster"] = summary.get("fraction_faster.rl", 0.0)
+    return summary
 
 
 def records_to_csv(records: Sequence[BenchRecord]) -> str:
@@ -303,7 +271,7 @@ def records_to_csv(records: Sequence[BenchRecord]) -> str:
     return buffer.getvalue()
 
 
-def write_summary_files(summary: Summary, json_path) -> None:
+def write_summary_files(summary: dict[str, float], json_path) -> None:
     with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(summary.as_flat_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -277,7 +277,8 @@ def _cmd_bench(args) -> int:
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"
     write_summary_files(summary, summary_path)
-    sys.stdout.write(summary.render_text())
+    for key, value in sorted(summary.items()):
+        print(f"{key}: {value}")
     print(f"records -> {args.out}; summary -> {summary_path}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import neg
 
 from ..cnf import CnfFormula
-from ..errors import SatkitError
+from ..errors import LimitError, SatkitError
 from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or, atoms
 
 DEFAULT_CLAUSE_CAP = 10_000
@@ -118,8 +118,11 @@ def to_cnf(
 
     Atoms are interned into ``table`` in first-appearance order over the
     original expression, so a shared table gives a stable atom-to-index
-    mapping across a sequence of expressions.
+    mapping across a sequence of expressions. A ``max_clauses`` below 1
+    is a ``LimitError``.
     """
+    if max_clauses < 1:
+        raise LimitError(f"max_clauses must be >= 1, got {max_clauses}")
     if table is None:
         table = SymbolTable()
     try:

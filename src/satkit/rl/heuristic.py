@@ -7,9 +7,9 @@ branches on. Construction decodes the clauses once for the static
 parts of the observation (signed adjacency, global features) and folds
 only their nonzero entries into the actor's first layer (the fold's
 last bits depend on the BLAS build and thread count), so a decision
-multiplies only the dynamic inputs. Construction is what the benchmark
-harness times as feature-extraction cost (``feature_time_s``), fold
-included; solve time excludes it.
+multiplies only the dynamic inputs. Construction is the set-up that
+the benchmark harness times (``feature_time_s``), fold included; solve
+time excludes it.
 
 Clause status comes from the heuristic's ``ClauseStatus`` tracker,
 which it syncs from ``solver.trail`` before each read: ``decide`` reads
@@ -20,11 +20,12 @@ Built without an rng, the heuristic is greedy and records nothing: no
 full observation, no softmax, no critic. Built with one, it samples
 each decision from the masked softmax and records one Transition per
 decision, with the full observation, the log-probability and the
-critic's value (the dense static block is built and the critic folded
-only then). Its reward is filled in after the propagation (and any
-conflict resolution) that the decision triggered. Marking the final
-transition done is left to ``run_episode``, which alone knows where an
-episode ends, verdict or decision limit.
+critic's value (only then is the dense static block scattered from
+the same entries, and the critic folded). Its reward is filled in
+after the propagation (and any conflict resolution) that the decision
+triggered. Marking the final transition done is left to
+``run_episode``, which alone knows where an episode ends, verdict or
+decision limit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from ..cnf import CnfFormula
 from ..features import clause_incidence, extract_features
 from ..solver.engine import Heuristic, Solver
-from .observation import ClauseStatus, ShapeMismatchError, signed_adjacency, static_entries
+from .observation import ClauseStatus, ShapeMismatchError, static_entries
 from .policy import Policy, action_to_decision, legal_action_mask
 from .ppo import Transition
 
@@ -63,8 +64,10 @@ class PolicyHeuristic(Heuristic):
         static = static_entries(incidence, features, formula.num_vars)
         self._actor_fold = policy.fold(policy.actor, *static)
         if rng is not None:
-            # The observation's static tail, in build_observation's order.
-            self._static = np.concatenate([signed_adjacency(formula).reshape(-1), features])
+            self._static = np.zeros(policy.obs_dim - policy.dynamic_dim)
+            self._static[static[0]] = static[1]
+            # static_entries drops zero features, and with them any -0.0
+            self._static[-len(features) :] = features
             self._critic_fold = policy.fold(policy.critic, *static)
         self._prev_score = 0  # for delta reward mode
 

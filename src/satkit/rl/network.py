@@ -154,15 +154,3 @@ class Adam:
                 b += ADAM_EPS
                 a /= b
                 pb -= a
-
-    def state(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def restore(self, state: dict) -> None:
-        self.t = state["t"]
-        self.m = [m.copy() for m in state["m"]]
-        self.v = [v.copy() for v in state["v"]]

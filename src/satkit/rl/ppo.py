@@ -100,6 +100,10 @@ class PpoOptimizer:
         self.params = policy.actor.parameters() + policy.critic.parameters()
         self.adam = Adam(self.params, policy.config.learning_rate)
         self.rng = np.random.default_rng(policy.seed)
+        # The rollback snapshot, in buffers allocated once: an update
+        # copies into pages already mapped rather than into fresh arrays.
+        self._live = self.params + self.adam.m + self.adam.v
+        self._saved = [np.empty_like(a) for a in self._live]
 
     def update(self, batch: Sequence[Transition]) -> UpdateMetrics:
         if not batch:
@@ -110,8 +114,9 @@ class PpoOptimizer:
             rewards, values, dones, cfg.discount, cfg.gae_lambda
         )
 
-        saved_params = [p.copy() for p in self.params]
-        saved_adam = self.adam.state()
+        for saved, live in zip(self._saved, self._live):
+            np.copyto(saved, live)
+        saved_t = self.adam.t
         saved_rng = self.rng.bit_generator.state
         totals = np.zeros(4)
         steps = 0
@@ -132,9 +137,9 @@ class PpoOptimizer:
                     totals += metrics
                     steps += 1
         except NonFiniteLossError:
-            for p, old in zip(self.params, saved_params):
-                p[...] = old
-            self.adam.restore(saved_adam)
+            for saved, live in zip(self._saved, self._live):
+                np.copyto(live, saved)
+            self.adam.t = saved_t
             self.rng.bit_generator.state = saved_rng
             raise
         mean = totals / steps

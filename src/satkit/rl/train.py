@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..cnf import CnfFormula
-from ..errors import SatkitError
+from ..errors import LimitError, SatkitError
 from ..solver.engine import SolveLimits, SolveResult, Solver
 from .heuristic import PolicyHeuristic
 from .policy import Policy
@@ -72,7 +72,10 @@ def train(
     once per window: with ``checkpoint_every=1`` a run of k windows
     calls it with indices 1, ..., k. A run of no steps has no window
     and never calls it, but its dataset is checked all the same.
+    Negative ``steps`` is a ``LimitError``.
     """
+    if steps < 0:
+        raise LimitError(f"steps must be >= 0, got {steps}")
     if not dataset:
         raise TrainingDataError("empty training dataset")
     for i, f in enumerate(dataset):
@@ -81,7 +84,7 @@ def train(
                 f"dataset instance {i} has shape {(f.num_vars, f.num_clauses)}, "
                 f"the policy {policy.shape}; training needs a fixed shape"
             )
-    if steps <= 0:
+    if steps == 0:
         return policy, []
 
     order_rng = np.random.default_rng([policy.seed, 1])

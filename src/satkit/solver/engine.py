@@ -36,6 +36,7 @@ from enum import Enum
 from typing import Optional
 
 from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+from ..errors import LimitError
 
 
 RESTART_MULTIPLIER = 1.5  # growth of the restart threshold per restart
@@ -49,8 +50,16 @@ class Verdict(str, Enum):
 
 @dataclass
 class SolveLimits:
+    """``None`` is no limit; 0 stops before the first decision."""
+
     max_decisions: Optional[int] = None
     timeout_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_decisions", "timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise LimitError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass

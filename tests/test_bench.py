@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from satkit import bench
 from satkit.bench import (
     BenchError,
     BenchRecord,
@@ -20,11 +21,14 @@ from satkit.dimacs import write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat, random_ksat
 from satkit.rl.policy import Policy, PpoConfig
 from satkit.solver.engine import SolveLimits, Verdict
+from satkit.solver.heuristics import RandomHeuristic
 
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
 
-def record(instance, heuristic, time_s, verdict=Verdict.SAT, decisions=5, conflicts=1):
+def record(
+    instance, heuristic, time_s, verdict=Verdict.SAT, decisions=5, conflicts=1, setup_s=0.0
+):
     return BenchRecord(
         instance=instance,
         heuristic=heuristic,
@@ -34,6 +38,7 @@ def record(instance, heuristic, time_s, verdict=Verdict.SAT, decisions=5, confli
         conflicts=conflicts,
         propagations=17,
         seed=0,
+        feature_time_s=setup_s,
     )
 
 
@@ -115,8 +120,24 @@ class TestRunComparison:
         assert {r.heuristic for r in records} == {"vsids", "rl"}
         assert all(r.verdict == Verdict.SAT for r in records)
         assert all(r.seed == 3 for r in records)
-        rl = [r for r in records if r.heuristic == "rl"]
-        assert all(r.feature_time_s > 0 for r in rl)
+        assert all(r.feature_time_s > 0 for r in records)  # VSIDS set-up is timed too
+
+    def test_an_added_entrant_races_with_no_other_change(self, monkeypatch):
+        monkeypatch.setitem(
+            bench.ENTRANTS, "random", lambda policy, formula: RandomHeuristic(seed=0)
+        )
+        rng = random.Random(5)
+        instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(3)]
+        records = run_comparison(instances, Policy(10, 35, SMALL, seed=3), repetitions=1)
+        assert [(r.instance, r.heuristic) for r in records] == [
+            (f"i{k}.cnf", h) for k in range(3) for h in ("random", "rl", "vsids")
+        ]
+        summary = summarize(records)
+        for name in ("random", "rl"):
+            assert 0.0 <= summary[f"fraction_faster.{name}"] <= 1.0
+            assert 0.0 <= summary[f"fraction_faster_with_setup.{name}"] <= 1.0
+        assert "fraction_faster.vsids" not in summary
+        assert summary["fraction_rl_faster"] == summary["fraction_faster.rl"]
 
     def test_unit_propagation_instance_needs_no_decisions(self):
         from satkit.cnf import CnfFormula
@@ -191,13 +212,13 @@ class TestSummarize:
             record("c", "vsids", 2.0),
         ]
         summary = summarize(records)
-        assert summary.median_time["rl"] == 2.0
-        assert summary.median_time["vsids"] == 2.0
-        assert summary.fraction_rl_faster == pytest.approx(1 / 3)
+        assert summary["median_time_s.rl"] == 2.0
+        assert summary["median_time_s.vsids"] == 2.0
+        assert summary["fraction_rl_faster"] == pytest.approx(1 / 3)
 
     def test_identical_times_fraction_zero(self):
         records = [record(i, h, 1.5) for i in "abc" for h in ("rl", "vsids")]
-        assert summarize(records).fraction_rl_faster == 0.0
+        assert summarize(records)["fraction_rl_faster"] == 0.0
 
     def test_permutation_invariant(self):
         records = [
@@ -221,8 +242,8 @@ class TestSummarize:
             record("b", "vsids", 8.0),
         ]
         summary = summarize(records)
-        assert summary.median_time["rl"] == 1.5
-        assert summary.median_time["vsids"] == 6.0
+        assert summary["median_time_s.rl"] == 1.5
+        assert summary["median_time_s.vsids"] == 6.0
 
     def test_mismatched_coverage_raises(self):
         records = [
@@ -237,6 +258,38 @@ class TestSummarize:
         with pytest.raises(MismatchedCoverageError):
             summarize([record("a", "vsids", 1.0)])
 
+    def test_missing_baseline_rejected(self):
+        records = [record(i, h, 1.0) for i in "ab" for h in ("rl", "random")]
+        with pytest.raises(MismatchedCoverageError):
+            summarize(records)
+
+    def test_set_up_can_turn_a_win_into_a_loss(self):
+        records = [
+            record("a", "rl", 1.0, setup_s=2.0),
+            record("a", "vsids", 2.0, setup_s=0.5),
+        ]
+        summary = summarize(records)
+        assert summary["fraction_faster.rl"] == 1.0
+        assert summary["fraction_faster_with_setup.rl"] == 0.0
+        assert summary["fraction_rl_faster"] == 1.0
+
+    def test_summary_keys(self):
+        records = [record(i, h, 1.0) for i in "ab" for h in ("rl", "vsids")]
+        assert sorted(summarize(records)) == [
+            "fraction_faster.rl",
+            "fraction_faster_with_setup.rl",
+            "fraction_rl_faster",
+            "instances",
+            "mean_conflicts.rl",
+            "mean_conflicts.vsids",
+            "mean_decisions.rl",
+            "mean_decisions.vsids",
+            "median_decisions.rl",
+            "median_decisions.vsids",
+            "median_time_s.rl",
+            "median_time_s.vsids",
+        ]
+
     def test_fraction_in_unit_interval_and_medians_in_range(self):
         rng = random.Random(9)
         records = []
@@ -244,10 +297,10 @@ class TestSummarize:
             records.append(record(f"i{i}", "rl", rng.random()))
             records.append(record(f"i{i}", "vsids", rng.random()))
         summary = summarize(records)
-        assert 0.0 <= summary.fraction_rl_faster <= 1.0
+        assert 0.0 <= summary["fraction_rl_faster"] <= 1.0
         for h in ("rl", "vsids"):
             times = [r.time_s for r in records if r.heuristic == h]
-            assert min(times) <= summary.median_time[h] <= max(times)
+            assert min(times) <= summary[f"median_time_s.{h}"] <= max(times)
 
 
 class TestCsv:

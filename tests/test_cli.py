@@ -124,6 +124,14 @@ class TestConvert:
         assert err.startswith("error: line 2: expression nested 1200 levels deep")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--max-clauses", "0"]], ids=["max-clauses"])
+    def test_out_of_range_convert_flag_exits_2(self, tmp_path, capsys, flags):
+        src = tmp_path / "exprs.txt"
+        src.write_text("Or(P, Q)\n", encoding="utf-8")
+        assert main(["convert", str(src)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSolve:
     def test_sat_exit_10_with_model(self, tmp_path, capsys):
@@ -147,6 +155,17 @@ class TestSolve:
     def test_unknown_exit_0(self, uf_file, capsys):
         assert main(["solve", str(uf_file), "--max-decisions", "0"]) == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--timeout-ms", "-1"], ["--max-decisions", "-3"]],
+        ids=["timeout-neg", "max-decisions-neg"],
+    )
+    def test_out_of_range_solve_flag_exits_2(self, uf_file, capsys, flags):
+        assert main(["solve", str(uf_file)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "s UNKNOWN" not in captured.out
 
     def test_rl_heuristic_with_policy(self, uf_file, small_policy_file, capsys):
         code = main(
@@ -260,6 +279,10 @@ class TestTrainAndBench:
         assert "median_time_s.rl" in summary
         assert "median_time_s.vsids" in summary
         assert 0.0 <= summary["fraction_rl_faster"] <= 1.0
+        # stdout: the JSON's keys, sorted, one "key: value" line each
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"records -> {csv_path}; summary -> {csv_path}.summary.json"
+        assert out[-1 - len(summary) : -1] == [f"{k}: {summary[k]}" for k in sorted(summary)]
 
     def test_zero_steps_writes_the_untrained_policy(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -289,8 +312,12 @@ class TestTrainAndBench:
             ["--lr", "-1"],
             ["--lr", "nan"],
             ["--lr", "inf"],
+            ["--steps", "-5"],
         ],
-        ids=["episode-cap", "minibatch", "epochs", "window", "hidden", "lr-neg", "lr-nan", "lr-inf"],
+        ids=[
+            "episode-cap", "minibatch", "epochs", "window", "hidden",
+            "lr-neg", "lr-nan", "lr-inf", "steps-neg",
+        ],
     )
     def test_out_of_range_training_flag_exits_2(self, tmp_path, capsys, flags):
         data_dir = tmp_path / "data"
@@ -327,7 +354,11 @@ class TestTrainAndBench:
         args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]
         assert main(args + ["--out", str(tmp_path / "r.csv"), "--parallel", "2"]) == 1
 
-    @pytest.mark.parametrize("flags", [["--reps", "0"]], ids=["reps"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--reps", "0"], ["--timeout-ms", "-1"], ["--max-decisions", "-3"]],
+        ids=["reps", "timeout-neg", "max-decisions-neg"],
+    )
     def test_out_of_range_bench_flag_exits_2(self, tmp_path, capsys, small_policy_file, flags):
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=2, num_vars=20, num_clauses=91, seed=6)
