@@ -17,15 +17,16 @@ the clause block, ``on_step`` the reward. The solver keeps no clause
 counts of its own, so no other heuristic pays for them.
 
 Built without an rng, the heuristic is greedy and records nothing: no
-full observation, no softmax, no critic. Built with one, it samples
-each decision from the masked softmax and records one Transition per
-decision, with the full observation, the log-probability and the
-critic's value (only then is the dense static block scattered from
-the same entries, and the critic folded). Its reward is filled in
-after the propagation (and any conflict resolution) that the decision
-triggered. Marking the final transition done is left to
-``run_episode``, which alone knows where an episode ends, verdict or
-decision limit.
+softmax, no static block. Built with one, it samples each decision from
+the masked softmax and records one Transition per decision, with the
+dynamic block and the log-probability. Only then is the dense static
+block scattered from the same entries, once per episode; every
+transition of the episode refers to that one array. Neither way runs
+the critic: the update computes the values it needs in one batched
+call. A transition's reward is filled in after the propagation (and
+any conflict resolution) that the decision triggered. Marking the
+final transition done is left to ``run_episode``, which alone knows
+where an episode ends, verdict or decision limit.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class PolicyHeuristic(Heuristic):
             self._static[static[0]] = static[1]
             # static_entries drops zero features, and with them any -0.0
             self._static[-len(features) :] = features
-            self._critic_fold = policy.fold(policy.critic, *static)
         self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:
@@ -85,11 +85,11 @@ class PolicyHeuristic(Heuristic):
         if self.rng is not None:
             self.transitions.append(
                 Transition(
-                    observation=np.concatenate([dynamic, self._static]),
+                    observation=dynamic,
+                    static=self._static,
                     action=action,
                     log_prob=log_prob,
                     reward=0.0,  # filled in by on_step
-                    value=self.policy.value(dynamic, self._critic_fold),
                     done=False,
                     mask=mask,
                 )

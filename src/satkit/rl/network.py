@@ -37,8 +37,9 @@ class Mlp:
     """Feed-forward net: tanh hidden layers, linear output.
 
     ``forward`` returns the output and a cache of layer activations;
-    ``backward`` consumes the cache and the gradient at the output and
-    returns per-parameter gradients in ``parameters()`` order.
+    ``backward`` consumes the cache of a folded forward and the gradient
+    at the output and writes per-parameter gradients, in
+    ``parameters()`` order, into arrays the caller owns.
 
     Inputs that stay fixed across many calls can be folded: ``fold``
     turns the nonzero trailing inputs into their share of the first
@@ -69,7 +70,8 @@ class Mlp:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Output and activation cache for ``x``. With ``folded`` (from
         ``fold``), ``x`` holds only the leading inputs and ``folded``
-        stands in for the rest; ``backward`` needs an unfolded cache."""
+        stands in for the rest, one row of it per row of ``x`` or one
+        row for all. ``backward`` takes a folded cache only."""
         h = np.asarray(x, dtype=np.float64)
         cache = [h]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -83,15 +85,34 @@ class Mlp:
     def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
         return self.forward(x, folded)[0]
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> list[np.ndarray]:
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * self.num_layers)
+    def backward(
+        self,
+        cache: list[np.ndarray],
+        grad_out: np.ndarray,
+        grads: list[np.ndarray],
+        tail: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Write the per-parameter gradients, in ``parameters()`` order,
+        into the arrays of ``grads`` through ``out=``, given the cache
+        of a folded ``forward`` and the gradient at the output.
+
+        ``cache[0]`` holds only the leading inputs, and ``tail = (blocks,
+        owner)`` gives the trailing ones: their distinct rows ``blocks``
+        and, per batch row, the index ``owner`` of its row in ``blocks``.
+        The trailing rows of the first weight gradient are then
+        ``blocks.T`` times the first layer's gradient summed per block,
+        one product per block rather than one per batch row.
+        """
         g = np.asarray(grad_out, dtype=np.float64)
         for i in range(self.num_layers - 1, -1, -1):
-            grads[2 * i] = cache[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            x = cache[i]
+            np.matmul(x.T, g, out=grads[2 * i][: x.shape[-1]])
+            np.sum(g, axis=0, out=grads[2 * i + 1])
             if i > 0:
-                g = (g @ self.weights[i].T) * (1.0 - cache[i] ** 2)
-        return grads
+                g = (g @ self.weights[i].T) * (1.0 - x**2)
+        blocks, owner = tail
+        per_block = (owner == np.arange(len(blocks))[:, None]) @ g
+        np.matmul(blocks.T, per_block, out=grads[0][cache[0].shape[-1] :])
 
     def parameters(self) -> list[np.ndarray]:
         out = []

@@ -10,8 +10,9 @@ Inference reads an observation in two parts: its dynamic block, the
 n + m entries that change between decisions, and a network's ``fold``
 of the static rest, computed once per formula. ``act`` without an rng
 is greedy; with one it samples and returns the log-probability.
-Training's forward pass over whole observations is
-``ppo.ppo_loss_and_grads``.
+Training reads observations in the same two parts, dynamic rows and
+the few distinct static blocks they share; its forward and backward
+passes are ``ppo.ppo_loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -137,10 +138,11 @@ class Policy:
         """
         return net.fold(self.dynamic_dim + index, self.preprocess(values))
 
-    def value(self, dynamic: np.ndarray, fold: np.ndarray) -> float:
-        """Critic estimate from an observation's dynamic block and the
-        critic's ``fold`` of its static block."""
-        return float(self.critic(self.preprocess(dynamic), fold)[0])
+    def value(self, dynamic: np.ndarray, fold: np.ndarray) -> np.ndarray:
+        """Critic estimates, one per row of ``dynamic`` (observations'
+        dynamic blocks), given the critic's ``fold`` of each row's static
+        block, one row of it per row or one for all."""
+        return self.critic(self.preprocess(dynamic), fold)[..., 0]
 
     def act(
         self,
@@ -294,6 +296,8 @@ def load_policy(data: bytes) -> Policy:
         if shape != arr.shape:
             raise PolicyFormatError(f"array {name} has shape {shape}, expected {arr.shape}")
         arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise PolicyFormatError(f"array {name} holds non-finite weights")
         offset += arr.nbytes
     return policy
 

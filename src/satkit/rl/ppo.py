@@ -11,6 +11,15 @@ per episode (done flags cut the recursion). Advantages are not
 normalized, so the surrogate at the collection point equals the mean
 advantage exactly, which the identity tests rely on. One Adam optimizer
 steps the actor's and the critic's parameters together.
+
+The batch is compact. A transition holds its observation's dynamic
+block, and every transition of an episode refers to one array for the
+static block (adjacency and features), which is most of the
+observation. The update stacks each distinct static block once, and a
+step multiplies each block by the first layers once, forward and
+backward, rather than once per row. The critic's values for GAE are
+computed in one batched call when the update starts: nothing has
+stepped the weights since collection.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SatkitError
-from .network import Adam
+from .network import Adam, Mlp
 from .policy import Policy, masked_log_softmax
 
 
@@ -31,11 +40,11 @@ class NonFiniteLossError(SatkitError):
 
 @dataclass
 class Transition:
-    observation: np.ndarray  # flattened
+    observation: np.ndarray  # dynamic block: assignments, clause status (n + m)
+    static: np.ndarray  # static block, one array shared by an episode's transitions
     action: int
     log_prob: float
     reward: float
-    value: float
     done: bool
     mask: np.ndarray  # legal-action mask at decision time
 
@@ -81,38 +90,54 @@ def compute_gae(
 
 
 def _batch_arrays(batch: Sequence[Transition]):
-    obs = np.stack([t.observation for t in batch])
+    """The batch as arrays: the dynamic rows, the distinct static blocks
+    in order of first appearance, and each row's index into them."""
+    blocks = {id(t.static): t.static for t in batch}
+    slot = {key: k for k, key in enumerate(blocks)}
+    dynamic = np.stack([t.observation for t in batch])
+    statics = np.stack(list(blocks.values()))
+    episodes = np.array([slot[id(t.static)] for t in batch], dtype=np.int64)
     actions = np.array([t.action for t in batch], dtype=np.int64)
     old_logp = np.array([t.log_prob for t in batch], dtype=np.float64)
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    values = np.array([t.value for t in batch], dtype=np.float64)
     dones = np.array([t.done for t in batch], dtype=bool)
     masks = np.stack([t.mask for t in batch])
-    return obs, actions, old_logp, rewards, values, dones, masks
+    return dynamic, statics, episodes, actions, old_logp, rewards, dones, masks
+
+
+def _fold_blocks(policy: Policy, net: Mlp, blocks: np.ndarray) -> np.ndarray:
+    """``net``'s first-layer pre-activation from whole preprocessed static
+    blocks, bias included, one row per block."""
+    return net.fold(slice(policy.dynamic_dim, None), blocks)
 
 
 class PpoOptimizer:
     """Stateful updater: owns the parameter list (actor, then critic),
-    its Adam moments and the minibatch rng."""
+    its Adam moments, the gradient list and the minibatch rng."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self.params = policy.actor.parameters() + policy.critic.parameters()
         self.adam = Adam(self.params, policy.config.learning_rate)
         self.rng = np.random.default_rng(policy.seed)
-        # The rollback snapshot, in buffers allocated once: an update
-        # copies into pages already mapped rather than into fresh arrays.
+        # The gradients and the rollback snapshot, in buffers allocated
+        # once: a step writes into pages already mapped rather than into
+        # fresh arrays.
+        self._grads = [np.empty_like(p) for p in self.params]
         self._live = self.params + self.adam.m + self.adam.v
         self._saved = [np.empty_like(a) for a in self._live]
 
     def update(self, batch: Sequence[Transition]) -> UpdateMetrics:
+        """One optimization over ``batch``: ``epochs`` passes of shuffled
+        minibatch steps. A non-finite loss before a step, or non-finite
+        parameters after the last, rolls the parameters, the Adam state
+        and the minibatch rng back to where they were and raises
+        ``NonFiniteLossError``."""
         if not batch:
             raise ValueError("empty transition batch")
-        cfg = self.policy.config
-        obs, actions, old_logp, rewards, values, dones, masks = _batch_arrays(batch)
-        advantages, returns = compute_gae(
-            rewards, values, dones, cfg.discount, cfg.gae_lambda
-        )
+        policy = self.policy
+        cfg = policy.config
+        dynamic, statics, episodes, actions, old_logp, rewards, dones, masks = _batch_arrays(batch)
 
         for saved, live in zip(self._saved, self._live):
             np.copyto(saved, live)
@@ -122,20 +147,39 @@ class PpoOptimizer:
         steps = 0
         n = len(batch)
         try:
-            for _ in range(cfg.epochs):
-                order = self.rng.permutation(n)
-                for start in range(0, n, cfg.minibatch_size):
-                    idx = order[start : start + cfg.minibatch_size]
-                    metrics = self._step(
-                        obs[idx],
-                        actions[idx],
-                        old_logp[idx],
-                        advantages[idx],
-                        returns[idx],
-                        masks[idx],
-                    )
-                    totals += metrics
-                    steps += 1
+            # Non-finite values are checked for and rolled back, so numpy
+            # need not warn about them on the way.
+            with np.errstate(all="ignore"):
+                critic_folds = _fold_blocks(policy, policy.critic, policy.preprocess(statics))
+                values = policy.value(dynamic, critic_folds[episodes])
+                advantages, returns = compute_gae(
+                    rewards, values, dones, cfg.discount, cfg.gae_lambda
+                )
+                for _ in range(cfg.epochs):
+                    order = self.rng.permutation(n)
+                    for start in range(0, n, cfg.minibatch_size):
+                        idx = order[start : start + cfg.minibatch_size]
+                        metrics, grads = ppo_loss_and_grads(
+                            policy,
+                            dynamic[idx],
+                            statics,
+                            episodes[idx],
+                            actions[idx],
+                            old_logp[idx],
+                            advantages[idx],
+                            returns[idx],
+                            masks[idx],
+                            self._grads,
+                        )
+                        if not np.isfinite(metrics[:3]).all():
+                            raise NonFiniteLossError("non-finite loss in update step")
+                        self.adam.step(self.params, grads)
+                        totals += metrics
+                        steps += 1
+                # A step's loss is checked before it, so the last step's
+                # outcome only here.
+                if not all(np.isfinite(p).all() for p in self.params):
+                    raise NonFiniteLossError("non-finite parameters after update")
         except NonFiniteLossError:
             for saved, live in zip(self._saved, self._live):
                 np.copyto(live, saved)
@@ -145,39 +189,44 @@ class PpoOptimizer:
         mean = totals / steps
         return UpdateMetrics(*mean)
 
-    def _step(self, obs, actions, old_logp, advantages, returns, masks) -> np.ndarray:
-        metrics, grads = ppo_loss_and_grads(
-            self.policy, obs, actions, old_logp, advantages, returns, masks
-        )
-        if not np.isfinite(metrics[:3]).all():
-            raise NonFiniteLossError("non-finite loss in update step")
-        self.adam.step(self.params, grads)
-        return metrics
-
 
 def ppo_loss_and_grads(
     policy: Policy,
-    obs: np.ndarray,
+    dynamic: np.ndarray,
+    statics: np.ndarray,
+    episodes: np.ndarray,
     actions: np.ndarray,
     old_logp: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
     masks: np.ndarray,
+    grads: list[np.ndarray],
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Losses and analytic gradients for one minibatch, without stepping.
+
+    Row i's observation is its dynamic block ``dynamic[i]`` followed by
+    the static block ``statics[episodes[i]]``. Each net's first layer
+    is the dynamic rows' product plus the fold of the static blocks,
+    computed once per block and gathered per row; its static rows'
+    gradient is one product per block too.
 
     The scalar being descended is
         policy_loss + value_coef * value_loss - entropy_coef * entropy,
     returned metrics are [policy_loss, value_loss, entropy, clip_fraction]
     and the gradients are in ``PpoOptimizer.params`` order: the actor's
-    parameters, then the critic's.
+    parameters, then the critic's, written into the arrays of ``grads``.
     """
     cfg = policy.config
-    batch_size = len(obs)
+    batch_size = len(dynamic)
     rows = np.arange(batch_size)
-    obs = policy.preprocess(obs)
+    x = policy.preprocess(dynamic)
+    blocks = policy.preprocess(statics)
+    tail = (blocks, episodes)
+    actor_grads = 2 * policy.actor.num_layers
 
-    logits, actor_cache = policy.actor.forward(obs)
+    logits, actor_cache = policy.actor.forward(
+        x, _fold_blocks(policy, policy.actor, blocks)[episodes]
+    )
     logp_all = masked_log_softmax(logits, masks)
     safe_logp = np.where(masks, logp_all, 0.0)
     probs = np.exp(safe_logp) * masks
@@ -188,7 +237,9 @@ def ppo_loss_and_grads(
     surrogate = clipped_surrogate(ratio, advantages, cfg.clip_epsilon)
     entropy = -(probs * safe_logp).sum(axis=1)
 
-    value_pred, critic_cache = policy.critic.forward(obs)
+    value_pred, critic_cache = policy.critic.forward(
+        x, _fold_blocks(policy, policy.critic, blocks)[episodes]
+    )
     value_pred = value_pred[:, 0]
     value_err = value_pred - returns
     value_loss = float(np.mean(value_err**2))
@@ -205,10 +256,10 @@ def ppo_loss_and_grads(
         cfg.entropy_coef * (-(probs * (safe_logp + entropy[:, None]))) / batch_size
     )
     grad_logits = np.where(masks, grad_logits, 0.0)
-    grads = policy.actor.backward(actor_cache, grad_logits)
+    policy.actor.backward(actor_cache, grad_logits, grads[:actor_grads], tail)
 
     grad_value = (cfg.value_coef * 2.0 * value_err / batch_size)[:, None]
-    grads += policy.critic.backward(critic_cache, grad_value)
+    policy.critic.backward(critic_cache, grad_value, grads[actor_grads:], tail)
 
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
     metrics = np.array([policy_loss, value_loss, mean_entropy, clip_fraction])

@@ -13,7 +13,8 @@ nonzero-row fold replaced, and ``reference_extract_features`` the
 feature extraction (``np.mean``/``np.std`` over stacked samples) that
 the leaner one must match bit for bit, and ``adam_step_reference`` the
 whole-array Adam step that the blocked ``Adam.step`` must match bit for
-bit. ``check_watch_invariants`` and ``check_trail_invariants`` assert a
+bit, and ``dense_ppo_loss_and_grads`` the PPO loss over whole
+observations that the compact-batch one must match. ``check_watch_invariants`` and ``check_trail_invariants`` assert a
 solver's internal invariants.
 """
 
@@ -169,6 +170,88 @@ def adam_step_reference(
         p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + ADAM_EPS)
 
 
+def assert_close(actual, expected, rel=1e-12):
+    """Equal up to ``rel`` times the largest magnitude in ``expected``."""
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= rel * scale
+
+
+def gradient_buffers(policy) -> list[np.ndarray]:
+    """One array per parameter, actor then critic, for ``ppo_loss_and_grads``
+    to write into."""
+    return [np.empty_like(p) for p in policy.actor.parameters() + policy.critic.parameters()]
+
+
+def whole_observations(batch) -> np.ndarray:
+    """Each transition's whole observation, dynamic then static block."""
+    return np.stack([np.concatenate([t.observation, t.static]) for t in batch])
+
+
+def _dense_forward(net, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation, input first, through whole layers."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < len(net.weights) - 1 else z)
+    return acts
+
+
+def _dense_backward(net, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
+    """Weight and bias gradients, in ``parameters()`` order, by plain
+    backprop over whole rows."""
+    grads = [None] * (2 * len(net.weights))
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads[2 * i] = acts[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+    return grads
+
+
+def dense_ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns, masks):
+    """``ppo_loss_and_grads`` over whole observations: every row through
+    the whole first layer of each net, and fresh gradient arrays."""
+    from satkit.rl.policy import masked_log_softmax
+
+    cfg = policy.config
+    batch = len(obs)
+    rows = np.arange(batch)
+    x = policy.preprocess(obs)
+    actor_acts = _dense_forward(policy.actor, x)
+    critic_acts = _dense_forward(policy.critic, x)
+
+    logp_all = masked_log_softmax(actor_acts[-1], masks)
+    safe_logp = np.where(masks, logp_all, 0.0)
+    probs = np.exp(safe_logp) * masks
+    ratio = np.exp(logp_all[rows, actions] - old_logp)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages
+    surrogate = np.minimum(unclipped, clipped)
+    entropy = -(probs * safe_logp).sum(axis=1)
+    value_err = critic_acts[-1][:, 0] - returns
+
+    coef = np.where(unclipped == surrogate, unclipped, 0.0) / batch
+    one_hot = np.zeros_like(logp_all)
+    one_hot[rows, actions] = 1.0
+    grad_logits = -coef[:, None] * (one_hot - probs)
+    # the entropy bonus: d(-H)/dz = p * (log p + H)
+    grad_logits += cfg.entropy_coef * probs * (safe_logp + entropy[:, None]) / batch
+    grad_logits = np.where(masks, grad_logits, 0.0)
+    grad_value = (cfg.value_coef * 2.0 * value_err / batch)[:, None]
+
+    metrics = np.array(
+        [
+            -surrogate.mean(),
+            np.mean(value_err**2),
+            entropy.mean(),
+            np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon),
+        ]
+    )
+    grads = _dense_backward(policy.actor, actor_acts, grad_logits)
+    grads += _dense_backward(policy.critic, critic_acts, grad_value)
+    return metrics, grads
+
+
 def run_bandit(
     updates: int = 200,
     lr: float = 0.01,
@@ -204,12 +287,11 @@ def run_bandit(
     prob_best = 0.0
     for u in range(1, updates + 1):
         actor_fold = fold_block(policy, policy.actor, static)
-        value = policy.value(dynamic, fold_block(policy, policy.critic, static))
         batch = []
         for _ in range(batch_size):
             action, logp = policy.act(dynamic, mask, actor_fold, rng)
             reward = 1.0 if action == 0 else 0.0
-            batch.append(Transition(obs.copy(), action, logp, reward, value, True, mask.copy()))
+            batch.append(Transition(dynamic.copy(), static, action, logp, reward, True, mask.copy()))
         optimizer.update(batch)
         logits = full_logits(policy, obs)
         prob_best = float(np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])[0])
@@ -219,26 +301,23 @@ def run_bandit(
 
 
 def finite_difference_check(policy, batch, h: float = 1e-6, tol: float = 1e-4) -> float:
-    """Compare analytic gradients (actor parameters, then critic) against
-    central finite differences of the total loss; returns the worst
-    relative error."""
-    from satkit.rl.ppo import ppo_loss_and_grads
+    """Compare the compact batch's analytic gradients (actor parameters,
+    then critic) against central finite differences of the total loss;
+    returns the worst relative error."""
+    from satkit.rl.ppo import _batch_arrays, ppo_loss_and_grads
 
-    obs = np.stack([t.observation for t in batch])
-    actions = np.array([t.action for t in batch])
-    old_logp = np.array([t.log_prob for t in batch])
+    dynamic, statics, episodes, actions, old_logp, _, _, masks = _batch_arrays(batch)
     advantages = np.array([0.7 * (i + 1) for i in range(len(batch))])
     returns = np.array([1.3] * len(batch))
-    masks = np.stack([t.mask for t in batch])
+    args = (dynamic, statics, episodes, actions, old_logp, advantages, returns, masks)
+    args += (gradient_buffers(policy),)
     cfg = policy.config
 
     def total_loss():
-        metrics, _ = ppo_loss_and_grads(
-            policy, obs, actions, old_logp, advantages, returns, masks
-        )
+        metrics, _ = ppo_loss_and_grads(policy, *args)
         return metrics[0] + cfg.value_coef * metrics[1] - cfg.entropy_coef * metrics[2]
 
-    _, grads = ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns, masks)
+    _, grads = ppo_loss_and_grads(policy, *args)
     params = policy.actor.parameters() + policy.critic.parameters()
     assert len(grads) == len(params)
     worst = 0.0

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_non_finite_policy_exits_2(self, uf_file, tmp_path, small_policy_file, capsys):
+        blob = bytearray(small_policy_file.read_bytes())
+        blob[-8:] = b"\x00" * 6 + b"\xf8\x7f"  # the last bias, a little-endian NaN
+        path = tmp_path / "nan.bin"
+        path.write_bytes(bytes(blob))
+        code = main(["solve", str(uf_file), "--heuristic", "rl", "--policy", str(path)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == 2
 
@@ -338,6 +349,22 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "instance 2" in err and "(9, 24)" in err
+        assert not policy_path.exists()
+
+    def test_overflowing_update_exits_2_without_a_checkpoint(self, tmp_path, capsys):
+        # One update of one Adam step: only the check after the last step
+        # sees the weights it leaves non-finite.
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=4, num_vars=8, num_clauses=24, seed=5)
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", "20", "--window", "20",
+                "--hidden", "8", "--epochs", "1", "--minibatch", "32", "--lr", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args + ["--out", str(policy_path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "error: non-finite parameters after update\n"
         assert not policy_path.exists()
 
     def test_dataset_without_decisions_exits_2(self, tmp_path, capsys):

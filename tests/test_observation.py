@@ -168,7 +168,9 @@ class CheckedHeuristic(PolicyHeuristic):
         assert self.clause_status.reward() == compute_reward(expected)
         if self.rng is not None:
             full = build_observation(self.formula, solver.values, extract_features(self.formula))
-            assert self.transitions[-1].observation.tobytes() == full.tobytes()
+            last = self.transitions[-1]
+            recorded = np.concatenate([last.observation, last.static])
+            assert recorded.tobytes() == full.tobytes()
         self.checks += 1
         return decision
 

@@ -34,11 +34,13 @@ from satkit.rl.policy import (
     masked_log_softmax,
     save_policy,
 )
+from satkit.rl.ppo import PpoOptimizer
 from satkit.rl.train import train
 from satkit.solver.engine import Heuristic, Solver, Verdict
 
 from oracles import (
     any_formula,
+    assert_close,
     fold_block,
     full_logits,
     full_value,
@@ -224,18 +226,22 @@ class TestSaveLoad:
         with pytest.raises(PolicyFormatError):
             load_policy(blob)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", ["first-weight", "last-bias"])
+    def test_non_finite_weight_rejected(self, bad, at):
+        policy = make_policy()
+        blob = bytearray(save_policy(policy))
+        payload = 8 * sum(p.size for p in policy.actor.parameters() + policy.critic.parameters())
+        offset = {"first-weight": len(blob) - payload, "last-bias": len(blob) - 8}[at]
+        blob[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
+        with pytest.raises(PolicyFormatError, match="non-finite"):
+            load_policy(bytes(blob))
+
     def test_loading_policy_for_wrong_formula_shape(self):
         policy = load_policy(save_policy(Policy(20, 91, SMALL, seed=0)))
         wrong = planted_ksat(10, 40, random.Random(0))
         with pytest.raises(ShapeMismatchError):
             PolicyHeuristic(policy, wrong)
-
-
-def assert_close(actual, expected, rel=1e-12):
-    """Equal up to ``rel`` times the largest magnitude in ``expected``."""
-    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
-    scale = max(float(np.abs(expected).max()), 1e-300)
-    assert float(np.abs(actual - expected).max()) <= rel * scale
 
 
 def random_partial_assignment(num_vars, rng):
@@ -416,25 +422,55 @@ class TestPolicyHeuristic:
         result = Solver(formula, PolicyHeuristic(policy, formula)).run()
         assert result.verdict == Verdict.SAT and result.stats.decisions > 0
         assert calls == []
-        Solver(formula, PolicyHeuristic(policy, formula, np.random.default_rng(0))).run()
+        sampled = PolicyHeuristic(policy, formula, np.random.default_rng(0))
+        Solver(formula, sampled).run()
+        assert calls == []  # a sampled solve leaves the critic to the update
+        PpoOptimizer(policy).update(sampled.transitions)
         assert calls  # the counter sees the critic when it does run
 
-    def test_recorded_values_and_log_probs_match_the_full_network(self):
+    def test_recorded_transitions_share_one_static_block_per_episode(self):
         policy = Policy(20, 91, SMALL, seed=2)
         rng = np.random.default_rng(4)
-        recorded = 0
+        statics = []
+        for k in range(3):
+            formula = planted_ksat(20, 91, random.Random(k))
+            heuristic = PolicyHeuristic(policy, formula, rng)
+            Solver(formula, heuristic).run()
+            transitions = heuristic.transitions
+            assert len(transitions) > 1
+            assert all(t.static is transitions[0].static for t in transitions)
+            assert transitions[0].observation.shape == (policy.dynamic_dim,)
+            statics.append(transitions[0].static)
+        assert len({id(s) for s in statics}) == 3  # one block per episode
+
+    def test_recorded_log_probs_and_update_values_match_the_full_network(self, monkeypatch):
+        """The log-probabilities recorded at each decision, and the critic
+        values the update computes for the batch, against the whole
+        networks on each whole observation."""
+        policy = Policy(20, 91, SMALL, seed=2)
+        rng = np.random.default_rng(4)
+        batch, full_values = [], []
         for k in range(5):
             formula = planted_ksat(20, 91, random.Random(k))
             heuristic = PolicyHeuristic(policy, formula, rng)
             Solver(formula, heuristic).run()
             for t in heuristic.transitions:
-                logp = masked_log_softmax(
-                    full_logits(policy, t.observation)[None, :], t.mask[None, :]
-                )[0, t.action]
+                obs = np.concatenate([t.observation, t.static])
+                logp = masked_log_softmax(full_logits(policy, obs)[None, :], t.mask[None, :])[
+                    0, t.action
+                ]
                 assert_close(t.log_prob, logp)
-                assert_close(t.value, full_value(policy, t.observation))
-                recorded += 1
-        assert recorded > 0
+                full_values.append(full_value(policy, obs))
+            batch += heuristic.transitions
+        assert batch
+        calls = []
+        value = Policy.value
+        monkeypatch.setattr(Policy, "value", lambda *args: calls.append(value(*args)) or calls[-1])
+        PpoOptimizer(policy).update(batch)
+        [values] = calls
+        assert values.shape == (len(batch),)
+        for v, want in zip(values, full_values):
+            assert_close(v, want)
 
     def test_greedy_unrecorded_solve_skips_softmax_critic_and_rng(self, monkeypatch):
         import satkit.rl.policy as policy_module
@@ -456,7 +492,7 @@ class TestPolicyHeuristic:
             monkeypatch.setattr(policy.critic, name, forbidden(f"critic.{name}"))
         result = Solver(formula, PolicyHeuristic(policy, formula)).run()
         assert result.verdict == Verdict.SAT and result.stats.decisions > 0
-        # The probes bite: a sampled, recorded run needs the critic and the softmax.
+        # The probes bite: a sampled, recorded run needs the softmax.
         with pytest.raises(AssertionError, match="called"):
             Solver(formula, PolicyHeuristic(policy, formula, rng)).run()
 
@@ -470,8 +506,10 @@ class TestPolicyHeuristic:
             heuristic = PolicyHeuristic(policy, formula, rng)
             Solver(formula, heuristic).run()
             for t in heuristic.transitions:
-                obs = t.observation
-                logits = policy.actor(policy.preprocess(obs[:d]), fold_block(policy, policy.actor, obs[d:]))
+                assert t.observation.shape == (d,)
+                logits = policy.actor(
+                    policy.preprocess(t.observation), fold_block(policy, policy.actor, t.static)
+                )
                 logp = masked_log_softmax(logits[None, :], t.mask[None, :])[0]
                 assert t.log_prob == float(logp[t.action])
                 recorded += 1

@@ -1,20 +1,35 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
+from satkit.generators import planted_ksat
 from satkit.rl.network import ADAM_BLOCK, Adam, Mlp, orthogonal_init
 from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
     NonFiniteLossError,
     PpoOptimizer,
     Transition,
+    _batch_arrays,
     clipped_surrogate,
     compute_gae,
     ppo_loss_and_grads,
 )
 
-from oracles import adam_step_reference, full_logits, full_value, run_bandit
+from satkit.rl.train import run_episode, train
+
+from oracles import (
+    adam_step_reference,
+    assert_close,
+    dense_ppo_loss_and_grads,
+    full_logits,
+    full_value,
+    gradient_buffers,
+    run_bandit,
+    whole_observations,
+)
 
 TINY = PpoConfig(hidden_sizes=(2,), minibatch_size=4, epochs=1)
 
@@ -26,8 +41,8 @@ def make_transition(policy, rng, action=0, logp_offset=0.0, reward=1.0, done=Tru
     mask = np.ones(policy.num_actions, dtype=bool)
     logits = full_logits(policy, obs)[None, :]
     logp = float(masked_log_softmax(logits, mask[None, :])[0, action])
-    value = full_value(policy, obs)
-    return Transition(obs, action, logp + logp_offset, reward, value, done, mask)
+    d = policy.dynamic_dim
+    return Transition(obs[:d], obs[d:], action, logp + logp_offset, reward, done, mask)
 
 
 def count_adam_steps(optimizer):
@@ -200,6 +215,127 @@ class TestGradients:
         finite_difference_check(policy, batch)
 
 
+def make_episode(policy, rng, length):
+    """``length`` transitions of one episode: random dynamic blocks, one
+    shared random static block, the last one done."""
+    from satkit.rl.policy import masked_log_softmax
+
+    d = policy.dynamic_dim
+    static = rng.standard_normal(policy.obs_dim - d)
+    mask = np.ones(policy.num_actions, dtype=bool)
+    episode = []
+    for i in range(length):
+        dynamic = rng.standard_normal(d)
+        action = int(rng.integers(policy.num_actions))
+        logits = full_logits(policy, np.concatenate([dynamic, static]))[None, :]
+        logp = float(masked_log_softmax(logits, mask[None, :])[0, action])
+        episode.append(Transition(dynamic, static, action, logp + 0.1 * (i - 1), 1.0, i == length - 1, mask))
+    return episode
+
+
+class TestGradientsOnSharedBlocks:
+    def test_gradients_match_finite_differences_when_rows_share_a_block(self):
+        # Two episodes of two and three rows: the static rows' gradient
+        # is a sum per block before the product.
+        policy = Policy(2, 3, TINY, seed=45)
+        rng = np.random.default_rng(6)
+        batch = make_episode(policy, rng, 2) + make_episode(policy, rng, 3)
+        finite_difference_check(policy, batch)
+
+
+def collected_batch(policy, kind):
+    """Transitions collected by ``run_episode`` on planted uf20-91
+    instances: several episodes, one episode, or several with the last
+    cut short as ``train`` cuts its final window."""
+    rng = np.random.default_rng(11)
+    count = 1 if kind == "single-episode" else 4
+    batch = []
+    for k in range(count):
+        trajectory, _ = run_episode(planted_ksat(20, 91, random.Random(300 + k)), policy, rng)
+        batch += trajectory
+    if kind == "truncated-tail":
+        batch = batch[:-2]
+        assert not batch[-1].done
+    return batch
+
+
+class TestCompactBatch:
+    """The compact batch's loss and gradients against the dense oracle,
+    which takes each row's whole observation through whole layers."""
+
+    @pytest.mark.parametrize("kind", ["episodes", "single-episode", "truncated-tail"])
+    def test_matches_the_dense_oracle_within_1e_12(self, kind):
+        policy = Policy(20, 91, PpoConfig(hidden_sizes=(32, 16)), seed=9)
+        batch = collected_batch(policy, kind)
+        rng = np.random.default_rng(12)
+        dynamic, statics, episodes, actions, old_logp, _, _, masks = _batch_arrays(batch)
+        assert len(statics) == (1 if kind == "single-episode" else 4)
+        obs = whole_observations(batch)
+        old_logp = old_logp + rng.normal(0.0, 0.2, len(batch))  # some ratios clip
+        advantages = rng.standard_normal(len(batch))
+        returns = rng.standard_normal(len(batch))
+        # a minibatch as the update draws it: shuffled rows, all blocks
+        for idx in (np.arange(len(batch)), rng.permutation(len(batch))[:16]):
+            args = (actions[idx], old_logp[idx], advantages[idx], returns[idx], masks[idx])
+            metrics, grads = ppo_loss_and_grads(
+                policy, dynamic[idx], statics, episodes[idx], *args, gradient_buffers(policy)
+            )
+            want_metrics, want_grads = dense_ppo_loss_and_grads(policy, obs[idx], *args)
+            if len(idx) == len(batch):
+                assert 0.0 < metrics[3] < 1.0  # both sides of the clip
+            for got, want in zip(metrics, want_metrics):
+                assert_close(got, want)
+            assert len(grads) == len(want_grads)
+            for got, want in zip(grads, want_grads):
+                assert got.shape == want.shape
+                assert_close(got, want)
+
+    def test_overwrites_every_entry_of_the_gradient_list(self):
+        policy = Policy(20, 91, PpoConfig(hidden_sizes=(8,)), seed=9)
+        batch = collected_batch(policy, "episodes")
+        dynamic, statics, episodes, actions, old_logp, rewards, _, masks = _batch_arrays(batch)
+        args = (policy, dynamic, statics, episodes, actions, old_logp, rewards, rewards, masks)
+        stale = [np.full_like(g, np.nan) for g in gradient_buffers(policy)]
+        _, grads = ppo_loss_and_grads(*args, stale)
+        _, fresh = ppo_loss_and_grads(*args, [np.zeros_like(g) for g in stale])
+        assert grads is stale
+        for got, want in zip(grads, fresh):
+            assert np.isfinite(got).all() and np.array_equal(got, want)
+
+    def test_training_matches_the_dense_oracle(self, monkeypatch):
+        """Training with the dense loss in place of the compact one: the
+        same windows, update metrics and final parameters within 1e-12."""
+        import satkit.rl.ppo as ppo_module
+
+        def dense(policy, dynamic, statics, episodes, *args):
+            *args, grads = args
+            obs = np.concatenate([dynamic, statics[episodes]], axis=1)
+            metrics, dense_grads = dense_ppo_loss_and_grads(policy, obs, *args)
+            for out, g in zip(grads, dense_grads):
+                out[...] = g
+            return metrics, grads
+
+        rng = random.Random(7)
+        dataset = [planted_ksat(20, 91, rng) for _ in range(12)]
+        config = PpoConfig(hidden_sizes=(32, 32), rollout_window=60, minibatch_size=32)
+        policy, logs = train(dataset, Policy(20, 91, config, 3), 200)
+        monkeypatch.setattr(ppo_module, "ppo_loss_and_grads", dense)
+        reference, expected = train(dataset, Policy(20, 91, config, 3), 200)
+
+        def windows(logs):
+            return [(log.window, log.steps, log.mean_reward, log.mean_decisions) for log in logs]
+
+        assert windows(logs) == windows(expected) and len(logs) >= 3
+        for log, want in zip(logs, expected):
+            for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
+                assert_close(getattr(log.metrics, name), getattr(want.metrics, name))
+        for got, want in zip(
+            policy.actor.parameters() + policy.critic.parameters(),
+            reference.actor.parameters() + reference.critic.parameters(),
+        ):
+            assert_close(got, want)
+
+
 class TestUpdate:
     def test_learning_rate_zero_leaves_parameters_bitwise_unchanged(self):
         config = PpoConfig(learning_rate=0.0, hidden_sizes=(8,), minibatch_size=8, epochs=2)
@@ -217,17 +353,13 @@ class TestUpdate:
         policy = Policy(2, 3, PpoConfig(hidden_sizes=(8,)), seed=6)
         rng = np.random.default_rng(4)
         batch = [make_transition(policy, rng, reward=float(i), done=True) for i in range(5)]
-        obs = np.stack([t.observation for t in batch])
-        actions = np.array([t.action for t in batch])
-        old_logp = np.array([t.log_prob for t in batch])
-        rewards = np.array([t.reward for t in batch])
-        values = np.array([t.value for t in batch])
-        dones = np.array([t.done for t in batch])
-        masks = np.stack([t.mask for t in batch])
+        dynamic, statics, episodes, actions, old_logp, rewards, dones, masks = _batch_arrays(batch)
+        values = np.array([full_value(policy, obs) for obs in whole_observations(batch)])
         cfg = policy.config
         advantages, returns = compute_gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
         metrics, _ = ppo_loss_and_grads(
-            policy, obs, actions, old_logp, advantages, returns, masks
+            policy, dynamic, statics, episodes, actions, old_logp, advantages, returns, masks,
+            gradient_buffers(policy),
         )
         assert metrics[0] == pytest.approx(-float(advantages.mean()), rel=1e-9, abs=1e-9)
         assert metrics[3] == 0.0  # nothing clipped at ratio 1
@@ -278,6 +410,27 @@ class TestUpdate:
         fresh = Policy(2, 3, config, seed=7)
         PpoOptimizer(fresh).update(batch)
         assert save_policy(policy) == save_policy(fresh)
+
+    def test_non_finite_parameters_after_the_last_step_roll_back(self):
+        # One step per update, whose loss is finite; the step overflows.
+        config = PpoConfig(hidden_sizes=(8,), minibatch_size=8, epochs=1, learning_rate=1e308)
+        policy = Policy(2, 3, config, seed=7)
+        rng = np.random.default_rng(5)
+        batch = [make_transition(policy, rng, reward=1e3) for _ in range(5)]
+        optimizer = PpoOptimizer(policy)
+        before = save_policy(policy)
+        rng_before = optimizer.rng.bit_generator.state
+        steps = count_adam_steps(optimizer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the update keeps numpy quiet
+            with pytest.raises(NonFiniteLossError, match="parameters"):
+                optimizer.update(batch)
+        assert len(steps) == 1
+        assert save_policy(policy) == before
+        assert optimizer.adam.t == 0
+        assert optimizer.rng.bit_generator.state == rng_before
+        for moment in optimizer.adam.m + optimizer.adam.v:
+            assert not moment.any()
 
     def test_update_moves_the_policy_arrays_in_place(self):
         policy = Policy(2, 3, PpoConfig(hidden_sizes=(8,)), seed=6)

@@ -115,6 +115,16 @@ class TestTrain:
             assert np.isfinite(row.mean_reward)
             assert row.mean_decisions >= 0
 
+    def test_critic_runs_once_per_update_and_never_per_decision(self, monkeypatch):
+        rows = []
+        value = Policy.value
+        monkeypatch.setattr(Policy, "value", lambda *args: rows.append(len(args[1])) or value(*args))
+        policy = Policy(8, 24, FAST, seed=0)
+        _, logs = train(small_dataset(), policy, 150)
+        assert len(logs) >= 2
+        # one call per window, over all of the window's transitions
+        assert rows == np.diff([0] + [log.steps for log in logs]).tolist()
+
     def test_checkpoint_callback_invoked(self):
         dataset = small_dataset(seed=31)
         policy = Policy(8, 24, FAST, seed=33)
