@@ -135,7 +135,8 @@ def _spreads(samples: np.ndarray) -> list[list[float]]:
     out = []
     stats = zip(means.tolist(), stds.tolist(), ordered[:, 0].tolist(), ordered[:, -1].tolist(), sums)
     for mean, std, low, high, total in stats:
-        out.append([mean, std / mean if mean != 0 else 0.0, low, high, -total])
+        # 0.0 - total, not -total: a constant row's entropy is +0.0
+        out.append([mean, std / mean if mean != 0 else 0.0, low, high, 0.0 - total])
     return out
 
 

@@ -67,8 +67,6 @@ class PolicyHeuristic(Heuristic):
         if rng is not None:
             self._static = np.zeros(policy.obs_dim - policy.dynamic_dim)
             self._static[static[0]] = static[1]
-            # static_entries drops zero features, and with them any -0.0
-            self._static[-len(features) :] = features
         self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:

@@ -3,6 +3,13 @@
 Kept dependency-free (numpy only) so training is bit-deterministic
 given a seed and the analytic gradients can be checked against finite
 differences directly.
+
+Weights start orthogonal: the Q factor of a Gaussian draw, computed by
+shifted Cholesky QR (``cholesky_qr``) rather than Householder QR. Its
+work is Gram products, small Cholesky factors and their inverses, all
+matrix-matrix (BLAS 3) operations, so on a policy's tall first layers
+it takes about half of Householder's time, for the same Q up to
+rounding.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import math
 import numpy as np
 
 HIDDEN_GAIN = math.sqrt(2.0)  # orthogonal-init gain of the tanh hidden layers
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+QR_BLOCK_ROWS = 256  # rows per block of the Cholesky QR products
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -20,17 +29,71 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangular ``low`` = [[A, 0], [C, D]], by
+    halves: A^-1 and D^-1 on the diagonal, -D^-1 C A^-1 below it. The
+    work is then mostly matrix products, and takes about a third of the
+    time of a general inverse at 256 x 256."""
+    n = len(low)
+    if n <= 32:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    d_inv = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[h:, :h] = -(d_inv @ low[h:, :h] @ a_inv)
+    return out
+
+
+def cholesky_qr(a: np.ndarray) -> np.ndarray:
+    """The Q factor of a full-rank ``a`` with at least as many rows as
+    columns, the one whose R has a positive diagonal, written over ``a``.
+
+    Shifted Cholesky QR (Fukaya et al. 2014 and 2020). A pass replaces Q
+    by Q L^-T, where L L^T is the Cholesky factorisation of the Gram
+    matrix Q^T Q. Each L is lower triangular with a positive diagonal,
+    so the passes compose to the Q that Householder QR gives once R's
+    signs are made positive. The Gram matrix squares the condition
+    number, so a plain pass breaks down once the condition number of
+    ``a`` passes about 1e8, which a square Gaussian draw can reach. The
+    first pass therefore adds 11 (mn + n(n + 1)) u ||a||_F^2 to the Gram
+    diagonal, which keeps it positive definite and leaves a Q well
+    enough conditioned for the two plain passes that make it
+    orthonormal to rounding (measured up to a condition number of 1e12;
+    past about 1e13 a plain pass can raise ``LinAlgError``).
+
+    A row of Q L^-T depends on the same row of Q only, so each pass
+    works in place, on blocks of ``QR_BLOCK_ROWS`` rows: no second tall
+    matrix is allocated, and no whole tall operand is packed into the
+    BLAS work buffer, whose touched pages stay resident for the life of
+    the process.
+    """
+    m, n = a.shape
+    gram, part = np.empty((n, n)), np.empty((n, n))
+    blocks = [slice(start, start + QR_BLOCK_ROWS) for start in range(0, m, QR_BLOCK_ROWS)]
+    for shifted in (True, False, False):
+        gram.fill(0.0)
+        for rows in blocks:
+            np.matmul(a[rows].T, a[rows], out=part)
+            gram += part
+        if shifted:
+            gram.flat[:: n + 1] += 11 * (m * n + n * (n + 1)) * UNIT_ROUNDOFF * np.trace(gram)
+        inverse = _lower_inverse(np.linalg.cholesky(gram))
+        for rows in blocks:
+            np.matmul(a[rows], inverse.T, out=a[rows])
+    return a
+
+
 def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: float) -> np.ndarray:
-    """Orthogonal weight matrix scaled by ``gain``, deterministic in rng."""
+    """Orthogonal weight matrix scaled by ``gain``, deterministic in rng:
+    ``cholesky_qr`` of a Gaussian draw with the larger side as rows,
+    transposed to ``shape`` when it is wide."""
     rows, cols = shape
-    big, small = max(rows, cols), min(rows, cols)
-    a = rng.standard_normal((big, small))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    w = q if rows >= cols else q.T
-    return np.ascontiguousarray(gain * w, dtype=np.float64)
+    q = cholesky_qr(rng.standard_normal((max(rows, cols), min(rows, cols))))
+    q *= gain
+    return q if rows >= cols else np.ascontiguousarray(q.T)
 
 
 class Mlp:
@@ -55,6 +118,15 @@ class Mlp:
             gain = out_gain if i == last else HIDDEN_GAIN
             self.weights.append(orthogonal_init(rng, (fan_in, fan_out), gain))
             self.biases.append(np.zeros(fan_out, dtype=np.float64))
+
+    @classmethod
+    def allocate(cls, sizes: list[int]) -> "Mlp":
+        """A net of layer widths ``sizes`` whose parameters are allocated
+        but not set, for a caller that fills every entry."""
+        net = cls.__new__(cls)
+        net.weights = [np.empty((fan_in, fan_out)) for fan_in, fan_out in zip(sizes, sizes[1:])]
+        net.biases = [np.empty(fan_out) for fan_out in sizes[1:]]
+        return net
 
     @property
     def num_layers(self) -> int:

@@ -93,6 +93,26 @@ class Policy:
     ):
         if config is None:
             config = PpoConfig()
+        actor_sizes, critic_sizes = self._set_up(num_vars, num_clauses, config, seed)
+        rng = np.random.default_rng(seed)
+        self.actor = Mlp(actor_sizes, rng, out_gain=0.01)
+        self.critic = Mlp(critic_sizes, rng, out_gain=1.0)
+
+    @classmethod
+    def _allocate(cls, num_vars: int, num_clauses: int, config: PpoConfig, seed: int) -> "Policy":
+        """A policy whose weights are allocated but not set, for
+        ``load_policy`` to fill."""
+        policy = cls.__new__(cls)
+        actor_sizes, critic_sizes = policy._set_up(num_vars, num_clauses, config, seed)
+        policy.actor = Mlp.allocate(actor_sizes)
+        policy.critic = Mlp.allocate(critic_sizes)
+        return policy
+
+    def _set_up(
+        self, num_vars: int, num_clauses: int, config: PpoConfig, seed: int
+    ) -> tuple[list[int], list[int]]:
+        """Record the shape and settings; return the actor's and the
+        critic's layer sizes."""
         self.num_vars = num_vars
         self.num_clauses = num_clauses
         self.config = config
@@ -103,9 +123,7 @@ class Policy:
         # decisions (assignments, clause evaluations); the rest is static.
         self.dynamic_dim = num_vars + num_clauses
         self.num_actions = actor_sizes[-1]
-        rng = np.random.default_rng(seed)
-        self.actor = Mlp(actor_sizes, rng, out_gain=0.01)
-        self.critic = Mlp(critic_sizes, rng, out_gain=1.0)
+        return actor_sizes, critic_sizes
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -250,6 +268,13 @@ def save_policy(policy: Policy) -> bytes:
 
 
 def load_policy(data: bytes) -> Policy:
+    """The policy a ``save_policy`` checkpoint holds, or a
+    ``PolicyFormatError`` if the bytes are not a whole, well-formed one.
+
+    The weights are copied from the payload into arrays allocated at the
+    header's layer sizes; no random weights are built, so a load costs
+    about a copy of the payload.
+    """
     if len(data) < len(_MAGIC) + 8 or not data.startswith(_MAGIC):
         raise PolicyFormatError("not a policy checkpoint")
     offset = len(_MAGIC)
@@ -281,13 +306,17 @@ def load_policy(data: bytes) -> Policy:
             raise PolicyFormatError(
                 f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
             )
-        policy = Policy(num_vars, num_clauses, config, header["seed"])
+        seed = header["seed"]
+        # Training seeds its rngs from it; None would draw OS entropy.
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise PolicyFormatError(f"checkpoint seed must be an integer >= 0, got {seed!r}")
+        policy = Policy._allocate(num_vars, num_clauses, config, seed)
         declared = [(meta["name"], tuple(meta["shape"])) for meta in header["arrays"]]
-    except SatkitError:
+    except PolicyFormatError:
         raise
     except KeyError as exc:
         raise PolicyFormatError(f"checkpoint header lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a ConfigError among them
         raise PolicyFormatError(f"malformed checkpoint header: {exc}") from None
     arrays = _array_manifest(policy)
     if [name for name, _ in declared] != [name for name, _ in arrays]:

@@ -14,8 +14,10 @@ feature extraction (``np.mean``/``np.std`` over stacked samples) that
 the leaner one must match bit for bit, and ``adam_step_reference`` the
 whole-array Adam step that the blocked ``Adam.step`` must match bit for
 bit, and ``dense_ppo_loss_and_grads`` the PPO loss over whole
-observations that the compact-batch one must match. ``check_watch_invariants`` and ``check_trail_invariants`` assert a
-solver's internal invariants.
+observations that the compact-batch one must match, and
+``householder_orthogonal_init`` the Householder QR initialisation whose
+Q the Cholesky QR one must match within 1e-12. ``check_watch_invariants``
+and ``check_trail_invariants`` assert a solver's internal invariants.
 """
 
 from __future__ import annotations
@@ -168,6 +170,20 @@ def adam_step_reference(
         vi *= ADAM_BETA2
         vi += (1.0 - ADAM_BETA2) * (g * g)
         p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + ADAM_EPS)
+
+
+def householder_orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: float) -> np.ndarray:
+    """``orthogonal_init`` by Householder QR (``np.linalg.qr``) of the
+    same Gaussian draw, with R's diagonal made positive."""
+    rows, cols = shape
+    big, small = max(rows, cols), min(rows, cols)
+    a = rng.standard_normal((big, small))
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    w = q if rows >= cols else q.T
+    return np.ascontiguousarray(gain * w, dtype=np.float64)
 
 
 def assert_close(actual, expected, rel=1e-12):
@@ -600,7 +616,7 @@ def _reference_spreads(samples: np.ndarray) -> list[list[float]]:
     stats = zip(ordered.tolist(), ordered.mean(axis=1).tolist(), ordered.std(axis=1).tolist(), sums)
     for row, mean, std, total in stats:
         vc = std / mean if mean != 0 else 0.0
-        out.append([mean, vc, row[0], row[-1], -total])
+        out.append([mean, vc, row[0], row[-1], 0.0 - total])
     return out
 
 

@@ -56,6 +56,18 @@ def test_reserved_slots_are_zero():
         assert fv.get(f"reserved_{k}") == 0.0
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [CnfFormula.from_codes(1, [[1]]), random_ksat(16, 72, random.Random(0)), planted_ksat(20, 91, random.Random(3))],
+    ids=["unit", "random-3sat", "planted-uf20"],
+)
+def test_no_feature_is_negative_zero(formula):
+    # Every clause has the same degree, so clause_degree_entropy is 0.
+    values = extract_features(formula).values
+    assert values[FEATURE_SCHEMA.index("clause_degree_entropy")] == 0.0
+    assert not np.signbit(values[values == 0.0]).any()
+
+
 def test_degenerate_formulas_rejected():
     with pytest.raises(DegenerateFormulaError):
         extract_features(CnfFormula(0, ()))
@@ -157,7 +169,7 @@ def reference_features(formula):
     def entropy(ordered):
         counts = Counter(ordered)
         k = len(ordered)
-        return -sum((c / k) * math.log(c / k) for _, c in sorted(counts.items()))
+        return 0.0 - sum((c / k) * math.log(c / k) for _, c in sorted(counts.items()))
 
     def spread(sample):
         ordered = sorted(sample)

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
 from satkit.features import clause_incidence, extract_features
 from satkit.generators import planted_ksat
+from satkit.rl import network
 from satkit.rl.heuristic import PolicyHeuristic
 from satkit.rl.observation import (
     ShapeMismatchError,
@@ -55,6 +56,12 @@ SMALL = PpoConfig(hidden_sizes=(16, 16))
 
 def make_policy(n=4, m=6, seed=0, config=SMALL):
     return Policy(n, m, config, seed)
+
+
+# A checkpoint whose header is about 40% of its bytes.
+TINY_POLICY = Policy(1, 1, PpoConfig(hidden_sizes=(1,)), seed=3)
+TINY_BLOB = save_policy(TINY_POLICY)
+TINY_HEADER_END = 18 + int.from_bytes(TINY_BLOB[10:18], "little")
 
 
 def edit_header(blob, edit):
@@ -176,10 +183,41 @@ class TestSaveLoad:
         assert save_policy(load_policy(blob)) == blob
 
     def test_truncated_file_never_yields_partial_policy(self):
-        blob = save_policy(make_policy())
-        for cut in (0, 4, len(blob) // 2, len(blob) - 1):
+        blob = save_policy(TINY_POLICY)
+        for cut in range(len(blob)):
             with pytest.raises(PolicyFormatError):
                 load_policy(blob[:cut])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, TINY_HEADER_END - 1) | st.integers(0, len(TINY_BLOB) - 1), st.integers(0, 255))
+    @example(TINY_BLOB.index(b'"clip_epsilon": ') + 15, ord("-"))  # a ConfigError
+    @example(TINY_BLOB.index(b'"seed": ') + 7, ord("-"))
+    @example(TINY_BLOB.index(b'"hidden_sizes": [1]') + 17, ord("0"))
+    def test_a_single_byte_edit_loads_or_raises_a_format_error(self, at, byte):
+        blob = bytearray(TINY_BLOB)
+        blob[at] = byte
+        try:
+            policy = load_policy(bytes(blob))
+        except PolicyFormatError:
+            return
+        assert all(np.isfinite(p).all() for p in policy.actor.parameters() + policy.critic.parameters())
+
+    def test_load_builds_no_random_weights(self, monkeypatch):
+        blob = save_policy(make_policy(seed=7))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load must not build random weights")
+
+        monkeypatch.setattr(network, "orthogonal_init", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert save_policy(load_policy(blob)) == blob
+
+    @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.5, "x", True], ids=repr)
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        blob = edit_header(save_policy(make_policy()), lambda h: h.update(seed=seed))
+        with pytest.raises(PolicyFormatError, match="seed"):
+            load_policy(blob)
 
     def test_version_mismatch(self):
         blob = save_policy(make_policy())

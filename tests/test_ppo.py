@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from satkit.generators import planted_ksat
-from satkit.rl.network import ADAM_BLOCK, Adam, Mlp, orthogonal_init
+from satkit.rl.network import ADAM_BLOCK, Adam, Mlp, cholesky_qr, orthogonal_init
 from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
     NonFiniteLossError,
@@ -27,6 +27,7 @@ from oracles import (
     full_logits,
     full_value,
     gradient_buffers,
+    householder_orthogonal_init,
     run_bandit,
     whole_observations,
 )
@@ -93,6 +94,34 @@ class TestNetwork:
         assert np.allclose(w.T @ w, np.eye(4), atol=1e-10)
         w2 = orthogonal_init(rng, (3, 7), gain=2.0)
         assert np.allclose((w2 / 2.0) @ (w2 / 2.0).T, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(1979, 256), (256, 256), (256, 40), (256, 1), (3, 7), (8, 4)])
+    def test_orthogonal_init_matches_householder_qr(self, shape):
+        small = min(shape)
+        for seed in range(20):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            w = orthogonal_init(rng, shape, gain=2.0)
+            expected = householder_orthogonal_init(oracle_rng, shape, gain=2.0)
+            assert w.shape == shape and w.flags.c_contiguous
+            assert np.abs(w - expected).max() <= 1e-12
+            gram = (w.T @ w if shape[0] >= shape[1] else w @ w.T) / 4.0
+            assert np.abs(gram - np.eye(small)).max() <= 1e-12
+            assert rng.random() == oracle_rng.random()  # the same draws, no more
+
+    @pytest.mark.parametrize("shape", [(1979, 256), (256, 256), (7, 3)])
+    def test_cholesky_qr_stays_orthonormal_at_condition_1e12(self, shape):
+        rows, cols = shape
+        rng = np.random.default_rng(5)
+        u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        a = (u * np.logspace(0, -12, cols)) @ v.T
+        assert np.linalg.cond(a) > 1e11
+        q = cholesky_qr(a.copy())
+        assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-12
+        # and it spans a's columns, with R = Q^T a upper triangular
+        r = q.T @ a
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12
+        assert (np.diag(r) > 0).all()
 
     def test_forward_shapes(self):
         rng = np.random.default_rng(0)
