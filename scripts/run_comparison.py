@@ -59,7 +59,7 @@ def main() -> int:
             print(f"generated {args.count} planted instances in {data_dir}")
 
     files = sorted(p.name for p in data_dir.glob("*.cnf"))
-    split = split_dataset(files, 0.8, args.seed)
+    split = split_dataset(files, args.seed)
     train_dir = workdir / "train"
     test_dir = workdir / "test"
     for directory, names in ((train_dir, split.train), (test_dir, split.test)):

@@ -9,9 +9,8 @@ records to one flat dict. ``split_dataset`` makes the train/test file
 lists that ``scripts/run_comparison.py`` writes to two directories; the
 benchmark itself runs every instance it is given.
 
-CSV schema: instance,heuristic,verdict,time_s,decisions,conflicts,
-propagations,seed plus a trailing feature_time_s column, the set-up
-time; ``seed`` is the policy's seed.
+CSV schema: one column per ``BenchRecord`` field, in field order.
+``feature_time_s`` is the set-up time and ``seed`` the policy's seed.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -36,17 +35,7 @@ from .solver.engine import Heuristic, SolveLimits, Solver, Verdict
 from .solver.heuristics import VsidsHeuristic
 
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = [
-    "instance",
-    "heuristic",
-    "verdict",
-    "time_s",
-    "decisions",
-    "conflicts",
-    "propagations",
-    "seed",
-    "feature_time_s",
-]
+TRAIN_SHARE = 0.8  # of a dataset that ``split_dataset`` puts in train
 
 BASELINE = "vsids"
 ENTRANTS: dict[str, Callable[[Policy, CnfFormula], Heuristic]] = {
@@ -89,6 +78,9 @@ class BenchRecord:
     feature_time_s: float
 
 
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+
+
 def load_dataset(
     directory,
     strict: bool = False,
@@ -124,14 +116,12 @@ def load_dataset(
     return out
 
 
-def split_dataset(files: Sequence[str], ratio: float = 0.8, seed: int = 0) -> DatasetSplit:
+def split_dataset(files: Sequence[str], seed: int) -> DatasetSplit:
     """Deterministic shuffle of the name-sorted file list, then a prefix
-    split with floor(N * ratio) names in train and the rest in test."""
-    if not 0 <= ratio < 1:
-        raise BenchError(f"split ratio must be in [0, 1), got {ratio}")
+    split with floor(N * TRAIN_SHARE) names in train and the rest in test."""
     ordered = sorted(files)
     random.Random(seed).shuffle(ordered)
-    cut = int(len(ordered) * ratio)
+    cut = int(len(ordered) * TRAIN_SHARE)
     return DatasetSplit(tuple(ordered[:cut]), tuple(ordered[cut:]))
 
 
@@ -250,24 +240,21 @@ def summarize(records: Sequence[BenchRecord]) -> dict[str, float]:
     return summary
 
 
+def _csv_cell(value) -> object:
+    if isinstance(value, Verdict):
+        return value.value
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
+
+
 def records_to_csv(records: Sequence[BenchRecord]) -> str:
+    """One ``CSV_COLUMNS`` header, then one row per record in field order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.instance,
-                r.heuristic,
-                r.verdict.value,
-                f"{r.time_s:.6f}",
-                r.decisions,
-                r.conflicts,
-                r.propagations,
-                r.seed,
-                f"{r.feature_time_s:.6f}",
-            ]
-        )
+        writer.writerow([_csv_cell(getattr(r, name)) for name in CSV_COLUMNS])
     return buffer.getvalue()
 
 

@@ -24,6 +24,7 @@ from .bench import (
 from .dimacs import read_dimacs_file, write_dimacs
 from .errors import SatkitError
 from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_VERSION, extract_features
+from .logic.convert import DEFAULT_CLAUSE_CAP
 from .logic.parser import parse_expression
 from .logic.pipeline import compile_document, compile_expressions
 from .logic.translate import HttpTranslator, StubTranslator
@@ -74,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--timeout-s", type=float, default=30.0, help="translator timeout")
     p.add_argument("--out", default="-", help="DIMACS output path, '-' for stdout")
     p.add_argument("--map", dest="map_path", default=None, help="atom/index/phrase table output")
-    p.add_argument("--max-clauses", type=int, default=10_000)
+    p.add_argument("--max-clauses", type=int, default=DEFAULT_CLAUSE_CAP)
 
     p = sub.add_parser("solve", help="solve a DIMACS file")
     p.add_argument("cnf", help="DIMACS-CNF file")
@@ -203,7 +204,7 @@ def _cmd_solve(args) -> int:
     )
     if result.verdict == Verdict.SAT:
         print("s SATISFIABLE")
-        print("v " + " ".join(str(code) for code in result.model) + " 0")
+        print("v", *result.model, 0)
         return EXIT_SAT
     if result.verdict == Verdict.UNSAT:
         print("s UNSATISFIABLE")

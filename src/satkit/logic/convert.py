@@ -5,10 +5,11 @@ expression, ``_clauses(expr, negate)``, eliminates arrows, pushes
 negations to the atoms and distributes Or over And, returning clause
 lists directly; no negation normal form tree is built. The result is
 equivalent to the input over the same atoms, which the truth-table
-tests rely on. Distribution can blow up exponentially, so a clause cap
-(default 10,000) guards it: a conjunction is checked after each part,
-a disjunction before each product. An expression nested past Python's
-recursion limit is a ``NestingTooDeepError``.
+tests rely on. Distribution can blow up exponentially, so a clause
+cap, ``DEFAULT_CLAUSE_CAP`` unless given, guards it: a conjunction is
+checked after each part, a disjunction before each product. An
+expression nested past Python's recursion limit is a
+``NestingTooDeepError``.
 
 Simplification applies exactly four equivalence-preserving rules:
 duplicate literals within a clause, tautological clauses, duplicate
@@ -50,12 +51,6 @@ class SymbolTable:
             idx = len(self._names)
             self._index[name] = idx
         return idx
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
-
-    def name_of(self, index: int) -> str:
-        return self._names[index - 1]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)

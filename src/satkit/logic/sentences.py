@@ -2,7 +2,7 @@
 
 A sentence boundary is '.', '!' or '?' followed by whitespace and an
 uppercase letter, unless the whitespace-free token the terminator ends
-is in a configurable abbreviation list ("Dr.", "e.g."). One compiled
+is in ``DEFAULT_ABBREVIATIONS`` ("Dr.", "e.g."). One compiled
 regex finds the candidates, terminators followed by whitespace; the
 loop applies only the uppercase test and then the abbreviation test to
 each. Joining the output with single spaces reproduces the input up to
@@ -12,7 +12,6 @@ inter-sentence whitespace.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from ..errors import SatkitError
 
@@ -25,13 +24,11 @@ class EmptyInputError(SatkitError):
     pass
 
 
-def split_sentences(text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split ``text`` into sentences. Intended for descriptions of up to
     about 450 words; longer input is not rejected, just untested terrain."""
     if not text or not text.strip():
         raise EmptyInputError("input text is empty")
-    protect = frozenset(abbreviations)
-
     sentences = []
     start = 0
     n = len(text)
@@ -39,7 +36,7 @@ def split_sentences(text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATI
         j = m.end()
         if j < n and text[j].isupper():
             sentence = text[start : m.start() + 1]
-            if sentence.rsplit(None, 1)[-1] not in protect:
+            if sentence.rsplit(None, 1)[-1] not in DEFAULT_ABBREVIATIONS:
                 sentences.append(sentence.strip())
                 start = j
     tail = text[start:].strip()

@@ -16,6 +16,7 @@ The first phrase recorded for an atom wins.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import urllib.error
@@ -24,9 +25,9 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
-from ..errors import SatkitError
+from ..errors import LimitError, SatkitError
 
-DEFAULT_INSTRUCTION_TEMPLATE = "functional-prefix-v1"
+INSTRUCTION_TEMPLATE = "functional-prefix-v1"
 DEFAULT_API_KEY_ENV = "SATKIT_TRANSLATOR_API_KEY"
 
 
@@ -116,23 +117,21 @@ class StubTranslator:
 class HttpTranslator:
     """JSON-over-HTTP client for a live translation endpoint.
 
-    Request body: {"sentence", "session_id", "instruction_template"}.
-    Expected reply: {"expression": str, "glossary": {atom: phrase}}.
+    Request body: {"sentence", "session_id", "instruction_template"},
+    with a fresh ``session_id`` per client and the template
+    ``INSTRUCTION_TEMPLATE``. Expected reply: {"expression": str,
+    "glossary": {atom: phrase}}. Each request waits up to ``timeout_s``
+    seconds, which must be finite and > 0 (a ``LimitError`` otherwise,
+    raised before any connection is made).
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout_s: float = 30.0,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
-        session_id: "str | None" = None,
-        instruction_template: str = DEFAULT_INSTRUCTION_TEMPLATE,
-    ):
+    def __init__(self, endpoint: str, timeout_s: float, api_key_env: str = DEFAULT_API_KEY_ENV):
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise LimitError(f"translator timeout must be finite and > 0, got {timeout_s}")
         self.endpoint = endpoint
         self.timeout_s = timeout_s
         self.api_key_env = api_key_env
-        self.session_id = session_id or uuid.uuid4().hex
-        self.instruction_template = instruction_template
+        self.session_id = uuid.uuid4().hex
         self.glossary: dict[str, str] = {}
         self._glossary_lock = threading.Lock()  # single-writer session glossary
 
@@ -141,7 +140,7 @@ class HttpTranslator:
             {
                 "sentence": sentence,
                 "session_id": self.session_id,
-                "instruction_template": self.instruction_template,
+                "instruction_template": INSTRUCTION_TEMPLATE,
             }
         ).encode("utf-8")
         headers = {"Content-Type": "application/json"}

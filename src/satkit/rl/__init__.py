@@ -5,7 +5,6 @@ from .observation import (
     ShapeMismatchError,
     build_observation,
     clause_evaluations,
-    compute_reward,
     signed_adjacency,
 )
 from .policy import (
@@ -51,7 +50,6 @@ __all__ = [
     "clause_evaluations",
     "clipped_surrogate",
     "compute_gae",
-    "compute_reward",
     "load_policy",
     "load_policy_file",
     "ppo_loss_and_grads",

@@ -18,9 +18,9 @@ keeps, for each original clause, its count of true and of false
 literals, and follows the solver's trail incrementally. The learned
 heuristic reads both its observation's clause block and its reward
 from it, so the solver itself keeps no per-clause counts and other
-heuristics pay nothing. ``clause_evaluations`` and ``compute_reward``
-recompute the same values from scratch; they are the reference the
-tracker is tested against, and ``build_observation`` uses them.
+heuristics pay nothing. ``clause_evaluations`` recomputes the clause
+block from scratch; it is the reference the tracker is tested
+against, and ``build_observation`` uses it.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ def clause_evaluations(formula: CnfFormula, values: list[int]) -> np.ndarray:
         [evaluate_clause(clause, values) for clause in formula.clauses],
         dtype=np.float64,
     )
-
-
-def compute_reward(clause_eval: np.ndarray) -> int:
-    """Satisfied clauses count +1 each, falsified -1, pending 0."""
-    return int((clause_eval == 1.0).sum()) - int((clause_eval == -1.0).sum())
 
 
 class ClauseStatus:
@@ -141,7 +136,7 @@ class ClauseStatus:
                 status[c] = UNDEF
 
     def reward(self) -> int:
-        """``compute_reward`` of the current status."""
+        """Satisfied clauses count +1 each, falsified -1, pending 0."""
         return sum(self.status)
 
 

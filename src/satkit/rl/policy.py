@@ -47,7 +47,7 @@ class VersionMismatchError(PolicyFormatError):
 
 
 class ConfigError(SatkitError, ValueError):
-    """A ``PpoConfig`` field is out of range."""
+    """A ``PpoConfig`` field or a policy seed is out of range."""
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,12 @@ class Policy:
     def _set_up(
         self, num_vars: int, num_clauses: int, config: PpoConfig, seed: int
     ) -> tuple[list[int], list[int]]:
-        """Record the shape and settings; return the actor's and the
-        critic's layer sizes."""
+        """Check the seed, record the shape and settings, and return the
+        actor's and the critic's layer sizes."""
+        # Training seeds its rngs from it, and None would draw OS entropy.
+        # An int >= 0 is what save_policy writes and load_policy reads.
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"policy seed must be an integer >= 0, got {seed!r}")
         self.num_vars = num_vars
         self.num_clauses = num_clauses
         self.config = config
@@ -306,11 +310,7 @@ def load_policy(data: bytes) -> Policy:
             raise PolicyFormatError(
                 f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
             )
-        seed = header["seed"]
-        # Training seeds its rngs from it; None would draw OS entropy.
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise PolicyFormatError(f"checkpoint seed must be an integer >= 0, got {seed!r}")
-        policy = Policy._allocate(num_vars, num_clauses, config, seed)
+        policy = Policy._allocate(num_vars, num_clauses, config, header["seed"])
         declared = [(meta["name"], tuple(meta["shape"])) for meta in header["arrays"]]
     except PolicyFormatError:
         raise

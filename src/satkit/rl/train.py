@@ -10,7 +10,7 @@ run produces bit-identical parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,25 +37,40 @@ class TrainWindowLog:
 
 
 def run_episode(
-    formula: CnfFormula,
-    policy: Policy,
-    rng: np.random.Generator,
-    limits: Optional[SolveLimits] = None,
+    formula: CnfFormula, policy: Policy, rng: np.random.Generator
 ) -> tuple[list[Transition], SolveResult]:
-    """One solver run with the policy sampling every decision from ``rng``.
+    """One solver run with the policy sampling every decision from ``rng``,
+    stopped after ``policy.config.episode_max_decisions`` decisions.
 
     Returns the recorded trajectory, one transition per decision, with
     the final transition marked done; instances solved purely by unit
     propagation yield an empty trajectory.
     """
-    if limits is None:
-        limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
+    limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
     heuristic = PolicyHeuristic(policy, formula, rng)
     result = Solver(formula, heuristic, limits).run()
     transitions = heuristic.transitions
     if transitions:
         transitions[-1].done = True
     return transitions, result
+
+
+def _trajectories(dataset: Sequence[CnfFormula], policy: Policy) -> Iterator[list[Transition]]:
+    """The non-empty trajectories of one episode per instance, over
+    passes through the dataset in an order shuffled from the policy
+    seed. A pass is drawn only when a trajectory is asked of it; one
+    that yields none is a ``TrainingDataError``."""
+    order_rng = np.random.default_rng([policy.seed, 1])
+    episode_rng = np.random.default_rng([policy.seed, 2])
+    while True:
+        yielded = False
+        for i in order_rng.permutation(len(dataset)):
+            trajectory, _ = run_episode(dataset[i], policy, episode_rng)
+            if trajectory:
+                yielded = True
+                yield trajectory
+        if not yielded:
+            raise TrainingDataError("training dataset produced no decisions")
 
 
 def train(
@@ -87,61 +102,28 @@ def train(
     if steps == 0:
         return policy, []
 
-    order_rng = np.random.default_rng([policy.seed, 1])
-    episode_rng = np.random.default_rng([policy.seed, 2])
+    trajectories = _trajectories(dataset, policy)
     optimizer = PpoOptimizer(policy)
-    window = policy.config.rollout_window
-    limits = SolveLimits(max_decisions=policy.config.episode_max_decisions)
-
     logs: list[TrainWindowLog] = []
-    buffer: list[Transition] = []
-    episode_lengths: list[int] = []
     total = 0
-    window_index = 0
-    order = list(order_rng.permutation(len(dataset)))
-    cursor = 0
-    yielded_any = False
-
-    def flush() -> None:
-        nonlocal buffer, episode_lengths, window_index
+    while total < steps:
+        buffer: list[Transition] = []
+        episode_lengths: list[int] = []
+        while len(buffer) < policy.config.rollout_window and total < steps:
+            trajectory = next(trajectories)
+            remaining = steps - total
+            if len(trajectory) > remaining:
+                trajectory = trajectory[:remaining]  # truncated tail, no done flag
+            else:
+                episode_lengths.append(len(trajectory))
+            buffer.extend(trajectory)
+            total += len(trajectory)
         metrics = optimizer.update(buffer)
         mean_reward = float(np.mean([t.reward for t in buffer]))
-        if episode_lengths:
-            mean_decisions = float(np.mean(episode_lengths))
-        else:  # window made of one truncated episode
-            mean_decisions = float(len(buffer))
-        logs.append(
-            TrainWindowLog(window_index, total, mean_reward, mean_decisions, metrics)
-        )
-        buffer = []
-        episode_lengths = []
-        window_index += 1
-        if checkpoint is not None and window_index % checkpoint_every == 0:
-            checkpoint(policy, window_index)
-
-    while total < steps:
-        if cursor >= len(order):
-            if not yielded_any:
-                raise TrainingDataError("training dataset produced no decisions")
-            order = list(order_rng.permutation(len(dataset)))
-            cursor = 0
-            yielded_any = False
-        formula = dataset[order[cursor]]
-        cursor += 1
-        trajectory, _ = run_episode(formula, policy, episode_rng, limits)
-        if not trajectory:
-            continue
-        yielded_any = True
-        remaining = steps - total
-        if len(trajectory) > remaining:
-            trajectory = trajectory[:remaining]  # truncated tail, no done flag
-        else:
-            episode_lengths.append(len(trajectory))
-        buffer.extend(trajectory)
-        total += len(trajectory)
-        if len(buffer) >= window or total >= steps:
-            flush()
-
-    if checkpoint is not None and window_index % checkpoint_every != 0:
-        checkpoint(policy, window_index)
+        # Only the run's last episode can be truncated, so a window with
+        # no completed episode is that one episode.
+        mean_decisions = float(np.mean(episode_lengths)) if episode_lengths else float(len(buffer))
+        logs.append(TrainWindowLog(len(logs), total, mean_reward, mean_decisions, metrics))
+        if checkpoint is not None and (len(logs) % checkpoint_every == 0 or total >= steps):
+            checkpoint(policy, len(logs))
     return policy, logs

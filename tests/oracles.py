@@ -16,8 +16,10 @@ whole-array Adam step that the blocked ``Adam.step`` must match bit for
 bit, and ``dense_ppo_loss_and_grads`` the PPO loss over whole
 observations that the compact-batch one must match, and
 ``householder_orthogonal_init`` the Householder QR initialisation whose
-Q the Cholesky QR one must match within 1e-12. ``check_watch_invariants``
-and ``check_trail_invariants`` assert a solver's internal invariants.
+Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
+the from-scratch reward that ``ClauseStatus.reward`` must equal.
+``check_watch_invariants`` and ``check_trail_invariants`` assert a
+solver's internal invariants.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import random
 import re
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -119,11 +121,16 @@ def expr_equivalent_to_formula(
 ) -> bool:
     """Exhaustive 2**k equivalence check of an expression against a CNF
     formula whose variables are mapped through ``table``."""
-    atom_order = [table.name_of(i) for i in range(1, len(table) + 1)]
+    atom_order = list(table.names())
     assignments = assignment_matrix(len(table))
     lhs = expr_truth_column(expr, atom_order, assignments)
     rhs = formula_truth_column(formula, assignments)
     return bool(np.array_equal(lhs, rhs))
+
+
+def compute_reward(clause_eval: np.ndarray) -> int:
+    """Satisfied clauses count +1 each, falsified -1, pending 0."""
+    return int((clause_eval == 1.0).sum()) - int((clause_eval == -1.0).sum())
 
 
 def full_logits(policy, obs: np.ndarray) -> np.ndarray:
@@ -378,13 +385,10 @@ def random_expression(rng: random.Random, max_atoms: int = 8, max_depth: int = 5
 # -- Lang2Logic references -------------------------------------------------------
 
 
-def reference_split_sentences(
-    text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
+def reference_split_sentences(text: str) -> list[str]:
     """The splitter one character at a time."""
     if not text or not text.strip():
         raise EmptyInputError("input text is empty")
-    protect = frozenset(abbreviations)
 
     sentences = []
     start = 0
@@ -393,7 +397,7 @@ def reference_split_sentences(
         if text[i] in ".!?":
             trailing = text[start : i + 1].split()
             token = trailing[-1] if trailing else ""
-            if token in protect:
+            if token in DEFAULT_ABBREVIATIONS:
                 i += 1
                 continue
             j = i + 1
@@ -545,24 +549,24 @@ def _reference_nnf(expr: LogicalExpr, negate: bool) -> LogicalExpr:
     raise TypeError(f"not a logical expression: {expr!r}")
 
 
-def _reference_distribute(expr: LogicalExpr, table: SymbolTable, cap: int) -> list[list[int]]:
+def _reference_distribute(expr: LogicalExpr, index: dict[str, int], cap: int) -> list[list[int]]:
     """NNF tree -> clause lists of literal codes, distributing Or over And."""
     match expr:
         case Atom(name):
-            return [[table.index_of(name)]]
+            return [[index[name]]]
         case Not(Atom(name)):
-            return [[-table.index_of(name)]]
+            return [[-index[name]]]
         case And(children):
             out: list[list[int]] = []
             for child in children:
-                out.extend(_reference_distribute(child, table, cap))
+                out.extend(_reference_distribute(child, index, cap))
                 if len(out) > cap:
                     raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
             return out
         case Or(children):
             acc: list[list[int]] = [[]]
             for child in children:
-                branches = _reference_distribute(child, table, cap)
+                branches = _reference_distribute(child, index, cap)
                 if len(acc) * len(branches) > cap:
                     raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
                 acc = [a + b for a in acc for b in branches]
@@ -575,7 +579,8 @@ def reference_to_cnf(expr: LogicalExpr, table: SymbolTable, max_clauses: int) ->
     distributes Or over And."""
     for name in _reference_atoms(expr):
         table.intern(name)
-    return CnfFormula(len(table), _reference_distribute(_reference_nnf(expr, False), table, max_clauses))
+    clauses = _reference_distribute(_reference_nnf(expr, False), dict(table.items()), max_clauses)
+    return CnfFormula(len(table), clauses)
 
 
 def reference_simplify_cnf(formula: CnfFormula) -> CnfFormula:

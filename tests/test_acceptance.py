@@ -177,15 +177,14 @@ def run_criterion_3() -> str:
 
 def run_criterion_4() -> str:
     rng = random.Random(7)
-    policy = Policy(20, 91, PpoConfig(hidden_sizes=(32, 32)), seed=1)
+    config = PpoConfig(hidden_sizes=(32, 32), episode_max_decisions=10_000)
+    policy = Policy(20, 91, config, seed=1)
     episode_rng = np.random.default_rng(11)
     rewards_seen = []
     sat_final_rewards = []
     for i in range(5):
         formula = planted_ksat(20, 91, rng)
-        trajectory, result = run_episode(
-            formula, policy, episode_rng, SolveLimits(max_decisions=10_000)
-        )
+        trajectory, result = run_episode(formula, policy, episode_rng)
         assert result.verdict == Verdict.SAT
         assert trajectory, "planted instances require at least one decision"
         assert trajectory[-1].done

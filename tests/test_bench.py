@@ -45,32 +45,27 @@ def record(
 class TestSplit:
     def test_thousand_files_split_800_200(self):
         files = [f"uf20-0{i}.cnf" for i in range(1000)]
-        split = split_dataset(files, 0.8, seed=1)
+        split = split_dataset(files, seed=1)
         assert len(split.train) == 800
         assert len(split.test) == 200
         assert set(split.train) | set(split.test) == set(files)
         assert not set(split.train) & set(split.test)
 
     def test_five_files_floor_rule(self):
-        split = split_dataset(["a", "b", "c", "d", "e"], 0.8, seed=0)
+        split = split_dataset(["a", "b", "c", "d", "e"], seed=0)
         assert len(split.train) == 4
         assert len(split.test) == 1
 
     def test_same_seed_same_split(self):
         files = [f"x{i}.cnf" for i in range(50)]
-        assert split_dataset(files, 0.8, 7) == split_dataset(files, 0.8, 7)
-        assert split_dataset(files, 0.8, 7) != split_dataset(files, 0.8, 8)
+        assert split_dataset(files, 7) == split_dataset(files, 7)
+        assert split_dataset(files, 7) != split_dataset(files, 8)
 
     def test_order_insensitive(self):
         files = [f"x{i}.cnf" for i in range(20)]
         shuffled = list(files)
         random.Random(3).shuffle(shuffled)
-        assert split_dataset(files, 0.8, 5) == split_dataset(shuffled, 0.8, 5)
-
-    def test_ratio_zero_benches_everything(self):
-        split = split_dataset(["a", "b"], 0.0, 0)
-        assert split.train == ()
-        assert len(split.test) == 2
+        assert split_dataset(files, 5) == split_dataset(shuffled, 5)
 
 
 class TestLoadDataset:
@@ -325,3 +320,10 @@ class TestCsv:
             ("a", "vsids", 2.5),
         ]
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    def test_row_is_the_record_in_field_order(self):
+        row = record("i0", "rl", 1.25, Verdict.UNKNOWN, decisions=7, conflicts=3, setup_s=0.5)
+        assert records_to_csv([row]).splitlines() == [
+            "instance,heuristic,verdict,time_s,decisions,conflicts,propagations,seed,feature_time_s",
+            "i0,rl,UNKNOWN,1.250000,7,3,17,0,0.500000",
+        ]

@@ -13,6 +13,7 @@ from satkit import cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
+from satkit.logic.convert import DEFAULT_CLAUSE_CAP
 from satkit.rl.policy import (
     Policy,
     PpoConfig,
@@ -133,6 +134,19 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_out_of_range_translator_timeout_exits_2(self, tmp_path, capsys, timeout):
+        src = tmp_path / "doc.txt"
+        src.write_text("The lamp is on.\n", encoding="utf-8")
+        args = ["convert", str(src), "--mode", "english", "--translator", "http://127.0.0.1:1/x"]
+        assert main(args + ["--timeout-s", timeout]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: translator timeout") and "Traceback" not in err
+
+    def test_max_clauses_default_is_the_conversion_cap(self):
+        args = cli._build_parser().parse_args(["convert", "-"])
+        assert args.max_clauses == DEFAULT_CLAUSE_CAP
+
 
 class TestSolve:
     def test_sat_exit_10_with_model(self, tmp_path, capsys):
@@ -146,6 +160,12 @@ class TestSolve:
         model = [int(tok) for tok in v_line[2:].split() if tok != "0"]
         phase = {abs(c): c > 0 for c in model}
         assert (phase[1] or not phase[2]) and (not phase[1] or phase[3])
+
+    def test_empty_formula_model_line(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 0 0\n", encoding="ascii")
+        assert main(["solve", str(path)]) == 10
+        assert capsys.readouterr().out.splitlines()[-1] == "v 0"
 
     def test_unsat_exit_20(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -324,10 +344,11 @@ class TestTrainAndBench:
             ["--lr", "nan"],
             ["--lr", "inf"],
             ["--steps", "-5"],
+            ["--seed", "-1"],
         ],
         ids=[
             "episode-cap", "minibatch", "epochs", "window", "hidden",
-            "lr-neg", "lr-nan", "lr-inf", "steps-neg",
+            "lr-neg", "lr-nan", "lr-inf", "steps-neg", "seed-neg",
         ],
     )
     def test_out_of_range_training_flag_exits_2(self, tmp_path, capsys, flags):

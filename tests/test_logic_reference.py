@@ -10,7 +10,7 @@ from satkit.cnf import CnfFormula
 from satkit.logic.convert import DEFAULT_CLAUSE_CAP, SymbolTable, simplify_cnf, to_cnf
 from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, format_expr
 from satkit.logic.parser import parse_expression
-from satkit.logic.sentences import DEFAULT_ABBREVIATIONS, split_sentences
+from satkit.logic.sentences import split_sentences
 
 from oracles import (
     reference_parse_expression,
@@ -38,15 +38,12 @@ sentence_words = st.sampled_from(
      ".", "?!", "x.", "Élan.", "élan", "ǅ", "Σ", "ß.", "\u0301."]
 )
 sentence_gaps = st.sampled_from(["", " ", "  ", "\n", "\t", *UNICODE_SPACES])
-abbreviation_sets = st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), {"Prof.", "end."}, {"."}])
 
 
-@given(st.lists(st.tuples(sentence_words, sentence_gaps), max_size=30), abbreviation_sets)
-def test_split_sentences_matches_the_character_loop(pieces, abbreviations):
+@given(st.lists(st.tuples(sentence_words, sentence_gaps), max_size=30))
+def test_split_sentences_matches_the_character_loop(pieces):
     text = "".join(word + gap for word, gap in pieces)
-    assert outcome(split_sentences, text, abbreviations) == outcome(
-        reference_split_sentences, text, abbreviations
-    )
+    assert outcome(split_sentences, text) == outcome(reference_split_sentences, text)
 
 
 @given(st.text(max_size=60))

@@ -13,12 +13,13 @@ from satkit.rl.observation import (
     ClauseStatus,
     build_observation,
     clause_evaluations,
-    compute_reward,
     flat_observation_dim,
     signed_adjacency,
 )
 from satkit.rl.policy import Policy, PpoConfig
 from satkit.solver.engine import SolveLimits, Solver
+
+from oracles import compute_reward
 
 
 def test_single_clause_observation():

@@ -25,6 +25,7 @@ from satkit.rl.observation import (
 )
 from satkit.rl.policy import (
     AllMaskedError,
+    ConfigError,
     Policy,
     PolicyFormatError,
     PpoConfig,
@@ -212,6 +213,11 @@ class TestSaveLoad:
         monkeypatch.setattr(np.linalg, "qr", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         assert save_policy(load_policy(blob)) == blob
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "x", True, [1, 2]], ids=repr)
+    def test_policy_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            Policy(4, 6, SMALL, seed)
 
     @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.5, "x", True], ids=repr)
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):

@@ -26,13 +26,6 @@ def test_eg_protected():
     assert out == ["Use a tool, e.g. Pliers, to fix it.", "Then stop."]
 
 
-def test_custom_abbreviations():
-    out = split_sentences("Prof. Ada spoke. We listened.", abbreviations={"Prof."})
-    assert out == ["Prof. Ada spoke.", "We listened."]
-    out = split_sentences("Prof. Ada spoke.", abbreviations=set())
-    assert out == ["Prof.", "Ada spoke."]
-
-
 def test_question_and_exclamation():
     out = split_sentences("Is it on? It is on! Good.")
     assert out == ["Is it on?", "It is on!", "Good."]

@@ -6,8 +6,8 @@ import pytest
 from satkit.cnf import CnfFormula
 from satkit.generators import planted_ksat
 from satkit.rl.policy import Policy, PpoConfig, save_policy
-from satkit.rl.train import run_episode, train
-from satkit.solver.engine import SolveLimits, Verdict
+from satkit.rl.train import TrainingDataError, run_episode, train
+from satkit.solver.engine import Verdict
 
 FAST = PpoConfig(
     hidden_sizes=(16, 16),
@@ -55,10 +55,9 @@ class TestRunEpisode:
 
     def test_decision_limit_truncates_episode(self):
         f = planted_ksat(12, 40, random.Random(4))
-        policy = Policy(12, 40, FAST, seed=4)
-        trajectory, result = run_episode(
-            f, policy, limits=SolveLimits(max_decisions=1), rng=np.random.default_rng(0)
-        )
+        config = PpoConfig(hidden_sizes=(16, 16), episode_max_decisions=1)
+        policy = Policy(12, 40, config, seed=4)
+        trajectory, result = run_episode(f, policy, rng=np.random.default_rng(0))
         assert len(trajectory) <= 1
         assert result.verdict in (Verdict.UNKNOWN, Verdict.SAT)
         if result.verdict == Verdict.UNKNOWN:
@@ -91,6 +90,18 @@ class TestTrain:
         for steps in (10, 0):  # a run of no steps checks its dataset too
             with pytest.raises(ValueError, match="instance 2"):
                 train(bad, policy, steps=steps)
+
+    def test_dataset_without_decisions_rejected(self):
+        dataset = [CnfFormula.from_codes(3, [[1], [-1, 2], [-2, 3]])] * 2
+        with pytest.raises(TrainingDataError, match="no decisions"):
+            train(dataset, Policy(3, 3, FAST, seed=0), steps=10)
+
+    def test_window_of_one_truncated_episode_logs_its_length(self):
+        f = planted_ksat(20, 91, random.Random(1))
+        trajectory, _ = run_episode(f, Policy(20, 91, FAST, seed=1), np.random.default_rng([1, 2]))
+        assert len(trajectory) > 3  # so three steps cut the first episode short
+        _, logs = train([f], Policy(20, 91, FAST, seed=1), steps=3)
+        assert [(log.steps, log.mean_decisions) for log in logs] == [(3, 3.0)]
 
     def test_training_is_bit_deterministic(self):
         def run():

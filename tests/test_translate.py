@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from satkit.errors import LimitError
 from satkit.logic.pipeline import DocumentError, compile_document
 from satkit.logic.translate import (
     HttpTranslator,
@@ -106,11 +107,11 @@ class TestHttpClient:
         _Handler.reply = json.dumps(
             {"expression": "Or(P, Q)", "glossary": {"P": "a", "Q": "b"}}
         ).encode()
-        client = HttpTranslator(http_server, session_id="s1", timeout_s=5)
+        client = HttpTranslator(http_server, timeout_s=5)
         response = translate_sentence(client, "The circus has a Ferris wheel or a rollercoaster.")
         assert response.expression == "Or(P, Q)"
         assert client.glossary == {"P": "a", "Q": "b"}
-        assert _Handler.last_request["session_id"] == "s1"
+        assert _Handler.last_request["session_id"] == client.session_id
         assert _Handler.last_request["sentence"].startswith("The circus")
 
     def test_http_error_is_unavailable(self, http_server):
@@ -119,6 +120,11 @@ class TestHttpClient:
         client = HttpTranslator(http_server, timeout_s=5)
         with pytest.raises(TranslatorUnavailableError):
             client.translate("anything")
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
+    def test_timeout_that_is_not_finite_and_positive_rejected(self, timeout_s):
+        with pytest.raises(LimitError, match="timeout"):
+            HttpTranslator("http://127.0.0.1:1/translate", timeout_s=timeout_s)
 
     def test_connection_refused_is_unavailable(self):
         client = HttpTranslator("http://127.0.0.1:1/translate", timeout_s=0.5)
