@@ -15,8 +15,8 @@ by VSIDS only.
 The third line digests ``train`` on the train-uf20 benchmark inputs
 (64 planted uf20-91 from ``random.Random(f"train-{seed}")``,
 ``PpoConfig(rollout_window=150)``, 750 steps) at seeds 1 and 2: every
-``TrainWindowLog``, update metrics included, and the final
-``save_policy`` bytes.
+``TrainWindowLog``'s values in log-column order (``record_values``),
+update metrics included, and the final ``save_policy`` bytes.
 
 The fourth line digests the langsat-docs benchmark documents at seeds
 1 to 3 (100 each, with the stub translator built from their fixture
@@ -66,6 +66,7 @@ import pool  # noqa: E402
 from workloads import LangsatDocs, TrainUf20  # noqa: E402
 
 from satkit import cli  # noqa: E402
+from satkit.bench import record_values  # noqa: E402
 from satkit.cnf import CnfFormula  # noqa: E402
 from satkit.dimacs import write_dimacs, write_dimacs_file  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
@@ -101,10 +102,7 @@ def _train_digest(seeds) -> str:
         policy = Policy(20, 91, inputs.config, seed)
         _, logs = train(inputs.dataset, policy, workload.window * workload.windows)
         for log in logs:
-            m = log.metrics
-            fields = (log.window, log.steps, log.mean_reward, log.mean_decisions,
-                      m.policy_loss, m.value_loss, m.entropy, m.clip_fraction)
-            h.update(repr(fields).encode("ascii"))
+            h.update(repr(tuple(record_values(log))).encode("ascii"))
         h.update(save_policy(policy))
     return h.hexdigest()
 

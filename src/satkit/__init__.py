@@ -6,7 +6,6 @@ from .cnf import (
     UNDEF,
     CnfFormula,
     evaluate_clause,
-    evaluate_formula,
 )
 from .dimacs import parse_dimacs, write_dimacs
 
@@ -18,7 +17,6 @@ __all__ = [
     "TRUE",
     "UNDEF",
     "evaluate_clause",
-    "evaluate_formula",
     "parse_dimacs",
     "write_dimacs",
     "__version__",

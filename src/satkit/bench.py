@@ -9,8 +9,10 @@ records to one flat dict. ``split_dataset`` makes the train/test file
 lists that ``scripts/run_comparison.py`` writes to two directories; the
 benchmark itself runs every instance it is given.
 
-CSV schema: one column per ``BenchRecord`` field, in field order.
-``feature_time_s`` is the set-up time and ``seed`` the policy's seed.
+``records_to_csv`` writes a dataclass's records with one column per
+field, in field order; the bench CSV and the training log are both
+written by it. In the bench CSV, ``feature_time_s`` is the set-up time
+and ``seed`` the policy's seed.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 from .cnf import CnfFormula
 from .dimacs import DimacsError, read_dimacs_file
@@ -78,7 +80,27 @@ class BenchRecord:
     feature_time_s: float
 
 
-CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+def record_columns(cls) -> list[str]:
+    """The field names of the dataclass ``cls`` in order, a field
+    typed as a dataclass replaced in place by that class's columns."""
+    hints = get_type_hints(cls)
+    columns: list[str] = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        columns.extend(record_columns(kind) if is_dataclass(kind) else [f.name])
+    return columns
+
+
+def record_values(record) -> list:
+    """``record``'s field values in ``record_columns`` order."""
+    values = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        values.extend(record_values(value) if is_dataclass(value) else [value])
+    return values
+
+
+CSV_COLUMNS = record_columns(BenchRecord)
 
 
 def load_dataset(
@@ -248,13 +270,17 @@ def _csv_cell(value) -> object:
     return value
 
 
-def records_to_csv(records: Sequence[BenchRecord]) -> str:
-    """One ``CSV_COLUMNS`` header, then one row per record in field order."""
+def record_cells(record) -> list:
+    """``record_values`` as ``_csv_cell`` writes them."""
+    return [_csv_cell(value) for value in record_values(record)]
+
+
+def records_to_csv(cls, records: Sequence) -> str:
+    """A ``record_columns(cls)`` header, then each record's cells."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([_csv_cell(getattr(r, name)) for name in CSV_COLUMNS])
+    writer.writerow(record_columns(cls))
+    writer.writerows(record_cells(r) for r in records)
     return buffer.getvalue()
 
 

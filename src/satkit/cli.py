@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands: convert (text or expressions to DIMACS), solve, features,
-train, bench. Exit codes follow SAT-competition convention for solve
+train, bench. ``solve --heuristic`` names an entrant of
+``bench.ENTRANTS``, and every column or ``name=value`` pair printed is
+a field of a library record (``BenchRecord``, ``TrainWindowLog``,
+``SolveStats``). Exit codes follow SAT-competition convention for solve
 (10 satisfiable, 20 unsatisfiable, 0 unknown); elsewhere 0 means
 success, 1 is a usage error, 2 an input error.
 """
@@ -14,8 +17,13 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    BASELINE,
     CSV_SCHEMA_VERSION,
+    ENTRANTS,
+    BenchRecord,
     load_dataset,
+    record_cells,
+    record_columns,
     records_to_csv,
     run_comparison,
     summarize,
@@ -28,7 +36,6 @@ from .logic.convert import DEFAULT_CLAUSE_CAP
 from .logic.parser import parse_expression
 from .logic.pipeline import compile_document, compile_expressions
 from .logic.translate import HttpTranslator, StubTranslator
-from .rl.heuristic import PolicyHeuristic
 from .rl.policy import (
     POLICY_FORMAT_VERSION,
     REWARD_MODES,
@@ -37,9 +44,8 @@ from .rl.policy import (
     load_policy_file,
     save_policy_file,
 )
-from .rl.train import train
-from .solver.engine import SolveLimits, Solver, Verdict
-from .solver.heuristics import RandomHeuristic, VsidsHeuristic
+from .rl.train import TrainWindowLog, train
+from .solver.engine import SolveLimits, SolveStats, Solver, Verdict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,11 +85,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a DIMACS file")
     p.add_argument("cnf", help="DIMACS-CNF file")
-    p.add_argument("--heuristic", choices=["vsids", "rl", "random"], default="vsids")
-    p.add_argument("--policy", default=None, help="policy checkpoint (rl heuristic)")
+    p.add_argument("--heuristic", choices=list(ENTRANTS), default=BASELINE)
+    p.add_argument(
+        "--policy", default=None, help=f"policy checkpoint (any heuristic but {BASELINE})"
+    )
     p.add_argument("--max-decisions", type=int, default=None)
     p.add_argument("--timeout-ms", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("features", help="print the 48 global features of a CNF file")
     p.add_argument("cnf", nargs="?", help="DIMACS-CNF file")
@@ -187,21 +194,15 @@ def _make_limits(args) -> SolveLimits:
 
 def _cmd_solve(args) -> int:
     formula = read_dimacs_file(args.cnf)
-    if args.heuristic == "vsids":
-        heuristic = VsidsHeuristic(formula.num_vars)
-    elif args.heuristic == "random":
-        heuristic = RandomHeuristic(seed=args.seed)
-    else:
+    policy = None
+    if args.heuristic != BASELINE:
         if not args.policy:
-            raise _UsageError("--heuristic rl requires --policy FILE")
+            raise _UsageError(f"--heuristic {args.heuristic} requires --policy FILE")
         policy = load_policy_file(args.policy)
-        heuristic = PolicyHeuristic(policy, formula)
+    heuristic = ENTRANTS[args.heuristic](policy, formula)
     result = Solver(formula, heuristic, _make_limits(args)).run()
-    s = result.stats
-    print(
-        f"c decisions={s.decisions} conflicts={s.conflicts} propagations={s.propagations} "
-        f"learned={s.learned} restarts={s.restarts} time_s={s.wall_time_s:.6f}"
-    )
+    stats = zip(record_columns(SolveStats), record_cells(result.stats))
+    print("c", *(f"{name}={cell}" for name, cell in stats))
     if result.verdict == Verdict.SAT:
         print("s SATISFIABLE")
         print("v", *result.model, 0)
@@ -255,17 +256,8 @@ def _cmd_train(args) -> int:
     if not logs:  # no window ran, so no checkpoint wrote the untrained policy
         save_policy_file(trained, args.out)
     log_path = args.log or f"{args.out}.log.csv"
-    with open(log_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(
-            "window,steps,mean_reward,mean_decisions,"
-            "policy_loss,value_loss,entropy,clip_fraction\n"
-        )
-        for row in logs:
-            m = row.metrics
-            fh.write(
-                f"{row.window},{row.steps},{row.mean_reward:.6f},{row.mean_decisions:.6f},"
-                f"{m.policy_loss:.6f},{m.value_loss:.6f},{m.entropy:.6f},{m.clip_fraction:.6f}\n"
-            )
+    log = records_to_csv(TrainWindowLog, logs)
+    Path(log_path).write_text(log, encoding="ascii", newline="\n")
     print(f"trained {len(logs)} windows; policy -> {args.out}; log -> {log_path}")
     return EXIT_OK
 
@@ -274,7 +266,7 @@ def _cmd_bench(args) -> int:
     policy = load_policy_file(args.policy)
     instances = _load_instances(args, policy.shape)
     records = run_comparison(instances, policy, _make_limits(args), args.reps)
-    Path(args.out).write_text(records_to_csv(records), encoding="ascii", newline="\n")
+    Path(args.out).write_text(records_to_csv(BenchRecord, records), encoding="ascii", newline="\n")
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"
     write_summary_files(summary, summary_path)

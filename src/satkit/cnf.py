@@ -70,14 +70,3 @@ def evaluate_clause(clause: tuple[int, ...], values: Sequence[int]) -> int:
             return TRUE
     return UNDEF if any_undef else FALSE
 
-
-def evaluate_formula(formula: CnfFormula, values: Sequence[int]) -> int:
-    """Three-valued conjunction over clauses; FALSE dominates UNDEF."""
-    any_undef = False
-    for clause in formula.clauses:
-        v = evaluate_clause(clause, values)
-        if v == FALSE:
-            return FALSE
-        if v == UNDEF:
-            any_undef = True
-    return UNDEF if any_undef else TRUE

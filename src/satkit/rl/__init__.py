@@ -1,12 +1,7 @@
 """Learned branching: observation encoding, actor-critic policy,
 clipped-surrogate policy optimization, and episode collection."""
 
-from .observation import (
-    ShapeMismatchError,
-    build_observation,
-    clause_evaluations,
-    signed_adjacency,
-)
+from .observation import ShapeMismatchError
 from .policy import (
     AllMaskedError,
     ConfigError,
@@ -46,8 +41,6 @@ __all__ = [
     "Transition",
     "UpdateMetrics",
     "VersionMismatchError",
-    "build_observation",
-    "clause_evaluations",
     "clipped_surrogate",
     "compute_gae",
     "load_policy",
@@ -56,6 +49,5 @@ __all__ = [
     "run_episode",
     "save_policy",
     "save_policy_file",
-    "signed_adjacency",
     "train",
 ]

@@ -8,11 +8,10 @@ from .engine import (
     SolveStats,
     Verdict,
 )
-from .heuristics import RandomHeuristic, VsidsHeuristic
+from .heuristics import VsidsHeuristic
 
 __all__ = [
     "Heuristic",
-    "RandomHeuristic",
     "SolveLimits",
     "SolveResult",
     "SolveStats",

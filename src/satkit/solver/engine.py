@@ -377,13 +377,13 @@ class Solver:
             return "decisions"
         if (
             self.limits.timeout_s is not None
-            and time.monotonic() - started >= self.limits.timeout_s
+            and time.perf_counter() - started >= self.limits.timeout_s
         ):
             return "timeout"
         return None
 
     def _finish(self, verdict: Verdict, started: float, limit: Optional[str] = None) -> SolveResult:
-        self.stats.wall_time_s = time.monotonic() - started
+        self.stats.wall_time_s = time.perf_counter() - started
         model = None
         if verdict == Verdict.SAT:
             model = self._complete_model()
@@ -391,7 +391,7 @@ class Solver:
         return SolveResult(verdict, model, self.stats, limit)
 
     def run(self) -> SolveResult:
-        started = time.monotonic()
+        started = time.perf_counter()
         self.heuristic.attach(self)
 
         for ci in self._unit_clauses:

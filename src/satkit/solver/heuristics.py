@@ -1,17 +1,15 @@
-"""Branching heuristics: VSIDS (the baseline) and a random picker.
+"""The baseline branching heuristic, VSIDS.
 
 ``VsidsHeuristic`` owns one exponentially decayed activity per
 variable. Variables in each learned clause are bumped; decay is folded
 into a growing bump amount, with a global rescale once activities
 threaten overflow (``VSIDS_DECAY``, ``VSIDS_RESCALE_LIMIT``).
-Polarity comes from phase saving (initially False). Both heuristics
-read the solver's value list directly and return the literal to branch
-on as a DIMACS code.
+Polarity comes from phase saving (initially False). It reads the
+solver's value list directly and returns the literal to branch on as a
+DIMACS code.
 """
 
 from __future__ import annotations
-
-import random
 
 from .engine import Heuristic, Solver
 
@@ -58,14 +56,3 @@ class VsidsHeuristic(Heuristic):
             self.bump *= factor
         self.bump /= VSIDS_DECAY
 
-
-class RandomHeuristic(Heuristic):
-    """Uniform random unassigned variable, uniform random polarity."""
-
-    def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
-
-    def decide(self, solver: Solver) -> int:
-        unassigned = [var for var, value in enumerate(solver.values, 1) if not value]
-        var = self.rng.choice(unassigned)
-        return var if self.rng.random() < 0.5 else -var

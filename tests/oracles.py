@@ -19,7 +19,8 @@ observations that the compact-batch one must match, and
 Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
 the from-scratch reward that ``ClauseStatus.reward`` must equal.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
-solver's internal invariants.
+solver's internal invariants, and ``RandomHeuristic`` is a seeded third
+branching heuristic for the solver's golden counts and the race.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from satkit.logic.expressions import And, Atom, Iff, Implies, LogicalExpr, Not, 
 from satkit.logic.parser import ArityError, ExpressionSyntaxError
 from satkit.logic.sentences import DEFAULT_ABBREVIATIONS, EmptyInputError
 from satkit.rl.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from satkit.solver.engine import Heuristic, Solver
 
 
 def assignment_matrix(num_vars: int) -> np.ndarray:
@@ -706,3 +708,15 @@ def check_trail_invariants(solver) -> None:
                     continue
                 assert solver.lit_value(other) == FALSE, "reason clause not unit at append"
                 assert position[abs(other)] < i, "reason literal assigned later"
+
+
+class RandomHeuristic(Heuristic):
+    """Uniform random unassigned variable, uniform random polarity."""
+
+    def __init__(self, seed: int = 0):
+        self.rng = random.Random(seed)
+
+    def decide(self, solver: Solver) -> int:
+        unassigned = [var for var, value in enumerate(solver.values, 1) if not value]
+        var = self.rng.choice(unassigned)
+        return var if self.rng.random() < 0.5 else -var

@@ -25,7 +25,7 @@ from satkit.rl.heuristic import PolicyHeuristic
 from satkit.rl.policy import Policy, PpoConfig, save_policy, save_policy_file
 from satkit.rl.train import run_episode, train
 from satkit.solver.engine import SolveLimits, Solver, Verdict
-from satkit.solver.heuristics import RandomHeuristic, VsidsHeuristic
+from satkit.solver.heuristics import VsidsHeuristic
 
 from oracles import (
     brute_force_satisfiable,

@@ -11,6 +11,7 @@ from satkit.bench import (
     Instance,
     MismatchedCoverageError,
     load_dataset,
+    record_values,
     records_to_csv,
     run_comparison,
     split_dataset,
@@ -20,8 +21,11 @@ from satkit.bench import (
 from satkit.dimacs import write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat, random_ksat
 from satkit.rl.policy import Policy, PpoConfig
+from satkit.rl.ppo import UpdateMetrics
+from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveLimits, Verdict
-from satkit.solver.heuristics import RandomHeuristic
+
+from oracles import RandomHeuristic
 
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
@@ -163,7 +167,7 @@ class TestRunComparison:
             # Each reading advances further than the last, so a later
             # repetition reaches the timeout after fewer decisions.
             readings = iter(range(10**6))
-            clock = types.SimpleNamespace(monotonic=lambda: float(next(readings) ** 2))
+            clock = types.SimpleNamespace(perf_counter=lambda: float(next(readings) ** 2))
             monkeypatch.setattr(engine, "time", clock)
 
         f = random_ksat(75, 320, random.Random(9))
@@ -313,7 +317,7 @@ class TestCsv:
 
     def test_round_trip(self):
         records = [record("a", "rl", 1.25), record("a", "vsids", 2.5)]
-        text = records_to_csv(records)
+        text = records_to_csv(BenchRecord, records)
         back = csv.DictReader(io.StringIO(text))
         assert [(r["instance"], r["heuristic"], float(r["time_s"])) for r in back] == [
             ("a", "rl", 1.25),
@@ -323,7 +327,15 @@ class TestCsv:
 
     def test_row_is_the_record_in_field_order(self):
         row = record("i0", "rl", 1.25, Verdict.UNKNOWN, decisions=7, conflicts=3, setup_s=0.5)
-        assert records_to_csv([row]).splitlines() == [
+        assert records_to_csv(BenchRecord, [row]).splitlines() == [
             "instance,heuristic,verdict,time_s,decisions,conflicts,propagations,seed,feature_time_s",
             "i0,rl,UNKNOWN,1.250000,7,3,17,0,0.500000",
+        ]
+
+    def test_a_nested_record_is_flattened_in_place(self):
+        log = TrainWindowLog(3, 450, 1.5, 12.25, UpdateMetrics(-0.5, 2.0, 3.25, 0.125))
+        assert record_values(log) == [3, 450, 1.5, 12.25, -0.5, 2.0, 3.25, 0.125]
+        assert records_to_csv(TrainWindowLog, [log]).splitlines() == [
+            "window,steps,mean_reward,mean_decisions,policy_loss,value_loss,entropy,clip_fraction",
+            "3,450,1.500000,12.250000,-0.500000,2.000000,3.250000,0.125000",
         ]

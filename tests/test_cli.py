@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from satkit import cli
+from satkit import bench, cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
@@ -21,6 +22,8 @@ from satkit.rl.policy import (
     save_policy,
     save_policy_file,
 )
+from satkit.rl.train import TrainWindowLog
+from satkit.solver.engine import SolveStats
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -226,8 +229,30 @@ class TestSolve:
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == 2
 
-    def test_random_heuristic(self, uf_file):
-        assert main(["solve", str(uf_file), "--heuristic", "random", "--seed", "4"]) == 10
+    def test_heuristic_choices_are_the_entrants(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        solve = commands.choices["solve"]
+        [heuristic] = [a for a in solve._actions if a.dest == "heuristic"]
+        assert heuristic.choices == list(bench.ENTRANTS)
+        assert heuristic.default == bench.BASELINE
+
+    @pytest.mark.parametrize("name", list(bench.ENTRANTS))
+    def test_every_entrant_solves(self, uf_file, small_policy_file, capsys, name):
+        argv = ["solve", str(uf_file), "--heuristic", name, "--policy", str(small_policy_file)]
+        assert main(argv) == 10
+
+    @pytest.mark.parametrize("flags", [["--heuristic", "random"], ["--seed", "4"]])
+    def test_removed_flag_is_usage_error(self, uf_file, capsys, flags):
+        assert main(["solve", str(uf_file)] + flags) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_stats_line_is_the_solve_stats_fields(self, uf_file, capsys):
+        assert main(["solve", str(uf_file)]) == 10
+        tag, *pairs = capsys.readouterr().out.splitlines()[0].split()
+        assert tag == "c"
+        assert [pair.split("=")[0] for pair in pairs] == bench.record_columns(SolveStats)
+        assert all(float(pair.split("=")[1]) >= 0 for pair in pairs)
 
 
 class TestFeatures:
@@ -282,6 +307,7 @@ class TestTrainAndBench:
             "window,steps,mean_reward,mean_decisions,"
             "policy_loss,value_loss,entropy,clip_fraction"
         )
+        assert log_lines[0] == ",".join(bench.record_columns(TrainWindowLog))
         assert len(log_lines) >= 2
         for line in log_lines[1:]:
             values = [float(v) for v in line.split(",")]
@@ -323,6 +349,8 @@ class TestTrainAndBench:
         assert main(args + ["--out", str(policy_path), "--hidden", "16"]) == 0
         expected = Policy(8, 24, PpoConfig(hidden_sizes=(16,)), seed=3)
         assert policy_path.read_bytes() == save_policy(expected)
+        header = ",".join(bench.record_columns(TrainWindowLog))
+        assert Path(f"{policy_path}.log.csv").read_text(encoding="ascii") == header + "\n"
 
     def test_train_defaults_are_the_config_defaults(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -8,7 +8,6 @@ from satkit.cnf import (
     UNDEF,
     CnfFormula,
     evaluate_clause,
-    evaluate_formula,
 )
 
 
@@ -17,12 +16,6 @@ def clause_strategy(max_var=6):
         lambda v: st.sampled_from([v, -v])
     )
     return st.lists(codes, min_size=1, max_size=5).map(tuple)
-
-
-def formula_strategy(max_var=6, max_clauses=8):
-    return st.lists(clause_strategy(max_var), min_size=0, max_size=max_clauses).map(
-        lambda cs: CnfFormula(max_var, tuple(cs))
-    )
 
 
 def partial_assignment_strategy(num_vars=6):
@@ -86,33 +79,6 @@ class TestEvaluation:
     def test_pending_literal(self):
         clause = (1, 2)
         assert evaluate_clause(clause, [-1, 0]) == UNDEF
-
-    def test_formula_true(self):
-        # (x1 | ~x2) & (~x1 | x3) under all-true
-        f = CnfFormula.from_codes(3, [[1, -2], [-1, 3]])
-        assert evaluate_formula(f, [1, 1, 1]) == TRUE
-
-    def test_formula_contradiction(self):
-        f = CnfFormula.from_codes(1, [[1], [-1]])
-        assert evaluate_formula(f, [1]) == FALSE
-
-    def test_empty_formula_vacuously_true(self):
-        f = CnfFormula(0, ())
-        assert evaluate_formula(f, []) == TRUE
-
-    @given(formula_strategy(), partial_assignment_strategy())
-    def test_formula_is_three_valued_fold_of_clauses(self, formula, values):
-        def and3(a, b):
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == UNDEF or b == UNDEF:
-                return UNDEF
-            return TRUE
-
-        folded = TRUE
-        for clause in formula.clauses:
-            folded = and3(folded, evaluate_clause(clause, values))
-        assert evaluate_formula(formula, values) == folded
 
     @given(clause_strategy(), partial_assignment_strategy())
     def test_extension_never_flips_determined_value(self, clause, values):

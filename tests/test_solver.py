@@ -10,9 +10,14 @@ from satkit.solver.engine import (
     Solver,
     Verdict,
 )
-from satkit.solver.heuristics import RandomHeuristic, VsidsHeuristic
+from satkit.solver.heuristics import VsidsHeuristic
 
-from oracles import brute_force_satisfiable, check_trail_invariants, check_watch_invariants
+from oracles import (
+    RandomHeuristic,
+    brute_force_satisfiable,
+    check_trail_invariants,
+    check_watch_invariants,
+)
 
 
 class ScriptedHeuristic(Heuristic):
