@@ -16,7 +16,10 @@ The third line digests ``train`` on the train-uf20 benchmark inputs
 (64 planted uf20-91 from ``random.Random(f"train-{seed}")``,
 ``PpoConfig(rollout_window=150)``, 750 steps) at seeds 1 and 2: every
 ``TrainWindowLog``'s values in log-column order (``record_values``),
-update metrics included, and the final ``save_policy`` bytes.
+update metrics included, and the bytes of every trained parameter
+array, the actor's and then the critic's in ``parameters()`` order. It
+reads no checkpoint, so it checks training alone, and a change of
+checkpoint format cannot move it.
 
 The fourth line digests the langsat-docs benchmark documents at seeds
 1 to 3 (100 each, with the stub translator built from their fixture
@@ -71,7 +74,7 @@ from satkit.cnf import CnfFormula  # noqa: E402
 from satkit.dimacs import write_dimacs, write_dimacs_file  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
 from satkit.logic import compile_document  # noqa: E402
-from satkit.rl import Policy, PolicyHeuristic, save_policy, save_policy_file, train  # noqa: E402
+from satkit.rl import Policy, PolicyHeuristic, save_policy_file, train  # noqa: E402
 from satkit.rl.observation import signed_adjacency  # noqa: E402
 from satkit.solver import Solver, VsidsHeuristic  # noqa: E402
 
@@ -103,7 +106,8 @@ def _train_digest(seeds) -> str:
         _, logs = train(inputs.dataset, policy, workload.window * workload.windows)
         for log in logs:
             h.update(repr(tuple(record_values(log))).encode("ascii"))
-        h.update(save_policy(policy))
+        for arr in policy.actor.parameters() + policy.critic.parameters():
+            h.update(arr.tobytes())
     return h.hexdigest()
 
 

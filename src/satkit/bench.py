@@ -160,15 +160,18 @@ def run_comparison(
 ) -> list[BenchRecord]:
     """Benchmark every entrant of ``ENTRANTS`` on each instance.
 
-    Instances run one after another, the entrants in table order. Per
-    instance and entrant: ``repetitions`` identical runs, each building
-    its heuristic anew; the minimum set-up time and the minimum wall
-    time are kept. Verdicts and counters are asserted identical across
-    repetitions (the solver is deterministic). Every record carries the
-    policy's seed. Unknown verdicts are recorded, not raised. A
-    wall-clock timeout does not stop at the same decision twice, so if
-    any repetition times out, the first that did is recorded with its
-    own time and the repetitions are not compared.
+    Instances run one after another. Per instance, ``repetitions``
+    rounds each build and run every entrant once, the table rotated by
+    (instance index + round) mod the number of entrants, so the entrant
+    that runs first alternates, also at one repetition; each run builds
+    its heuristic anew. Per instance and entrant, the minimum set-up
+    time and the minimum wall time are kept. Verdicts and counters are
+    asserted identical across repetitions (the solver is
+    deterministic). Every record carries the policy's seed. Unknown
+    verdicts are recorded, not raised. A wall-clock timeout does not
+    stop at the same decision twice, so if any repetition times out,
+    the first that did is recorded with its own time and the
+    repetitions are not compared.
     """
     if not test_set:
         raise BenchError("empty test set")
@@ -176,16 +179,22 @@ def run_comparison(
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
     limits = limits or SolveLimits()
 
+    names = list(ENTRANTS)
     records: list[BenchRecord] = []
-    for item in test_set:
-        for name, make in ENTRANTS.items():
-            setup_times = []
-            results = []
-            for _ in range(repetitions):
+    for index, item in enumerate(test_set):
+        setup_times: dict[str, list[float]] = {name: [] for name in names}
+        runs: dict[str, list] = {name: [] for name in names}
+        for rep in range(repetitions):
+            # Blocked repetitions in a fixed order favour the entrant that
+            # runs later, so the order rotates.
+            shift = (index + rep) % len(names)
+            for name in names[shift:] + names[:shift]:
                 t0 = time.perf_counter()
-                heuristic = make(policy, item.formula)
-                setup_times.append(time.perf_counter() - t0)
-                results.append(Solver(item.formula, heuristic, limits).run())
+                heuristic = ENTRANTS[name](policy, item.formula)
+                setup_times[name].append(time.perf_counter() - t0)
+                runs[name].append(Solver(item.formula, heuristic, limits).run())
+        for name in names:
+            results = runs[name]
             timed_out = [r for r in results if r.limit == "timeout"]
             if timed_out:
                 result = timed_out[0]
@@ -210,7 +219,7 @@ def run_comparison(
                     conflicts=result.stats.conflicts,
                     propagations=result.stats.propagations,
                     seed=policy.seed,
-                    feature_time_s=min(setup_times),
+                    feature_time_s=min(setup_times[name]),
                 )
             )
     records.sort(key=lambda r: (r.instance, r.heuristic))

@@ -38,7 +38,6 @@ from .logic.pipeline import compile_document, compile_expressions
 from .logic.translate import HttpTranslator, StubTranslator
 from .rl.policy import (
     POLICY_FORMAT_VERSION,
-    REWARD_MODES,
     Policy,
     PpoConfig,
     load_policy_file,
@@ -109,7 +108,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=defaults.epochs)
     p.add_argument("--minibatch", type=int, default=defaults.minibatch_size)
     p.add_argument("--episode-cap", type=int, default=defaults.episode_max_decisions)
-    p.add_argument("--reward-mode", choices=REWARD_MODES, default=defaults.reward_mode)
     p.add_argument("--strict", action="store_true", help="abort on unparseable dataset files")
 
     p = sub.add_parser("bench", help="compare VSIDS against the learned policy")
@@ -245,7 +243,6 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         minibatch_size=args.minibatch,
         episode_max_decisions=args.episode_cap,
-        reward_mode=args.reward_mode,
     )
     policy = Policy(shape[0], shape[1], config, seed=args.seed)
 

@@ -23,8 +23,9 @@ dynamic block and the log-probability. Only then is the dense static
 block scattered from the same entries, once per episode; every
 transition of the episode refers to that one array. Neither way runs
 the critic: the update computes the values it needs in one batched
-call. A transition's reward is filled in after the propagation (and
-any conflict resolution) that the decision triggered. Marking the
+call. A transition's reward, satisfied minus falsified original
+clauses, is filled in after the propagation (and any conflict
+resolution) that the decision triggered. Marking the
 final transition done is left to ``run_episode``, which alone knows
 where an episode ends, verdict or decision limit.
 """
@@ -67,7 +68,6 @@ class PolicyHeuristic(Heuristic):
         if rng is not None:
             self._static = np.zeros(policy.obs_dim - policy.dynamic_dim)
             self._static[static[0]] = static[1]
-        self._prev_score = 0  # for delta reward mode
 
     def attach(self, solver: Solver) -> None:
         # The folds belong to this formula; any other would be decided on
@@ -98,10 +98,4 @@ class PolicyHeuristic(Heuristic):
         if not self.transitions:
             return
         self.clause_status.sync(solver.trail)
-        score = self.clause_status.reward()
-        if self.policy.config.reward_mode == "delta":
-            reward = score - self._prev_score
-            self._prev_score = score
-        else:
-            reward = score
-        self.transitions[-1].reward = float(reward)
+        self.transitions[-1].reward = float(self.clause_status.reward())

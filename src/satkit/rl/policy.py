@@ -3,8 +3,10 @@
 The action space has 2n entries for n variables: action 2j assigns
 variable j+1 True, action 2j+1 assigns it False. Actions on assigned
 variables are masked to probability zero before sampling. The policy
-is bound to one formula shape (n, m), which is recorded, along with
-hyperparameters, seed and weights, in the checkpoint format.
+is bound to one formula shape (n, m). A checkpoint (format 2) records
+that shape, the seed and the ``PpoConfig`` in a JSON header, then the
+actor's and the critic's parameters in ``parameters()`` order; the
+layer shapes are derived from the header, not stored.
 
 Inference reads an observation in two parts: its dynamic block, the
 n + m entries that change between decisions, and a network's ``fold``
@@ -28,9 +30,8 @@ from ..errors import SatkitError
 from .network import Mlp
 from .observation import flat_observation_dim
 
-POLICY_FORMAT_VERSION = 1
+POLICY_FORMAT_VERSION = 2
 _MAGIC = b"CNFPOLICY\x00"
-REWARD_MODES = ("absolute", "delta")
 
 
 class AllMaskedError(SatkitError):
@@ -62,7 +63,6 @@ class PpoConfig:
     entropy_coef: float = 0.01
     value_coef: float = 0.5
     hidden_sizes: tuple[int, ...] = (256, 256)
-    reward_mode: str = "absolute"  # or "delta": per-step change in the count
     episode_max_decisions: int = 500
 
     def __post_init__(self) -> None:
@@ -71,8 +71,6 @@ class PpoConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(size < 1 for size in self.hidden_sizes):
             raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        if self.reward_mode not in REWARD_MODES:
-            raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
         for name in ("learning_rate", "clip_epsilon", "entropy_coef", "value_coef"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -242,23 +240,18 @@ def _payload_bytes(num_vars: int, num_clauses: int, hidden_sizes) -> int:
     )
 
 
-def _array_manifest(policy: Policy) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for net_name, net in (("actor", policy.actor), ("critic", policy.critic)):
-        for i, arr in enumerate(net.parameters()):
-            out.append((f"{net_name}.{i}", arr))
-    return out
-
-
 def save_policy(policy: Policy) -> bytes:
-    arrays = _array_manifest(policy)
+    """The checkpoint bytes: the magic, the header's length, a JSON
+    header of the format version, the shape, the seed and the config,
+    then the actor's and the critic's parameters as little-endian
+    float64, in ``parameters()`` order. The layer shapes are not stored:
+    ``load_policy`` derives them from the header."""
     header = {
         "format_version": POLICY_FORMAT_VERSION,
         "num_vars": policy.num_vars,
         "num_clauses": policy.num_clauses,
         "seed": policy.seed,
         "config": asdict(policy.config),
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
     parts = [
@@ -266,7 +259,7 @@ def save_policy(policy: Policy) -> bytes:
         len(header_bytes).to_bytes(8, "little"),
         header_bytes,
     ]
-    for _, arr in arrays:
+    for arr in policy.actor.parameters() + policy.critic.parameters():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return b"".join(parts)
 
@@ -311,22 +304,17 @@ def load_policy(data: bytes) -> Policy:
                 f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
             )
         policy = Policy._allocate(num_vars, num_clauses, config, header["seed"])
-        declared = [(meta["name"], tuple(meta["shape"])) for meta in header["arrays"]]
     except PolicyFormatError:
         raise
     except KeyError as exc:
         raise PolicyFormatError(f"checkpoint header lacks field {exc}") from None
     except (TypeError, ValueError) as exc:  # a ConfigError among them
         raise PolicyFormatError(f"malformed checkpoint header: {exc}") from None
-    arrays = _array_manifest(policy)
-    if [name for name, _ in declared] != [name for name, _ in arrays]:
-        raise PolicyFormatError("checkpoint array manifest does not match")
-    for (name, shape), (_, arr) in zip(declared, arrays):
-        if shape != arr.shape:
-            raise PolicyFormatError(f"array {name} has shape {shape}, expected {arr.shape}")
-        arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(shape)
+    # The payload's size matched the layer sizes, so every array is filled.
+    for i, arr in enumerate(policy.actor.parameters() + policy.critic.parameters()):
+        arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
         if not np.isfinite(arr).all():
-            raise PolicyFormatError(f"array {name} holds non-finite weights")
+            raise PolicyFormatError(f"parameter array {i} holds non-finite weights")
         offset += arr.nbytes
     return policy
 

@@ -87,10 +87,13 @@ def train(
     once per window: with ``checkpoint_every=1`` a run of k windows
     calls it with indices 1, ..., k. A run of no steps has no window
     and never calls it, but its dataset is checked all the same.
-    Negative ``steps`` is a ``LimitError``.
+    Negative ``steps`` or ``checkpoint_every`` below 1 is a
+    ``LimitError``.
     """
     if steps < 0:
         raise LimitError(f"steps must be >= 0, got {steps}")
+    if checkpoint_every < 1:
+        raise LimitError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if not dataset:
         raise TrainingDataError("empty training dataset")
     for i, f in enumerate(dataset):

@@ -18,6 +18,8 @@ observations that the compact-batch one must match, and
 ``householder_orthogonal_init`` the Householder QR initialisation whose
 Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
 the from-scratch reward that ``ClauseStatus.reward`` must equal.
+``format_1_checkpoint`` writes a policy as the retired checkpoint
+format 1 did, for the loader to refuse.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
 solver's internal invariants, and ``RandomHeuristic`` is a seeded third
 branching heuristic for the solver's golden counts and the race.
@@ -25,9 +27,11 @@ branching heuristic for the solver's golden counts and the race.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+from dataclasses import asdict
 from itertools import chain
 from typing import NamedTuple
 
@@ -151,6 +155,32 @@ def fold_block(policy, net, static: np.ndarray) -> np.ndarray:
     entries."""
     index = np.flatnonzero(static)
     return policy.fold(net, index, static[index])
+
+
+def format_1_checkpoint(policy) -> bytes:
+    """``policy`` as checkpoint format 1 saved it: the payload format 2
+    saves, after a header that also held ``config.reward_mode`` and an
+    ``arrays`` manifest of every parameter's name and shape."""
+    nets = (("actor", policy.actor), ("critic", policy.critic))
+    header = {
+        "format_version": 1,
+        "num_vars": policy.num_vars,
+        "num_clauses": policy.num_clauses,
+        "seed": policy.seed,
+        "config": {**asdict(policy.config), "reward_mode": "absolute"},
+        "arrays": [
+            {"name": f"{name}.{i}", "shape": list(arr.shape)}
+            for name, net in nets
+            for i, arr in enumerate(net.parameters())
+        ],
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
+    payload = b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for _, net in nets
+        for arr in net.parameters()
+    )
+    return b"CNFPOLICY\x00" + len(header_bytes).to_bytes(8, "little") + header_bytes + payload
 
 
 def reference_fold(policy, net, static: np.ndarray) -> np.ndarray:

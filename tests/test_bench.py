@@ -24,6 +24,7 @@ from satkit.rl.policy import Policy, PpoConfig
 from satkit.rl.ppo import UpdateMetrics
 from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveLimits, Verdict
+from satkit.solver.heuristics import VsidsHeuristic
 
 from oracles import RandomHeuristic
 
@@ -137,6 +138,29 @@ class TestRunComparison:
             assert 0.0 <= summary[f"fraction_faster_with_setup.{name}"] <= 1.0
         assert "fraction_faster.vsids" not in summary
         assert summary["fraction_rl_faster"] == summary["fraction_faster.rl"]
+
+    @pytest.mark.parametrize(
+        "repetitions,expected",
+        [
+            (1, ["a", "b", "c", "b", "c", "a", "c", "a", "b", "a", "b", "c"]),
+            (2, ["a", "b", "c", "b", "c", "a", "b", "c", "a", "c", "a", "b"]),
+        ],
+    )
+    def test_entrants_interleave_and_the_first_rotates(self, monkeypatch, repetitions, expected):
+        calls = []
+
+        def entrant(name):
+            return lambda policy, formula: calls.append(name) or VsidsHeuristic(formula.num_vars)
+
+        monkeypatch.setattr(bench, "ENTRANTS", {name: entrant(name) for name in "abc"})
+        rng = random.Random(5)
+        count = 4 // repetitions
+        instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(count)]
+        records = run_comparison(instances, Policy(10, 35, SMALL, seed=3), repetitions=repetitions)
+        assert calls == expected
+        assert [(r.instance, r.heuristic) for r in records] == [
+            (f"i{k}.cnf", h) for k in range(count) for h in "abc"
+        ]
 
     def test_unit_propagation_instance_needs_no_decisions(self):
         from satkit.cnf import CnfFormula

@@ -25,6 +25,8 @@ from satkit.rl.policy import (
 from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveStats
 
+from oracles import format_1_checkpoint
+
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
@@ -226,6 +228,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
 
+    def test_format_1_policy_exits_2(self, uf_file, tmp_path, capsys):
+        path = tmp_path / "format1.bin"
+        path.write_bytes(format_1_checkpoint(Policy(20, 91, SMALL, seed=0)))
+        code = main(["solve", str(uf_file), "--heuristic", "rl", "--policy", str(path)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint format 1" in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == 2
 
@@ -386,6 +396,14 @@ class TestTrainAndBench:
         assert main(args + ["--out", str(tmp_path / "p.bin")] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_reward_mode_flag_is_usage_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        args = ["train", "--dataset", str(data_dir), "--steps", "0", "--out", str(tmp_path / "p.bin")]
+        assert main(args + ["--reward-mode", "absolute"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "p.bin").exists()
 
     @pytest.mark.parametrize("steps", ["0", "20"])
     def test_mixed_shape_dataset_exits_2(self, tmp_path, capsys, steps):

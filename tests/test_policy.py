@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from satkit.rl.observation import (
     static_entries,
 )
 from satkit.rl.policy import (
+    POLICY_FORMAT_VERSION,
     AllMaskedError,
     ConfigError,
     Policy,
@@ -44,6 +46,7 @@ from oracles import (
     any_formula,
     assert_close,
     fold_block,
+    format_1_checkpoint,
     full_logits,
     full_value,
     reference_extract_features,
@@ -59,7 +62,7 @@ def make_policy(n=4, m=6, seed=0, config=SMALL):
     return Policy(n, m, config, seed)
 
 
-# A checkpoint whose header is about 40% of its bytes.
+# A checkpoint whose header is about 27% of its bytes.
 TINY_POLICY = Policy(1, 1, PpoConfig(hidden_sizes=(1,)), seed=3)
 TINY_BLOB = save_policy(TINY_POLICY)
 TINY_HEADER_END = 18 + int.from_bytes(TINY_BLOB[10:18], "little")
@@ -227,9 +230,27 @@ class TestSaveLoad:
 
     def test_version_mismatch(self):
         blob = save_policy(make_policy())
-        tampered = blob.replace(b'"format_version": 1', b'"format_version": 9')
+        current = f'"format_version": {POLICY_FORMAT_VERSION}'.encode("ascii")
+        assert current in blob
+        tampered = blob.replace(current, b'"format_version": 9')
         with pytest.raises(VersionMismatchError):
             load_policy(tampered)
+
+    def test_header_holds_only_the_underivable_facts(self):
+        policy = make_policy(seed=5)
+        blob = save_policy(policy)
+        header = {}
+        edit_header(blob, header.update)
+        assert sorted(header) == ["config", "format_version", "num_clauses", "num_vars", "seed"]
+        assert header["config"].keys() == asdict(policy.config).keys()
+        params = policy.actor.parameters() + policy.critic.parameters()
+        payload = b"".join(p.astype("<f8").tobytes() for p in params)
+        assert blob.endswith(payload)
+
+    def test_format_1_checkpoint_is_a_version_mismatch(self):
+        blob = format_1_checkpoint(make_policy())
+        with pytest.raises(VersionMismatchError, match="format 1"):
+            load_policy(blob)
 
     def test_garbage_rejected(self):
         with pytest.raises(PolicyFormatError):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from satkit.cnf import CnfFormula
+from satkit.errors import LimitError
 from satkit.generators import planted_ksat
 from satkit.rl.policy import Policy, PpoConfig, save_policy
 from satkit.rl.train import TrainingDataError, run_episode, train
-from satkit.solver.engine import Verdict
+from satkit.solver.engine import Solver, Verdict
 
 FAST = PpoConfig(
     hidden_sizes=(16, 16),
@@ -63,16 +64,6 @@ class TestRunEpisode:
         if result.verdict == Verdict.UNKNOWN:
             assert result.limit == "decisions"
             assert trajectory[-1].done is True
-
-    def test_delta_reward_mode_telescopes(self):
-        config = PpoConfig(
-            hidden_sizes=(16, 16), reward_mode="delta", episode_max_decisions=200
-        )
-        f = planted_ksat(10, 30, random.Random(5))
-        policy = Policy(10, 30, config, seed=5)
-        trajectory, result = run_episode(f, policy, rng=np.random.default_rng(2))
-        if result.verdict == Verdict.SAT:
-            assert sum(t.reward for t in trajectory) == 30.0  # telescoping sum
 
 
 class TestTrain:
@@ -162,6 +153,16 @@ class TestTrain:
             checkpoint_every=2,
         )
         assert len(logs) == 3 and calls == [2, 3]
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_interval_below_one_rejected_before_collecting(self, every, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve ran before the interval was checked")
+
+        monkeypatch.setattr(Solver, "run", refuse)
+        policy = Policy(8, 24, FAST, seed=33)
+        with pytest.raises(LimitError, match="checkpoint_every"):
+            train(small_dataset(), policy, steps=150, checkpoint=lambda p, w: None, checkpoint_every=every)
 
     def test_parameters_change_when_lr_positive(self):
         dataset = small_dataset(seed=41)
