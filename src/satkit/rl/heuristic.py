@@ -16,18 +16,20 @@ which it syncs from ``solver.trail`` before each read: ``decide`` reads
 the clause block, ``on_step`` the reward. The solver keeps no clause
 counts of its own, so no other heuristic pays for them.
 
-Built without an rng, the heuristic is greedy and records nothing: no
-softmax, no static block. Built with one, it samples each decision from
-the masked softmax and records one Transition per decision, with the
-dynamic block and the log-probability. Only then is the dense static
-block scattered from the same entries, once per episode; every
-transition of the episode refers to that one array. Neither way runs
-the critic: the update computes the values it needs in one batched
-call. A transition's reward, satisfied minus falsified original
-clauses, is filled in after the propagation (and any conflict
-resolution) that the decision triggered. Marking the
-final transition done is left to ``run_episode``, which alone knows
-where an episode ends, verdict or decision limit.
+The policy reads which actions are legal from the dynamic block's
+assignments. Built without an rng, the heuristic is greedy and records
+nothing: no mask array, no softmax, no static block. Built with one,
+it samples each decision from the masked softmax and records one
+Transition per decision, with the dynamic block, the log-probability
+and the legal-action mask. Only then is the dense static block
+scattered from the same entries, once per episode; every transition of
+the episode refers to that one array. Neither way runs the critic: the
+update computes the values it needs in one batched call. A
+transition's reward, satisfied minus falsified original clauses, is
+filled in after the propagation (and any conflict resolution) that the
+decision triggered. Marking the final transition done is left to
+``run_episode``, which alone knows where an episode ends, verdict or
+decision limit.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ class PolicyHeuristic(Heuristic):
     def decide(self, solver: Solver) -> int:
         self.clause_status.sync(solver.trail)
         dynamic = np.array(solver.values + self.clause_status.status, dtype=np.float64)
-        mask = legal_action_mask(solver.values)
-        action, log_prob = self.policy.act(dynamic, mask, self._actor_fold, self.rng)
+        action, log_prob = self.policy.act(dynamic, self._actor_fold, self.rng)
         if self.rng is not None:
             self.transitions.append(
                 Transition(
@@ -89,7 +90,7 @@ class PolicyHeuristic(Heuristic):
                     log_prob=log_prob,
                     reward=0.0,  # filled in by on_step
                     done=False,
-                    mask=mask,
+                    mask=legal_action_mask(solver.values),
                 )
             )
         return action_to_decision(action)

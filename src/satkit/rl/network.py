@@ -4,6 +4,10 @@ Kept dependency-free (numpy only) so training is bit-deterministic
 given a seed and the analytic gradients can be checked against finite
 differences directly.
 
+Inference calls a net: the layers' products, with each bias and tanh
+applied in place, and no activations kept. Training's ``forward``
+keeps them for ``backward``; both give the same output bits.
+
 Weights start orthogonal: the Q factor of a Gaussian draw, computed by
 shifted Cholesky QR (``cholesky_qr``) rather than Householder QR. Its
 work is Gram products, small Cholesky factors and their inverses, all
@@ -99,10 +103,11 @@ def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: floa
 class Mlp:
     """Feed-forward net: tanh hidden layers, linear output.
 
-    ``forward`` returns the output and a cache of layer activations;
-    ``backward`` consumes the cache of a folded forward and the gradient
-    at the output and writes per-parameter gradients, in
-    ``parameters()`` order, into arrays the caller owns.
+    Calling the net returns its output alone, building no cache, for
+    inference. ``forward`` returns the output and a cache of layer
+    activations; ``backward`` consumes the cache of a folded forward
+    and the gradient at the output and writes per-parameter gradients,
+    in ``parameters()`` order, into arrays the caller owns.
 
     Inputs that stay fixed across many calls can be folded: ``fold``
     turns the nonzero trailing inputs into their share of the first
@@ -155,7 +160,18 @@ class Mlp:
         return h, cache
 
     def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
-        return self.forward(x, folded)[0]
+        """``forward(x, folded)[0]``, bit for bit, without the cache: each
+        layer's bias and tanh are applied in place to its fresh product."""
+        h = np.asarray(x, dtype=np.float64)
+        last = self.num_layers - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i == 0 and folded is not None:
+                w, b = w[: h.shape[-1]], folded
+            h = h @ w
+            h += b
+            if i < last:
+                np.tanh(h, out=h)
+        return h
 
     def backward(
         self,

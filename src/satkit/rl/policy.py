@@ -1,20 +1,26 @@
 """Actor-critic policy over the solver observation space.
 
 The action space has 2n entries for n variables: action 2j assigns
-variable j+1 True, action 2j+1 assigns it False. Actions on assigned
-variables are masked to probability zero before sampling. The policy
-is bound to one formula shape (n, m). A checkpoint (format 2) records
-that shape, the seed and the ``PpoConfig`` in a JSON header, then the
-actor's and the critic's parameters in ``parameters()`` order; the
-layer shapes are derived from the header, not stored.
+variable j+1 True, action 2j+1 assigns it False. An action is legal
+while its variable is unassigned; illegal actions have probability
+zero. The policy is bound to one formula shape (n, m). A checkpoint
+(format 2) records that shape, the seed and the ``PpoConfig`` in a
+JSON header, then the actor's and the critic's parameters in
+``parameters()`` order; the layer shapes are derived from the header,
+not stored.
 
 Inference reads an observation in two parts: its dynamic block, the
 n + m entries that change between decisions, and a network's ``fold``
-of the static rest, computed once per formula. ``act`` without an rng
-is greedy; with one it samples and returns the log-probability.
-Training reads observations in the same two parts, dynamic rows and
-the few distinct static blocks they share; its forward and backward
-passes are ``ppo.ppo_loss_and_grads``.
+of the static rest, computed once per formula. The dynamic block's
+first n entries are the assignments, so ``act`` reads legality from
+it. Without an rng ``act`` is greedy: the actor's products and one
+pass over the logits that skips assigned variables' actions, with no
+mask array built and no softmax taken. With one it samples from the masked softmax and
+returns the log-probability. The dynamic block holds only -1, 0 and
++1, on which ``preprocess`` halves (``squash_dynamic``). Training
+reads observations in the same two parts, dynamic rows and the few
+distinct static blocks they share; its forward and backward passes
+are ``ppo.ppo_loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -139,7 +145,8 @@ class Policy:
         The ternary observation blocks pass through monotonically while
         unbounded global features (counts, ratios) are compressed into
         (-1, 1); without this the first tanh layer saturates and
-        gradients vanish.
+        gradients vanish. On the dynamic block, whose entries are -1, 0
+        and +1, it is a halving, which ``squash_dynamic`` computes.
         """
         return obs / (1.0 + np.abs(obs))
 
@@ -162,29 +169,39 @@ class Policy:
         """Critic estimates, one per row of ``dynamic`` (observations'
         dynamic blocks), given the critic's ``fold`` of each row's static
         block, one row of it per row or one for all."""
-        return self.critic(self.preprocess(dynamic), fold)[..., 0]
+        return self.critic(squash_dynamic(dynamic), fold)[..., 0]
 
     def act(
         self,
         dynamic: np.ndarray,
-        mask: np.ndarray,
         fold: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> tuple[int, Optional[float]]:
-        """Pick an action under the mask from an observation's dynamic
-        block (assignments and clause evaluations) and the actor's
-        ``fold`` of its static block.
+        """Pick a legal action from an observation's dynamic block
+        (assignments and clause evaluations) and the actor's ``fold`` of
+        its static block. The actions of variable j are legal iff
+        ``dynamic[j]`` is 0; ``AllMaskedError`` if none is.
 
-        Without ``rng``: the masked argmax, ties to the lowest action
-        index, and None for the log-probability (no softmax is taken).
-        With ``rng``: a draw from the masked softmax and its
-        log-probability.
+        Without ``rng``: the legal action of the highest logit, ties to
+        the lowest action index as ``np.argmax`` breaks them, and None
+        for the log-probability (no softmax is taken). With ``rng``: a
+        draw from the masked softmax and its log-probability.
         """
-        if not mask.any():
+        values = dynamic[: self.num_vars].tolist()
+        if 0 not in values:
             raise AllMaskedError("no legal action remains")
-        logits = self.actor(self.preprocess(dynamic), fold)
+        logits = self.actor(squash_dynamic(dynamic), fold)
         if rng is None:
-            return int(np.argmax(np.where(mask, logits, -np.inf))), None
+            # One pass from the first legal action: a later one wins only
+            # by a strictly higher logit.
+            scores = logits.tolist()
+            best = 2 * values.index(0)
+            top = scores[best]
+            for action, score in enumerate(scores):
+                if score > top and values[action >> 1] == 0:
+                    best, top = action, score
+            return best, None
+        mask = legal_action_mask(values)
         logp = masked_log_softmax(logits[None, :], mask[None, :])[0]
         cumulative = np.cumsum(np.exp(logp))
         action = int(np.searchsorted(cumulative, rng.random(), side="right"))
@@ -192,6 +209,13 @@ class Policy:
         while not mask[action]:
             action -= 1  # float tail landed on a masked slot
         return action, float(logp[action])
+
+
+def squash_dynamic(dynamic: np.ndarray) -> np.ndarray:
+    """``Policy.preprocess`` of dynamic blocks, bit for bit: their entries
+    are -1, 0 and +1, on which x / (1 + |x|) is x / 2, signed zero
+    included."""
+    return 0.5 * dynamic
 
 
 def action_to_decision(action: int) -> int:

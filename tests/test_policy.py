@@ -37,6 +37,7 @@ from satkit.rl.policy import (
     load_policy,
     masked_log_softmax,
     save_policy,
+    squash_dynamic,
 )
 from satkit.rl.ppo import PpoOptimizer
 from satkit.rl.train import train
@@ -79,14 +80,43 @@ def edit_header(blob, edit):
     return blob[:magic_len] + len(header_bytes).to_bytes(8, "little") + header_bytes + payload
 
 
-def random_obs(policy, rng):
-    return rng.standard_normal(policy.obs_dim)
+def random_obs(policy, rng, values):
+    """An observation whose dynamic block holds the assignment ``values``
+    and random clause statuses in {-1, 0, 1}, with a Gaussian static
+    block."""
+    clauses = rng.integers(-1, 2, policy.num_clauses).astype(np.float64)
+    static = rng.standard_normal(policy.obs_dim - policy.dynamic_dim)
+    return np.concatenate([np.asarray(values, dtype=np.float64), clauses, static])
 
 
-def act(policy, obs, mask, rng=None):
+def act(policy, obs, rng=None):
     """``policy.act`` on a whole observation, split and folded."""
     d = policy.dynamic_dim
-    return policy.act(obs[:d], mask, fold_block(policy, policy.actor, obs[d:]), rng)
+    return policy.act(obs[:d], fold_block(policy, policy.actor, obs[d:]), rng)
+
+
+GREEDY_POLICY = make_policy(n=4, m=6, seed=5)
+GREEDY_STATIC = np.random.default_rng(5).standard_normal(GREEDY_POLICY.obs_dim - 10)
+
+
+def ternary_blocks(free=True):
+    """Dynamic blocks of ``GREEDY_POLICY``: four assignments with at least
+    one variable free (``free``) or none, then six clause statuses."""
+    ternary = st.sampled_from([-1, 0, 1])
+    assignment = ternary if free else st.sampled_from([-1, 1])
+    block = st.tuples(
+        st.lists(assignment, min_size=4, max_size=4), st.lists(ternary, min_size=6, max_size=6)
+    )
+    if free:
+        block = block.filter(lambda b: 0 in b[0])
+    return block.map(lambda b: np.array(b[0] + b[1], dtype=np.float64))
+
+
+def bits(a):
+    """An array's shape and bytes: equal iff the arrays are equal bit for
+    bit, the sign of zero and NaN payloads included."""
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
 
 
 class TestActionMapping:
@@ -120,9 +150,8 @@ class TestDecide:
         a = [1, 1, 0, 1]
         rng = np.random.default_rng(0)
         for _ in range(5):
-            obs = random_obs(policy, rng)
-            mask = legal_action_mask(a)
-            action, logp = act(policy, obs, mask, rng)
+            obs = random_obs(policy, rng, a)
+            action, logp = act(policy, obs, rng)
             assert action in (4, 5)  # both polarities of x3
             assert math.isfinite(logp)
 
@@ -131,19 +160,21 @@ class TestDecide:
         for w in policy.actor.parameters():
             w[...] = 0.0
         obs = np.zeros(policy.obs_dim)
-        action, logp = act(policy, obs, legal_action_mask([0] * 4))
+        action, logp = act(policy, obs)
         assert action == 0 and logp is None
         assert action_to_decision(action) == 1
 
-    def test_all_masked_raises(self):
-        policy = make_policy()
-        with pytest.raises(AllMaskedError):
-            act(policy, np.zeros(policy.obs_dim), legal_action_mask([-1] * 4))
+    @given(ternary_blocks(free=False))
+    def test_all_masked_raises(self, dynamic):
+        obs = np.concatenate([dynamic, GREEDY_STATIC])
+        for rng in (None, np.random.default_rng(0)):
+            with pytest.raises(AllMaskedError):
+                act(GREEDY_POLICY, obs, rng)
 
     def test_sampled_frequencies_match_masked_softmax(self):
         policy = make_policy(n=3, m=4)
         rng = np.random.default_rng(7)
-        obs = random_obs(policy, rng)
+        obs = random_obs(policy, rng, [0, -1, 0])
         mask = legal_action_mask([0, -1, 0])
         logits = full_logits(policy, obs)
         exact = np.exp(masked_log_softmax(logits[None, :], mask[None, :])[0])
@@ -153,7 +184,7 @@ class TestDecide:
         draws = 10_000
         counts = np.zeros(policy.num_actions)
         for _ in range(draws):
-            action, _ = policy.act(obs[:d], mask, fold, rng)
+            action, _ = policy.act(obs[:d], fold, rng)
             counts[action] += 1
         freq = counts / draws
         for k in range(policy.num_actions):
@@ -163,10 +194,65 @@ class TestDecide:
     def test_sampling_is_deterministic_under_seed(self):
         policy = make_policy()
         obs = np.linspace(-1, 1, policy.obs_dim)
-        mask = legal_action_mask([0] * 4)
-        a1 = [act(policy, obs, mask, np.random.default_rng(5))[0] for _ in range(10)]
-        a2 = [act(policy, obs, mask, np.random.default_rng(5))[0] for _ in range(10)]
+        obs[:4] = 0.0  # every variable free
+        obs[4 : policy.dynamic_dim] = np.sign(obs[4 : policy.dynamic_dim])
+        a1 = [act(policy, obs, np.random.default_rng(5))[0] for _ in range(10)]
+        a2 = [act(policy, obs, np.random.default_rng(5))[0] for _ in range(10)]
         assert a1 == a2
+
+
+class TestGreedyStep:
+    """The greedy step reads legality from the dynamic block, halves it
+    and calls the actor without a cache: the same bits and decisions as
+    the cached forward pass and the masked argmax."""
+
+    @pytest.mark.parametrize("hidden", [(16, 8), (5,), ()])
+    @pytest.mark.parametrize(
+        "rows, fold_rows",
+        [(None, None), (3, None), (None, 1), (3, 1), (3, 3)],
+        ids=["row", "batch", "row-folded", "batch-one-fold-row", "batch-fold-row-each"],
+    )
+    def test_call_is_forward_output_bit_for_bit(self, hidden, rows, fold_rows):
+        rng = np.random.default_rng(len(hidden))
+        net = network.Mlp([12, *hidden, 7], rng)
+        for b in net.biases:
+            b[...] = rng.standard_normal(b.shape)
+        lead = 12 if fold_rows is None else 5
+        x = rng.standard_normal((lead,) if rows is None else (rows, lead))
+        folded = None
+        if fold_rows is not None:
+            folded = net.fold(np.arange(5, 12), rng.standard_normal((fold_rows, 7)))
+            if rows is None:
+                folded = folded[0]
+        assert bits(net(x, folded)) == bits(net.forward(x, folded)[0])
+
+    def test_dynamic_squash_is_preprocess_bit_for_bit(self):
+        policy = make_policy()
+        values = np.array([-1.0, -0.0, 0.0, 1.0])
+        assert bits(squash_dynamic(values)) == bits(policy.preprocess(values)) == bits(0.5 * values)
+        assert np.signbit(squash_dynamic(values)).tolist() == [True, True, False, False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ternary_blocks())
+    def test_greedy_is_the_argmax_of_the_full_logits_over_legal_actions(self, dynamic):
+        policy = GREEDY_POLICY
+        obs = np.concatenate([dynamic, GREEDY_STATIC])
+        mask = legal_action_mask(dynamic[: policy.num_vars])
+        want = int(np.argmax(np.where(mask, full_logits(policy, obs), -np.inf)))
+        assert act(policy, obs) == (want, None)
+
+    def test_constructed_tie_resolves_to_the_lower_index(self):
+        policy = make_policy(n=4, m=6, seed=5)
+        policy.actor.weights[-1][...] = 0.0
+        # Illegal actions 0 and 1 carry the highest logit; legal actions
+        # 3, 5 and 6 tie for the next.
+        policy.actor.biases[-1][...] = [5.0, 5.0, 1.0, 3.0, 0.0, 3.0, 3.0, 2.0]
+        obs = np.concatenate([[1.0, 0.0, 0.0, 0.0], np.zeros(6), GREEDY_STATIC])
+        assert act(policy, obs) == (3, None)
+        obs[3] = -1.0  # only 3 and 5 remain tied
+        assert act(policy, obs) == (3, None)
+        obs[1] = 1.0  # one legal maximum, at 5
+        assert act(policy, obs) == (5, None)
 
 
 class TestSaveLoad:
@@ -176,10 +262,9 @@ class TestSaveLoad:
         assert restored.shape == policy.shape
         assert restored.config == policy.config
         rng = np.random.default_rng(1)
-        mask = legal_action_mask([0] * 5)
         for _ in range(100):
-            obs = random_obs(policy, rng)
-            assert act(policy, obs, mask)[0] == act(restored, obs, mask)[0]
+            obs = random_obs(policy, rng, [0] * 5)
+            assert act(policy, obs)[0] == act(restored, obs)[0]
 
     def test_round_trip_bytes_are_stable(self):
         policy = make_policy(seed=11)
@@ -355,7 +440,7 @@ class TestFoldedInference:
                 assert_close(policy.actor(policy.preprocess(obs[:d]), actor_fold), logits)
                 assert_close(policy.value(obs[:d], critic_fold), value)
                 greedy = int(np.argmax(np.where(mask, logits, -np.inf)))
-                assert policy.act(obs[:d], mask, actor_fold) == (greedy, None)
+                assert policy.act(obs[:d], actor_fold) == (greedy, None)
 
     def test_greedy_runs_match_the_unfolded_network(self):
         policy = Policy(20, 91, seed=0)
@@ -388,7 +473,8 @@ def dense_fold(policy, net, index, values):
 
 class DenseFoldGreedy(Heuristic):
     """Greedy decisions from the reference features and the dense fold
-    of the whole static block, with their literals recorded."""
+    of the whole static block, with their literals recorded: the
+    cached forward pass and the masked argmax, not ``Policy.act``."""
 
     def __init__(self, policy, formula):
         self.policy = policy
@@ -402,7 +488,8 @@ class DenseFoldGreedy(Heuristic):
     def decide(self, solver):
         values = solver.values
         dynamic = np.concatenate([np.asarray(values, dtype=np.float64), clause_evaluations(self.formula, values)])
-        action, _ = self.policy.act(dynamic, legal_action_mask(values), self.fold)
+        logits = self.policy.actor.forward(self.policy.preprocess(dynamic), self.fold)[0]
+        action = int(np.argmax(np.where(legal_action_mask(values), logits, -np.inf)))
         self.decisions.append(action_to_decision(action))
         return self.decisions[-1]
 
@@ -469,6 +556,27 @@ class TestNonzeroFold:
         for log, want in zip(logs, expected):
             for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
                 assert getattr(log.metrics, name) == pytest.approx(getattr(want.metrics, name), rel=1e-9)
+
+
+class TestBenchmarkTracer:
+    """perfbench's tracer wraps satkit's functions, methods and fields by
+    name from outside the package, so a rename in satkit would otherwise
+    break only a traced benchmark run."""
+
+    def test_traced_greedy_solve_and_training_window(self):
+        spans = perfbench_module("spans")
+        pool = perfbench_module("pool")
+        formula = CnfFormula(20, pool.race_instance(0))
+        dataset = [CnfFormula(20, pool.race_instance(i)) for i in range(1, 5)]
+        config = PpoConfig(hidden_sizes=(16, 16), rollout_window=64)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            result = Solver(formula, PolicyHeuristic(Policy(20, 91, SMALL, seed=0), formula)).run()
+            _, logs = train(dataset, Policy(20, 91, config, seed=0), 64)
+        assert result.verdict == Verdict.SAT and len(logs) == 1
+        assert tracer.calls("network.call", parent="policy.act") >= result.stats.decisions > 0
+        assert tracer.calls("ppo.update") == 1 and tracer.counters["ppo.batch_bytes"] > 0
+        assert tracer.calls("policy.mask") > 0  # the sampled steps build masks
 
 
 class TestPolicyHeuristic:
@@ -538,6 +646,7 @@ class TestPolicyHeuristic:
             assert_close(v, want)
 
     def test_greedy_unrecorded_solve_skips_softmax_critic_and_rng(self, monkeypatch):
+        import satkit.rl.heuristic as heuristic_module
         import satkit.rl.policy as policy_module
 
         policy = Policy(20, 91, SMALL, seed=0)
@@ -551,13 +660,16 @@ class TestPolicyHeuristic:
             return call
 
         monkeypatch.setattr(policy_module, "masked_log_softmax", forbidden("masked_log_softmax"))
+        for module in (policy_module, heuristic_module):
+            monkeypatch.setattr(module, "legal_action_mask", forbidden("legal_action_mask"))
         monkeypatch.setattr(np.random, "default_rng", forbidden("default_rng"))
         monkeypatch.setattr(Policy, "value", forbidden("Policy.value"))
         for name in ("fold", "forward"):
             monkeypatch.setattr(policy.critic, name, forbidden(f"critic.{name}"))
         result = Solver(formula, PolicyHeuristic(policy, formula)).run()
         assert result.verdict == Verdict.SAT and result.stats.decisions > 0
-        # The probes bite: a sampled, recorded run needs the softmax.
+        # The probes bite: a sampled, recorded run needs the mask and the
+        # softmax.
         with pytest.raises(AssertionError, match="called"):
             Solver(formula, PolicyHeuristic(policy, formula, rng)).run()
 
