@@ -4,9 +4,9 @@ Kept dependency-free (numpy only) so training is bit-deterministic
 given a seed and the analytic gradients can be checked against finite
 differences directly.
 
-Inference calls a net: the layers' products, with each bias and tanh
-applied in place, and no activations kept. Training's ``forward``
-keeps them for ``backward``; both give the same output bits.
+A layer adds its bias and takes its tanh in place on its fresh
+product, so a forward pass allocates one array per layer, which the
+activation cache keeps for ``backward``.
 
 Weights start orthogonal: the Q factor of a Gaussian draw, computed by
 shifted Cholesky QR (``cholesky_qr``) rather than Householder QR. Its
@@ -103,11 +103,10 @@ def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: floa
 class Mlp:
     """Feed-forward net: tanh hidden layers, linear output.
 
-    Calling the net returns its output alone, building no cache, for
-    inference. ``forward`` returns the output and a cache of layer
-    activations; ``backward`` consumes the cache of a folded forward
-    and the gradient at the output and writes per-parameter gradients,
-    in ``parameters()`` order, into arrays the caller owns.
+    ``forward`` returns the output and a cache of layer activations;
+    ``backward`` consumes the cache of a folded forward and the gradient
+    at the output and writes per-parameter gradients, in
+    ``parameters()`` order, into arrays the caller owns.
 
     Inputs that stay fixed across many calls can be folded: ``fold``
     turns the nonzero trailing inputs into their share of the first
@@ -151,27 +150,21 @@ class Mlp:
         row for all. ``backward`` takes a folded cache only."""
         h = np.asarray(x, dtype=np.float64)
         cache = [h]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i == 0 and folded is not None:
-                w, b = w[: h.shape[-1]], folded
-            z = h @ w + b
-            h = np.tanh(z) if i < self.num_layers - 1 else z
-            cache.append(h)
-        return h, cache
-
-    def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
-        """``forward(x, folded)[0]``, bit for bit, without the cache: each
-        layer's bias and tanh are applied in place to its fresh product."""
-        h = np.asarray(x, dtype=np.float64)
         last = self.num_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if i == 0 and folded is not None:
                 w, b = w[: h.shape[-1]], folded
+            # Each layer's product is a fresh array: its bias and tanh go
+            # in place, and no later step writes to a cached activation.
             h = h @ w
             h += b
             if i < last:
                 np.tanh(h, out=h)
-        return h
+            cache.append(h)
+        return h, cache
+
+    def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
+        return self.forward(x, folded)[0]
 
     def backward(
         self,

@@ -15,12 +15,11 @@ of the static rest, computed once per formula. The dynamic block's
 first n entries are the assignments, so ``act`` reads legality from
 it. Without an rng ``act`` is greedy: the actor's products and one
 pass over the logits that skips assigned variables' actions, with no
-mask array built and no softmax taken. With one it samples from the masked softmax and
-returns the log-probability. The dynamic block holds only -1, 0 and
-+1, on which ``preprocess`` halves (``squash_dynamic``). Training
-reads observations in the same two parts, dynamic rows and the few
-distinct static blocks they share; its forward and backward passes
-are ``ppo.ppo_loss_and_grads``.
+mask array built and no softmax taken. With one it samples from the
+masked softmax and returns the log-probability. Training reads
+observations in the same two parts, dynamic rows and the few distinct
+static blocks they share; its forward and backward passes are
+``ppo.ppo_loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -145,8 +144,7 @@ class Policy:
         The ternary observation blocks pass through monotonically while
         unbounded global features (counts, ratios) are compressed into
         (-1, 1); without this the first tanh layer saturates and
-        gradients vanish. On the dynamic block, whose entries are -1, 0
-        and +1, it is a halving, which ``squash_dynamic`` computes.
+        gradients vanish.
         """
         return obs / (1.0 + np.abs(obs))
 
@@ -169,7 +167,7 @@ class Policy:
         """Critic estimates, one per row of ``dynamic`` (observations'
         dynamic blocks), given the critic's ``fold`` of each row's static
         block, one row of it per row or one for all."""
-        return self.critic(squash_dynamic(dynamic), fold)[..., 0]
+        return self.critic(self.preprocess(dynamic), fold)[..., 0]
 
     def act(
         self,
@@ -190,7 +188,7 @@ class Policy:
         values = dynamic[: self.num_vars].tolist()
         if 0 not in values:
             raise AllMaskedError("no legal action remains")
-        logits = self.actor(squash_dynamic(dynamic), fold)
+        logits = self.actor(self.preprocess(dynamic), fold)
         if rng is None:
             # One pass from the first legal action: a later one wins only
             # by a strictly higher logit.
@@ -209,13 +207,6 @@ class Policy:
         while not mask[action]:
             action -= 1  # float tail landed on a masked slot
         return action, float(logp[action])
-
-
-def squash_dynamic(dynamic: np.ndarray) -> np.ndarray:
-    """``Policy.preprocess`` of dynamic blocks, bit for bit: their entries
-    are -1, 0 and +1, on which x / (1 + |x|) is x / 2, signed zero
-    included."""
-    return 0.5 * dynamic
 
 
 def action_to_decision(action: int) -> int:

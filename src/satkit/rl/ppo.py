@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import SatkitError
 from .network import Adam, Mlp
-from .policy import Policy, masked_log_softmax, squash_dynamic
+from .policy import Policy, masked_log_softmax
 
 
 class NonFiniteLossError(SatkitError):
@@ -219,7 +219,7 @@ def ppo_loss_and_grads(
     cfg = policy.config
     batch_size = len(dynamic)
     rows = np.arange(batch_size)
-    x = squash_dynamic(dynamic)
+    x = policy.preprocess(dynamic)
     blocks = policy.preprocess(statics)
     tail = (blocks, episodes)
     actor_grads = 2 * policy.actor.num_layers

@@ -288,9 +288,7 @@ def test_criterion_6_gradient_correctness():
     for seed in (0, 1):
         policy = Policy(1, 1, config, seed=seed)
         rng = np.random.default_rng(seed)
-        # A ternary dynamic block (one variable, one clause), a Gaussian
-        # static block.
-        obs = np.concatenate([rng.integers(-1, 2, 2), rng.standard_normal(policy.obs_dim - 2)])
+        obs = rng.standard_normal(policy.obs_dim)
         mask = np.ones(policy.num_actions, dtype=bool)
         from satkit.rl.policy import masked_log_softmax
         from satkit.rl.ppo import Transition

@@ -37,7 +37,6 @@ from satkit.rl.policy import (
     load_policy,
     masked_log_softmax,
     save_policy,
-    squash_dynamic,
 )
 from satkit.rl.ppo import PpoOptimizer
 from satkit.rl.train import train
@@ -202,9 +201,9 @@ class TestDecide:
 
 
 class TestGreedyStep:
-    """The greedy step reads legality from the dynamic block, halves it
-    and calls the actor without a cache: the same bits and decisions as
-    the cached forward pass and the masked argmax."""
+    """The greedy step reads legality from the dynamic block and takes
+    its bias adds and tanhs in place: the same bits and decisions as the
+    textbook layers and the masked argmax."""
 
     @pytest.mark.parametrize("hidden", [(16, 8), (5,), ()])
     @pytest.mark.parametrize(
@@ -212,7 +211,7 @@ class TestGreedyStep:
         [(None, None), (3, None), (None, 1), (3, 1), (3, 3)],
         ids=["row", "batch", "row-folded", "batch-one-fold-row", "batch-fold-row-each"],
     )
-    def test_call_is_forward_output_bit_for_bit(self, hidden, rows, fold_rows):
+    def test_in_place_layers_are_the_textbook_layers_bit_for_bit(self, hidden, rows, fold_rows):
         rng = np.random.default_rng(len(hidden))
         net = network.Mlp([12, *hidden, 7], rng)
         for b in net.biases:
@@ -224,13 +223,15 @@ class TestGreedyStep:
             folded = net.fold(np.arange(5, 12), rng.standard_normal((fold_rows, 7)))
             if rows is None:
                 folded = folded[0]
-        assert bits(net(x, folded)) == bits(net.forward(x, folded)[0])
-
-    def test_dynamic_squash_is_preprocess_bit_for_bit(self):
-        policy = make_policy()
-        values = np.array([-1.0, -0.0, 0.0, 1.0])
-        assert bits(squash_dynamic(values)) == bits(policy.preprocess(values)) == bits(0.5 * values)
-        assert np.signbit(squash_dynamic(values)).tolist() == [True, True, False, False]
+        want = [x]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            if i == 0 and folded is not None:
+                w, b = w[:lead], folded
+            z = want[-1] @ w + b
+            want.append(np.tanh(z) if i < net.num_layers - 1 else z)
+        out, cache = net.forward(x, folded)
+        assert [bits(a) for a in cache] == [bits(a) for a in want]
+        assert bits(out) == bits(net(x, folded)) == bits(want[-1])
 
     @settings(max_examples=300, deadline=None)
     @given(ternary_blocks())

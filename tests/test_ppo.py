@@ -35,17 +35,10 @@ from oracles import (
 TINY = PpoConfig(hidden_sizes=(2,), minibatch_size=4, epochs=1)
 
 
-def random_dynamic(policy, rng):
-    """A dynamic block, every entry in {-1, 0, 1}. The update reads
-    legality from a transition's mask, not from the block."""
-    return rng.integers(-1, 2, policy.dynamic_dim).astype(np.float64)
-
-
 def make_transition(policy, rng, action=0, logp_offset=0.0, reward=1.0, done=True):
     from satkit.rl.policy import masked_log_softmax
 
-    static = rng.standard_normal(policy.obs_dim - policy.dynamic_dim)
-    obs = np.concatenate([random_dynamic(policy, rng), static])
+    obs = rng.standard_normal(policy.obs_dim)
     mask = np.ones(policy.num_actions, dtype=bool)
     logits = full_logits(policy, obs)[None, :]
     logp = float(masked_log_softmax(logits, mask[None, :])[0, action])
@@ -252,8 +245,8 @@ class TestGradients:
 
 
 def make_episode(policy, rng, length):
-    """``length`` transitions of one episode: random ternary dynamic
-    blocks, one shared random static block, the last one done."""
+    """``length`` transitions of one episode: random dynamic blocks, one
+    shared random static block, the last one done."""
     from satkit.rl.policy import masked_log_softmax
 
     d = policy.dynamic_dim
@@ -261,7 +254,7 @@ def make_episode(policy, rng, length):
     mask = np.ones(policy.num_actions, dtype=bool)
     episode = []
     for i in range(length):
-        dynamic = random_dynamic(policy, rng)
+        dynamic = rng.standard_normal(d)
         action = int(rng.integers(policy.num_actions))
         logits = full_logits(policy, np.concatenate([dynamic, static]))[None, :]
         logp = float(masked_log_softmax(logits, mask[None, :])[0, action])
