@@ -13,8 +13,9 @@ nonzero-row fold replaced, and ``reference_extract_features`` the
 feature extraction (``np.mean``/``np.std`` over stacked samples) that
 the leaner one must match bit for bit, and ``adam_step_reference`` the
 whole-array Adam step that the blocked ``Adam.step`` must match bit for
-bit, and ``dense_ppo_loss_and_grads`` the PPO loss over whole
-observations that the compact-batch one must match, and
+bit, and ``textbook_adam_step`` Algorithm 1 of the Adam paper, which it
+must match within 1e-12, and ``dense_ppo_loss_and_grads`` the PPO loss
+over whole observations that the compact-batch one must match, and
 ``householder_orthogonal_init`` the Householder QR initialisation whose
 Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
 the from-scratch reward that ``ClauseStatus.reward`` must equal.
@@ -200,7 +201,31 @@ def adam_step_reference(
     lr: float,
 ) -> None:
     """Adam step ``t`` (1-based) over whole arrays, updating ``params``,
-    ``m`` and ``v`` in place."""
+    ``m`` and ``v`` in place, with the moments kept as unnormalised sums
+    and the bias corrections folded into two scalars, as ``Adam.step``
+    keeps them."""
+    root = math.sqrt((1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA2))
+    k = lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**t) * root
+    eps = ADAM_EPS * root
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= ADAM_BETA1
+        mi += g
+        vi *= ADAM_BETA2
+        vi += g * g
+        p -= k * (mi / (np.sqrt(vi) + eps))
+
+
+def textbook_adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+    t: int,
+    lr: float,
+) -> None:
+    """Adam step ``t`` (1-based) as Kingma & Ba's Algorithm 1 writes it,
+    over whole arrays: the moments are the biased estimates and the bias
+    corrections are applied term by term."""
     b1t = 1.0 - ADAM_BETA1**t
     b2t = 1.0 - ADAM_BETA2**t
     for p, g, mi, vi in zip(params, grads, m, v):

@@ -15,6 +15,7 @@ from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
 from satkit.logic.convert import DEFAULT_CLAUSE_CAP
+from satkit.rl import ppo
 from satkit.rl.policy import (
     Policy,
     PpoConfig,
@@ -418,9 +419,17 @@ class TestTrainAndBench:
         assert "instance 2" in err and "(9, 24)" in err
         assert not policy_path.exists()
 
-    def test_overflowing_update_exits_2_without_a_checkpoint(self, tmp_path, capsys):
+    def test_overflowing_update_exits_2_without_a_checkpoint(self, tmp_path, capsys, monkeypatch):
         # One update of one Adam step: only the check after the last step
-        # sees the weights it leaves non-finite.
+        # sees the weights it leaves non-finite. At t = 1 a step is at most
+        # lr, so the optimizer starts late in a run, where the step's scale
+        # is about 3 lr and overflows at this lr.
+        class LateAdam(ppo.Adam):
+            def __init__(self, params, lr):
+                super().__init__(params, lr)
+                self.t = 1999
+
+        monkeypatch.setattr(ppo, "Adam", LateAdam)
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=4, num_vars=8, num_clauses=24, seed=5)
         policy_path = tmp_path / "p.bin"

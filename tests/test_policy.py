@@ -577,6 +577,7 @@ class TestBenchmarkTracer:
         assert result.verdict == Verdict.SAT and len(logs) == 1
         assert tracer.calls("network.call", parent="policy.act") >= result.stats.decisions > 0
         assert tracer.calls("ppo.update") == 1 and tracer.counters["ppo.batch_bytes"] > 0
+        assert tracer.calls("network.adam_step") > 0
         assert tracer.calls("policy.mask") > 0  # the sampled steps build masks
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from satkit.generators import planted_ksat
-from satkit.rl.network import ADAM_BLOCK, Adam, Mlp, cholesky_qr, orthogonal_init
+from satkit.rl.network import ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, Adam, Mlp, cholesky_qr, orthogonal_init
 from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
     NonFiniteLossError,
@@ -29,6 +29,7 @@ from oracles import (
     gradient_buffers,
     householder_orthogonal_init,
     run_bandit,
+    textbook_adam_step,
     whole_observations,
 )
 
@@ -146,6 +147,16 @@ def policy_parameters(rng):
     return policy.actor.parameters() + policy.critic.parameters()
 
 
+def adam_gradients(rng, params):
+    """One gradient per parameter: magnitudes from 1e-6 to 1e2, and some
+    exact zeros."""
+    return [
+        rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+        * (rng.random(p.shape) > 0.1)
+        for p in params
+    ]
+
+
 class TestAdam:
     @pytest.mark.parametrize(
         "make_params",
@@ -169,17 +180,55 @@ class TestAdam:
         v_ref = [np.zeros_like(p) for p in params]
         adam = Adam(params, lr=2e-4)
         for t in range(1, 6):
-            # magnitudes from 1e-6 to 1e2, and some exact zeros
-            grads = [
-                rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
-                * (rng.random(p.shape) > 0.1)
-                for p in params
-            ]
+            grads = adam_gradients(rng, params)
             adam.step(params, grads)
             adam_step_reference(expected, grads, m_ref, v_ref, t, lr=2e-4)
             for got, want in zip(params + adam.m + adam.v, expected + m_ref + v_ref):
                 assert np.array_equal(got, want), f"step {t} differs"
         assert adam.t == 5
+
+    @pytest.mark.parametrize("first_t", [1, 1996], ids=["steps-1-to-5", "steps-1996-to-2000"])
+    def test_step_matches_textbook_adam(self, first_t):
+        """Against Algorithm 1 of the Adam paper, whose moments are the
+        stored sums times (1 - beta1) and (1 - beta2). The late stretch
+        starts from moments a run would have built up. The parameters are
+        of the size of a step, so that 1e-12 of them bounds the step's
+        error too."""
+        rng = np.random.default_rng(9)
+        params = [1e-3 * rng.standard_normal((3, 37_000)), 1e-3 * rng.standard_normal(5)]
+        expected = [p.copy() for p in params]
+        m_ref = [np.zeros_like(p) for p in params]
+        v_ref = [np.zeros_like(p) for p in params]
+        adam = Adam(params, lr=2e-4)
+        if first_t > 1:
+            adam.t = first_t - 1
+            for g, mi, vi, m, v in zip(adam_gradients(rng, params), m_ref, v_ref, adam.m, adam.v):
+                mi += 0.1 * g
+                vi += 1e-3 * g * g
+                np.divide(mi, 1.0 - ADAM_BETA1, out=m)
+                np.divide(vi, 1.0 - ADAM_BETA2, out=v)
+        for t in range(first_t, first_t + 5):
+            grads = adam_gradients(rng, params)
+            adam.step(params, grads)
+            textbook_adam_step(expected, grads, m_ref, v_ref, t, lr=2e-4)
+            for i, (p, want) in enumerate(zip(params, expected)):
+                assert_close(p, want)
+                assert_close(adam.m[i] * (1.0 - ADAM_BETA1), m_ref[i])
+                assert_close(adam.v[i] * (1.0 - ADAM_BETA2), v_ref[i])
+        assert adam.t == first_t + 4
+
+    @pytest.mark.parametrize("extra", ["params", "grads"])
+    def test_lists_of_different_lengths_raise(self, extra):
+        rng = np.random.default_rng(0)
+        params = [rng.standard_normal(4), rng.standard_normal(3)]
+        grads = [np.ones(4), np.ones(3)]
+        adam = Adam(params, lr=0.1)
+        if extra == "params":
+            params.append(np.ones(2))
+        else:
+            grads.append(np.ones(2))
+        with pytest.raises(ValueError):
+            adam.step(params, grads)
 
     @pytest.mark.parametrize(
         "make",
@@ -442,11 +491,15 @@ class TestUpdate:
 
     def test_non_finite_parameters_after_the_last_step_roll_back(self):
         # One step per update, whose loss is finite; the step overflows.
+        # Late in a run its scale lr (1 - beta1) / (1 - beta1^t)
+        # sqrt((1 - beta2^t) / (1 - beta2)) is about 3 lr, past the
+        # largest float at this lr; at t = 1 it is lr.
         config = PpoConfig(hidden_sizes=(8,), minibatch_size=8, epochs=1, learning_rate=1e308)
         policy = Policy(2, 3, config, seed=7)
         rng = np.random.default_rng(5)
         batch = [make_transition(policy, rng, reward=1e3) for _ in range(5)]
         optimizer = PpoOptimizer(policy)
+        optimizer.adam.t = t_before = 1999
         before = save_policy(policy)
         rng_before = optimizer.rng.bit_generator.state
         steps = count_adam_steps(optimizer)
@@ -456,7 +509,7 @@ class TestUpdate:
                 optimizer.update(batch)
         assert len(steps) == 1
         assert save_policy(policy) == before
-        assert optimizer.adam.t == 0
+        assert optimizer.adam.t == t_before
         assert optimizer.rng.bit_generator.state == rng_before
         for moment in optimizer.adam.m + optimizer.adam.v:
             assert not moment.any()
