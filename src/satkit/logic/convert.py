@@ -1,15 +1,19 @@
 """Expression-to-CNF conversion and CNF simplification.
 
 Conversion is by logical equivalence, not Tseytin. One walk over the
-expression, ``_clauses(expr, negate)``, eliminates arrows, pushes
-negations to the atoms and distributes Or over And, returning clause
-lists directly; no negation normal form tree is built. The result is
-equivalent to the input over the same atoms, which the truth-table
-tests rely on. Distribution can blow up exponentially, so a clause
-cap, ``DEFAULT_CLAUSE_CAP`` unless given, guards it: a conjunction is
+expression, ``_clauses(expr, negate)``, interns each atom the first
+time it meets one, eliminates arrows, pushes negations to the atoms
+and distributes Or over And, returning clause lists directly; no
+negation normal form tree is built, and a disjunction of literals
+becomes its one clause in a single loop. The result is equivalent to
+the input over the same atoms, which the truth-table tests rely on.
+Distribution can blow up exponentially, so a clause cap,
+``DEFAULT_CLAUSE_CAP`` unless given, guards it: a conjunction is
 checked after each part, a disjunction before each product. An
 expression nested past Python's recursion limit is a
-``NestingTooDeepError``.
+``NestingTooDeepError``. A failed conversion interns the atoms its
+walk did not reach, so a shared table ends as a complete walk would
+leave it.
 
 Simplification applies exactly four equivalence-preserving rules:
 duplicate literals within a clause, tautological clauses, duplicate
@@ -22,7 +26,20 @@ from operator import neg
 
 from ..cnf import CnfFormula
 from ..errors import LimitError, SatkitError
-from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or, atoms
+from .expressions import (
+    And,
+    Atom,
+    Iff,
+    Implies,
+    LogicalExpr,
+    Not,
+    Or,
+    _and,
+    _implies,
+    _not,
+    _or,
+    atoms,
+)
 
 DEFAULT_CLAUSE_CAP = 10_000
 
@@ -38,66 +55,90 @@ class NestingTooDeepError(SatkitError):
 
 class SymbolTable:
     """Ordered bijection between atom names and 1-based variable indices,
-    assigned in first-appearance order."""
+    assigned in first-appearance order. One dict holds it: a name's
+    index is its insertion position plus one."""
 
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
-        self._names: list[str] = []
 
     def intern(self, name: str) -> int:
-        idx = self._index.get(name)
-        if idx is None:
-            self._names.append(name)
-            idx = len(self._names)
-            self._index[name] = idx
-        return idx
+        return self._index.setdefault(name, len(self._index) + 1)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        return tuple(self._index)
 
     def items(self) -> list[tuple[str, int]]:
-        return [(name, i + 1) for i, name in enumerate(self._names)]
+        return list(self._index.items())
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._index)
 
 
 def _clauses(expr: LogicalExpr, negate: bool, index: dict[str, int], cap: int) -> list[list[int]]:
     """Clause lists of literal codes for ``expr``, or for its negation if
     ``negate``: arrows eliminated, negations pushed to the atoms and Or
-    distributed over And in the same walk."""
+    distributed over And in the same walk. An atom met for the first
+    time is interned into ``index``, a ``SymbolTable``'s dict; the walk
+    meets atoms in pre-order, an Iff's first part covering its lhs and
+    then its rhs, so they are interned in ``atoms(expr)`` order.
+
+    Every part of a node is taken under the node's own ``negate``, so an
+    arrow is rewritten to parts that need no other: a -> b as the
+    disjunction of Not(a) and b. A literal part, an Atom under any
+    number of Nots, is read in place, not by a call of its own."""
     kind = type(expr)
     if kind is Atom:
-        code = index[expr.name]
+        code = index.setdefault(expr.name, len(index) + 1)
         return [[-code if negate else code]]
     if kind is Not:
         return _clauses(expr.child, not negate, index, cap)
     if kind is And or kind is Or:
-        parts = [(child, negate) for child in expr.children]
+        parts = expr.children
         conjunction = (kind is And) != negate  # ~(a | b) == ~a & ~b
     elif kind is Implies:  # a -> b == ~a | b;  ~(a -> b) == a & ~b
-        parts = [(expr.lhs, not negate), (expr.rhs, negate)]
+        parts = (_not(expr.lhs), expr.rhs)
         conjunction = negate
     elif kind is Iff:
         a, b = expr.lhs, expr.rhs
-        if negate:  # ~(a <-> b) == (a | b) & ~(a & b)
-            parts = [(Or((a, b)), False), (And((a, b)), True)]
+        if negate:  # ~(a <-> b) == ~(~(a | b) | (a & b)) == (a | b) & ~(a & b)
+            parts = (_not(_or((a, b))), _and((a, b)))
         else:  # a <-> b == (a -> b) & (b -> a)
-            parts = [(Implies(a, b), False), (Implies(b, a), False)]
+            parts = (_implies(a, b), _implies(b, a))
         conjunction = True
     else:
         raise TypeError(f"not a logical expression: {expr!r}")
 
     if conjunction:
         out: list[list[int]] = []
-        for part, part_negate in parts:
-            out.extend(_clauses(part, part_negate, index, cap))
+        for part in parts:
+            part_negate = negate
+            while type(part) is Not:
+                part, part_negate = part.child, not part_negate
+            if type(part) is Atom:
+                code = index.setdefault(part.name, len(index) + 1)
+                out.append([-code if part_negate else code])
+            else:
+                out.extend(_clauses(part, part_negate, index, cap))
             if len(out) > cap:
                 raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
         return out
+    # A disjunction of literals is one clause, its literals in order; the
+    # first part that is not a literal hands the parts to the product
+    # below, which meets the atoms already interned here again.
+    clause: list[int] = []
+    for part in parts:
+        part_negate = negate
+        while type(part) is Not:
+            part, part_negate = part.child, not part_negate
+        if type(part) is not Atom:
+            break
+        code = index.setdefault(part.name, len(index) + 1)
+        clause.append(-code if part_negate else code)
+    else:
+        return [clause]
     acc: list[list[int]] = [[]]
-    for part, part_negate in parts:
-        branches = _clauses(part, part_negate, index, cap)
+    for part in parts:
+        branches = _clauses(part, negate, index, cap)
         if len(acc) * len(branches) > cap:
             raise BlowupExceededError(f"CNF conversion exceeds the {cap}-clause cap")
         acc = [a + b for a in acc for b in branches]
@@ -113,19 +154,22 @@ def to_cnf(
 
     Atoms are interned into ``table`` in first-appearance order over the
     original expression, so a shared table gives a stable atom-to-index
-    mapping across a sequence of expressions. A ``max_clauses`` below 1
-    is a ``LimitError``.
+    mapping across a sequence of expressions. A conversion that fails
+    still leaves every atom of the expression interned. A
+    ``max_clauses`` below 1 is a ``LimitError``.
     """
     if max_clauses < 1:
         raise LimitError(f"max_clauses must be >= 1, got {max_clauses}")
     if table is None:
         table = SymbolTable()
     try:
-        for name in atoms(expr):
-            table.intern(name)
         clauses = _clauses(expr, False, table._index, max_clauses)
-    except RecursionError:
-        raise NestingTooDeepError("expression nested too deeply to convert to CNF") from None
+    except (BlowupExceededError, RecursionError) as exc:
+        for name in atoms(expr):  # those the failed walk did not reach
+            table.intern(name)
+        if isinstance(exc, RecursionError):
+            raise NestingTooDeepError("expression nested too deeply to convert to CNF") from None
+        raise
     return CnfFormula(len(table), clauses)
 
 

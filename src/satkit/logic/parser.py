@@ -9,7 +9,11 @@ Tokens are plain strings, '(', ')', ',' or an identifier, from one
 ``findall``; a line whose tokens do not cover all of its non-whitespace
 characters holds a character no token can take, and fails there. The
 parser is one recursive function over the token list, which ends in an
-empty string standing for the end of input. Errors carry the character
+empty string standing for the end of input; it calls itself for an
+operator argument and reads an atom argument in place. Having checked
+each identifier's spelling (the token pattern) and each operator's
+arity, it builds the nodes with the expression module's private
+constructors, which check neither again. Errors carry the character
 offset into the line. Token offsets are not kept: an error recomputes
 the offset of the token it names. A line nested deeper than Python's
 recursion limit allows fails at its first token of greatest depth.
@@ -21,7 +25,7 @@ import re
 from itertools import accumulate
 
 from ..errors import SatkitError
-from .expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
+from .expressions import LogicalExpr, _and, _atom, _iff, _implies, _not, _or
 
 _TOKEN = re.compile(r"[(),]|[A-Za-z_][A-Za-z0-9_]*")
 # A character that is neither whitespace nor in a token: anything outside
@@ -30,14 +34,17 @@ _BAD_CHARACTER = re.compile(r"[^\sA-Za-z0-9_(),]|(?<![A-Za-z0-9_])[0-9]")
 _END = ""
 _NOT_AN_IDENTIFIER = frozenset(("(", ")", ",", _END))
 
-# operator name -> (min_arity, max_arity or None for unbounded, node class)
+# operator name -> (min_arity, max_arity or None for unbounded, node
+# constructor); the arity is checked here, so the nodes are built with
+# the constructors that check nothing
 _OPERATORS = {
-    "And": (2, None, And),
-    "Or": (2, None, Or),
-    "Not": (1, 1, Not),
-    "Implies": (2, 2, Implies),
-    "Iff": (2, 2, Iff),
+    "And": (2, None, _and),
+    "Or": (2, None, _or),
+    "Not": (1, 1, _not),
+    "Implies": (2, 2, _implies),
+    "Iff": (2, 2, _iff),
 }
+_NOT_AN_ATOM = _NOT_AN_IDENTIFIER | frozenset(_OPERATORS)
 
 
 class ExpressionError(SatkitError):
@@ -70,20 +77,28 @@ def _expected(line: str, tokens: list[str], index: int, what: str) -> Expression
 
 def _parse(line: str, tokens: list[str], pos: int) -> tuple[LogicalExpr, int]:
     """Parse the expression at token ``pos``; return it and the position
-    of the token after it."""
+    of the token after it. An operator's argument that is an atom is
+    read in the argument loop, not by a call of its own."""
     name = tokens[pos]
     operator = _OPERATORS.get(name)
     if operator is None:
         if name in _NOT_AN_IDENTIFIER:
             raise _expected(line, tokens, pos, "an identifier")
-        return Atom(name), pos + 1
+        return _atom(name), pos + 1
     if tokens[pos + 1] != "(":
         raise _expected(line, tokens, pos + 1, f"'(' after operator {name}")
-    arg, k = _parse(line, tokens, pos + 2)
-    args = [arg]
-    while tokens[k] == ",":
-        arg, k = _parse(line, tokens, k + 1)
+    args = []
+    k = pos + 2
+    while True:
+        arg = tokens[k]
+        if arg in _NOT_AN_ATOM:  # an operator, or the error of a missing identifier
+            arg, k = _parse(line, tokens, k)
+        else:
+            arg, k = _atom(arg), k + 1
         args.append(arg)
+        if tokens[k] != ",":
+            break
+        k += 1
     if tokens[k] != ")":
         raise _expected(line, tokens, k, "')' or ','")
     lo, hi, node = operator

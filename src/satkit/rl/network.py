@@ -251,6 +251,12 @@ class Adam:
         self._scratch = np.empty(ADAM_BLOCK)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        if not len(params) == len(grads) == len(self.m) == len(self.v):
+            # checked before anything moves, so a refused step changes nothing
+            raise ValueError(
+                f"Adam steps {len(self.m)} parameter arrays, got {len(params)} "
+                f"parameters and {len(grads)} gradients"
+            )
         self.t += 1
         root = math.sqrt((1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA2))
         k = self.lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**self.t) * root

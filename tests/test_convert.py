@@ -138,5 +138,7 @@ def test_expression_nested_past_the_recursion_limit_is_a_typed_error():
     expr = P
     for _ in range(5000):  # built directly: the parser refuses such depth
         expr = Not(expr)
+    table = SymbolTable()
     with pytest.raises(NestingTooDeepError):
-        to_cnf(expr)
+        to_cnf(expr, table)
+    assert table.names() == ("P",)  # a failed conversion still interns every atom

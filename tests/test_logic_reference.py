@@ -2,13 +2,23 @@
 reference in ``oracles.py``, result for result and error for error
 (class, message and, for expression errors, offset)."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
-from satkit.logic.convert import DEFAULT_CLAUSE_CAP, SymbolTable, simplify_cnf, to_cnf
-from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, format_expr
+from satkit.logic.convert import (
+    DEFAULT_CLAUSE_CAP,
+    BlowupExceededError,
+    SymbolTable,
+    simplify_cnf,
+    to_cnf,
+)
+from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, atoms, format_expr
 from satkit.logic.parser import parse_expression
 from satkit.logic.sentences import split_sentences
 
@@ -102,6 +112,40 @@ def test_parse_expression_matches_the_token_parser(line):
     assert outcome(parse_expression, line) == outcome(reference_parse_expression, line)
 
 
+def nodes(expr):
+    """Every node of a tree, in pre-order."""
+    yield expr
+    match expr:
+        case Not(child):
+            yield from nodes(child)
+        case And(children) | Or(children):
+            for child in children:
+                yield from nodes(child)
+        case Implies(lhs, rhs) | Iff(lhs, rhs):
+            yield from nodes(lhs)
+            yield from nodes(rhs)
+
+
+@given(expressions.map(format_expr))
+def test_parsed_nodes_are_the_public_constructors_nodes(line):
+    """The parser builds its nodes without the public constructors'
+    checks; node for node they are the same values, as frozen."""
+    got = parse_expression(line)
+    for node, want in zip(nodes(got), nodes(reference_parse_expression(line)), strict=True):
+        assert type(node) is type(want)
+        assert node == want and hash(node) == hash(want) and repr(node) == repr(want)
+        field = node.__match_args__[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, field, getattr(want, field))
+    assert pickle.loads(pickle.dumps(got)) == got == copy.deepcopy(got)
+
+
+@pytest.mark.parametrize("name", ["a\n", "a ", "", "1a", "a-b", "é", "a\u0301"])
+def test_atom_refuses_a_name_the_tokenizer_would_not_read(name):
+    with pytest.raises(ValueError, match="invalid atom name"):
+        Atom(name)
+
+
 @pytest.mark.parametrize("line", ["", "   ", "And(A", "And(A,", "And(A B)", "Not", "Not(A, B)", "Or(A)",
                                   "A B", "A)", "(A)", "And(,A)", "9", "a\x85b", "And(A,\xa0é)", "Iff(A,B,C)"])
 def test_parse_expression_errors_match(line):
@@ -126,6 +170,78 @@ def test_to_cnf_and_simplify_match_the_two_walk_conversion(exprs, cap):
         assert table.names() == reference_table.names()
         if got[0] == "ok":
             assert simplify_cnf(got[1]) == reference_simplify_cnf(got[1])
+
+
+@given(st.lists(expressions, min_size=1, max_size=3), st.integers(1, 40))
+def test_to_cnf_interns_in_atoms_order_also_when_it_fails(exprs, cap):
+    """One walk interns as it converts, and a failed conversion interns
+    the atoms it did not reach: either way a shared table ends with the
+    names ``atoms`` lists, after those it already held."""
+    table = SymbolTable()
+    table.intern("D")
+    expected = ["D"]
+    for expr in exprs:
+        try:
+            to_cnf(expr, table, cap)
+        except BlowupExceededError:
+            pass
+        expected += [name for name in atoms(expr) if name not in expected]
+        assert list(table.names()) == expected
+
+
+@pytest.mark.parametrize("line, cap, names", [
+    ("Iff(A, A)", 1, ("D", "A")),
+    ("And(Or(And(A, B), And(C, A)), E)", 3, ("D", "A", "B", "C", "E")),
+    ("Or(And(B, C), And(A, B), Not(Not(E)))", 2, ("D", "B", "C", "A", "E")),
+])
+def test_a_blowup_leaves_every_atom_interned(line, cap, names):
+    table, reference_table = SymbolTable(), SymbolTable()
+    for table_ in (table, reference_table):
+        table_.intern("D")
+    got = outcome(to_cnf, parse_expression(line), table, cap)
+    assert got[0] == "error" and got[1] is BlowupExceededError
+    assert got == outcome(reference_to_cnf, parse_expression(line), reference_table, cap)
+    assert table.names() == reference_table.names() == names
+
+
+literal_parts = st.one_of(
+    names.map(Atom), names.map(lambda n: Not(Atom(n))), names.map(lambda n: Not(Not(Atom(n))))
+)
+disjunctions = st.recursive(
+    st.lists(literal_parts, min_size=2, max_size=5).map(lambda c: Or(tuple(c))),
+    lambda sub: st.one_of(
+        st.lists(st.one_of(literal_parts, sub), min_size=2, max_size=4).map(lambda c: Or(tuple(c))),
+        st.lists(st.one_of(literal_parts, sub), min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+        sub.map(Not),
+    ),
+    max_leaves=10,
+)
+
+
+@given(disjunctions, st.one_of(st.just(DEFAULT_CLAUSE_CAP), st.integers(1, 12)))
+def test_disjunctions_of_literals_match_the_two_walk_conversion(expr, cap):
+    """Flat and nested disjunctions, whose literal parts become one
+    clause in a single loop, with repeated and doubly negated atoms."""
+    table, reference_table = SymbolTable(), SymbolTable()
+    got = outcome(to_cnf, expr, table, cap)
+    assert got == outcome(reference_to_cnf, expr, reference_table, cap)
+    assert table.names() == reference_table.names()
+
+
+@pytest.mark.parametrize("line, clauses", [
+    ("Or(A, A)", [(1, 1)]),
+    ("Or(A, Not(Not(A)), Not(A))", [(1, 1, -1)]),
+    ("Or(Not(B), A, Not(Not(C)))", [(-1, 2, 3)]),
+    ("Implies(Not(A), B)", [(1, 2)]),
+    ("Not(And(A, Not(B)))", [(-1, 2)]),
+    ("Or(A, Or(B, Not(C)), Not(Not(A)))", [(1, 2, -3, 1)]),
+    ("Or(A, And(B, C), Not(Not(A)))", [(1, 2, 1), (1, 3, 1)]),
+    ("Not(Iff(A, Not(B)))", [(1, -2), (-1, 2)]),
+])
+def test_literal_disjunctions_keep_order_and_duplicates(line, clauses):
+    expr = parse_expression(line)
+    assert list(to_cnf(expr).clauses) == clauses
+    assert to_cnf(expr) == reference_to_cnf(expr, SymbolTable(), DEFAULT_CLAUSE_CAP)
 
 
 @pytest.mark.parametrize("line", ["And(A, B, C, D, E, F, G, H)", "Or(And(A, B), And(C, D, E, F))",

@@ -1,7 +1,9 @@
+import importlib
 from pathlib import Path
 
 import pytest
 
+from satkit.logic import pipeline
 from satkit.logic.convert import SymbolTable, to_cnf
 from satkit.logic.parser import parse_expression
 from satkit.logic.pipeline import DocumentError, compile_document, conjoin
@@ -14,6 +16,7 @@ from satkit.logic.translate import (
 )
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PARAGRAPH = (
     "The workshop is open or the library is open. "
@@ -113,3 +116,26 @@ def test_each_sentence_is_parsed_once(stub, monkeypatch):
 def test_empty_document(stub):
     with pytest.raises(EmptyInputError):
         compile_document("   ", stub)
+
+
+class TestBenchmarkTracer:
+    """perfbench's tracer wraps the Lang2Logic stages by module and
+    function name from outside the package, so a rename in satkit would
+    otherwise break only a traced langsat-docs run."""
+
+    def test_traced_document_compilation(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spans = importlib.import_module("spans")
+        documents = importlib.import_module("documents")
+        docs = documents.make_documents(4, seed=1)
+        stub = StubTranslator.from_fixture_text(documents.fixture_text(docs))
+        tracer = spans.Tracer()
+        with tracer.installed():
+            for doc in docs:
+                pipeline.compile_document(doc.text, stub)
+        sentences = sum(len(doc.sentences) for doc in docs)
+        assert tracer.calls("logic.compile_document") == len(docs)
+        assert tracer.calls("logic.parse") == tracer.counters["logic.sentences"] == sentences
+        assert tracer.calls("logic.translate") == sentences
+        assert tracer.calls("logic.to_cnf") == tracer.calls("logic.simplify") == len(docs)
+        assert tracer.counters["logic.clauses_in"] >= tracer.counters["logic.clauses_out"] > 0

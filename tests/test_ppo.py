@@ -223,12 +223,19 @@ class TestAdam:
         params = [rng.standard_normal(4), rng.standard_normal(3)]
         grads = [np.ones(4), np.ones(3)]
         adam = Adam(params, lr=0.1)
+        adam.step(params, grads)
+        before = [[a.copy() for a in arrays] for arrays in (params, adam.m, adam.v)]
         if extra == "params":
             params.append(np.ones(2))
         else:
             grads.append(np.ones(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Adam steps 2 parameter arrays"):
             adam.step(params, grads)
+        # refused before anything moved: the step count, every parameter and both moments
+        assert adam.t == 1
+        for arrays, saved in zip((params, adam.m, adam.v), before):
+            for a, b in zip(arrays, saved):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "make",
