@@ -15,6 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
+# numpy loads with satkit.features and satkit.rl, so the commands that
+# run them (features, train, bench, --version and solve with any
+# heuristic but vsids) import them where they run; convert and
+# solve --heuristic vsids start without numpy.
 from . import __version__
 from .bench import (
     BASELINE,
@@ -29,21 +33,13 @@ from .bench import (
     summarize,
     write_summary_files,
 )
+from .config import PpoConfig
 from .dimacs import read_dimacs_file, write_dimacs
 from .errors import SatkitError
-from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_VERSION, extract_features
 from .logic.convert import DEFAULT_CLAUSE_CAP
 from .logic.parser import parse_expression
 from .logic.pipeline import compile_document, compile_expressions
 from .logic.translate import HttpTranslator, StubTranslator
-from .rl.policy import (
-    POLICY_FORMAT_VERSION,
-    Policy,
-    PpoConfig,
-    load_policy_file,
-    save_policy_file,
-)
-from .rl.train import TrainWindowLog, train
 from .solver.engine import SolveLimits, SolveStats, Solver, Verdict
 
 EXIT_OK = 0
@@ -123,6 +119,9 @@ def _build_parser() -> _Parser:
 
 
 def _print_versions() -> None:
+    from .features import FEATURE_SCHEMA_VERSION
+    from .rl.policy import POLICY_FORMAT_VERSION
+
     print(f"satkit {__version__}")
     print(f"policy-checkpoint-format {POLICY_FORMAT_VERSION}")
     print(f"feature-schema {FEATURE_SCHEMA_VERSION}")
@@ -196,6 +195,8 @@ def _cmd_solve(args) -> int:
     if args.heuristic != BASELINE:
         if not args.policy:
             raise _UsageError(f"--heuristic {args.heuristic} requires --policy FILE")
+        from .rl.policy import load_policy_file
+
         policy = load_policy_file(args.policy)
     heuristic = ENTRANTS[args.heuristic](policy, formula)
     result = Solver(formula, heuristic, _make_limits(args)).run()
@@ -213,6 +214,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .features import FEATURE_SCHEMA, extract_features
+
     if args.schema:
         for name in FEATURE_SCHEMA:
             print(name)
@@ -234,6 +237,9 @@ def _load_instances(args, expect_shape=None):
 
 
 def _cmd_train(args) -> int:
+    from .rl.policy import Policy, save_policy_file
+    from .rl.train import TrainWindowLog, train
+
     dataset = [inst.formula for inst in _load_instances(args)]
     shape = (dataset[0].num_vars, dataset[0].num_clauses)
     config = PpoConfig(
@@ -260,6 +266,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .rl.policy import load_policy_file
+
     policy = load_policy_file(args.policy)
     instances = _load_instances(args, policy.shape)
     records = run_comparison(instances, policy, _make_limits(args), args.reps)

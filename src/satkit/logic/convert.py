@@ -189,13 +189,16 @@ def simplify_cnf(formula: CnfFormula) -> CnfFormula:
 
     # A strict subset of a clause holds only literals of that clause, so
     # each clause is listed under its first literal and checked only
-    # against the clauses listed under its own literals.
+    # against the clauses listed under its own literals. A unit's only
+    # strict subset is the empty clause, which no formula holds, so a
+    # unit is kept unchecked.
     listed: dict[int, list[frozenset[int]]] = {}
     for codes, key in kept:
         listed.setdefault(codes[0], []).append(key)
     result = [
         codes
         for codes, key in kept
-        if not any(other < key for code in codes for other in listed.get(code, ()))
+        if len(codes) == 1
+        or not any(other < key for code in codes for other in listed.get(code, ()))
     ]
     return CnfFormula(formula.num_vars, result)

@@ -4,7 +4,10 @@ Translation itself is delegated to an external service; this module
 fixes the contract. ``StubTranslator`` answers from a fixture table and
 is what every test uses, so the suite never needs the network.
 ``HttpTranslator`` speaks the JSON contract to a live endpoint, with
-the credential taken from an environment variable. A reply whose
+the credential taken from an environment variable. It imports ``uuid``
+when it is built, and ``json`` and the HTTP client (``urllib.request``,
+which loads ``http.client`` and ``ssl``) on its first request, so a
+process that sends no request never loads them. A reply whose
 expression does not parse is rejected where it is parsed, in
 ``pipeline.compile_document``.
 
@@ -15,13 +18,9 @@ The first phrase recorded for an atom wins.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
-import urllib.error
-import urllib.request
-import uuid
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
@@ -126,6 +125,8 @@ class HttpTranslator:
     """
 
     def __init__(self, endpoint: str, timeout_s: float, api_key_env: str = DEFAULT_API_KEY_ENV):
+        import uuid
+
         if not (math.isfinite(timeout_s) and timeout_s > 0):
             raise LimitError(f"translator timeout must be finite and > 0, got {timeout_s}")
         self.endpoint = endpoint
@@ -136,6 +137,10 @@ class HttpTranslator:
         self._glossary_lock = threading.Lock()  # single-writer session glossary
 
     def translate(self, sentence: str) -> TranslationResponse:
+        import json
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {
                 "sentence": sentence,

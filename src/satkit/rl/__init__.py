@@ -1,13 +1,12 @@
 """Learned branching: observation encoding, actor-critic policy,
 clipped-surrogate policy optimization, and episode collection."""
 
+from ..config import ConfigError, PpoConfig
 from .observation import ShapeMismatchError
 from .policy import (
     AllMaskedError,
-    ConfigError,
     Policy,
     PolicyFormatError,
-    PpoConfig,
     VersionMismatchError,
     load_policy,
     load_policy_file,

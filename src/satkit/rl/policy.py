@@ -25,12 +25,12 @@ static blocks they share; its forward and backward passes are
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
+from ..config import ConfigError, PpoConfig
 from ..errors import SatkitError
 from .network import Mlp
 from .observation import flat_observation_dim
@@ -50,40 +50,6 @@ class PolicyFormatError(SatkitError):
 
 class VersionMismatchError(PolicyFormatError):
     pass
-
-
-class ConfigError(SatkitError, ValueError):
-    """A ``PpoConfig`` field or a policy seed is out of range."""
-
-
-@dataclass(frozen=True)
-class PpoConfig:
-    learning_rate: float = 2e-4
-    clip_epsilon: float = 0.2
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    epochs: int = 4
-    minibatch_size: int = 64
-    rollout_window: int = 2048
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    hidden_sizes: tuple[int, ...] = (256, 256)
-    episode_max_decisions: int = 500
-
-    def __post_init__(self) -> None:
-        for name in ("epochs", "minibatch_size", "rollout_window", "episode_max_decisions"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(size < 1 for size in self.hidden_sizes):
-            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        for name in ("learning_rate", "clip_epsilon", "entropy_coef", "value_coef"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("discount", "gae_lambda"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
 
 class Policy:

@@ -15,6 +15,7 @@ from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat
 from satkit.logic.convert import DEFAULT_CLAUSE_CAP
+from satkit.rl import policy as policy_module
 from satkit.rl import ppo
 from satkit.rl.policy import (
     Policy,
@@ -286,9 +287,11 @@ class TestFeatures:
 class TestTrainAndBench:
     def test_train_then_bench_end_to_end(self, tmp_path, capsys, monkeypatch):
         saved = []
-        real_save = cli.save_policy_file
-        monkeypatch.setattr(
-            cli, "save_policy_file", lambda p, path: saved.append(path) or real_save(p, path)
+        real_save = policy_module.save_policy_file
+        monkeypatch.setattr(  # train imports save_policy_file from rl.policy when it runs
+            policy_module,
+            "save_policy_file",
+            lambda p, path: saved.append(path) or real_save(p, path),
         )
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=8, num_vars=8, num_clauses=24, seed=5)

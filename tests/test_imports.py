@@ -1,13 +1,22 @@
 """Every module under src/satkit uses each name it imports, or lists it
 in ``__all__`` as a re-export; every name that a script under
 ``scripts/`` or the benchmark under ``perfbench/`` imports from satkit
-exists."""
+exists; ``convert`` and ``solve --heuristic vsids`` load neither numpy
+nor the HTTP client, and the learned entrant's timed set-up imports
+nothing."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import satkit
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satkit"
@@ -73,7 +82,11 @@ def test_the_scan_flags_unused_and_spares_used_and_exported_names():
 
 def missing_satkit_imports(source: str) -> list[str]:
     """``module.name`` for each ``from satkit... import name`` whose
-    module lacks the name."""
+    module neither defines the name nor has a submodule of that name.
+
+    A submodule is an attribute of its package only once something has
+    imported it, so it is looked up with ``find_spec``, which does not
+    depend on what this process happened to import before."""
     missing = []
     for node in ast.walk(ast.parse(source)):
         if (
@@ -83,7 +96,10 @@ def missing_satkit_imports(source: str) -> list[str]:
         ):
             module = importlib.import_module(node.module)
             missing.extend(
-                f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
+                f"{node.module}.{a.name}"
+                for a in node.names
+                if not hasattr(module, a.name)
+                and importlib.util.find_spec(f"{node.module}.{a.name}") is None
             )
     return missing
 
@@ -97,6 +113,79 @@ def test_script_imports_only_names_satkit_defines(path):
     assert missing_satkit_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_the_script_scan_flags_a_deleted_name():
-    source = "import os\nfrom satkit.solver import Solver, solve\nfrom satkit.cnf import CnfFormula\n"
-    assert missing_satkit_imports(source) == ["satkit.solver.solve"]
+def test_the_script_scan_flags_a_deleted_name(monkeypatch):
+    # As in a process that has not imported satkit.generators yet.
+    monkeypatch.delattr(satkit, "generators", raising=False)
+    monkeypatch.delitem(sys.modules, "satkit.generators", raising=False)
+    source = (
+        "import os\n"
+        "from satkit.solver import Solver, solve\n"
+        "from satkit.cnf import CnfFormula\n"
+        "from satkit import generators, plotting\n"
+    )
+    assert missing_satkit_imports(source) == ["satkit.solver.solve", "satkit.plotting"]
+
+
+# -- what each path loads -------------------------------------------------------
+
+def _run_fresh(code: str, *args: str) -> dict:
+    """The JSON object that ``code`` prints last, run with ``args`` in a
+    new interpreter that imports satkit from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_CONVERT_AND_SOLVE = """
+import contextlib, io, json, sys
+import satkit, satkit.logic, satkit.solver, satkit.bench, satkit.cli
+expr_path, cnf_path = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        satkit.cli.main(["convert", expr_path, "--mode", "expr", "--out", cnf_path]),
+        satkit.cli.main(["solve", cnf_path, "--heuristic", "vsids"]),
+    ]
+heavy = ["numpy", "urllib.request", "http.client"]
+print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_convert_and_a_vsids_solve_load_neither_numpy_nor_the_http_client(tmp_path):
+    expr_path = tmp_path / "e.txt"
+    expr_path.write_text("Or(A, B)\nImplies(A, Not(C))\n", encoding="utf-8")
+    out = _run_fresh(_CONVERT_AND_SOLVE, str(expr_path), str(tmp_path / "e.cnf"))
+    assert out == {"codes": [0, 10], "loaded": []}
+
+
+_RL_SET_UP = """
+import json, random, sys
+from satkit import bench
+from satkit.generators import planted_ksat
+before_load = "satkit.rl.heuristic" in sys.modules
+from satkit.rl.policy import load_policy_file
+policy = load_policy_file(sys.argv[1])
+after_load = "satkit.rl.heuristic" in sys.modules
+modules = set(sys.modules)
+bench.ENTRANTS["rl"](policy, planted_ksat(6, 20, random.Random(0)))
+print(json.dumps({
+    "before_load": before_load,
+    "after_load": after_load,
+    "imported_by_set_up": sorted(set(sys.modules) - modules),
+}))
+"""
+
+
+def test_the_rl_set_up_that_run_comparison_times_imports_nothing(tmp_path):
+    from satkit.rl.policy import Policy, PpoConfig, save_policy_file
+
+    path = tmp_path / "policy.bin"
+    save_policy_file(Policy(6, 20, PpoConfig(hidden_sizes=(8,)), seed=0), path)
+    out = _run_fresh(_RL_SET_UP, str(path))
+    assert out == {"before_load": False, "after_load": True, "imported_by_set_up": []}

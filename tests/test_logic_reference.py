@@ -260,3 +260,14 @@ literals = st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v]))
 def test_simplify_cnf_matches_all_pairs_subsumption(clauses):
     formula = CnfFormula(6, clauses)
     assert simplify_cnf(formula) == reference_simplify_cnf(formula)
+
+
+units = st.lists(literals, min_size=1, max_size=1)
+
+
+@given(st.lists(st.one_of(units, units, st.lists(literals, min_size=2, max_size=4)), max_size=30))
+def test_simplify_cnf_matches_all_pairs_subsumption_on_unit_rich_cnfs(clauses):
+    # Two thirds of the clauses are units: repeated, complementary, and
+    # subsuming longer clauses.
+    formula = CnfFormula(6, clauses)
+    assert simplify_cnf(formula) == reference_simplify_cnf(formula)
