@@ -6,14 +6,15 @@ Implies / Iff (binary). Trees are immutable and hashable.
 Each node kind has one module-private constructor (``_atom``, ``_not``,
 ``_and``, ``_or``, ``_implies``, ``_iff``), the only place its fields
 are set. The public constructors, each class's ``__new__``, check
-their arguments (an ASCII identifier for an atom's name, two or more
-children for And and Or) and then call it. The parser, which has
-already checked the spelling and arity of what it read, and the CNF
-conversion call it directly, so a node they build costs no second
-check and no dataclass ``__init__``. The classes are frozen
-dataclasses without a generated ``__init__``: equality, hashing,
-``repr``, pattern matching and ``FrozenInstanceError`` on assignment
-are the dataclass ones.
+their arguments (an ASCII identifier that is not an operator keyword
+for an atom's name, two or more children for And and Or) and then call
+it. The parser, which has already checked the spelling and arity of
+what it read, and the CNF conversion call it directly, so a node they
+build costs no second check and no dataclass ``__init__``. The
+keywords and their arities are ``_OPERATORS``, which the parser reads
+as its operator table. The classes are frozen dataclasses without a
+generated ``__init__``: equality, hashing, ``repr``, pattern matching
+and ``FrozenInstanceError`` on assignment are the dataclass ones.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class Atom(_Node):
     def __new__(cls, name: str) -> Atom:
         if not isinstance(name, str):
             raise TypeError(f"atom name must be a str, got {type(name).__name__}")
-        if not (name.isascii() and name.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
+        # [A-Za-z_][A-Za-z0-9_]*, and not a keyword, so that the parser reads it back
+        if not (name.isascii() and name.isidentifier()) or name in _OPERATORS:
             raise ValueError(f"invalid atom name {name!r}")
         return _atom(name)
 
@@ -134,6 +136,19 @@ def _iff(lhs: LogicalExpr, rhs: LogicalExpr) -> Iff:
     _set(node, "lhs", lhs)
     _set(node, "rhs", rhs)
     return node
+
+
+# The grammar's operator keywords, which no atom may be named: keyword ->
+# (min_arity, max_arity or None for unbounded, node constructor). The
+# parser checks an operator's arity against it and then builds the node
+# with the constructor, which checks nothing.
+_OPERATORS = {
+    "And": (2, None, _and),
+    "Or": (2, None, _or),
+    "Not": (1, 1, _not),
+    "Implies": (2, 2, _implies),
+    "Iff": (2, 2, _iff),
+}
 
 
 def atoms(expr: LogicalExpr) -> list[str]:

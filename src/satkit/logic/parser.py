@@ -25,7 +25,7 @@ import re
 from itertools import accumulate
 
 from ..errors import SatkitError
-from .expressions import LogicalExpr, _and, _atom, _iff, _implies, _not, _or
+from .expressions import _OPERATORS, LogicalExpr, _atom
 
 _TOKEN = re.compile(r"[(),]|[A-Za-z_][A-Za-z0-9_]*")
 # A character that is neither whitespace nor in a token: anything outside
@@ -33,17 +33,6 @@ _TOKEN = re.compile(r"[(),]|[A-Za-z_][A-Za-z0-9_]*")
 _BAD_CHARACTER = re.compile(r"[^\sA-Za-z0-9_(),]|(?<![A-Za-z0-9_])[0-9]")
 _END = ""
 _NOT_AN_IDENTIFIER = frozenset(("(", ")", ",", _END))
-
-# operator name -> (min_arity, max_arity or None for unbounded, node
-# constructor); the arity is checked here, so the nodes are built with
-# the constructors that check nothing
-_OPERATORS = {
-    "And": (2, None, _and),
-    "Or": (2, None, _or),
-    "Not": (1, 1, _not),
-    "Implies": (2, 2, _implies),
-    "Iff": (2, 2, _iff),
-}
 _NOT_AN_ATOM = _NOT_AN_IDENTIFIER | frozenset(_OPERATORS)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
@@ -28,6 +29,12 @@ from ..errors import LimitError, SatkitError
 
 INSTRUCTION_TEMPLATE = "functional-prefix-v1"
 DEFAULT_API_KEY_ENV = "SATKIT_TRANSLATOR_API_KEY"
+
+# What a glossary phrase may not hold, since it becomes one field of one
+# UTF-8 row of the ``--map`` table: the tab, every line boundary that
+# ``str.splitlines`` splits at, and the lone surrogates that a JSON
+# ``\ud800`` escape can produce and UTF-8 cannot encode.
+_NOT_IN_PHRASE = re.compile("[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 class TranslatorError(SatkitError):
@@ -119,9 +126,11 @@ class HttpTranslator:
     Request body: {"sentence", "session_id", "instruction_template"},
     with a fresh ``session_id`` per client and the template
     ``INSTRUCTION_TEMPLATE``. Expected reply: {"expression": str,
-    "glossary": {atom: phrase}}. Each request waits up to ``timeout_s``
-    seconds, which must be finite and > 0 (a ``LimitError`` otherwise,
-    raised before any connection is made).
+    "glossary": {atom: phrase}}, where ``glossary`` may be left out and
+    each phrase is a string with no tab and no line break; any other
+    reply is a ``MalformedTranslationError``. Each request waits up to
+    ``timeout_s`` seconds, which must be finite and > 0 (a
+    ``LimitError`` otherwise, raised before any connection is made).
     """
 
     def __init__(self, endpoint: str, timeout_s: float, api_key_env: str = DEFAULT_API_KEY_ENV):
@@ -163,14 +172,19 @@ class HttpTranslator:
         try:
             payload = json.loads(raw)
             expression = payload["expression"]
-            glossary = dict(payload.get("glossary", {}))
+            glossary = payload.get("glossary", {})
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             raise MalformedTranslationError("reply is not the expected JSON shape", raw) from None
         if not isinstance(expression, str):
             raise MalformedTranslationError("'expression' is not a string", raw)
+        if not (
+            isinstance(glossary, dict)
+            and all(isinstance(p, str) and not _NOT_IN_PHRASE.search(p) for p in glossary.values())
+        ):
+            raise MalformedTranslationError("'glossary' is not an object of one-line phrases", raw)
         with self._glossary_lock:
             for atom, phrase in glossary.items():
-                self.glossary.setdefault(str(atom), str(phrase))
+                self.glossary.setdefault(atom, phrase)
         return TranslationResponse(expression, glossary)
 
 

@@ -4,16 +4,18 @@ The solver follows the classic loop: decide, propagate to fixpoint,
 and on conflict learn the first-UIP clause, jump back to its assertion
 level and continue. The branching step is a pluggable heuristic that
 reads the solver's value list and returns the literal to branch on as
-a DIMACS code, the way MiniSat's ``pickBranchLit`` does. A run is
-deterministic given (formula, heuristic, seed): every iteration
-order is fixed and there is no wall-clock dependence except the
-timeout check itself.
+a DIMACS code, the way MiniSat's ``pickBranchLit`` does. The search
+jumps back only to a learned clause's assertion level, and every
+learned clause is kept for the rest of the run. With a deterministic
+heuristic, a seeded one included, a run is deterministic given the
+formula: every iteration order is fixed and there is no wall-clock
+dependence except the timeout check itself.
 
 The watch table ``Solver.watches`` is a list of ``2n + 1`` lists indexed
 by literal code: slot v holds the clauses watching +v and slot
 ``2n + 1 - v`` those watching -v, so ``watches[lit]`` works directly
 for a negative ``lit`` through Python's negative indexing (slot 0 is
-unused). Every live clause of length >= 2 is listed exactly once under
+unused). Every clause of length >= 2 is listed exactly once under
 each of its two watched literals, slots 0 and 1 of the clause. The hot
 loops read ``values`` inline with a sign test in place of
 ``lit_value``: ``values[l - 1] if l > 0 else -values[-l - 1]`` is > 0
@@ -22,10 +24,7 @@ for a true literal, < 0 for a false one and 0 for an unassigned one.
 Satisfiability is declared as soon as every original clause evaluates
 true; a partial assignment is completed from saved phases before the
 model is verified and returned. Unsatisfiability is declared exactly
-on a conflict at decision level 0. Restarts (``restart_interval``) and
-learned-clause deletion (``max_learned_factor``) are off when ``None``,
-the default, which keeps benchmark runs reproducible
-decision-for-decision.
+on a conflict at decision level 0.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ from typing import Optional
 
 from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
 from ..errors import LimitError
-
-
-RESTART_MULTIPLIER = 1.5  # growth of the restart threshold per restart
 
 
 class Verdict(str, Enum):
@@ -68,7 +64,6 @@ class SolveStats:
     conflicts: int = 0
     propagations: int = 0  # implied assignments appended by BCP
     learned: int = 0
-    restarts: int = 0
     wall_time_s: float = 0.0
 
 
@@ -106,19 +101,10 @@ class Heuristic:
 
 
 class Solver:
-    def __init__(
-        self,
-        formula: CnfFormula,
-        heuristic: Heuristic,
-        limits: Optional[SolveLimits] = None,
-        restart_interval: Optional[int] = None,
-        max_learned_factor: Optional[float] = None,
-    ):
+    def __init__(self, formula: CnfFormula, heuristic: Heuristic, limits: Optional[SolveLimits] = None):
         self.formula = formula
         self.heuristic = heuristic
         self.limits = limits or SolveLimits()
-        self.restart_threshold = restart_interval  # None: no restarts
-        self.max_learned_factor = max_learned_factor  # None: no deletion
 
         n = formula.num_vars
         self.num_vars = n
@@ -135,7 +121,7 @@ class Solver:
         # copies, index-aligned with formula.clauses), then learned
         # ones. Watched literals sit at slots 0 and 1. Size-1 clauses
         # are asserted at level 0 instead of being watched.
-        self.clauses: list[Optional[list[int]]] = []
+        self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self._unit_clauses: list[int] = []
         for idx, clause in enumerate(formula.clauses):
@@ -146,9 +132,6 @@ class Solver:
             else:
                 self.watches[codes[0]].append(idx)
                 self.watches[codes[1]].append(idx)
-        self.num_original = len(self.clauses)
-        self.num_live_learned = 0  # learned clauses not yet deleted
-        self._conflicts_since_restart = 0
 
     # -- state inspection ------------------------------------------------
 
@@ -309,7 +292,6 @@ class Solver:
             self.watches[learned[0]].append(idx)
             self.watches[learned[1]].append(idx)
         self.stats.learned += 1
-        self.num_live_learned += 1
         return idx
 
     def backjump(self, target_level: int) -> None:
@@ -331,27 +313,6 @@ class Solver:
         del trail[keep:]
         del trail_lim[target_level:]
         self.qhead = keep
-
-    # -- learned clause deletion (off by default) ---------------------------
-
-    def _reduce_learned(self) -> None:
-        locked = {
-            self.reason[abs(lit)]
-            for lit in self.trail
-            if self.reason[abs(lit)] is not None
-        }
-        candidates = [
-            ci
-            for ci in range(self.num_original, len(self.clauses))
-            if self.clauses[ci] is not None and ci not in locked
-        ]
-        candidates.sort(key=lambda ci: (len(self.clauses[ci]), ci))
-        for ci in candidates[len(candidates) // 2 :]:
-            clause = self.clauses[ci]
-            for w in clause[:2]:
-                self.watches[w].remove(ci)
-            self.clauses[ci] = None
-            self.num_live_learned -= 1
 
     # -- main loop ------------------------------------------------------
 
@@ -421,7 +382,6 @@ class Solver:
             conflict = self.propagate()
             while conflict is not None:
                 self.stats.conflicts += 1
-                self._conflicts_since_restart += 1
                 if self.current_level == 0:
                     verdict = Verdict.UNSAT
                     break
@@ -437,22 +397,3 @@ class Solver:
             self.heuristic.on_step(self)
             if verdict is not None:
                 return self._finish(verdict, started)
-
-            if (
-                self.restart_threshold is not None
-                and self._conflicts_since_restart >= self.restart_threshold
-                and self.current_level > 0
-            ):
-                self.backjump(0)
-                self._conflicts_since_restart = 0
-                threshold = self.restart_threshold
-                # Grow by at least one, or an interval of 1 restarts after
-                # every conflict forever (int(1 * 1.5) == 1).
-                self.restart_threshold = max(threshold + 1, int(threshold * RESTART_MULTIPLIER))
-                self.stats.restarts += 1
-            if (
-                self.max_learned_factor is not None
-                and self.num_live_learned
-                > self.max_learned_factor * max(1, self.num_original)
-            ):
-                self._reduce_learned()

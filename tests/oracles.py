@@ -732,13 +732,13 @@ def reference_extract_features(formula: CnfFormula) -> np.ndarray:
 
 
 def check_watch_invariants(solver) -> None:
-    """The solver's watch table lists every live clause of length >= 2
+    """The solver's watch table lists every clause of length >= 2
     exactly once under each of its two watched literals, slots 0 and 1."""
     n = solver.num_vars
     assert len(solver.watches) == 2 * n + 1 and not solver.watches[0], "watch table shape"
     expected = set()
     for ci, clause in enumerate(solver.clauses):
-        if clause is not None and len(clause) >= 2:
+        if len(clause) >= 2:
             assert clause[0] != clause[1], "clause watches one literal twice"
             expected.add((clause[0], ci))
             expected.add((clause[1], ci))

@@ -140,7 +140,9 @@ def test_parsed_nodes_are_the_public_constructors_nodes(line):
     assert pickle.loads(pickle.dumps(got)) == got == copy.deepcopy(got)
 
 
-@pytest.mark.parametrize("name", ["a\n", "a ", "", "1a", "a-b", "é", "a\u0301"])
+@pytest.mark.parametrize(
+    "name", ["a\n", "a ", "", "1a", "a-b", "é", "a\u0301", "And", "Or", "Not", "Implies", "Iff"]
+)
 def test_atom_refuses_a_name_the_tokenizer_would_not_read(name):
     with pytest.raises(ValueError, match="invalid atom name"):
         Atom(name)

@@ -187,45 +187,33 @@ class CheckedHeuristic(PolicyHeuristic):
         self.checks += 1
 
 
-SOLVER_FLAGS = [
-    dict(restart_interval=2 if restarts else None, max_learned_factor=0.02 if deletion else None)
-    for restarts in (False, True)
-    for deletion in (False, True)
-]
 # Greedy unrecorded runs, and sampled recorded ones.
 RECORD = dict(argnames="record", argvalues=[False, True], ids=["greedy-False", "sample-True"])
 
 
-def checked_solve(formula, flags, record, seed=0):
+def checked_solve(formula, record, seed=0):
     policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
     heuristic = CheckedHeuristic(policy, formula, np.random.default_rng(seed) if record else None)
-    solver = Solver(formula, heuristic, SolveLimits(max_decisions=2000), **flags)
-    result = solver.run()
-    return heuristic, result, solver.num_live_learned
+    result = Solver(formula, heuristic, SolveLimits(max_decisions=2000)).run()
+    return heuristic, result
 
 
-@pytest.mark.parametrize("flags", SOLVER_FLAGS)
 @pytest.mark.parametrize(**RECORD)
 @settings(max_examples=50, deadline=None)
 @given(formula=formulas_with_repeats(max_vars=12), seed=st.integers(0, 1000))
-def test_clause_status_equals_the_reference_at_every_step(flags, record, formula, seed):
-    heuristic, result, _ = checked_solve(formula, flags, record, seed)
+def test_clause_status_equals_the_reference_at_every_step(record, formula, seed):
+    heuristic, result = checked_solve(formula, record, seed)
     assert heuristic.checks == 2 * result.stats.decisions
 
 
-@pytest.mark.parametrize("flags", SOLVER_FLAGS)
 @pytest.mark.parametrize(**RECORD)
-def test_the_checked_runs_restart_delete_and_backjump(flags, record):
-    """On these 3-SAT instances the flags take effect, so the tracker is
-    checked across backjumps, restarts and learned-clause deletions."""
-    restarts = deletions = conflicts = 0
+def test_the_checked_runs_backjump(record):
+    """These 3-SAT instances reach conflicts, so the tracker is checked
+    across backjumps."""
+    conflicts = 0
     for k in range(4):
         formula = random_ksat(16, 72, random.Random(k))
-        heuristic, result, live_learned = checked_solve(formula, flags, record, k)
+        heuristic, result = checked_solve(formula, record, k)
         assert heuristic.checks == 2 * result.stats.decisions
         conflicts += result.stats.conflicts
-        restarts += result.stats.restarts
-        deletions += result.stats.learned - live_learned
     assert conflicts > 0
-    assert (restarts > 0) == (flags["restart_interval"] is not None)
-    assert (deletions > 0) == (flags["max_learned_factor"] is not None)

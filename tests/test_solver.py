@@ -285,45 +285,6 @@ class TestSolve:
 
         assert run_stats(7) == run_stats(7)
 
-    def test_live_learned_counter_tracks_deletions(self):
-        rng = random.Random(32)
-        deleted = 0
-        for _ in range(10):
-            f = random_ksat(30, 128, rng)
-            plain = Solver(f, VsidsHeuristic(30)).run().verdict
-            solver = Solver(
-                f,
-                VsidsHeuristic(30),
-                restart_interval=5,
-                max_learned_factor=0.1,
-            )
-            assert solver.run().verdict == plain
-            live = solver.clauses[solver.num_original :]
-            assert solver.num_live_learned == sum(c is not None for c in live)
-            deleted += solver.num_live_learned < solver.stats.learned
-        assert deleted, "no run reached learned-clause deletion"
-
-    def test_restart_interval_one_still_terminates(self):
-        # int(1 * 1.5) == 1, so a threshold grown by the multiplier alone
-        # restarted after every conflict and, with clause deletion, this
-        # greedy policy cycled until the decision limit.
-        from satkit.rl.heuristic import PolicyHeuristic
-        from satkit.rl.policy import Policy, PpoConfig
-
-        f = random_ksat(10, 45, random.Random(1))
-        policy = Policy(10, 45, PpoConfig(hidden_sizes=(8,)), seed=1)
-        solver = Solver(
-            f,
-            PolicyHeuristic(policy, f),
-            SolveLimits(max_decisions=20000),
-            restart_interval=1,
-            max_learned_factor=0.02,
-        )
-        result = solver.run()
-        assert result.verdict != Verdict.UNKNOWN
-        assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)
-        assert result.stats.restarts >= 1
-
     def test_empty_formula_is_sat(self):
         f = CnfFormula(2, ())
         result = Solver(f, VsidsHeuristic(2)).run()
@@ -342,163 +303,34 @@ class TestSolve:
 # core cannot change which literals it decides, propagates or learns.
 # Instance i is random_ksat(n, round(4.26 * n), random.Random(1000 + i))
 # with n = GOLDEN_SIZES[i]; "random" runs use RandomHeuristic(seed=i).
-# Each entry lists (verdict, decisions, conflicts, propagations, learned,
-# restarts) for (restarts, deletion) = off/off, off/on, on/off, on/on,
-# with restart_interval=20 and max_learned_factor=0.25.
+# Each entry is (verdict, decisions, conflicts, propagations, learned).
 GOLDEN_SIZES = (30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 60)
-GOLDEN_FLAGS = ((False, False), (False, True), (True, False), (True, True))
 GOLDEN_RUNS = {
-    (0, "vsids"): (
-        ("UNSAT", 36, 30, 327, 29, 0),
-        ("UNSAT", 36, 30, 327, 29, 0),
-        ("UNSAT", 37, 30, 329, 29, 1),
-        ("UNSAT", 37, 30, 329, 29, 1),
-    ),
-    (0, "random"): (
-        ("UNSAT", 43, 36, 429, 35, 0),
-        ("UNSAT", 43, 36, 429, 35, 0),
-        ("UNSAT", 67, 50, 597, 49, 1),
-        ("UNSAT", 67, 50, 599, 49, 1),
-    ),
-    (1, "vsids"): (
-        ("SAT", 7, 0, 26, 0, 0),
-        ("SAT", 7, 0, 26, 0, 0),
-        ("SAT", 7, 0, 26, 0, 0),
-        ("SAT", 7, 0, 26, 0, 0),
-    ),
-    (1, "random"): (
-        ("SAT", 13, 7, 106, 7, 0),
-        ("SAT", 13, 7, 106, 7, 0),
-        ("SAT", 13, 7, 106, 7, 0),
-        ("SAT", 13, 7, 106, 7, 0),
-    ),
-    (2, "vsids"): (
-        ("SAT", 11, 7, 159, 7, 0),
-        ("SAT", 11, 7, 159, 7, 0),
-        ("SAT", 11, 7, 159, 7, 0),
-        ("SAT", 11, 7, 159, 7, 0),
-    ),
-    (2, "random"): (
-        ("SAT", 31, 21, 306, 21, 0),
-        ("SAT", 31, 21, 306, 21, 0),
-        ("SAT", 120, 86, 1167, 86, 2),
-        ("SAT", 111, 80, 1083, 80, 2),
-    ),
-    (3, "vsids"): (
-        ("UNSAT", 71, 59, 680, 58, 0),
-        ("UNSAT", 72, 59, 706, 58, 0),
-        ("UNSAT", 74, 59, 687, 58, 2),
-        ("UNSAT", 75, 59, 713, 58, 2),
-    ),
-    (3, "random"): (
-        ("UNSAT", 117, 78, 1017, 77, 0),
-        ("UNSAT", 122, 81, 1049, 80, 0),
-        ("UNSAT", 142, 98, 1247, 97, 3),
-        ("UNSAT", 141, 96, 1239, 95, 2),
-    ),
-    (4, "vsids"): (
-        ("SAT", 63, 40, 561, 40, 0),
-        ("SAT", 63, 40, 561, 40, 0),
-        ("SAT", 63, 38, 564, 38, 1),
-        ("SAT", 63, 38, 564, 38, 1),
-    ),
-    (4, "random"): (
-        ("SAT", 84, 52, 792, 52, 0),
-        ("SAT", 84, 52, 792, 52, 0),
-        ("SAT", 176, 111, 1677, 111, 3),
-        ("SAT", 265, 185, 2834, 185, 4),
-    ),
-    (5, "vsids"): (
-        ("SAT", 12, 4, 82, 4, 0),
-        ("SAT", 12, 4, 82, 4, 0),
-        ("SAT", 12, 4, 82, 4, 0),
-        ("SAT", 12, 4, 82, 4, 0),
-    ),
-    (5, "random"): (
-        ("SAT", 17, 7, 171, 7, 0),
-        ("SAT", 17, 7, 171, 7, 0),
-        ("SAT", 17, 7, 171, 7, 0),
-        ("SAT", 17, 7, 171, 7, 0),
-    ),
-    (6, "vsids"): (
-        ("SAT", 58, 43, 707, 43, 0),
-        ("SAT", 58, 43, 707, 43, 0),
-        ("SAT", 60, 39, 664, 39, 1),
-        ("SAT", 60, 39, 664, 39, 1),
-    ),
-    (6, "random"): (
-        ("SAT", 155, 113, 2003, 113, 0),
-        ("SAT", 240, 169, 2813, 169, 0),
-        ("SAT", 153, 109, 1778, 109, 3),
-        ("SAT", 155, 102, 1665, 102, 3),
-    ),
-    (7, "vsids"): (
-        ("UNSAT", 70, 60, 1158, 59, 0),
-        ("UNSAT", 70, 60, 1155, 59, 0),
-        ("UNSAT", 74, 55, 988, 54, 1),
-        ("UNSAT", 74, 55, 988, 54, 1),
-    ),
-    (7, "random"): (
-        ("UNSAT", 271, 195, 3127, 194, 0),
-        ("UNSAT", 207, 146, 2311, 145, 0),
-        ("UNSAT", 203, 140, 2405, 139, 3),
-        ("UNSAT", 212, 134, 2304, 133, 3),
-    ),
-    (8, "vsids"): (
-        ("UNSAT", 97, 82, 1527, 81, 0),
-        ("UNSAT", 99, 83, 1533, 82, 0),
-        ("UNSAT", 93, 69, 1171, 68, 2),
-        ("UNSAT", 93, 69, 1164, 68, 2),
-    ),
-    (8, "random"): (
-        ("UNSAT", 161, 116, 1999, 115, 0),
-        ("UNSAT", 237, 170, 2944, 169, 0),
-        ("UNSAT", 427, 313, 5580, 312, 5),
-        ("UNSAT", 388, 294, 5039, 293, 5),
-    ),
-    (9, "vsids"): (
-        ("SAT", 51, 26, 496, 26, 0),
-        ("SAT", 51, 26, 496, 26, 0),
-        ("SAT", 52, 26, 499, 26, 1),
-        ("SAT", 52, 26, 499, 26, 1),
-    ),
-    (9, "random"): (
-        ("SAT", 46, 19, 351, 19, 0),
-        ("SAT", 46, 19, 351, 19, 0),
-        ("SAT", 46, 19, 351, 19, 0),
-        ("SAT", 46, 19, 351, 19, 0),
-    ),
-    (10, "vsids"): (
-        ("UNSAT", 138, 117, 2246, 116, 0),
-        ("UNSAT", 143, 118, 2297, 117, 0),
-        ("UNSAT", 146, 114, 2395, 113, 3),
-        ("UNSAT", 146, 113, 2448, 112, 3),
-    ),
-    (10, "random"): (
-        ("UNSAT", 302, 217, 4049, 216, 0),
-        ("UNSAT", 342, 235, 4429, 234, 0),
-        ("UNSAT", 643, 439, 8355, 438, 6),
-        ("UNSAT", 564, 369, 6948, 368, 5),
-    ),
-    (11, "vsids"): (
-        ("UNSAT", 118, 89, 1650, 88, 0),
-        ("UNSAT", 114, 90, 1662, 89, 0),
-        ("UNSAT", 175, 127, 2437, 126, 3),
-        ("UNSAT", 191, 134, 2448, 133, 3),
-    ),
-    (11, "random"): (
-        ("UNSAT", 316, 218, 4027, 217, 0),
-        ("UNSAT", 458, 333, 6458, 332, 0),
-        ("UNSAT", 798, 538, 10273, 537, 6),
-        ("UNSAT", 419, 281, 5294, 280, 5),
-    ),
+    (0, "vsids"): ("UNSAT", 36, 30, 327, 29),
+    (0, "random"): ("UNSAT", 43, 36, 429, 35),
+    (1, "vsids"): ("SAT", 7, 0, 26, 0),
+    (1, "random"): ("SAT", 13, 7, 106, 7),
+    (2, "vsids"): ("SAT", 11, 7, 159, 7),
+    (2, "random"): ("SAT", 31, 21, 306, 21),
+    (3, "vsids"): ("UNSAT", 71, 59, 680, 58),
+    (3, "random"): ("UNSAT", 117, 78, 1017, 77),
+    (4, "vsids"): ("SAT", 63, 40, 561, 40),
+    (4, "random"): ("SAT", 84, 52, 792, 52),
+    (5, "vsids"): ("SAT", 12, 4, 82, 4),
+    (5, "random"): ("SAT", 17, 7, 171, 7),
+    (6, "vsids"): ("SAT", 58, 43, 707, 43),
+    (6, "random"): ("SAT", 155, 113, 2003, 113),
+    (7, "vsids"): ("UNSAT", 70, 60, 1158, 59),
+    (7, "random"): ("UNSAT", 271, 195, 3127, 194),
+    (8, "vsids"): ("UNSAT", 97, 82, 1527, 81),
+    (8, "random"): ("UNSAT", 161, 116, 1999, 115),
+    (9, "vsids"): ("SAT", 51, 26, 496, 26),
+    (9, "random"): ("SAT", 46, 19, 351, 19),
+    (10, "vsids"): ("UNSAT", 138, 117, 2246, 116),
+    (10, "random"): ("UNSAT", 302, 217, 4049, 216),
+    (11, "vsids"): ("UNSAT", 118, 89, 1650, 88),
+    (11, 'random'): ('UNSAT', 316, 218, 4027, 217),
 }
-
-
-FLAG_COMBINATIONS = [
-    pytest.param(restarts, deletion, id=f"restarts={restarts}-deletion={deletion}")
-    for restarts, deletion in GOLDEN_FLAGS
-]
 
 
 class InvariantChecking(Heuristic):
@@ -531,43 +363,24 @@ class TestGoldenRuns:
     def test_counts_match_the_pinned_table(self, heuristic):
         for i, n in enumerate(GOLDEN_SIZES):
             f = random_ksat(n, round(4.26 * n), random.Random(1000 + i))
-            for (restarts, deletion), expected in zip(GOLDEN_FLAGS, GOLDEN_RUNS[i, heuristic]):
-                h = VsidsHeuristic(n) if heuristic == "vsids" else RandomHeuristic(seed=i)
-                result = Solver(
-                    f,
-                    h,
-                    restart_interval=20 if restarts else None,
-                    max_learned_factor=0.25 if deletion else None,
-                ).run()
-                s = result.stats
-                got = (result.verdict.value, s.decisions, s.conflicts, s.propagations, s.learned, s.restarts)
-                assert got == expected, (i, heuristic, restarts, deletion)
+            h = VsidsHeuristic(n) if heuristic == "vsids" else RandomHeuristic(seed=i)
+            result = Solver(f, h).run()
+            s = result.stats
+            got = (result.verdict.value, s.decisions, s.conflicts, s.propagations, s.learned)
+            assert got == GOLDEN_RUNS[i, heuristic], (i, heuristic)
 
 
-class TestFlagCombinations:
+class TestBruteForceOracle:
     @pytest.mark.parametrize("heuristic", ["vsids", "random"])
-    @pytest.mark.parametrize("restarts, deletion", FLAG_COMBINATIONS)
-    def test_verdicts_match_brute_force(self, restarts, deletion, heuristic):
+    def test_verdicts_match_brute_force(self, heuristic):
         rng = random.Random(41)
-        restarted = deleted = 0
         for i in range(40):
             num_vars = rng.randint(8, 12)
             f = random_ksat(num_vars, round(4.26 * num_vars), rng)
             inner = VsidsHeuristic(num_vars) if heuristic == "vsids" else RandomHeuristic(seed=i)
-            solver = Solver(
-                f,
-                InvariantChecking(inner),
-                restart_interval=3 if restarts else None,
-                max_learned_factor=0.05 if deletion else None,
-            )
+            solver = Solver(f, InvariantChecking(inner))
             result = solver.run()
             assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)
             if result.verdict == Verdict.SAT:
                 assert model_satisfies(f, result.model)
                 solver._verify_model(result.model)
-            live = solver.clauses[solver.num_original :]
-            assert solver.num_live_learned == sum(c is not None for c in live)
-            restarted += solver.stats.restarts > 0
-            deleted += solver.num_live_learned < solver.stats.learned
-        assert bool(restarted) == restarts, "restarts ran exactly when enabled"
-        assert bool(deleted) == deletion, "clause deletion ran exactly when enabled"

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from satkit.cli import main
 from satkit.errors import LimitError
 from satkit.logic.pipeline import DocumentError, compile_document
 from satkit.logic.translate import (
@@ -144,3 +145,38 @@ class TestHttpClient:
         _Handler.reply = json.dumps({"expression": "Or(P"}).encode()
         client = HttpTranslator(http_server, timeout_s=5)
         assert_malformed_reply(client, "Anything goes here.", "Or(P")
+
+    @pytest.mark.parametrize(
+        "glossary",
+        [
+            pytest.param("abc", id="string"),
+            pytest.param(["P", "rain"], id="list"),
+            pytest.param({"P": None}, id="null-phrase"),
+            pytest.param({"P": 1}, id="number-phrase"),
+            pytest.param({"P": "rain\nfall"}, id="line-break"),
+            pytest.param({"P": "rain\tfall"}, id="tab"),
+            pytest.param({"P": "\ud800"}, id="lone-surrogate"),
+        ],
+    )
+    def test_glossary_that_is_not_one_line_phrases_is_malformed(self, http_server, glossary):
+        _Handler.status = 200
+        _Handler.reply = json.dumps({"expression": "P", "glossary": glossary}).encode()
+        client = HttpTranslator(http_server, timeout_s=5)
+        with pytest.raises(MalformedTranslationError) as exc_info:
+            client.translate("It rains.")
+        assert exc_info.value.raw == _Handler.reply.decode()
+        assert client.glossary == {}
+
+    @pytest.mark.parametrize(
+        "glossary", ["abc", {"P": None}, {"P": "rain\nfall"}], ids=["string", "null", "line-break"]
+    )
+    def test_convert_exits_2_on_a_bad_glossary(self, http_server, tmp_path, capsys, glossary):
+        _Handler.status = 200
+        _Handler.reply = json.dumps({"expression": "P", "glossary": glossary}).encode()
+        src = tmp_path / "doc.txt"
+        src.write_text("It rains.")
+        argv = ["convert", str(src), "--mode", "english", "--translator", http_server]
+        code = main(argv + ["--out", str(tmp_path / "doc.cnf"), "--map", str(tmp_path / "m.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.tsv").exists()
