@@ -30,6 +30,22 @@ class ScriptedHeuristic(Heuristic):
         return self.queue.pop(0)
 
 
+HEURISTICS = ["vsids", "random", "policy"]
+
+
+def make_heuristic(name, formula, seed):
+    """A fresh VSIDS, seeded random or untrained greedy policy heuristic."""
+    if name == "vsids":
+        return VsidsHeuristic(formula.num_vars)
+    if name == "random":
+        return RandomHeuristic(seed=seed)
+    from satkit.rl.heuristic import PolicyHeuristic
+    from satkit.rl.policy import Policy, PpoConfig
+
+    policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
+    return PolicyHeuristic(policy, formula)
+
+
 def model_satisfies(formula, model):
     phase = {abs(code): code > 0 for code in model}
     return all(
@@ -329,7 +345,7 @@ GOLDEN_RUNS = {
     (10, "vsids"): ("UNSAT", 138, 117, 2246, 116),
     (10, "random"): ("UNSAT", 302, 217, 4049, 216),
     (11, "vsids"): ("UNSAT", 118, 89, 1650, 88),
-    (11, 'random'): ('UNSAT', 316, 218, 4027, 217),
+    (11, "random"): ("UNSAT", 316, 218, 4027, 217),
 }
 
 
@@ -371,16 +387,45 @@ class TestGoldenRuns:
 
 
 class TestBruteForceOracle:
-    @pytest.mark.parametrize("heuristic", ["vsids", "random"])
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
     def test_verdicts_match_brute_force(self, heuristic):
         rng = random.Random(41)
         for i in range(40):
             num_vars = rng.randint(8, 12)
             f = random_ksat(num_vars, round(4.26 * num_vars), rng)
-            inner = VsidsHeuristic(num_vars) if heuristic == "vsids" else RandomHeuristic(seed=i)
-            solver = Solver(f, InvariantChecking(inner))
+            solver = Solver(f, InvariantChecking(make_heuristic(heuristic, f, i)))
             result = solver.run()
             assert result.verdict == (Verdict.SAT if brute_force_satisfiable(f) else Verdict.UNSAT)
             if result.verdict == Verdict.SAT:
                 assert model_satisfies(f, result.model)
                 solver._verify_model(result.model)
+
+
+class TestLearnedClauseDatabase:
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_every_learned_clause_is_kept_to_the_end(self, heuristic):
+        rng = random.Random(32)
+        total = 0
+        for i in range(10):
+            f = random_ksat(20, 85, rng)
+            recorded = []
+
+            class Recording(InvariantChecking):
+                def on_conflict(self, solver, learned):
+                    recorded.append(sorted(learned))
+                    super().on_conflict(solver, learned)
+
+            solver = Solver(f, Recording(make_heuristic(heuristic, f, i)), SolveLimits(max_decisions=5000))
+            result = solver.run()
+            assert result.verdict != Verdict.UNKNOWN
+            assert len(solver.clauses) == f.num_clauses + result.stats.learned
+            assert [sorted(c) for c in solver.clauses[f.num_clauses :]] == recorded
+            check_watch_invariants(solver)
+            total += result.stats.learned
+        assert total, "no run learned a clause"
+
+    @pytest.mark.parametrize("option", ["restart_interval", "max_learned_factor"])
+    def test_the_removed_search_options_are_refused(self, option):
+        f = random_ksat(5, 21, random.Random(0))
+        with pytest.raises(TypeError):
+            Solver(f, VsidsHeuristic(5), **{option: 1})
