@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 # numpy loads with satkit.features and satkit.rl, so the commands that
-# run them (features, train, bench, --version and solve with any
-# heuristic but vsids) import them where they run; convert and
-# solve --heuristic vsids start without numpy.
+# run them (features, train, bench and solve with any heuristic but
+# vsids) import them where they run; convert, solve --heuristic vsids
+# and --version start without numpy.
 from . import __version__
 from .bench import (
     BASELINE,
@@ -33,7 +33,7 @@ from .bench import (
     summarize,
     write_summary_files,
 )
-from .config import PpoConfig
+from .config import FEATURE_SCHEMA_VERSION, POLICY_FORMAT_VERSION, PpoConfig
 from .dimacs import read_dimacs_file, write_dimacs
 from .errors import SatkitError
 from .logic.convert import DEFAULT_CLAUSE_CAP
@@ -119,9 +119,6 @@ def _build_parser() -> _Parser:
 
 
 def _print_versions() -> None:
-    from .features import FEATURE_SCHEMA_VERSION
-    from .rl.policy import POLICY_FORMAT_VERSION
-
     print(f"satkit {__version__}")
     print(f"policy-checkpoint-format {POLICY_FORMAT_VERSION}")
     print(f"feature-schema {FEATURE_SCHEMA_VERSION}")

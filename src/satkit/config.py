@@ -1,10 +1,16 @@
-"""Training configuration: ``PpoConfig``, the policy optimizer's settings
-and the defaults of ``satkit train``, and ``ConfigError`` for an
-out-of-range field or policy seed.
+"""Training configuration and the versions of what satkit writes.
+
+``PpoConfig`` holds the policy optimizer's settings that ``satkit
+train`` has flags for, with the flags' defaults; ``ConfigError`` is
+raised for an out-of-range field, policy shape or policy seed.
+``POLICY_FORMAT_VERSION`` is the format a policy checkpoint is written
+in and the only one read, and ``FEATURE_SCHEMA_VERSION`` numbers the
+48-slot feature schema of ``satkit.features``.
 
 The module imports no numpy, so the command line can read the training
-defaults without loading the learning stack. ``satkit.rl`` and
-``satkit.rl.policy`` re-export both names.
+defaults and the versions without loading the learning stack.
+``satkit.rl`` and ``satkit.rl.policy`` re-export ``PpoConfig`` and
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -14,22 +20,21 @@ from dataclasses import dataclass
 
 from .errors import SatkitError
 
+POLICY_FORMAT_VERSION = 3
+FEATURE_SCHEMA_VERSION = 1
+
 
 class ConfigError(SatkitError, ValueError):
-    """A ``PpoConfig`` field or a policy seed is out of range."""
+    """A ``PpoConfig`` field, a policy shape or a policy seed is out of
+    range."""
 
 
 @dataclass(frozen=True)
 class PpoConfig:
     learning_rate: float = 2e-4
-    clip_epsilon: float = 0.2
-    discount: float = 0.99
-    gae_lambda: float = 0.95
     epochs: int = 4
     minibatch_size: int = 64
     rollout_window: int = 2048
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
     hidden_sizes: tuple[int, ...] = (256, 256)
     episode_max_decisions: int = 500
 
@@ -39,11 +44,5 @@ class PpoConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(size < 1 for size in self.hidden_sizes):
             raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        for name in ("learning_rate", "clip_epsilon", "entropy_coef", "value_coef"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("discount", "gae_lambda"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")

@@ -29,8 +29,6 @@ import numpy as np
 from .cnf import CnfFormula
 from .errors import SatkitError
 
-FEATURE_SCHEMA_VERSION = 1
-
 _STAT_SUFFIXES = ("mean", "vc", "min", "max", "entropy")
 
 
@@ -38,6 +36,8 @@ def _spread_names(prefix: str) -> list[str]:
     return [f"{prefix}_{s}" for s in _STAT_SUFFIXES]
 
 
+# The schema's version number, FEATURE_SCHEMA_VERSION, lives in the
+# numpy-free satkit.config, so that ``satkit --version`` loads no numpy.
 FEATURE_SCHEMA: tuple[str, ...] = tuple(
     [
         "num_vars",

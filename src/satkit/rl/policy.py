@@ -3,11 +3,11 @@
 The action space has 2n entries for n variables: action 2j assigns
 variable j+1 True, action 2j+1 assigns it False. An action is legal
 while its variable is unassigned; illegal actions have probability
-zero. The policy is bound to one formula shape (n, m). A checkpoint
-(format 2) records that shape, the seed and the ``PpoConfig`` in a
-JSON header, then the actor's and the critic's parameters in
-``parameters()`` order; the layer shapes are derived from the header,
-not stored.
+zero. The policy is bound to one formula shape (n, m), with n >= 1 and
+m >= 1. A checkpoint (format 3) records that shape, the seed and the
+``PpoConfig`` in a JSON header, then the actor's and the critic's
+parameters in ``parameters()`` order; the layer shapes are derived from
+the header, not stored.
 
 Inference reads an observation in two parts: its dynamic block, the
 n + m entries that change between decisions, and a network's ``fold``
@@ -30,12 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import ConfigError, PpoConfig
+from ..config import POLICY_FORMAT_VERSION, ConfigError, PpoConfig
 from ..errors import SatkitError
 from .network import Mlp
 from .observation import flat_observation_dim
 
-POLICY_FORMAT_VERSION = 2
 _MAGIC = b"CNFPOLICY\x00"
 
 
@@ -80,8 +79,13 @@ class Policy:
     def _set_up(
         self, num_vars: int, num_clauses: int, config: PpoConfig, seed: int
     ) -> tuple[list[int], list[int]]:
-        """Check the seed, record the shape and settings, and return the
-        actor's and the critic's layer sizes."""
+        """Check the shape and the seed, record them and the settings,
+        and return the actor's and the critic's layer sizes."""
+        # A formula with no variable has no action, and one with no
+        # clause no feature vector (DegenerateFormulaError).
+        for name, size in (("variables", num_vars), ("clauses", num_clauses)):
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise ConfigError(f"policy {name} must be an integer >= 1, got {size!r}")
         # Training seeds its rngs from it, and None would draw OS entropy.
         # An int >= 0 is what save_policy writes and load_policy reads.
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

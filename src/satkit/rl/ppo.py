@@ -3,11 +3,14 @@
 The update maximizes
 
     mean(min(r * A, clip(r, 1-eps, 1+eps) * A))
-        - value_coef * mean((V - R)^2)
-        + entropy_coef * mean(H)
+        - VALUE_COEF * mean((V - R)^2)
+        + ENTROPY_COEF * mean(H)
 
-with r the new/old probability ratio and A the GAE advantage computed
-per episode (done flags cut the recursion). Advantages are not
+with r the new/old probability ratio, eps ``CLIP_EPSILON`` and A the
+GAE advantage at ``DISCOUNT`` and ``GAE_LAMBDA``, computed per episode
+(done flags cut the recursion). The five coefficients are constants of
+the update, the usual values of the PPO and GAE papers; only the
+settings of ``PpoConfig`` are chosen per run. Advantages are not
 normalized, so the surrogate at the collection point equals the mean
 advantage exactly, which the identity tests rely on. One Adam optimizer
 steps the actor's and the critic's parameters together.
@@ -32,6 +35,12 @@ import numpy as np
 from ..errors import SatkitError
 from .network import Adam, Mlp
 from .policy import Policy, masked_log_softmax
+
+CLIP_EPSILON = 0.2
+DISCOUNT = 0.99
+GAE_LAMBDA = 0.95
+ENTROPY_COEF = 0.01
+VALUE_COEF = 0.5
 
 
 class NonFiniteLossError(SatkitError):
@@ -152,9 +161,7 @@ class PpoOptimizer:
             with np.errstate(all="ignore"):
                 critic_folds = _fold_blocks(policy, policy.critic, policy.preprocess(statics))
                 values = policy.value(dynamic, critic_folds[episodes])
-                advantages, returns = compute_gae(
-                    rewards, values, dones, cfg.discount, cfg.gae_lambda
-                )
+                advantages, returns = compute_gae(rewards, values, dones, DISCOUNT, GAE_LAMBDA)
                 for _ in range(cfg.epochs):
                     order = self.rng.permutation(n)
                     for start in range(0, n, cfg.minibatch_size):
@@ -211,12 +218,11 @@ def ppo_loss_and_grads(
     gradient is one product per block too.
 
     The scalar being descended is
-        policy_loss + value_coef * value_loss - entropy_coef * entropy,
+        policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy,
     returned metrics are [policy_loss, value_loss, entropy, clip_fraction]
     and the gradients are in ``PpoOptimizer.params`` order: the actor's
     parameters, then the critic's, written into the arrays of ``grads``.
     """
-    cfg = policy.config
     batch_size = len(dynamic)
     rows = np.arange(batch_size)
     x = policy.preprocess(dynamic)
@@ -234,7 +240,7 @@ def ppo_loss_and_grads(
 
     ratio = np.exp(logp - old_logp)
     surr1 = ratio * advantages
-    surrogate = clipped_surrogate(ratio, advantages, cfg.clip_epsilon)
+    surrogate = clipped_surrogate(ratio, advantages, CLIP_EPSILON)
     entropy = -(probs * safe_logp).sum(axis=1)
 
     value_pred, critic_cache = policy.critic.forward(
@@ -253,14 +259,14 @@ def ppo_loss_and_grads(
     grad_logits = -coef[:, None] * (one_hot - probs)
     # entropy bonus: dH/dz = -p * (log p + H)
     grad_logits -= (
-        cfg.entropy_coef * (-(probs * (safe_logp + entropy[:, None]))) / batch_size
+        ENTROPY_COEF * (-(probs * (safe_logp + entropy[:, None]))) / batch_size
     )
     grad_logits = np.where(masks, grad_logits, 0.0)
     policy.actor.backward(actor_cache, grad_logits, grads[:actor_grads], tail)
 
-    grad_value = (cfg.value_coef * 2.0 * value_err / batch_size)[:, None]
+    grad_value = (VALUE_COEF * 2.0 * value_err / batch_size)[:, None]
     policy.critic.backward(critic_cache, grad_value, grads[actor_grads:], tail)
 
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
+    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > CLIP_EPSILON))
     metrics = np.array([policy_loss, value_loss, mean_entropy, clip_fraction])
     return metrics, grads

@@ -19,8 +19,8 @@ over whole observations that the compact-batch one must match, and
 ``householder_orthogonal_init`` the Householder QR initialisation whose
 Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
 the from-scratch reward that ``ClauseStatus.reward`` must equal.
-``format_1_checkpoint`` writes a policy as the retired checkpoint
-format 1 did, for the loader to refuse.
+``format_1_checkpoint`` and ``format_2_checkpoint`` write a policy as
+the retired checkpoint formats 1 and 2 did, for the loader to refuse.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
 solver's internal invariants, and ``RandomHeuristic`` is a seeded third
 branching heuristic for the solver's golden counts and the race.
@@ -158,30 +158,56 @@ def fold_block(policy, net, static: np.ndarray) -> np.ndarray:
     return policy.fold(net, index, static[index])
 
 
-def format_1_checkpoint(policy) -> bytes:
-    """``policy`` as checkpoint format 1 saved it: the payload format 2
-    saves, after a header that also held ``config.reward_mode`` and an
-    ``arrays`` manifest of every parameter's name and shape."""
-    nets = (("actor", policy.actor), ("critic", policy.critic))
-    header = {
-        "format_version": 1,
+def _retired_header(policy, version: int) -> dict:
+    """The header checkpoint formats 1 and 2 both wrote: the config also
+    held the five PPO coefficients, at the values the update now holds
+    as constants."""
+    coefficients = {
+        "clip_epsilon": 0.2,
+        "discount": 0.99,
+        "gae_lambda": 0.95,
+        "entropy_coef": 0.01,
+        "value_coef": 0.5,
+    }
+    return {
+        "format_version": version,
         "num_vars": policy.num_vars,
         "num_clauses": policy.num_clauses,
         "seed": policy.seed,
-        "config": {**asdict(policy.config), "reward_mode": "absolute"},
-        "arrays": [
-            {"name": f"{name}.{i}", "shape": list(arr.shape)}
-            for name, net in nets
-            for i, arr in enumerate(net.parameters())
-        ],
+        "config": {**asdict(policy.config), **coefficients},
     }
+
+
+def _checkpoint_bytes(policy, header: dict) -> bytes:
+    """``header`` and then ``policy``'s weights, in the payload every
+    format has saved."""
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for _, net in nets
-        for arr in net.parameters()
+        for arr in policy.actor.parameters() + policy.critic.parameters()
     )
     return b"CNFPOLICY\x00" + len(header_bytes).to_bytes(8, "little") + header_bytes + payload
+
+
+def format_2_checkpoint(policy) -> bytes:
+    """``policy`` as checkpoint format 2 saved it: the header's config
+    also held the five PPO coefficients."""
+    return _checkpoint_bytes(policy, _retired_header(policy, 2))
+
+
+def format_1_checkpoint(policy) -> bytes:
+    """``policy`` as checkpoint format 1 saved it: the header's config
+    also held the five PPO coefficients and ``reward_mode``, and the
+    header an ``arrays`` manifest of every parameter's name and shape."""
+    header = _retired_header(policy, 1)
+    header["config"]["reward_mode"] = "absolute"
+    nets = (("actor", policy.actor), ("critic", policy.critic))
+    header["arrays"] = [
+        {"name": f"{name}.{i}", "shape": list(arr.shape)}
+        for name, net in nets
+        for i, arr in enumerate(net.parameters())
+    ]
+    return _checkpoint_bytes(policy, header)
 
 
 def reference_fold(policy, net, static: np.ndarray) -> np.ndarray:
@@ -292,8 +318,8 @@ def dense_ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns
     """``ppo_loss_and_grads`` over whole observations: every row through
     the whole first layer of each net, and fresh gradient arrays."""
     from satkit.rl.policy import masked_log_softmax
+    from satkit.rl.ppo import CLIP_EPSILON, ENTROPY_COEF, VALUE_COEF
 
-    cfg = policy.config
     batch = len(obs)
     rows = np.arange(batch)
     x = policy.preprocess(obs)
@@ -305,7 +331,7 @@ def dense_ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns
     probs = np.exp(safe_logp) * masks
     ratio = np.exp(logp_all[rows, actions] - old_logp)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages
+    clipped = np.clip(ratio, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON) * advantages
     surrogate = np.minimum(unclipped, clipped)
     entropy = -(probs * safe_logp).sum(axis=1)
     value_err = critic_acts[-1][:, 0] - returns
@@ -315,16 +341,16 @@ def dense_ppo_loss_and_grads(policy, obs, actions, old_logp, advantages, returns
     one_hot[rows, actions] = 1.0
     grad_logits = -coef[:, None] * (one_hot - probs)
     # the entropy bonus: d(-H)/dz = p * (log p + H)
-    grad_logits += cfg.entropy_coef * probs * (safe_logp + entropy[:, None]) / batch
+    grad_logits += ENTROPY_COEF * probs * (safe_logp + entropy[:, None]) / batch
     grad_logits = np.where(masks, grad_logits, 0.0)
-    grad_value = (cfg.value_coef * 2.0 * value_err / batch)[:, None]
+    grad_value = (VALUE_COEF * 2.0 * value_err / batch)[:, None]
 
     metrics = np.array(
         [
             -surrogate.mean(),
             np.mean(value_err**2),
             entropy.mean(),
-            np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon),
+            np.mean(np.abs(ratio - 1.0) > CLIP_EPSILON),
         ]
     )
     grads = _dense_backward(policy.actor, actor_acts, grad_logits)
@@ -388,18 +414,17 @@ def finite_difference_check(policy, batch, h: float = 1e-6, tol: float = 1e-4) -
     """Compare the compact batch's analytic gradients (actor parameters,
     then critic) against central finite differences of the total loss;
     returns the worst relative error."""
-    from satkit.rl.ppo import _batch_arrays, ppo_loss_and_grads
+    from satkit.rl.ppo import ENTROPY_COEF, VALUE_COEF, _batch_arrays, ppo_loss_and_grads
 
     dynamic, statics, episodes, actions, old_logp, _, _, masks = _batch_arrays(batch)
     advantages = np.array([0.7 * (i + 1) for i in range(len(batch))])
     returns = np.array([1.3] * len(batch))
     args = (dynamic, statics, episodes, actions, old_logp, advantages, returns, masks)
     args += (gradient_buffers(policy),)
-    cfg = policy.config
 
     def total_loss():
         metrics, _ = ppo_loss_and_grads(policy, *args)
-        return metrics[0] + cfg.value_coef * metrics[1] - cfg.entropy_coef * metrics[2]
+        return metrics[0] + VALUE_COEF * metrics[1] - ENTROPY_COEF * metrics[2]
 
     _, grads = ppo_loss_and_grads(policy, *args)
     params = policy.actor.parameters() + policy.critic.parameters()

@@ -203,9 +203,6 @@ C5_CONFIG = PpoConfig(
     rollout_window=250,
     epochs=24,
     minibatch_size=16,
-    discount=0.5,
-    gae_lambda=0.9,
-    entropy_coef=0.001,
     episode_max_decisions=100,
 )
 C5_SEED = 2

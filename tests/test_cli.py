@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -27,7 +28,7 @@ from satkit.rl.policy import (
 from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveStats
 
-from oracles import format_1_checkpoint
+from oracles import format_1_checkpoint, format_2_checkpoint
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -238,6 +239,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "checkpoint format 1" in err
 
+    def test_format_2_policy_exits_2(self, uf_file, tmp_path, capsys):
+        path = tmp_path / "format2.bin"
+        path.write_bytes(format_2_checkpoint(Policy(20, 91, SMALL, seed=0)))
+        code = main(["solve", str(uf_file), "--heuristic", "rl", "--policy", str(path)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint format 2" in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/file.cnf"]) == 2
 
@@ -373,6 +382,58 @@ class TestTrainAndBench:
         args = ["train", "--dataset", str(data_dir), "--steps", "0", "--out", str(policy_path)]
         assert main(args) == 0
         assert load_policy_file(policy_path).config == PpoConfig()
+
+    def test_every_config_field_is_a_train_flag(self, tmp_path):
+        # Each field's flag and a value other than its default.
+        flags = {
+            "learning_rate": ["--lr", "0.001"],
+            "hidden_sizes": ["--hidden", "8", "4"],
+            "rollout_window": ["--window", "7"],
+            "epochs": ["--epochs", "2"],
+            "minibatch_size": ["--minibatch", "3"],
+            "episode_max_decisions": ["--episode-cap", "9"],
+        }
+        assert {f.name for f in dataclasses.fields(PpoConfig)} == set(flags)
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        train_flags = {s: a for a in commands.choices["train"]._actions for s in a.option_strings}
+        defaults = PpoConfig()
+        for name, (flag, *_) in flags.items():
+            default = train_flags[flag].default
+            if name == "hidden_sizes":
+                default = tuple(default)
+            assert default == getattr(defaults, name), flag
+
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", "0", "--out", str(policy_path)]
+        assert main(args + [arg for flag in flags.values() for arg in flag]) == 0
+        config = load_policy_file(policy_path).config
+        assert config == PpoConfig(
+            learning_rate=0.001,
+            hidden_sizes=(8, 4),
+            rollout_window=7,
+            epochs=2,
+            minibatch_size=3,
+            episode_max_decisions=9,
+        )
+        assert all(getattr(config, name) != getattr(defaults, name) for name in flags)
+
+    @pytest.mark.parametrize("header", ["p cnf 0 0", "p cnf 3 0"])
+    def test_train_on_a_shape_with_no_variable_or_no_clause_exits_2(self, tmp_path, capsys, header):
+        # The first file sets the policy's shape. A policy with no action
+        # or no feature vector could never decide, so none is saved.
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "a.cnf").write_text(header + "\n", encoding="ascii")
+        policy_path = tmp_path / "p.bin"
+        args = ["train", "--dataset", str(data_dir), "--steps", "0", "--out", str(policy_path)]
+        assert main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ">= 1" in err and "Traceback" not in err
+        assert not policy_path.exists()
+        assert not Path(f"{policy_path}.log.csv").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -539,11 +600,12 @@ class TestTrainAndBench:
 class TestTopLevel:
     def test_version_prints_schema_versions(self, capsys):
         assert main(["--version"]) == 0
-        out = capsys.readouterr().out
-        assert "satkit" in out
-        assert "policy-checkpoint-format" in out
-        assert "feature-schema" in out
-        assert "bench-csv-schema" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "satkit 0.1.0",
+            "policy-checkpoint-format 3",
+            "feature-schema 1",
+            f"bench-csv-schema {bench.CSV_SCHEMA_VERSION}",
+        ]
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["solve", "--frobnicate"]) == 1

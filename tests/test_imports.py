@@ -1,8 +1,8 @@
 """Every module under src/satkit uses each name it imports, or lists it
 in ``__all__`` as a re-export; every name that a script under
 ``scripts/`` or the benchmark under ``perfbench/`` imports from satkit
-exists; ``convert`` and ``solve --heuristic vsids`` load neither numpy
-nor the HTTP client, and the learned entrant's timed set-up imports
+exists; ``convert``, ``solve --heuristic vsids`` and ``--version`` load
+neither numpy nor the HTTP client, and the learned entrant's timed set-up imports
 nothing."""
 
 import ast
@@ -151,6 +151,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         satkit.cli.main(["convert", expr_path, "--mode", "expr", "--out", cnf_path]),
         satkit.cli.main(["solve", cnf_path, "--heuristic", "vsids"]),
+        satkit.cli.main(["--version"]),
     ]
 heavy = ["numpy", "urllib.request", "http.client"]
 print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
@@ -161,7 +162,7 @@ def test_convert_and_a_vsids_solve_load_neither_numpy_nor_the_http_client(tmp_pa
     expr_path = tmp_path / "e.txt"
     expr_path.write_text("Or(A, B)\nImplies(A, Not(C))\n", encoding="utf-8")
     out = _run_fresh(_CONVERT_AND_SOLVE, str(expr_path), str(tmp_path / "e.cnf"))
-    assert out == {"codes": [0, 10], "loaded": []}
+    assert out == {"codes": [0, 10, 0], "loaded": []}
 
 
 _RL_SET_UP = """

@@ -32,6 +32,7 @@ from satkit.rl.policy import (
     PolicyFormatError,
     PpoConfig,
     VersionMismatchError,
+    _payload_bytes,
     action_to_decision,
     legal_action_mask,
     load_policy,
@@ -47,6 +48,7 @@ from oracles import (
     assert_close,
     fold_block,
     format_1_checkpoint,
+    format_2_checkpoint,
     full_logits,
     full_value,
     reference_extract_features,
@@ -280,7 +282,7 @@ class TestSaveLoad:
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, TINY_HEADER_END - 1) | st.integers(0, len(TINY_BLOB) - 1), st.integers(0, 255))
-    @example(TINY_BLOB.index(b'"clip_epsilon": ') + 15, ord("-"))  # a ConfigError
+    @example(TINY_BLOB.index(b'"learning_rate": ') + 16, ord("-"))  # a ConfigError
     @example(TINY_BLOB.index(b'"seed": ') + 7, ord("-"))
     @example(TINY_BLOB.index(b'"hidden_sizes": [1]') + 17, ord("0"))
     def test_a_single_byte_edit_loads_or_raises_a_format_error(self, at, byte):
@@ -307,6 +309,26 @@ class TestSaveLoad:
     def test_policy_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             Policy(4, 6, SMALL, seed)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 5), (5, 0), (0, 0), (-1, 5), (True, 5), (5, 2.0), ("5", 5)], ids=repr
+    )
+    def test_policy_shape_that_is_not_a_positive_integer_rejected(self, shape):
+        # No variable leaves no action, and no clause no feature vector.
+        with pytest.raises(ConfigError, match=">= 1"):
+            Policy(*shape, SMALL)
+
+    @pytest.mark.parametrize("shape", [(0, 6), (4, 0), (0, 0)], ids=repr)
+    def test_header_shape_with_no_variable_or_no_clause_rejected(self, shape):
+        # The payload is the size the edited shape implies, so only the
+        # shape rule can refuse the file.
+        blob = edit_header(
+            save_policy(make_policy()), lambda h: h.update(num_vars=shape[0], num_clauses=shape[1])
+        )
+        header_end = 18 + int.from_bytes(blob[10:18], "little")
+        blob = blob[:header_end] + bytes(_payload_bytes(*shape, SMALL.hidden_sizes))
+        with pytest.raises(PolicyFormatError, match=">= 1"):
+            load_policy(blob)
 
     @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.5, "x", True], ids=repr)
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
@@ -336,6 +358,12 @@ class TestSaveLoad:
     def test_format_1_checkpoint_is_a_version_mismatch(self):
         blob = format_1_checkpoint(make_policy())
         with pytest.raises(VersionMismatchError, match="format 1"):
+            load_policy(blob)
+
+    def test_format_2_checkpoint_is_a_version_mismatch(self):
+        blob = format_2_checkpoint(make_policy())
+        assert b'"format_version": 2' in blob and b'"clip_epsilon": 0.2' in blob
+        with pytest.raises(VersionMismatchError, match="format 2, expected 3"):
             load_policy(blob)
 
     def test_garbage_rejected(self):
