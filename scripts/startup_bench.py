@@ -7,10 +7,14 @@ processes, and the benchmark's ``peak_rss_mb``, for one or more checkouts.
         --runs 21 --seed 1 --perfbench-pairs 3 --out BENCH_startup.json
 
 Each ``--checkout LABEL=DIR`` names a satkit source tree (default: this
-one, labelled ``change``). The inputs are written once, into a
-temporary directory, with this checkout's satkit: a planted uf20-91 CNF
-from ``random.Random(seed)``, an untrained ``Policy(20, 91, seed=0)``
-checkpoint, and a file of 40 expressions over 30 atoms. Each command of
+one, labelled ``change``). The inputs go into a temporary directory. A
+planted uf20-91 CNF from ``random.Random(seed)`` and a file of 40
+expressions over 30 atoms are written once, with this checkout's
+satkit, and shared. Each checkout's untrained ``Policy(20, 91,
+seed=0)`` checkpoint is written by that checkout's own satkit, in a
+process with its ``src/`` on ``PYTHONPATH``, so a checkout's ``solve
+--heuristic rl`` row times a solve in the checkpoint format it reads,
+also across a change of that format. Each command of
 ``COMMANDS`` then runs ``--runs`` times as ``satkit.cli``'s main
 module in a new process, with the checkout's ``src/`` on
 ``PYTHONPATH`` and the BLAS thread count pinned as ``perfbench/run.py``
@@ -81,17 +85,14 @@ def pinned_env(checkout: Path) -> dict[str, str]:
 
 
 def write_inputs(directory: Path, seed: int) -> dict[str, str]:
-    """The input files that ``COMMANDS`` name, written into ``directory``.
-    ``main`` runs this in a process of its own."""
+    """The input files that every checkout shares, written into
+    ``directory``. ``main`` runs this in a process of its own."""
     from satkit.dimacs import write_dimacs_file
     from satkit.generators import planted_ksat
-    from satkit.rl.policy import Policy, save_policy_file
 
     rng = random.Random(seed)
-    paths = {name: str(directory / file) for name, file in
-             (("cnf", "uf20.cnf"), ("policy", "policy.bin"), ("expr", "exprs.txt"))}
+    paths = {name: str(directory / file) for name, file in (("cnf", "uf20.cnf"), ("expr", "exprs.txt"))}
     write_dimacs_file(planted_ksat(20, 91, rng), paths["cnf"])
-    save_policy_file(Policy(20, 91, seed=0), paths["policy"])
 
     def literal() -> str:
         atom = f"X{rng.randint(1, 30)}"
@@ -100,6 +101,20 @@ def write_inputs(directory: Path, seed: int) -> dict[str, str]:
     lines = [f"Or({literal()}, Implies({literal()}, {literal()}))" for _ in range(40)]
     Path(paths["expr"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths
+
+
+# Writes an untrained policy checkpoint to the path in its argument.
+_WRITE_POLICY = """
+import sys
+from satkit.rl.policy import Policy, save_policy_file
+save_policy_file(Policy(20, 91, seed=0), sys.argv[1])
+"""
+
+
+def write_policy(checkout: Path, path: Path) -> None:
+    """The policy checkpoint for ``checkout``'s runs, written by its own
+    satkit in a new process."""
+    subprocess.run([sys.executable, "-c", _WRITE_POLICY, str(path)], env=pinned_env(checkout), check=True)
 
 
 # Runs ``python -m satkit.cli`` with the arguments after the report
@@ -142,16 +157,19 @@ def _rotated(names: list[str], shift: int) -> list[str]:
     return names[shift:] + names[:shift]
 
 
-def time_commands(checkouts: dict[str, Path], inputs: dict[str, str], runs: int, cwd: Path) -> dict:
+def time_commands(
+    checkouts: dict[str, Path], inputs: dict[str, dict[str, str]], runs: int, cwd: Path
+) -> dict:
+    """Each command's timings per checkout, on that checkout's inputs."""
     results = {}
     for label, template in COMMANDS.items():
-        args = [part.format(**inputs) for part in template]
+        args = {name: [part.format(**inputs[name]) for part in template] for name in checkouts}
         walls = {name: [] for name in checkouts}
         peaks = {name: [] for name in checkouts}
         outputs = set()
         for run in range(runs):
             for name in _rotated(list(checkouts), run):
-                wall_s, peak_mb, text, code = run_once(args, pinned_env(checkouts[name]), cwd)
+                wall_s, peak_mb, text, code = run_once(args[name], pinned_env(checkouts[name]), cwd)
                 walls[name].append(wall_s)
                 peaks[name].append(peak_mb)
                 outputs.add((_WALL_TIME.sub("wall_time_s=*", text), code))
@@ -237,7 +255,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="satkit-startup-") as tmp:
         # Kept out of this process: see the module docstring.
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            inputs = pool.submit(write_inputs, Path(tmp), args.seed).result()
+            shared = pool.submit(write_inputs, Path(tmp), args.seed).result()
+        inputs = {}
+        for i, (name, checkout) in enumerate(checkouts.items()):
+            policy = Path(tmp) / f"policy-{i}.bin"
+            write_policy(checkout, policy)
+            inputs[name] = {**shared, "policy": str(policy)}
         record["commands"] = time_commands(checkouts, inputs, args.runs, Path(tmp))
     if args.perfbench_pairs > 0:
         record["perfbench"] = {

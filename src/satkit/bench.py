@@ -116,9 +116,6 @@ def record_values(record) -> list:
     return values
 
 
-CSV_COLUMNS = record_columns(BenchRecord)
-
-
 def load_dataset(
     directory,
     strict: bool = False,

@@ -151,7 +151,6 @@ def _cmd_convert(args) -> int:
     if args.mode == "english":
         client = _make_translator(args.translator, args.timeout_s)
         formula, table = compile_document(text, client, max_clauses=args.max_clauses)
-        glossary = dict(client.glossary)
     else:
         exprs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -165,7 +164,6 @@ def _cmd_convert(args) -> int:
         if not exprs:
             raise SatkitError("no expressions in input")
         formula, table = compile_expressions(exprs, args.max_clauses)
-        glossary = {}
 
     dimacs = write_dimacs(formula)
     if args.out == "-":
@@ -173,10 +171,7 @@ def _cmd_convert(args) -> int:
     else:
         Path(args.out).write_text(dimacs, encoding="ascii", newline="\n")
     if args.map_path:
-        rows = [
-            f"{name}\t{index}\t{glossary.get(name, '')}"
-            for name, index in table.items()
-        ]
+        rows = [f"{name}\t{index}\t{table.phrases.get(name, '')}" for name, index in table.items()]
         Path(args.map_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
     return EXIT_OK
 

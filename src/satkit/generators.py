@@ -1,10 +1,10 @@
-"""Random k-SAT instance generators.
+"""Random 3-SAT instance generators.
 
-``random_ksat`` draws uniform random clauses (distinct variables per
-clause, independent signs). ``planted_ksat`` additionally rejects any
-clause falsified by a hidden assignment, so every instance it emits is
-satisfiable by construction; this is the stand-in for SATLIB's uf20-91
-family when the original files are not on disk.
+``random_ksat`` draws uniform random 3-literal clauses (distinct
+variables per clause, independent signs). ``planted_ksat`` additionally
+rejects any clause falsified by a hidden assignment, so every instance
+it emits is satisfiable by construction; this is the stand-in for
+SATLIB's uf20-91 family when the original files are not on disk.
 """
 
 from __future__ import annotations
@@ -16,24 +16,24 @@ from .cnf import CnfFormula
 from .dimacs import write_dimacs_file
 
 
-def random_ksat(num_vars: int, num_clauses: int, rng: random.Random, k: int = 3) -> CnfFormula:
-    if num_vars < k:
-        raise ValueError(f"need at least {k} variables for {k}-SAT")
+def random_ksat(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
+    if num_vars < 3:
+        raise ValueError("need at least 3 variables for 3-SAT")
     clauses = []
     for _ in range(num_clauses):
-        variables = rng.sample(range(1, num_vars + 1), k)
+        variables = rng.sample(range(1, num_vars + 1), 3)
         codes = [v if rng.random() < 0.5 else -v for v in variables]
         clauses.append(codes)
     return CnfFormula(num_vars, clauses)
 
 
-def planted_ksat(num_vars: int, num_clauses: int, rng: random.Random, k: int = 3) -> CnfFormula:
-    if num_vars < k:
-        raise ValueError(f"need at least {k} variables for {k}-SAT")
+def planted_ksat(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
+    if num_vars < 3:
+        raise ValueError("need at least 3 variables for 3-SAT")
     hidden = [rng.random() < 0.5 for _ in range(num_vars)]
     clauses = []
     while len(clauses) < num_clauses:
-        variables = rng.sample(range(1, num_vars + 1), k)
+        variables = rng.sample(range(1, num_vars + 1), 3)
         codes = [v if rng.random() < 0.5 else -v for v in variables]
         satisfied = any((c > 0) == hidden[abs(c) - 1] for c in codes)
         if satisfied:

@@ -11,9 +11,8 @@ Distribution can blow up exponentially, so a clause cap,
 ``DEFAULT_CLAUSE_CAP`` unless given, guards it: a conjunction is
 checked after each part, a disjunction before each product. An
 expression nested past Python's recursion limit is a
-``NestingTooDeepError``. A failed conversion interns the atoms its
-walk did not reach, so a shared table ends as a complete walk would
-leave it.
+``NestingTooDeepError``. A failed conversion leaves a shared table
+holding only the atoms its walk reached.
 
 Simplification applies exactly four equivalence-preserving rules:
 duplicate literals within a clause, tautological clauses, duplicate
@@ -38,7 +37,6 @@ from .expressions import (
     _implies,
     _not,
     _or,
-    atoms,
 )
 
 DEFAULT_CLAUSE_CAP = 10_000
@@ -56,10 +54,14 @@ class NestingTooDeepError(SatkitError):
 class SymbolTable:
     """Ordered bijection between atom names and 1-based variable indices,
     assigned in first-appearance order. One dict holds it: a name's
-    index is its insertion position plus one."""
+    index is its insertion position plus one. ``phrases`` maps an atom
+    to the source phrase it stands for, where one is known:
+    ``pipeline.compile_document`` fills it from the translator's
+    replies, and a table built from expressions leaves it empty."""
 
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
+        self.phrases: dict[str, str] = {}
 
     def intern(self, name: str) -> int:
         return self._index.setdefault(name, len(self._index) + 1)
@@ -155,8 +157,8 @@ def to_cnf(
     Atoms are interned into ``table`` in first-appearance order over the
     original expression, so a shared table gives a stable atom-to-index
     mapping across a sequence of expressions. A conversion that fails
-    still leaves every atom of the expression interned. A
-    ``max_clauses`` below 1 is a ``LimitError``.
+    leaves interned only the atoms its walk reached. A ``max_clauses``
+    below 1 is a ``LimitError``.
     """
     if max_clauses < 1:
         raise LimitError(f"max_clauses must be >= 1, got {max_clauses}")
@@ -164,12 +166,8 @@ def to_cnf(
         table = SymbolTable()
     try:
         clauses = _clauses(expr, False, table._index, max_clauses)
-    except (BlowupExceededError, RecursionError) as exc:
-        for name in atoms(expr):  # those the failed walk did not reach
-            table.intern(name)
-        if isinstance(exc, RecursionError):
-            raise NestingTooDeepError("expression nested too deeply to convert to CNF") from None
-        raise
+    except RecursionError:
+        raise NestingTooDeepError("expression nested too deeply to convert to CNF") from None
     return CnfFormula(len(table), clauses)
 
 

@@ -1,4 +1,5 @@
-"""End-to-end document compilation: sentences -> expressions -> CNF."""
+"""End-to-end document compilation: sentences -> expressions -> CNF,
+with each atom's source phrase kept on the returned ``SymbolTable``."""
 
 from __future__ import annotations
 
@@ -52,9 +53,11 @@ def compile_document(
     expressions with ``compile_expressions``. Each reply is parsed once;
     one that does not parse is a MalformedTranslationError carrying the
     reply. Per-sentence failures are aggregated into a single
-    DocumentError carrying the sentence indices."""
+    DocumentError carrying the sentence indices. The returned table's
+    ``phrases`` hold each atom's first phrase in the replies' glossaries."""
     sentences = split_sentences(text)
     exprs: list[LogicalExpr] = []
+    phrases: dict[str, str] = {}
     failures: list[tuple[int, str, Exception]] = []
     for i, sentence in enumerate(sentences):
         try:
@@ -62,6 +65,8 @@ def compile_document(
         except TranslatorError as exc:
             failures.append((i, sentence, exc))
             continue
+        for atom, phrase in response.glossary.items():
+            phrases.setdefault(atom, phrase)
         try:
             exprs.append(parse_expression(response.expression))
         except ExpressionError as exc:
@@ -71,4 +76,6 @@ def compile_document(
             failures.append((i, sentence, error))
     if failures:
         raise DocumentError(failures)
-    return compile_expressions(exprs, max_clauses)
+    formula, table = compile_expressions(exprs, max_clauses)
+    table.phrases = phrases
+    return formula, table

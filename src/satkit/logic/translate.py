@@ -11,9 +11,10 @@ process that sends no request never loads them. A reply whose
 expression does not parse is rejected where it is parsed, in
 ``pipeline.compile_document``.
 
-Session contract: a client accumulates a glossary (atom -> source
-phrase) across calls, and repeated concepts reuse the same atom name.
-The first phrase recorded for an atom wins.
+Session contract: a client holds no state between calls. Each reply
+carries its own glossary (atom -> source phrase), and repeated concepts
+reuse the same atom name. ``pipeline.compile_document`` keeps the first
+phrase per atom on the ``SymbolTable`` it returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
@@ -60,8 +60,6 @@ class TranslationResponse:
 
 
 class TranslatorClient(Protocol):
-    glossary: dict[str, str]
-
     def translate(self, sentence: str) -> TranslationResponse: ...
 
 
@@ -75,8 +73,6 @@ class StubTranslator:
 
     def __init__(self, table: Mapping[str, TranslationResponse]):
         self.table = dict(table)
-        self.glossary: dict[str, str] = {}
-        self._glossary_lock = threading.Lock()  # single-writer session glossary
 
     @classmethod
     def from_fixture_text(cls, text: str) -> "StubTranslator":
@@ -113,11 +109,7 @@ class StubTranslator:
         key = sentence.strip()
         if key not in self.table:
             raise MalformedTranslationError("sentence not in fixture table", key)
-        response = self.table[key]
-        with self._glossary_lock:
-            for atom, phrase in response.glossary.items():
-                self.glossary.setdefault(atom, phrase)
-        return response
+        return self.table[key]
 
 
 class HttpTranslator:
@@ -142,8 +134,6 @@ class HttpTranslator:
         self.timeout_s = timeout_s
         self.api_key_env = api_key_env
         self.session_id = uuid.uuid4().hex
-        self.glossary: dict[str, str] = {}
-        self._glossary_lock = threading.Lock()  # single-writer session glossary
 
     def translate(self, sentence: str) -> TranslationResponse:
         import json
@@ -182,9 +172,6 @@ class HttpTranslator:
             and all(isinstance(p, str) and not _NOT_IN_PHRASE.search(p) for p in glossary.values())
         ):
             raise MalformedTranslationError("'glossary' is not an object of one-line phrases", raw)
-        with self._glossary_lock:
-            for atom, phrase in glossary.items():
-                self.glossary.setdefault(atom, phrase)
         return TranslationResponse(expression, glossary)
 
 

@@ -14,9 +14,9 @@ from satkit.bench import (
     record_values,
     records_to_csv,
     run_comparison,
+    record_columns,
     split_dataset,
     summarize,
-    CSV_COLUMNS,
 )
 from satkit.dimacs import write_dimacs_file
 from satkit.generators import generate_dataset, planted_ksat, random_ksat
@@ -328,7 +328,7 @@ class TestSummarize:
 
 class TestCsv:
     def test_header_pins_first_eight_columns(self):
-        assert CSV_COLUMNS[:8] == [
+        assert record_columns(BenchRecord)[:8] == [
             "instance",
             "heuristic",
             "verdict",
@@ -347,7 +347,7 @@ class TestCsv:
             ("a", "rl", 1.25),
             ("a", "vsids", 2.5),
         ]
-        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert text.splitlines()[0] == ",".join(record_columns(BenchRecord))
 
     def test_row_is_the_record_in_field_order(self):
         row = record("i0", "rl", 1.25, Verdict.UNKNOWN, decisions=7, conflicts=3, setup_s=0.5)

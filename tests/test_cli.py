@@ -85,6 +85,25 @@ class TestConvert:
         assert rows[0][0] == "P" and rows[0][1] == "1"
         assert rows[0][2] == "The circus has a ferris wheel"
 
+    def test_english_map_has_a_row_per_atom_with_its_phrase(self, tmp_path):
+        src = tmp_path / "doc.txt"
+        src.write_text(
+            "The workshop is open or the library is open. "
+            "If the workshop is open then the forge is lit. "
+            "The storeroom is not locked. "
+            "The forge is lit or the storeroom is not locked.",
+            encoding="utf-8",
+        )
+        map_path = tmp_path / "out.map"
+        argv = ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
+        assert main(argv + ["--out", str(tmp_path / "out.cnf"), "--map", str(map_path)]) == 0
+        assert map_path.read_text(encoding="utf-8") == (
+            "P\t1\tThe workshop is open\n"
+            "Q\t2\tThe library is open\n"
+            "R\t3\tThe forge is lit\n"
+            "S\t4\tThe storeroom is locked\n"
+        )
+
     def test_empty_input_exits_2(self, tmp_path, capsys):
         src = tmp_path / "empty.txt"
         src.write_text("   ", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 from satkit.logic import pipeline
 from satkit.logic.convert import SymbolTable, to_cnf
 from satkit.logic.parser import parse_expression
-from satkit.logic.pipeline import DocumentError, compile_document, conjoin
+from satkit.logic.pipeline import DocumentError, compile_document, compile_expressions, conjoin
 from satkit.logic.sentences import EmptyInputError
 from satkit.logic.translate import (
     MalformedTranslationError,
@@ -62,6 +62,31 @@ def test_paragraph_compiles_and_simplifies(stub):
     # (R | ~S) is subsumed by the unit clause (~S)
     assert list(formula.clauses) == [(1, 2), (-1, 3), (-4,)]
     assert len(table) == 4
+
+
+def test_each_document_keeps_its_own_phrases(stub):
+    """One client, two documents that give P different phrases."""
+    _, lamp = compile_document("The lamp is on.", stub)
+    _, workshop = compile_document("The workshop is open or the library is open.", stub)
+    assert lamp.phrases == {"P": "The lamp is on"}
+    assert workshop.phrases == {"P": "The workshop is open", "Q": "The library is open"}
+
+
+def test_the_first_phrase_for_an_atom_wins_within_a_document():
+    client = StubTranslator(
+        {
+            "It is first.": TranslationResponse("P", {"P": "first phrase"}),
+            "It is second.": TranslationResponse("Or(P, Q)", {"P": "second phrase", "Q": "other"}),
+        }
+    )
+    _, table = compile_document("It is first. It is second.", client)
+    assert table.phrases == {"P": "first phrase", "Q": "other"}
+
+
+def test_compiled_expressions_have_no_phrases():
+    _, table = compile_expressions([parse_expression("Or(P, Q)")])
+    assert table.names() == ("P", "Q")
+    assert table.phrases == {}
 
 
 def test_contradictory_document_still_compiles(stub):

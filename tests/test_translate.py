@@ -11,7 +11,6 @@ from satkit.logic.translate import (
     HttpTranslator,
     MalformedTranslationError,
     StubTranslator,
-    TranslationResponse,
     TranslatorUnavailableError,
     translate_sentence,
 )
@@ -57,17 +56,6 @@ class TestStub:
         stub = StubTranslator.from_fixture_text(FIXTURES)
         assert_malformed_reply(stub, "Broken reply here.", "Or(P")
 
-    def test_session_glossary_accumulates_first_wins(self):
-        stub = StubTranslator(
-            {
-                "a": TranslationResponse("P", {"P": "first phrase"}),
-                "b": TranslationResponse("Or(P, Q)", {"P": "second phrase", "Q": "other"}),
-            }
-        )
-        translate_sentence(stub, "a")
-        translate_sentence(stub, "b")
-        assert stub.glossary == {"P": "first phrase", "Q": "other"}
-
     def test_fixture_file(self, tmp_path):
         path = tmp_path / "fixtures.tsv"
         path.write_text(FIXTURES, encoding="utf-8")
@@ -111,7 +99,7 @@ class TestHttpClient:
         client = HttpTranslator(http_server, timeout_s=5)
         response = translate_sentence(client, "The circus has a Ferris wheel or a rollercoaster.")
         assert response.expression == "Or(P, Q)"
-        assert client.glossary == {"P": "a", "Q": "b"}
+        assert response.glossary == {"P": "a", "Q": "b"}
         assert _Handler.last_request["session_id"] == client.session_id
         assert _Handler.last_request["sentence"].startswith("The circus")
 
@@ -165,7 +153,6 @@ class TestHttpClient:
         with pytest.raises(MalformedTranslationError) as exc_info:
             client.translate("It rains.")
         assert exc_info.value.raw == _Handler.reply.decode()
-        assert client.glossary == {}
 
     @pytest.mark.parametrize(
         "glossary", ["abc", {"P": None}, {"P": "rain\nfall"}], ids=["string", "null", "line-break"]
