@@ -147,6 +147,8 @@ def _make_translator(spec: str, timeout_s: float):
 
 
 def _cmd_convert(args) -> int:
+    if args.mode != "english" and args.translator is not None:
+        raise _UsageError("--translator applies to --mode english only")
     text = _read_input(args.input)
     if args.mode == "english":
         client = _make_translator(args.translator, args.timeout_s)
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SatkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

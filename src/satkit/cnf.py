@@ -63,10 +63,10 @@ def evaluate_clause(clause: tuple[int, ...], values: Sequence[int]) -> int:
     FALSE if all are falsified, UNDEF otherwise."""
     any_undef = False
     for code in clause:
-        v = values[abs(code) - 1]
+        v = values[code - 1] if code > 0 else -values[-code - 1]
+        if v > 0:
+            return TRUE
         if v == 0:
             any_undef = True
-        elif (v > 0) == (code > 0):
-            return TRUE
     return UNDEF if any_undef else FALSE
 

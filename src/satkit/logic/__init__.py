@@ -1,31 +1,6 @@
 """Natural-language-to-CNF pipeline: sentence splitting, translation
 client boundary, expression parsing, CNF conversion, simplification."""
 
-from .expressions import And, Atom, Iff, Implies, Not, Or, atoms, evaluate, format_expr
-from .parser import ArityError, ExpressionSyntaxError, parse_expression
-from .convert import BlowupExceededError, SymbolTable, simplify_cnf, to_cnf
-from .sentences import EmptyInputError, split_sentences
-from .pipeline import DocumentError, compile_document
+from .pipeline import compile_document
 
-__all__ = [
-    "And",
-    "ArityError",
-    "Atom",
-    "BlowupExceededError",
-    "DocumentError",
-    "EmptyInputError",
-    "ExpressionSyntaxError",
-    "Iff",
-    "Implies",
-    "Not",
-    "Or",
-    "SymbolTable",
-    "atoms",
-    "compile_document",
-    "evaluate",
-    "format_expr",
-    "parse_expression",
-    "simplify_cnf",
-    "split_sentences",
-    "to_cnf",
-]
+__all__ = ["compile_document"]

@@ -30,10 +30,15 @@ filled in after the propagation (and any conflict resolution) that the
 decision triggered. Marking the final transition done is left to
 ``run_episode``, which alone knows where an episode ends, verdict or
 decision limit.
+
+``Transition`` is defined here, next to its one producer; ``ppo``
+consumes it. So this module, like the observation, network and policy
+modules it runs, imports neither ``ppo`` nor ``train``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +48,17 @@ from ..features import clause_incidence, extract_features
 from ..solver.engine import Heuristic, Solver
 from .observation import ClauseStatus, ShapeMismatchError, static_entries
 from .policy import Policy, action_to_decision, legal_action_mask
-from .ppo import Transition
+
+
+@dataclass
+class Transition:
+    observation: np.ndarray  # dynamic block: assignments, clause status (n + m)
+    static: np.ndarray  # static block, one array shared by an episode's transitions
+    action: int
+    log_prob: float
+    reward: float
+    done: bool
+    mask: np.ndarray  # legal-action mask at decision time
 
 
 class PolicyHeuristic(Heuristic):

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SatkitError
+from .heuristic import Transition
 from .network import Adam, Mlp
 from .policy import Policy, masked_log_softmax
 
@@ -45,17 +46,6 @@ VALUE_COEF = 0.5
 
 class NonFiniteLossError(SatkitError):
     """A loss went non-finite; the update was rolled back."""
-
-
-@dataclass
-class Transition:
-    observation: np.ndarray  # dynamic block: assignments, clause status (n + m)
-    static: np.ndarray  # static block, one array shared by an episode's transitions
-    action: int
-    log_prob: float
-    reward: float
-    done: bool
-    mask: np.ndarray  # legal-action mask at decision time
 
 
 @dataclass

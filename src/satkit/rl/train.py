@@ -17,9 +17,9 @@ import numpy as np
 from ..cnf import CnfFormula
 from ..errors import LimitError, SatkitError
 from ..solver.engine import SolveLimits, SolveResult, Solver
-from .heuristic import PolicyHeuristic
+from .heuristic import PolicyHeuristic, Transition
 from .policy import Policy
-from .ppo import PpoOptimizer, Transition, UpdateMetrics
+from .ppo import PpoOptimizer, UpdateMetrics
 
 
 class TrainingDataError(SatkitError, ValueError):

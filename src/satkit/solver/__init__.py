@@ -1,21 +1,6 @@
 """CDCL solving: engine, state, and pluggable branching heuristics."""
 
-from .engine import (
-    Heuristic,
-    Solver,
-    SolveLimits,
-    SolveResult,
-    SolveStats,
-    Verdict,
-)
+from .engine import Solver, Verdict
 from .heuristics import VsidsHeuristic
 
-__all__ = [
-    "Heuristic",
-    "SolveLimits",
-    "SolveResult",
-    "SolveStats",
-    "Solver",
-    "Verdict",
-    "VsidsHeuristic",
-]
+__all__ = ["Solver", "Verdict", "VsidsHeuristic"]

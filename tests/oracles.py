@@ -372,7 +372,8 @@ def run_bandit(
     once the probability beats ``target``.
     """
     from satkit.rl.policy import Policy, PpoConfig, masked_log_softmax
-    from satkit.rl.ppo import PpoOptimizer, Transition
+    from satkit.rl.heuristic import Transition
+    from satkit.rl.ppo import PpoOptimizer
 
     config = PpoConfig(
         learning_rate=lr,

@@ -288,7 +288,7 @@ def test_criterion_6_gradient_correctness():
         obs = rng.standard_normal(policy.obs_dim)
         mask = np.ones(policy.num_actions, dtype=bool)
         from satkit.rl.policy import masked_log_softmax
-        from satkit.rl.ppo import Transition
+        from satkit.rl.heuristic import Transition
 
         logits = full_logits(policy, obs)[None, :]
         logp = float(masked_log_softmax(logits, mask[None, :])[0, 0])

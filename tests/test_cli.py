@@ -170,12 +170,30 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith("error: translator timeout") and "Traceback" not in err
 
+    def test_translator_in_expr_mode_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "exprs.txt"
+        src.write_text("Or(P, Q)\n", encoding="utf-8")
+        assert main(["convert", str(src), "--mode", "expr", "--translator", "bogus:spec"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --translator applies to --mode english only\n"
+
     def test_max_clauses_default_is_the_conversion_cap(self):
         args = cli._build_parser().parse_args(["convert", "-"])
         assert args.max_clauses == DEFAULT_CLAUSE_CAP
 
 
 class TestSolve:
+    def test_out_of_memory_exits_2_with_one_error_line(self, uf_file, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "Solver", exhausted)
+        assert main(["solve", str(uf_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
     def test_sat_exit_10_with_model(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 3 2\n1 -2 0\n-1 3 0\n", encoding="ascii")

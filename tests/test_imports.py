@@ -1,9 +1,11 @@
 """Every module under src/satkit uses each name it imports, or lists it
-in ``__all__`` as a re-export; every name that a script under
-``scripts/`` or the benchmark under ``perfbench/`` imports from satkit
-exists; ``convert``, ``solve --heuristic vsids`` and ``--version`` load
-neither numpy nor the HTTP client, and the learned entrant's timed set-up imports
-nothing."""
+in ``__all__`` as a re-export; each package's ``__all__`` holds only
+names that some caller imports through the package; every name that a
+script under ``scripts/`` or the benchmark under ``perfbench/`` imports
+from satkit exists; no module that a greedy learned solve runs imports
+the training code; ``convert``, ``solve --heuristic vsids`` and
+``--version`` load neither numpy nor the HTTP client, and the learned
+entrant's timed set-up imports nothing."""
 
 import ast
 import importlib
@@ -124,6 +126,79 @@ def test_the_script_scan_flags_a_deleted_name(monkeypatch):
         "from satkit import generators, plotting\n"
     )
     assert missing_satkit_imports(source) == ["satkit.solver.solve", "satkit.plotting"]
+
+
+def imports_from(path: Path) -> list[tuple[str, list[str]]]:
+    """``(module, names)`` for each ``from module import names`` in the
+    file at ``path``, anywhere in it, with relative imports resolved for
+    files under src/."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts if SRC in path.parents else ()
+    package = parts[:-1]  # an __init__'s own package is its directory too
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = package[: len(package) - node.level + 1]
+            module = ".".join(base + ((node.module,) if node.module else ()))
+        else:
+            module = node.module
+        found.append((module, [a.name for a in node.names]))
+    return found
+
+
+def _module_path(module: str) -> "Path | None":
+    path = SRC.parent.joinpath(*module.split("."))
+    for candidate in (path.with_suffix(".py"), path / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def import_closure(module: str) -> set[str]:
+    """The satkit modules that ``module``'s file imports, directly or
+    through the files it imports, by the names in its import statements.
+    A package's ``__init__``, which Python runs before any of its
+    submodules, counts only where a file imports from the package."""
+    seen, todo = set(), [module]
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for target, names in imports_from(_module_path(current)):
+            if _module_path(target) is None:
+                continue  # not satkit
+            todo.append(target)
+            todo.extend(f"{target}.{n}" for n in names if _module_path(f"{target}.{n}"))
+    return seen - {module}
+
+
+@pytest.mark.parametrize("module", ["observation", "network", "policy", "heuristic"])
+def test_learned_inference_imports_no_training_module(module):
+    assert import_closure(f"satkit.rl.{module}") & {"satkit.rl.ppo", "satkit.rl.train"} == set()
+
+
+def test_the_closure_follows_imports_through_files():
+    assert {"satkit.rl.heuristic", "satkit.rl.ppo", "satkit.rl.policy"} <= import_closure("satkit.rl.train")
+    assert "satkit" in import_closure("satkit.cli")  # from . import __version__
+
+
+PACKAGES = ["satkit", "satkit.logic", "satkit.rl", "satkit.solver"]
+
+
+def test_each_package_exports_only_names_its_callers_import_through_it():
+    files = [p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    imported = {package: set() for package in PACKAGES}
+    for path in files:
+        for module, names in imports_from(path):
+            if module in imported:
+                imported[module].update(names)
+    unused = {
+        package: sorted(set(importlib.import_module(package).__all__) - imported[package])
+        for package in PACKAGES
+    }
+    assert unused == {package: [] for package in PACKAGES}
 
 
 # -- what each path loads -------------------------------------------------------

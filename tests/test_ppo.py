@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from satkit.generators import planted_ksat
+from satkit.rl.heuristic import Transition
 from satkit.rl.network import ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, Adam, Mlp, cholesky_qr, orthogonal_init
 from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
@@ -13,7 +14,6 @@ from satkit.rl.ppo import (
     GAE_LAMBDA,
     NonFiniteLossError,
     PpoOptimizer,
-    Transition,
     _batch_arrays,
     clipped_surrogate,
     compute_gae,
