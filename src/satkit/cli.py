@@ -48,6 +48,7 @@ EXIT_INPUT = 2
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
+DEFAULT_TRANSLATOR_TIMEOUT_S = 30.0
 
 
 class _UsageError(Exception):
@@ -73,7 +74,12 @@ def _build_parser() -> _Parser:
         default=None,
         help="'stub:FILE' or an http(s):// URL (english mode only)",
     )
-    p.add_argument("--timeout-s", type=float, default=30.0, help="translator timeout")
+    p.add_argument(
+        "--timeout-s",
+        type=float,
+        default=None,
+        help=f"translator timeout in seconds (english mode only; default {DEFAULT_TRANSLATOR_TIMEOUT_S})",
+    )
     p.add_argument("--out", default="-", help="DIMACS output path, '-' for stdout")
     p.add_argument("--map", dest="map_path", default=None, help="atom/index/phrase table output")
     p.add_argument("--max-clauses", type=int, default=DEFAULT_CLAUSE_CAP)
@@ -147,11 +153,14 @@ def _make_translator(spec: str, timeout_s: float):
 
 
 def _cmd_convert(args) -> int:
-    if args.mode != "english" and args.translator is not None:
-        raise _UsageError("--translator applies to --mode english only")
+    if args.mode != "english":
+        for flag, value in (("--translator", args.translator), ("--timeout-s", args.timeout_s)):
+            if value is not None:
+                raise _UsageError(f"{flag} applies to --mode english only")
     text = _read_input(args.input)
     if args.mode == "english":
-        client = _make_translator(args.translator, args.timeout_s)
+        timeout_s = DEFAULT_TRANSLATOR_TIMEOUT_S if args.timeout_s is None else args.timeout_s
+        client = _make_translator(args.translator, timeout_s)
         formula, table = compile_document(text, client, max_clauses=args.max_clauses)
     else:
         exprs = []

@@ -13,8 +13,9 @@ Entropy here is the natural-log entropy of the empirical distribution
 of exact values in a sample, bounded by log(support size). Variation
 coefficient is stddev/mean, defined as 0 when the mean is 0; mean and
 std are the reductions ``np.mean`` and ``np.std`` make, called directly.
-``clause_incidence`` decodes the clauses once, for the features and for
-the signed adjacency's nonzero entries that the policy folds.
+``clause_incidence`` decodes the clauses once, for the features, for
+the signed adjacency's nonzero entries that the policy folds, and for
+the clause block that the learned heuristic evaluates at each decision.
 """
 
 from __future__ import annotations
@@ -85,58 +86,95 @@ class FeatureVector:
 
 
 class Incidence(NamedTuple):
-    """Clause lengths; per literal occurrence its code and clause; per distinct
-    (clause, variable) pair, row-major, both and whether the variable is positive."""
+    """A formula's clauses decoded into arrays. Per clause: its length
+    and the offset of its first literal occurrence. Per occurrence, in
+    clause order: its clause, its variable (0-based) and its sign, +1 or
+    -1. Per distinct (clause, variable) pair, row-major: its position
+    ``clause * n + variable`` in the clause-by-variable adjacency, and
+    +1.0 if the variable occurs positively in the clause, else -1.0."""
 
     lengths: np.ndarray
-    codes: np.ndarray
+    starts: np.ndarray
     rows: np.ndarray
-    pair_clause: np.ndarray
-    pair_var: np.ndarray
-    pair_positive: np.ndarray
+    variables: np.ndarray
+    signs: np.ndarray
+    pairs: np.ndarray
+    pair_signs: np.ndarray
+
+
+# A pair's adjacency value by its key's low bit.
+_PAIR_SIGNS = np.array([1.0, -1.0])
+_PAIR_SIGNS.flags.writeable = False
 
 
 def clause_incidence(formula: CnfFormula) -> Incidence:
     n, m = formula.num_vars, formula.num_clauses
     lengths = np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m)
-    codes = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64, count=int(lengths.sum()))
-    rows = np.repeat(np.arange(m), lengths)
-    # A set low bit marks a negative occurrence, so a pair's occurrences
-    # sort together, any positive one first.
-    keys = np.sort((rows * (n + 1) + np.abs(codes)) * 2 + (codes < 0))
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = (keys[1:] >> 1) != (keys[:-1] >> 1)
-    keys = keys[first]
-    pair_clause, pair_var = np.divmod(keys >> 1, n + 1)
-    return Incidence(lengths, codes, rows, pair_clause, pair_var, (keys & 1) == 0)
+    codes = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64)
+    starts = lengths.cumsum()
+    starts -= lengths
+    rows = np.arange(m).repeat(lengths)
+    signs = np.sign(codes)
+    variables = codes * signs
+    variables -= 1
+    # Twice the pair's position, plus 1 for a negative occurrence, so a
+    # pair's occurrences sort together, any positive one first.
+    keys = rows * (2 * n)
+    keys += 2 * variables
+    keys += codes < 0
+    keys.sort()
+    pairs = keys >> 1
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    return Incidence(lengths, starts, rows, variables, signs, pairs[first], _PAIR_SIGNS[keys[first] & 1])
 
 
-def _spreads(samples: np.ndarray) -> list[list[float]]:
-    """Mean, variation coefficient, min, max and entropy of each row.
+def _spreads(samples: np.ndarray, blocks: tuple[np.ndarray, ...]) -> list[list[float]]:
+    """Mean, variation coefficient, min, max and entropy of each row of
+    ``blocks``, 2-D views that tile the flat array ``samples`` in order.
 
-    Each row is sorted first, which makes every statistic bit-identical
-    under any permutation of the sample (float summation is
-    order-sensitive). Entropy sums its terms in Python floats, in
+    Each row is sorted in place first, which makes every statistic
+    bit-identical under any permutation of the sample (float summation
+    is order-sensitive). Entropy sums its terms in Python floats, in
     increasing order of value.
     """
-    ordered = np.sort(samples, axis=1)
-    rows, k = ordered.shape
-    means = np.add.reduce(ordered, axis=1) / k
-    deviations = ordered - means[:, None]
-    stds = np.sqrt(np.add.reduce(deviations * deviations, axis=1) / k)
-    # Runs of equal values in the sorted rows; a run ends where the next
-    # one starts, a row's last run at the next row's first entry.
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    bounds = np.flatnonzero(starts).tolist()
-    sums = [0.0] * rows
-    for start, end in zip(bounds, bounds[1:] + [ordered.size]):
-        sums[start // k] += ((end - start) / k) * math.log((end - start) / k)
+    means: list[float] = []
+    variances: list[float] = []
+    widths: list[int] = []
+    for block in blocks:
+        block.sort(axis=1)
+        k = block.shape[1]
+        mean = np.add.reduce(block, axis=1) / k
+        deviations = block - mean[:, None]
+        deviations *= deviations
+        means += mean.tolist()
+        variances += [total / k for total in np.add.reduce(deviations, axis=1).tolist()]
+        widths += [k] * block.shape[0]
+    # A run of equal values ends where the next one starts; every row
+    # starts one, and a row's last run ends at the next row's start.
+    row_starts = [0]
+    for k in widths:
+        row_starts.append(row_starts[-1] + k)
+    new_run = np.empty(samples.size, dtype=bool)
+    np.not_equal(samples[1:], samples[:-1], out=new_run[1:])
+    new_run[row_starts[:-1]] = True
+    bounds = new_run.nonzero()[0]
+    run_values = samples[bounds].tolist()
+    bounds = bounds.tolist()
+    bounds.append(samples.size)
     out = []
-    stats = zip(means.tolist(), stds.tolist(), ordered[:, 0].tolist(), ordered[:, -1].tolist(), sums)
-    for mean, std, low, high, total in stats:
+    run = 0
+    for mean, variance, k, end in zip(means, variances, widths, row_starts[1:]):
+        low = run_values[run]
+        total = 0.0
+        while bounds[run] < end:
+            p = (bounds[run + 1] - bounds[run]) / k
+            total += p * math.log(p)
+            run += 1
+        std = math.sqrt(variance)
         # 0.0 - total, not -total: a constant row's entropy is +0.0
-        out.append([mean, std / mean if mean != 0 else 0.0, low, high, 0.0 - total])
+        out.append([mean, std / mean if mean != 0 else 0.0, low, run_values[run - 1], 0.0 - total])
     return out
 
 
@@ -151,31 +189,36 @@ def extract_features(formula: CnfFormula, incidence: Optional[Incidence] = None)
     # Degrees count a variable once per clause (the distinct pairs),
     # polarity counts every occurrence.
     inc = clause_incidence(formula) if incidence is None else incidence
-    variables = np.abs(inc.codes)
-    positive = inc.codes > 0
-    positives = np.bincount(inc.rows[positive], minlength=m)
+    positive = inc.signs > 0
+    pair_clause = inc.pairs // n
+    pair_var = inc.pairs % n
+    positives = np.bincount(inc.rows, weights=positive, minlength=m)
     is_horn = positives <= 1
-    clause_degree = np.bincount(inc.pair_clause, minlength=m)
-    pos_occ = np.bincount(variables[positive], minlength=n + 1)[1:]
-    total_occ = np.bincount(variables, minlength=n + 1)[1:]
-    var_samples = np.empty((3, n))  # degree, positive fraction (0 if unused), Horn count
-    var_samples[0] = np.bincount(inc.pair_var, minlength=n + 1)[1:]
-    np.divide(pos_occ, np.maximum(total_occ, 1), out=var_samples[1])
-    var_samples[2] = np.bincount(inc.pair_var[is_horn[inc.pair_clause]], minlength=n + 1)[1:]
-    clause_samples = np.array([clause_degree, positives / inc.lengths], dtype=np.float64)
-    var_spreads = _spreads(var_samples)
-    clause_spreads = _spreads(clause_samples)
+    clause_degree = np.bincount(pair_clause, minlength=m)
+    samples = np.empty(3 * n + 2 * m)
+    # Per variable: degree, positive fraction (0 if unused), Horn count;
+    # per clause: degree, positive fraction.
+    var_samples = samples[: 3 * n].reshape(3, n)
+    clause_samples = samples[3 * n :].reshape(2, m)
+    var_samples[0] = np.bincount(pair_var, minlength=n)
+    total_occ = np.bincount(inc.variables, minlength=n)
+    np.maximum(total_occ, 1, out=total_occ)
+    np.divide(np.bincount(inc.variables, weights=positive, minlength=n), total_occ, out=var_samples[1])
+    var_samples[2] = np.bincount(pair_var, weights=is_horn[pair_clause], minlength=n)
+    clause_samples[0] = clause_degree
+    np.divide(positives, inc.lengths, out=clause_samples[1])
+    spreads = _spreads(samples, (var_samples, clause_samples))
     degree_counts = np.bincount(clause_degree, minlength=4)
 
     ratio = m / n
     body = (
         [float(n), float(m), ratio, n / m, abs(ratio - 4.26)]
-        + var_spreads[0]
-        + clause_spreads[0]
-        + clause_spreads[1]
-        + var_spreads[1]
+        + spreads[0]
+        + spreads[3]
+        + spreads[4]
+        + spreads[1]
         + [int(degree_counts[2]) / m, int(degree_counts[3]) / m, int(np.count_nonzero(is_horn)) / m]
-        + var_spreads[2]
+        + spreads[2]
     )
     values = np.zeros(FEATURE_COUNT, dtype=np.float64)
     values[: len(body)] = body

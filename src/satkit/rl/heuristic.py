@@ -3,18 +3,20 @@
 On each decision the heuristic builds the observation's dynamic block
 (variable assignments and clause status, n + m entries) from the live
 solver state, asks the policy for an action and returns the literal it
-branches on. Construction decodes the clauses once for the static
-parts of the observation (signed adjacency, global features) and folds
-only their nonzero entries into the actor's first layer (the fold's
-last bits depend on the BLAS build and thread count), so a decision
-multiplies only the dynamic inputs. Construction is the set-up that
-the benchmark harness times (``feature_time_s``), fold included; solve
-time excludes it.
+branches on. Construction decodes the clauses once, into a
+``clause_incidence``, and keeps it: the static parts of the
+observation (signed adjacency, global features) come from it, and only
+their nonzero entries are folded into the actor's first layer (the
+fold's last bits depend on the BLAS build and thread count), so a
+decision multiplies only the dynamic inputs. Construction is the
+set-up that the benchmark harness times (``feature_time_s``), fold
+included; solve time excludes it.
 
-Clause status comes from the heuristic's ``ClauseStatus`` tracker,
-which it syncs from ``solver.trail`` before each read: ``decide`` reads
-the clause block, ``on_step`` the reward. The solver keeps no clause
-counts of its own, so no other heuristic pays for them.
+Clause status is evaluated afresh from ``solver.values`` over the
+incidence's occurrence arrays (``observation.dynamic_block``):
+``decide`` reads it as the clause block, ``on_step`` sums it for the
+reward. The solver keeps no clause counts of its own, so no other
+heuristic pays for them.
 
 The policy reads which actions are legal from the dynamic block's
 assignments. Built without an rng, the heuristic is greedy and records
@@ -46,7 +48,7 @@ import numpy as np
 from ..cnf import CnfFormula
 from ..features import clause_incidence, extract_features
 from ..solver.engine import Heuristic, Solver
-from .observation import ClauseStatus, ShapeMismatchError, static_entries
+from .observation import ShapeMismatchError, dynamic_block, static_entries
 from .policy import Policy, action_to_decision, legal_action_mask
 
 
@@ -77,10 +79,9 @@ class PolicyHeuristic(Heuristic):
         self.formula = formula
         self.rng = rng
         self.transitions: list[Transition] = []
-        self.clause_status = ClauseStatus(formula)
-        incidence = clause_incidence(formula)
-        features = extract_features(formula, incidence).values
-        static = static_entries(incidence, features, formula.num_vars)
+        self._incidence = clause_incidence(formula)
+        features = extract_features(formula, self._incidence).values
+        static = static_entries(self._incidence, features, formula.num_vars)
         self._actor_fold = policy.fold(policy.actor, *static)
         if rng is not None:
             self._static = np.zeros(policy.obs_dim - policy.dynamic_dim)
@@ -93,8 +94,7 @@ class PolicyHeuristic(Heuristic):
             raise ShapeMismatchError("solver formula is not the formula this heuristic was built for")
 
     def decide(self, solver: Solver) -> int:
-        self.clause_status.sync(solver.trail)
-        dynamic = np.array(solver.values + self.clause_status.status, dtype=np.float64)
+        dynamic = dynamic_block(self._incidence, solver.values)
         action, log_prob = self.policy.act(dynamic, self._actor_fold, self.rng)
         if self.rng is not None:
             self.transitions.append(
@@ -113,5 +113,5 @@ class PolicyHeuristic(Heuristic):
     def on_step(self, solver: Solver) -> None:
         if not self.transitions:
             return
-        self.clause_status.sync(solver.trail)
-        self.transitions[-1].reward = float(self.clause_status.reward())
+        clauses = dynamic_block(self._incidence, solver.values)[self.formula.num_vars :]
+        self.transitions[-1].reward = float(clauses.sum())

@@ -13,21 +13,23 @@ clauses appear; learned clauses are excluded so the shape never
 changes mid-run. The per-step reward is the satisfied-minus-falsified
 clause count.
 
-Clause status has one owner per solve: a ``ClauseStatus`` tracker
-keeps, for each original clause, its count of true and of false
-literals, and follows the solver's trail incrementally. The learned
-heuristic reads both its observation's clause block and its reward
-from it, so the solver itself keeps no per-clause counts and other
-heuristics pay nothing. ``clause_evaluations`` recomputes the clause
-block from scratch; it is the reference the tracker is tested
-against, and ``build_observation`` uses it.
+The dynamic block, assignments and clause evaluations, is the part
+that changes between decisions. ``dynamic_block`` computes it from the
+solver's values and a formula's ``clause_incidence`` in a few array
+operations, a clause's status being the largest value among its
+literals; the learned heuristic reads both its observation's clause
+block and its reward (the block's sum) from it, so the solver itself
+keeps no per-clause counts and other heuristics pay nothing.
+``clause_evaluations`` evaluates the clause block clause by clause
+with ``evaluate_clause``; it is the reference ``dynamic_block`` is
+tested against, and ``build_observation`` uses it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+from ..cnf import CnfFormula, evaluate_clause
 from ..errors import SatkitError
 from ..features import FEATURE_COUNT, FeatureVector, Incidence, clause_incidence
 
@@ -47,7 +49,7 @@ def signed_adjacency(formula: CnfFormula) -> np.ndarray:
     tautology simplification)."""
     inc = clause_incidence(formula)
     adj = np.zeros((formula.num_clauses, formula.num_vars), dtype=np.float64)
-    adj[inc.pair_clause, inc.pair_var - 1] = np.where(inc.pair_positive, 1.0, -1.0)
+    adj.reshape(-1)[inc.pairs] = inc.pair_signs
     return adj
 
 
@@ -57,10 +59,9 @@ def static_entries(
     """The nonzero entries of an observation's static block, signed
     adjacency then global ``features``, as increasing positions in the
     block and their values, from a formula's ``clause_incidence``."""
-    nonzero = np.flatnonzero(features)
-    adjacency = incidence.pair_clause * num_vars + (incidence.pair_var - 1)
-    index = np.concatenate([adjacency, len(incidence.lengths) * num_vars + nonzero])
-    return index, np.concatenate([np.where(incidence.pair_positive, 1.0, -1.0), features[nonzero]])
+    nonzero = features.nonzero()[0]
+    index = np.concatenate([incidence.pairs, len(incidence.lengths) * num_vars + nonzero])
+    return index, np.concatenate([incidence.pair_signs, features[nonzero]])
 
 
 def clause_evaluations(formula: CnfFormula, values: list[int]) -> np.ndarray:
@@ -72,72 +73,22 @@ def clause_evaluations(formula: CnfFormula, values: list[int]) -> np.ndarray:
     )
 
 
-class ClauseStatus:
-    """Three-valued status of every original clause of one formula,
-    kept in step with a solver's trail.
+def dynamic_block(incidence: Incidence, values: list[int]) -> np.ndarray:
+    """An observation's dynamic block for the solver's ``values``: the
+    assignments, then every original clause's evaluation.
 
-    ``sync(trail)`` undoes the literals of the last trail it saw that
-    lie past the common prefix with ``trail``, then applies the new
-    ones, so a decision costs the clause occurrences of the literals it
-    changed rather than a pass over every clause. ``status[i]`` is then
-    TRUE, FALSE or UNDEF, equal to ``evaluate_clause`` on the trail's
-    assignment; duplicate and complementary literals count once per
-    occurrence.
+    A clause's evaluation is the largest value among its literals, +1
+    true, 0 unassigned, -1 false, which is ``evaluate_clause``'s
+    verdict, duplicate and complementary literals included. It is taken
+    in integers, so an unassigned negative literal counts 0, never
+    -0.0.
     """
-
-    def __init__(self, formula: CnfFormula):
-        m = formula.num_clauses
-        # Indexed by the signed code itself: 2n + 1 slots, slot -v being
-        # 2n + 1 - v. A clause is listed once per occurrence.
-        self._occurrences: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
-        for i, clause in enumerate(formula.clauses):
-            for code in clause:
-                self._occurrences[code].append(i)
-        self._size = [len(clause) for clause in formula.clauses]
-        self._true = [0] * m
-        self._false = [0] * m
-        self._trail: list[int] = []
-        self.status = [UNDEF] * m
-
-    def sync(self, trail: list[int]) -> None:
-        seen = self._trail
-        keep = len(seen)
-        if trail[:keep] != seen:
-            keep = 0
-            while keep < len(trail) and trail[keep] == seen[keep]:
-                keep += 1
-        for lit in seen[keep:]:
-            self._unset(lit)
-        for lit in trail[keep:]:
-            self._set(lit)
-        self._trail = trail[:]
-
-    def _set(self, lit: int) -> None:
-        status = self.status
-        true, false, size = self._true, self._false, self._size
-        for c in self._occurrences[lit]:
-            true[c] += 1
-            status[c] = TRUE
-        for c in self._occurrences[-lit]:
-            false[c] += 1
-            if false[c] == size[c]:
-                status[c] = FALSE
-
-    def _unset(self, lit: int) -> None:
-        status = self.status
-        true, false = self._true, self._false
-        for c in self._occurrences[lit]:
-            true[c] -= 1
-            if not true[c]:
-                status[c] = UNDEF
-        for c in self._occurrences[-lit]:
-            false[c] -= 1
-            if not true[c]:
-                status[c] = UNDEF
-
-    def reward(self) -> int:
-        """Satisfied clauses count +1 each, falsified -1, pending 0."""
-        return sum(self.status)
+    n = len(values)
+    assigned = np.array(values)
+    block = np.empty(n + len(incidence.starts))
+    block[:n] = assigned
+    block[n:] = np.maximum.reduceat(assigned[incidence.variables] * incidence.signs, incidence.starts)
+    return block
 
 
 def build_observation(

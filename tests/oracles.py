@@ -18,7 +18,12 @@ must match within 1e-12, and ``dense_ppo_loss_and_grads`` the PPO loss
 over whole observations that the compact-batch one must match, and
 ``householder_orthogonal_init`` the Householder QR initialisation whose
 Q the Cholesky QR one must match within 1e-12. ``compute_reward`` is
-the from-scratch reward that ``ClauseStatus.reward`` must equal.
+the from-scratch reward, which the learned heuristic's clause block
+(``observation.dynamic_block``) must sum to, and
+``reference_construction`` that heuristic's static part (features,
+static entries and actor fold) as it was built beside a second decode
+of the clauses, which the one-decode construction must match byte for
+byte.
 ``format_1_checkpoint`` and ``format_2_checkpoint`` write a policy as
 the retired checkpoint formats 1 and 2 did, for the loader to refuse.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
@@ -755,6 +760,36 @@ def reference_extract_features(formula: CnfFormula) -> np.ndarray:
     values = np.zeros(FEATURE_COUNT, dtype=np.float64)
     values[: len(body)] = body
     return values
+
+
+def reference_construction(policy, formula: CnfFormula) -> dict[str, np.ndarray]:
+    """The static part of a ``PolicyHeuristic`` as construction built it
+    when a ``ClauseStatus`` tracker decoded the clauses a second time:
+    the feature values (``reference_extract_features``, which that
+    construction's features matched bit for bit), the static block's
+    nonzero positions (``index``) and values, and the actor's fold of
+    them. The signed adjacency's entries came from sorted
+    ``(clause * (n + 1) + |code|) * 2 + negative`` keys, the first of
+    each (clause, variable) pair kept."""
+    n, m = formula.num_vars, formula.num_clauses
+    lengths = np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m)
+    codes = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(m), lengths)
+    keys = np.sort((rows * (n + 1) + np.abs(codes)) * 2 + (codes < 0))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = (keys[1:] >> 1) != (keys[:-1] >> 1)
+    keys = keys[first]
+    pair_clause, pair_var = np.divmod(keys >> 1, n + 1)
+    features = reference_extract_features(formula)
+    nonzero = np.flatnonzero(features)
+    index = np.concatenate([pair_clause * n + (pair_var - 1), m * n + nonzero])
+    values = np.concatenate([np.where((keys & 1) == 0, 1.0, -1.0), features[nonzero]])
+    return {
+        "features": features,
+        "index": index,
+        "values": values,
+        "actor_fold": policy.fold(policy.actor, index, values),
+    }
 
 
 def check_watch_invariants(solver) -> None:

@@ -178,6 +178,29 @@ class TestConvert:
         assert captured.out == ""
         assert captured.err == "error: --translator applies to --mode english only\n"
 
+    @pytest.mark.parametrize("timeout", ["30", "-1"])
+    def test_timeout_in_expr_mode_is_a_usage_error(self, tmp_path, capsys, timeout):
+        src = tmp_path / "exprs.txt"
+        src.write_text("Or(P, Q)\n", encoding="utf-8")
+        assert main(["convert", str(src), "--mode", "expr", "--timeout-s", timeout]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --timeout-s applies to --mode english only\n"
+
+    def test_english_translator_timeout_defaults_to_30_s(self, monkeypatch, tmp_path):
+        src = tmp_path / "doc.txt"
+        src.write_text("The lamp is on.\n", encoding="utf-8")
+        seen = []
+
+        def refuse(spec, timeout_s):
+            seen.append(timeout_s)
+            raise cli.SatkitError("no translator here")
+
+        monkeypatch.setattr(cli, "_make_translator", refuse)
+        for extra, expected in (([], 30.0), (["--timeout-s", "2.5"], 2.5)):
+            assert main(["convert", str(src), "--mode", "english", *extra]) == 2
+            assert seen.pop() == expected
+
     def test_max_clauses_default_is_the_conversion_cap(self):
         args = cli._build_parser().parse_args(["convert", "-"])
         assert args.max_clauses == DEFAULT_CLAUSE_CAP

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
-from satkit.features import FEATURE_COUNT, extract_features
+from satkit.features import clause_incidence, extract_features
 from satkit.generators import planted_ksat, random_ksat
 from satkit.rl.heuristic import PolicyHeuristic
 from satkit.rl.observation import (
-    ClauseStatus,
     build_observation,
     clause_evaluations,
+    dynamic_block,
     flat_observation_dim,
     signed_adjacency,
 )
@@ -48,6 +48,10 @@ def test_negative_literals_encode_minus_one():
 def test_both_polarities_store_plus_one():
     f = CnfFormula.from_codes(1, [[1, -1]])
     assert signed_adjacency(f).tolist() == [[1.0]]
+
+
+def test_a_formula_without_clauses_has_an_empty_adjacency():
+    assert signed_adjacency(CnfFormula(3, ())).shape == (0, 3)
 
 
 def test_uf20_flattened_length():
@@ -136,37 +140,56 @@ def values_of(num_vars, trail):
     return values
 
 
+def reference_block(formula, values):
+    """The dynamic block from ``evaluate_clause``, clause by clause."""
+    return np.concatenate([np.asarray(values, dtype=np.float64), clause_evaluations(formula, values)])
+
+
 @given(formulas_with_repeats(), st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=12))
 def test_clause_status_follows_any_sequence_of_trails(formula, seeds):
-    """Trails that keep a prefix, grow, shrink or start over."""
-    status = ClauseStatus(formula)
+    """Trails that keep a prefix, grow, shrink or start over: the
+    clause block, in bytes (no -0.0), and its sum, the reward."""
+    incidence = clause_incidence(formula)
+    n = formula.num_vars
     trail = []
-    variables = list(range(1, formula.num_vars + 1))
+    variables = list(range(1, n + 1))
     for seed in seeds:
         rng = random.Random(seed)
         trail = trail[: rng.randint(0, len(trail))]
         free = [v for v in variables if v not in {abs(lit) for lit in trail}]
         rng.shuffle(free)
         trail = trail + [v if rng.random() < 0.5 else -v for v in free[: rng.randint(0, len(free))]]
-        status.sync(list(trail))
-        expected = clause_evaluations(formula, values_of(formula.num_vars, trail))
-        assert status.status == expected.tolist()
-        assert status.reward() == compute_reward(expected)
+        values = values_of(n, trail)
+        block = dynamic_block(incidence, values)
+        expected = reference_block(formula, values)
+        assert block.tobytes() == expected.tobytes()
+        assert block[n:].sum() == compute_reward(expected[n:])
+
+
+class RecordingPolicy(Policy):
+    """A policy that keeps the last dynamic block it was asked to act on."""
+
+    def act(self, dynamic, fold, rng=None):
+        self.last_dynamic = dynamic.copy()
+        return super().act(dynamic, fold, rng)
 
 
 class CheckedHeuristic(PolicyHeuristic):
-    """A policy heuristic that checks, at every decision and step, its
-    clause-status tracker against the from-scratch evaluation; when
-    sampling and recording, also the transition's observation and
+    """A policy heuristic that checks, at every decision, the dynamic
+    block it hands the policy and, at every step, the block and reward
+    of the state the step leaves, against the from-scratch evaluation;
+    when sampling and recording, also the transition's observation and
     reward."""
 
     checks = 0
 
     def decide(self, solver):
         decision = super().decide(solver)  # the solver has not assigned it yet
-        expected = clause_evaluations(self.formula, solver.values)
-        assert self.clause_status.status == expected.tolist()
-        assert self.clause_status.reward() == compute_reward(expected)
+        n = self.formula.num_vars
+        expected = reference_block(self.formula, solver.values)
+        acted_on = self.policy.last_dynamic
+        assert acted_on.tobytes() == expected.tobytes()
+        assert acted_on[n:].sum() == compute_reward(expected[n:])
         if self.rng is not None:
             full = build_observation(self.formula, solver.values, extract_features(self.formula))
             last = self.transitions[-1]
@@ -177,13 +200,13 @@ class CheckedHeuristic(PolicyHeuristic):
 
     def on_step(self, solver):
         super().on_step(solver)
-        expected = clause_evaluations(self.formula, solver.values)
+        n = self.formula.num_vars
+        expected = reference_block(self.formula, solver.values)
         if self.rng is not None:
-            assert self.transitions[-1].reward == float(compute_reward(expected))
-        else:
-            self.clause_status.sync(solver.trail)  # only recording syncs here
-        assert self.clause_status.status == expected.tolist()
-        assert self.clause_status.reward() == compute_reward(expected)
+            assert self.transitions[-1].reward == float(compute_reward(expected[n:]))
+        block = dynamic_block(self._incidence, solver.values)
+        assert block.tobytes() == expected.tobytes()
+        assert block[n:].sum() == compute_reward(expected[n:])
         self.checks += 1
 
 
@@ -192,7 +215,7 @@ RECORD = dict(argnames="record", argvalues=[False, True], ids=["greedy-False", "
 
 
 def checked_solve(formula, record, seed=0):
-    policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
+    policy = RecordingPolicy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
     heuristic = CheckedHeuristic(policy, formula, np.random.default_rng(seed) if record else None)
     result = Solver(formula, heuristic, SolveLimits(max_decisions=2000)).run()
     return heuristic, result
@@ -208,8 +231,8 @@ def test_clause_status_equals_the_reference_at_every_step(record, formula, seed)
 
 @pytest.mark.parametrize(**RECORD)
 def test_the_checked_runs_backjump(record):
-    """These 3-SAT instances reach conflicts, so the tracker is checked
-    across backjumps."""
+    """These 3-SAT instances reach conflicts, so the clause block is
+    checked across backjumps."""
     conflicts = 0
     for k in range(4):
         formula = random_ksat(16, 72, random.Random(k))

@@ -51,6 +51,7 @@ from oracles import (
     format_2_checkpoint,
     full_logits,
     full_value,
+    reference_construction,
     reference_extract_features,
     reference_fold,
 )
@@ -585,6 +586,79 @@ class TestNonzeroFold:
         for log, want in zip(logs, expected):
             for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
                 assert getattr(log.metrics, name) == pytest.approx(getattr(want.metrics, name), rel=1e-9)
+
+
+class CountedClauses(tuple):
+    """A formula's clause tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestOneDecodeConstruction:
+    """``PolicyHeuristic`` builds its static part from one
+    ``clause_incidence``: the features, the static entries and the
+    actor's fold equal, byte for byte, those of the construction that
+    also decoded the clauses into a ``ClauseStatus`` tracker."""
+
+    @staticmethod
+    def check(policy, formula):
+        expected = reference_construction(policy, formula)
+        incidence = clause_incidence(formula)
+        features = extract_features(formula, incidence).values
+        index, values = static_entries(incidence, features, formula.num_vars)
+        assert features.tobytes() == expected["features"].tobytes()
+        assert index.tobytes() == expected["index"].tobytes()
+        assert values.tobytes() == expected["values"].tobytes()
+        static = np.zeros(policy.obs_dim - policy.dynamic_dim)
+        static[expected["index"]] = expected["values"]
+        greedy = PolicyHeuristic(policy, formula)
+        sampled = PolicyHeuristic(policy, formula, np.random.default_rng(0))
+        for heuristic in (greedy, sampled):
+            assert heuristic._actor_fold.tobytes() == expected["actor_fold"].tobytes()
+        assert sampled._static.tobytes() == static.tobytes()
+
+    @given(any_formula(), st.integers(0, 2**16))
+    @example(CnfFormula(1, [[1, -1, 1]]), 0)
+    @example(CnfFormula(3, [[2, 2, -2], [-3], [3, -1, -3, 1]]), 1)
+    def test_any_formula(self, formula, seed):
+        self.check(Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(16,)), seed), formula)
+
+    def test_race_pool_instances_0_to_99(self):
+        pool = perfbench_module("pool")
+        policy = Policy(20, 91, seed=0)
+        for i in range(100):
+            self.check(policy, CnfFormula(20, pool.race_instance(i)))
+
+    @pytest.mark.parametrize("record", [False, True], ids=["greedy", "sampled"])
+    def test_construction_decodes_the_clauses_once(self, record, monkeypatch):
+        """One ``clause_incidence`` call, and no other pass over the
+        clauses."""
+        import satkit.features
+        import satkit.rl.heuristic
+        import satkit.rl.observation
+
+        pool = perfbench_module("pool")
+        formula = CnfFormula(20, pool.race_instance(0))
+        clauses = CountedClauses(formula.clauses)
+        object.__setattr__(formula, "clauses", clauses)
+        inside = []
+
+        def counted_incidence(f):
+            before = clauses.iterations
+            incidence = clause_incidence(f)
+            inside.append(clauses.iterations - before)
+            return incidence
+
+        for module in (satkit.features, satkit.rl.heuristic, satkit.rl.observation):
+            monkeypatch.setattr(module, "clause_incidence", counted_incidence)
+        rng = np.random.default_rng(0) if record else None
+        PolicyHeuristic(Policy(20, 91, seed=0), formula, rng)
+        assert len(inside) == 1
+        assert clauses.iterations == inside[0]
 
 
 class TestBenchmarkTracer:
