@@ -74,8 +74,9 @@ from satkit.cnf import CnfFormula  # noqa: E402
 from satkit.dimacs import write_dimacs, write_dimacs_file  # noqa: E402
 from satkit.features import extract_features  # noqa: E402
 from satkit.logic import compile_document  # noqa: E402
-from satkit.rl import Policy, PolicyHeuristic, save_policy_file, train  # noqa: E402
+from satkit.rl import Policy, PolicyHeuristic, save_policy_file  # noqa: E402
 from satkit.rl.observation import signed_adjacency  # noqa: E402
+from satkit.rl.train import train  # noqa: E402
 from satkit.solver import Solver, VsidsHeuristic  # noqa: E402
 
 
@@ -89,7 +90,7 @@ def _digest(num_vars, instances, policy=None) -> str:
     h = hashlib.sha256()
     for clauses in instances:
         formula = CnfFormula(num_vars, clauses)
-        h.update(extract_features(formula).values.tobytes())
+        h.update(extract_features(formula).tobytes())
         h.update(signed_adjacency(formula).tobytes())
         h.update(_solve_record(Solver(formula, VsidsHeuristic(num_vars)).run()))
         if policy is not None:

@@ -59,16 +59,16 @@ def main() -> int:
             print(f"generated {args.count} planted instances in {data_dir}")
 
     files = sorted(p.name for p in data_dir.glob("*.cnf"))
-    split = split_dataset(files, args.seed)
+    train_names, test_names = split_dataset(files, args.seed)
     train_dir = workdir / "train"
     test_dir = workdir / "test"
-    for directory, names in ((train_dir, split.train), (test_dir, split.test)):
+    for directory, names in ((train_dir, train_names), (test_dir, test_names)):
         if directory.exists():
             shutil.rmtree(directory)
         directory.mkdir(parents=True)
         for name in names:
             shutil.copyfile(data_dir / name, directory / name)
-    print(f"split: {len(split.train)} train / {len(split.test)} test (seed {args.seed})")
+    print(f"split: {len(train_names)} train / {len(test_names)} test (seed {args.seed})")
 
     policy = workdir / "policy.bin"
     cli(

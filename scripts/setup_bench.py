@@ -12,10 +12,10 @@ solve and a VSIDS solve per instance, with ``random.Random(f"order-
 {seed}")`` as ``perfbench/run.py`` does, and runs them as the race
 does, each output checked by the workload. During a learned-policy
 operation the functions that ``PolicyHeuristic`` construction calls
-through its module (``clause_incidence``, ``extract_features``,
-``static_entries``, and ``ClauseStatus`` in a checkout that still has
-it) are wrapped to add up their time, and ``Mlp.fold`` is replaced by
-its two steps, the row gather and the product, each timed;
+through its module (``clause_incidence``, ``extract_features`` and
+``static_entries``) are wrapped to add up their time, and
+``Mlp.fold`` is replaced by its two steps, the row gather and the
+product, each timed;
 ``PolicyHeuristic.decide`` and ``Policy.act`` are wrapped for the time
 a decision spends outside the policy. Every wrapper is removed when
 the passes end. Each figure is the minimum per instance over the
@@ -47,9 +47,8 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# Construction's callees, as ``satkit.rl.heuristic`` names them; a name
-# the module does not hold is skipped.
-CONSTRUCTION = ("ClauseStatus", "clause_incidence", "extract_features", "static_entries")
+# Construction's callees, as ``satkit.rl.heuristic`` names them.
+CONSTRUCTION = ("clause_incidence", "extract_features", "static_entries")
 FOLD_PIECES = ("fold row gather", "fold GEMV")
 FIGURES = (
     "PolicyHeuristic.__init__",
@@ -100,8 +99,7 @@ def _patches(spent):
     from satkit.rl.network import Mlp
     from satkit.rl.policy import Policy
 
-    out = [(heuristic, name, _timed(spent, name, getattr(heuristic, name)))
-           for name in CONSTRUCTION if hasattr(heuristic, name)]
+    out = [(heuristic, name, _timed(spent, name, getattr(heuristic, name))) for name in CONSTRUCTION]
     out.append((heuristic.PolicyHeuristic, "decide", _timed(spent, "decide", heuristic.PolicyHeuristic.decide)))
     out.append((Policy, "act", _timed(spent, "act", Policy.act)))
     out.append((Mlp, "fold", _split_fold(spent)))
@@ -140,7 +138,7 @@ def _run_passes(inputs, workload, seed: int, passes: int) -> dict[str, list[list
                     result = heuristic.Solver(formula, learned).run()
                     solved = clock()
                     init = built - started
-                    pieces = [n for n in CONSTRUCTION if n in spent] + list(FOLD_PIECES)
+                    pieces = CONSTRUCTION + FOLD_PIECES
                     for piece in pieces:
                         figures[piece][i].append(spent[piece])
                     figures["rest of __init__"][i].append(init - sum(spent[p] for p in pieces))
@@ -195,7 +193,6 @@ def main(argv=None) -> int:
     summary = {
         figure: 1e6 * statistics.median(min(passes) for passes in figures[figure])
         for figure in FIGURES
-        if figure in figures
     }
     record = {
         "machine": _machine(),

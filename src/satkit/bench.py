@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .cnf import CnfFormula
 from .dimacs import DimacsError, read_dimacs_file
@@ -77,12 +76,6 @@ class Instance:
     formula: CnfFormula
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple[str, ...]
-    test: tuple[str, ...]
-
-
 @dataclass
 class BenchRecord:
     instance: str
@@ -97,23 +90,13 @@ class BenchRecord:
 
 
 def record_columns(cls) -> list[str]:
-    """The field names of the dataclass ``cls`` in order, a field
-    typed as a dataclass replaced in place by that class's columns."""
-    hints = get_type_hints(cls)
-    columns: list[str] = []
-    for f in fields(cls):
-        kind = hints[f.name]
-        columns.extend(record_columns(kind) if is_dataclass(kind) else [f.name])
-    return columns
+    """The field names of the dataclass ``cls``, in order."""
+    return [f.name for f in fields(cls)]
 
 
 def record_values(record) -> list:
     """``record``'s field values in ``record_columns`` order."""
-    values = []
-    for f in fields(record):
-        value = getattr(record, f.name)
-        values.extend(record_values(value) if is_dataclass(value) else [value])
-    return values
+    return [getattr(record, f.name) for f in fields(record)]
 
 
 def load_dataset(
@@ -151,13 +134,14 @@ def load_dataset(
     return out
 
 
-def split_dataset(files: Sequence[str], seed: int) -> DatasetSplit:
-    """Deterministic shuffle of the name-sorted file list, then a prefix
-    split with floor(N * TRAIN_SHARE) names in train and the rest in test."""
+def split_dataset(files: Sequence[str], seed: int) -> tuple[list[str], list[str]]:
+    """``(train, test)``: a deterministic shuffle of the name-sorted file
+    list, split with its first floor(N * TRAIN_SHARE) names in train and
+    the rest in test."""
     ordered = sorted(files)
     random.Random(seed).shuffle(ordered)
     cut = int(len(ordered) * TRAIN_SHARE)
-    return DatasetSplit(tuple(ordered[:cut]), tuple(ordered[cut:]))
+    return ordered[:cut], ordered[cut:]
 
 
 def _counters(result) -> tuple:
@@ -240,7 +224,7 @@ def run_comparison(
 
 
 def summarize(records: Sequence[BenchRecord]) -> dict[str, float]:
-    """The flat summary that ``write_summary_files`` stores: ``instances``;
+    """The flat summary that ``satkit bench`` stores: ``instances``;
     per heuristic, ``median_time_s``, ``median_decisions``,
     ``mean_decisions`` and ``mean_conflicts``, each suffixed
     ``.<name>``; and for each heuristic but ``BASELINE`` the share of
@@ -304,9 +288,3 @@ def records_to_csv(cls, records: Sequence) -> str:
     writer.writerow(record_columns(cls))
     writer.writerows(record_cells(r) for r in records)
     return buffer.getvalue()
-
-
-def write_summary_files(summary: dict[str, float], json_path) -> None:
-    with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -12,6 +12,7 @@ success, 1 is a usage error, 2 an input error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from .bench import (
     records_to_csv,
     run_comparison,
     summarize,
-    write_summary_files,
 )
 from .config import FEATURE_SCHEMA_VERSION, POLICY_FORMAT_VERSION, PpoConfig
 from .dimacs import read_dimacs_file, write_dimacs
@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
         "--timeout-s",
         type=float,
         default=None,
-        help=f"translator timeout in seconds (english mode only; default {DEFAULT_TRANSLATOR_TIMEOUT_S})",
+        help=f"translator timeout in seconds (http(s) translator only; default {DEFAULT_TRANSLATOR_TIMEOUT_S})",
     )
     p.add_argument("--out", default="-", help="DIMACS output path, '-' for stdout")
     p.add_argument("--map", dest="map_path", default=None, help="atom/index/phrase table output")
@@ -157,6 +157,8 @@ def _cmd_convert(args) -> int:
         for flag, value in (("--translator", args.translator), ("--timeout-s", args.timeout_s)):
             if value is not None:
                 raise _UsageError(f"{flag} applies to --mode english only")
+    elif args.timeout_s is not None and (args.translator or "").startswith("stub:"):
+        raise _UsageError("--timeout-s applies to an http(s) translator only")
     text = _read_input(args.input)
     if args.mode == "english":
         timeout_s = DEFAULT_TRANSLATOR_TIMEOUT_S if args.timeout_s is None else args.timeout_s
@@ -225,9 +227,8 @@ def _cmd_features(args) -> int:
         return EXIT_OK
     if not args.cnf:
         raise _UsageError("features needs a CNF file (or --schema)")
-    formula = read_dimacs_file(args.cnf)
-    vector = extract_features(formula)
-    for name, value in vector.items():
+    features = extract_features(read_dimacs_file(args.cnf))
+    for name, value in zip(FEATURE_SCHEMA, features):
         print(f"{name}={value:.10g}")
     return EXIT_OK
 
@@ -277,7 +278,8 @@ def _cmd_bench(args) -> int:
     Path(args.out).write_text(records_to_csv(BenchRecord, records), encoding="ascii", newline="\n")
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"
-    write_summary_files(summary, summary_path)
+    summary_json = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    Path(summary_path).write_text(summary_json, encoding="ascii")
     for key, value in sorted(summary.items()):
         print(f"{key}: {value}")
     print(f"records -> {args.out}; summary -> {summary_path}")

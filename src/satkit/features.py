@@ -21,7 +21,6 @@ the clause block that the learned heuristic evaluates at each decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -63,26 +62,9 @@ FEATURE_SCHEMA: tuple[str, ...] = tuple(
 FEATURE_COUNT = len(FEATURE_SCHEMA)
 assert FEATURE_COUNT == 48
 
-_INDEX = {name: i for i, name in enumerate(FEATURE_SCHEMA)}
-
 
 class DegenerateFormulaError(SatkitError):
     """Feature extraction needs at least one variable and one clause."""
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (FEATURE_COUNT,):
-            raise ValueError(f"feature vector must have {FEATURE_COUNT} entries")
-
-    def get(self, name: str) -> float:
-        return float(self.values[_INDEX[name]])
-
-    def items(self) -> list[tuple[str, float]]:
-        return [(name, float(v)) for name, v in zip(FEATURE_SCHEMA, self.values)]
 
 
 class Incidence(NamedTuple):
@@ -178,8 +160,9 @@ def _spreads(samples: np.ndarray, blocks: tuple[np.ndarray, ...]) -> list[list[f
     return out
 
 
-def extract_features(formula: CnfFormula, incidence: Optional[Incidence] = None) -> FeatureVector:
-    """``formula``'s features, from its ``clause_incidence`` if given."""
+def extract_features(formula: CnfFormula, incidence: Optional[Incidence] = None) -> np.ndarray:
+    """``formula``'s ``FEATURE_COUNT`` features in ``FEATURE_SCHEMA``
+    order, from its ``clause_incidence`` if given."""
     n, m = formula.num_vars, formula.num_clauses
     if n < 1 or m < 1:
         raise DegenerateFormulaError(
@@ -222,4 +205,4 @@ def extract_features(formula: CnfFormula, incidence: Optional[Incidence] = None)
     )
     values = np.zeros(FEATURE_COUNT, dtype=np.float64)
     values[: len(body)] = body
-    return FeatureVector(values)
+    return values

@@ -29,19 +29,16 @@ class DocumentError(SatkitError):
         self.failures = failures
 
 
-def conjoin(exprs: list[LogicalExpr]) -> LogicalExpr:
-    if not exprs:
-        raise ValueError("nothing to conjoin")
-    return exprs[0] if len(exprs) == 1 else And(tuple(exprs))
-
-
 def compile_expressions(
     exprs: list[LogicalExpr], max_clauses: int = DEFAULT_CLAUSE_CAP
 ) -> tuple[CnfFormula, SymbolTable]:
-    """Conjoin the expressions, convert them to CNF over a new symbol
-    table and simplify."""
+    """Conjoin the expressions (a ``ValueError`` if there are none),
+    convert them to CNF over a new symbol table and simplify."""
+    if not exprs:
+        raise ValueError("nothing to conjoin")
+    expr = exprs[0] if len(exprs) == 1 else And(tuple(exprs))
     table = SymbolTable()
-    return simplify_cnf(to_cnf(conjoin(exprs), table, max_clauses)), table
+    return simplify_cnf(to_cnf(expr, table, max_clauses)), table
 
 
 def compile_document(

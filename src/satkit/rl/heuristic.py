@@ -80,7 +80,7 @@ class PolicyHeuristic(Heuristic):
         self.rng = rng
         self.transitions: list[Transition] = []
         self._incidence = clause_incidence(formula)
-        features = extract_features(formula, self._incidence).values
+        features = extract_features(formula, self._incidence)
         static = static_entries(self._incidence, features, formula.num_vars)
         self._actor_fold = policy.fold(policy.actor, *static)
         if rng is not None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..cnf import CnfFormula, evaluate_clause
 from ..errors import SatkitError
-from ..features import FEATURE_COUNT, FeatureVector, Incidence, clause_incidence
+from ..features import FEATURE_COUNT, Incidence, clause_incidence
 
 
 class ShapeMismatchError(SatkitError):
@@ -94,7 +94,7 @@ def dynamic_block(incidence: Incidence, values: list[int]) -> np.ndarray:
 def build_observation(
     formula: CnfFormula,
     values: list[int],
-    features: FeatureVector,
+    features: np.ndarray,
 ) -> np.ndarray:
     """Assemble the flat observation for the solver's ``values``."""
     return np.concatenate(
@@ -102,6 +102,6 @@ def build_observation(
             np.asarray(values, dtype=np.float64),
             clause_evaluations(formula, values),
             signed_adjacency(formula).reshape(-1),
-            features.values,
+            features,
         ]
     )

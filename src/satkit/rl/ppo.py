@@ -27,7 +27,6 @@ stepped the weights since collection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,19 +47,12 @@ class NonFiniteLossError(SatkitError):
     """A loss went non-finite; the update was rolled back."""
 
 
-@dataclass
-class UpdateMetrics:
-    policy_loss: float  # negated mean clipped surrogate
-    value_loss: float
-    entropy: float
-    clip_fraction: float
-
-
-def clipped_surrogate(ratio: np.ndarray, advantage: np.ndarray, eps: float) -> np.ndarray:
-    """Elementwise min(r*A, clip(r, 1-eps, 1+eps)*A)."""
+def clipped_surrogate(ratio: np.ndarray, advantage: np.ndarray) -> np.ndarray:
+    """Elementwise min(r*A, clip(r, 1-eps, 1+eps)*A), eps ``CLIP_EPSILON``."""
     ratio = np.asarray(ratio, dtype=np.float64)
     advantage = np.asarray(advantage, dtype=np.float64)
-    return np.minimum(ratio * advantage, np.clip(ratio, 1.0 - eps, 1.0 + eps) * advantage)
+    clipped = np.clip(ratio, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON)
+    return np.minimum(ratio * advantage, clipped * advantage)
 
 
 def compute_gae(
@@ -126,12 +118,13 @@ class PpoOptimizer:
         self._live = self.params + self.adam.m + self.adam.v
         self._saved = [np.empty_like(a) for a in self._live]
 
-    def update(self, batch: Sequence[Transition]) -> UpdateMetrics:
+    def update(self, batch: Sequence[Transition]) -> np.ndarray:
         """One optimization over ``batch``: ``epochs`` passes of shuffled
-        minibatch steps. A non-finite loss before a step, or non-finite
-        parameters after the last, rolls the parameters, the Adam state
-        and the minibatch rng back to where they were and raises
-        ``NonFiniteLossError``."""
+        minibatch steps, returning the mean over the steps of
+        ``ppo_loss_and_grads``'s metrics. A non-finite loss before a
+        step, or non-finite parameters after the last, rolls the
+        parameters, the Adam state and the minibatch rng back to where
+        they were and raises ``NonFiniteLossError``."""
         if not batch:
             raise ValueError("empty transition batch")
         policy = self.policy
@@ -183,8 +176,7 @@ class PpoOptimizer:
             self.adam.t = saved_t
             self.rng.bit_generator.state = saved_rng
             raise
-        mean = totals / steps
-        return UpdateMetrics(*mean)
+        return totals / steps
 
 
 def ppo_loss_and_grads(
@@ -230,7 +222,7 @@ def ppo_loss_and_grads(
 
     ratio = np.exp(logp - old_logp)
     surr1 = ratio * advantages
-    surrogate = clipped_surrogate(ratio, advantages, CLIP_EPSILON)
+    surrogate = clipped_surrogate(ratio, advantages)
     entropy = -(probs * safe_logp).sum(axis=1)
 
     value_pred, critic_cache = policy.critic.forward(

@@ -19,7 +19,7 @@ from ..errors import LimitError, SatkitError
 from ..solver.engine import SolveLimits, SolveResult, Solver
 from .heuristic import PolicyHeuristic, Transition
 from .policy import Policy
-from .ppo import PpoOptimizer, UpdateMetrics
+from .ppo import PpoOptimizer
 
 
 class TrainingDataError(SatkitError, ValueError):
@@ -33,7 +33,11 @@ class TrainWindowLog:
     steps: int  # cumulative transitions collected
     mean_reward: float  # mean per-step reward over the window's transitions
     mean_decisions: float  # mean length of episodes completed in the window
-    metrics: UpdateMetrics
+    # The update's metrics (``PpoOptimizer.update``), in its order.
+    policy_loss: float  # negated mean clipped surrogate
+    value_loss: float
+    entropy: float
+    clip_fraction: float
 
 
 def run_episode(
@@ -126,7 +130,7 @@ def train(
         # Only the run's last episode can be truncated, so a window with
         # no completed episode is that one episode.
         mean_decisions = float(np.mean(episode_lengths)) if episode_lengths else float(len(buffer))
-        logs.append(TrainWindowLog(len(logs), total, mean_reward, mean_decisions, metrics))
+        logs.append(TrainWindowLog(len(logs), total, mean_reward, mean_decisions, *metrics))
         if checkpoint is not None and (len(logs) % checkpoint_every == 0 or total >= steps):
             checkpoint(policy, len(logs))
     return policy, logs

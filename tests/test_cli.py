@@ -14,6 +14,7 @@ import pytest
 from satkit import bench, cli
 from satkit.cli import main
 from satkit.dimacs import parse_dimacs, write_dimacs_file
+from satkit.features import FEATURE_SCHEMA
 from satkit.generators import generate_dataset, planted_ksat
 from satkit.logic.convert import DEFAULT_CLAUSE_CAP
 from satkit.rl import policy as policy_module
@@ -28,7 +29,7 @@ from satkit.rl.policy import (
 from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveStats
 
-from oracles import format_1_checkpoint, format_2_checkpoint
+from oracles import format_1_checkpoint, format_2_checkpoint, reference_extract_features
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -187,6 +188,16 @@ class TestConvert:
         assert captured.out == ""
         assert captured.err == "error: --timeout-s applies to --mode english only\n"
 
+    @pytest.mark.parametrize("timeout", ["30", "-1", "nan"])
+    def test_timeout_with_a_stub_translator_is_a_usage_error(self, tmp_path, capsys, timeout):
+        src = tmp_path / "doc.txt"
+        src.write_text("The lamp is on.\n", encoding="utf-8")
+        args = ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
+        assert main(args + ["--timeout-s", timeout]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --timeout-s applies to an http(s) translator only\n"
+
     def test_english_translator_timeout_defaults_to_30_s(self, monkeypatch, tmp_path):
         src = tmp_path / "doc.txt"
         src.write_text("The lamp is on.\n", encoding="utf-8")
@@ -339,12 +350,11 @@ class TestSolve:
 class TestFeatures:
     def test_prints_48_name_value_lines(self, uf_file, capsys):
         assert main(["features", str(uf_file)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 48
-        values = dict(line.split("=") for line in lines)
-        assert values["num_vars"] == "20"
-        assert values["num_clauses"] == "91"
-        assert float(values["clause_var_ratio"]) == pytest.approx(4.55)
+        assert lines[:3] == ["num_vars=20", "num_clauses=91", "clause_var_ratio=4.55"]
+        expected = reference_extract_features(parse_dimacs(uf_file.read_text(encoding="ascii")))
+        assert lines == [f"{name}={value:.10g}" for name, value in zip(FEATURE_SCHEMA, expected)]
 
     def test_schema_dump(self, capsys):
         assert main(["features", "--schema"]) == 0

@@ -20,6 +20,11 @@ from satkit.generators import planted_ksat, random_ksat
 from oracles import any_formula, reference_extract_features
 
 
+def named(values):
+    """Feature values by their ``FEATURE_SCHEMA`` names."""
+    return dict(zip(FEATURE_SCHEMA, values))
+
+
 def test_schema_is_48_slots_with_reserved_tail():
     assert FEATURE_COUNT == 48
     assert len(FEATURE_SCHEMA) == 48
@@ -30,30 +35,30 @@ def test_schema_is_48_slots_with_reserved_tail():
 
 def test_uf20_shaped_instance_sizes():
     f = planted_ksat(20, 91, random.Random(4))
-    fv = extract_features(f)
-    assert fv.get("num_vars") == 20
-    assert fv.get("num_clauses") == 91
-    assert fv.get("clause_var_ratio") == pytest.approx(4.55)
-    assert fv.get("var_clause_ratio") == pytest.approx(20 / 91)
-    assert fv.get("ratio_gap_4_26") == pytest.approx(abs(91 / 20 - 4.26))
-    assert fv.get("frac_ternary_clauses") == 1.0
+    fv = named(extract_features(f))
+    assert fv["num_vars"] == 20
+    assert fv["num_clauses"] == 91
+    assert fv["clause_var_ratio"] == pytest.approx(4.55)
+    assert fv["var_clause_ratio"] == pytest.approx(20 / 91)
+    assert fv["ratio_gap_4_26"] == pytest.approx(abs(91 / 20 - 4.26))
+    assert fv["frac_ternary_clauses"] == 1.0
 
 
 def test_single_positive_unit_clause():
     f = CnfFormula.from_codes(1, [[1]])
-    fv = extract_features(f)
-    assert fv.get("var_degree_mean") == 1.0
-    assert fv.get("var_degree_vc") == 0.0
-    assert fv.get("frac_horn_clauses") == 1.0
-    assert fv.get("clause_pos_frac_mean") == 1.0
-    assert fv.get("var_horn_count_mean") == 1.0
+    fv = named(extract_features(f))
+    assert fv["var_degree_mean"] == 1.0
+    assert fv["var_degree_vc"] == 0.0
+    assert fv["frac_horn_clauses"] == 1.0
+    assert fv["clause_pos_frac_mean"] == 1.0
+    assert fv["var_horn_count_mean"] == 1.0
 
 
 def test_reserved_slots_are_zero():
     f = planted_ksat(10, 40, random.Random(1))
-    fv = extract_features(f)
+    fv = named(extract_features(f))
     for k in range(15):
-        assert fv.get(f"reserved_{k}") == 0.0
+        assert fv[f"reserved_{k}"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -63,7 +68,7 @@ def test_reserved_slots_are_zero():
 )
 def test_no_feature_is_negative_zero(formula):
     # Every clause has the same degree, so clause_degree_entropy is 0.
-    values = extract_features(formula).values
+    values = extract_features(formula)
     assert values[FEATURE_SCHEMA.index("clause_degree_entropy")] == 0.0
     assert not np.signbit(values[values == 0.0]).any()
 
@@ -77,9 +82,9 @@ def test_degenerate_formulas_rejected():
 
 def test_unused_variables_count_with_zero_degree():
     f = CnfFormula.from_codes(4, [[1, 2]])
-    fv = extract_features(f)
-    assert fv.get("var_degree_min") == 0.0
-    assert fv.get("var_degree_mean") == pytest.approx(0.5)
+    fv = named(extract_features(f))
+    assert fv["var_degree_min"] == 0.0
+    assert fv["var_degree_mean"] == pytest.approx(0.5)
 
 
 def test_recount_oracle_on_random_instances():
@@ -87,7 +92,7 @@ def test_recount_oracle_on_random_instances():
     rng = random.Random(2024)
     for _ in range(10):
         f = random_ksat(20, rng.randint(30, 80), rng)
-        fv = extract_features(f)
+        fv = named(extract_features(f))
 
         degrees = Counter()
         horn = 0
@@ -101,34 +106,34 @@ def test_recount_oracle_on_random_instances():
             if len(variables) == 2:
                 binary += 1
         degree_list = [degrees.get(v, 0) for v in range(1, 21)]
-        assert fv.get("var_degree_mean") == pytest.approx(sum(degree_list) / 20)
-        assert fv.get("var_degree_max") == max(degree_list)
-        assert fv.get("var_degree_min") == min(degree_list)
-        assert fv.get("frac_horn_clauses") == pytest.approx(horn / f.num_clauses)
-        assert fv.get("frac_binary_clauses") == pytest.approx(binary / f.num_clauses)
+        assert fv["var_degree_mean"] == pytest.approx(sum(degree_list) / 20)
+        assert fv["var_degree_max"] == max(degree_list)
+        assert fv["var_degree_min"] == min(degree_list)
+        assert fv["frac_horn_clauses"] == pytest.approx(horn / f.num_clauses)
+        assert fv["frac_binary_clauses"] == pytest.approx(binary / f.num_clauses)
 
         counts = Counter(degree_list)
         expected_entropy = -sum(
             (c / 20) * math.log(c / 20) for c in counts.values()
         )
-        assert fv.get("var_degree_entropy") == pytest.approx(expected_entropy)
+        assert fv["var_degree_entropy"] == pytest.approx(expected_entropy)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_permutation_invariance(seed):
     rng = random.Random(seed)
     f = random_ksat(8, rng.randint(5, 25), rng)
-    base = extract_features(f).values
+    base = extract_features(f)
 
     # clause order
     clauses = list(f.clauses)
     rng.shuffle(clauses)
     shuffled = CnfFormula(f.num_vars, tuple(clauses))
-    assert np.array_equal(extract_features(shuffled).values, base)
+    assert np.array_equal(extract_features(shuffled), base)
 
     # literal order within clauses
     roto = CnfFormula(f.num_vars, [reversed(c) for c in f.clauses])
-    assert np.array_equal(extract_features(roto).values, base)
+    assert np.array_equal(extract_features(roto), base)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -145,21 +150,21 @@ def test_variable_renaming_invariance(seed):
             for clause in f.clauses
         ],
     )
-    assert np.array_equal(extract_features(renamed).values, extract_features(f).values)
+    assert np.array_equal(extract_features(renamed), extract_features(f))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_bounds_on_entropy_and_fractions(seed):
     rng = random.Random(seed)
     f = random_ksat(7, rng.randint(4, 20), rng)
-    fv = extract_features(f)
-    for name in FEATURE_SCHEMA:
+    values = extract_features(f)
+    for name, value in zip(FEATURE_SCHEMA, values):
         if name.endswith("_entropy"):
             support = max(f.num_vars, f.num_clauses)
-            assert 0.0 <= fv.get(name) <= math.log(support) + 1e-12
+            assert 0.0 <= value <= math.log(support) + 1e-12
         if name.startswith("frac_") or name.endswith("frac_mean"):
-            assert 0.0 <= fv.get(name) <= 1.0
-    assert np.isfinite(fv.values).all()
+            assert 0.0 <= value <= 1.0
+    assert np.isfinite(values).all()
 
 
 def reference_features(formula):
@@ -227,7 +232,7 @@ def reference_features(formula):
 
 @given(any_formula())
 def test_features_match_the_per_clause_loop_bit_for_bit(formula):
-    assert extract_features(formula).values.tobytes() == reference_features(formula).tobytes()
+    assert extract_features(formula).tobytes() == reference_features(formula).tobytes()
 
 
 def test_features_match_the_per_clause_loop_on_generated_instances():
@@ -237,7 +242,7 @@ def test_features_match_the_per_clause_loop_on_generated_instances():
         m = rng.randint(1, 6 * n)
         make = planted_ksat if k % 2 else random_ksat
         f = make(n, m, rng)
-        assert extract_features(f).values.tobytes() == reference_features(f).tobytes()
+        assert extract_features(f).tobytes() == reference_features(f).tobytes()
 
 
 @given(any_formula())
@@ -246,9 +251,9 @@ def test_features_match_the_per_clause_loop_on_generated_instances():
 @example(CnfFormula(4, [[2, -3, 2, -2]]))
 def test_features_match_the_reference_extraction_bit_for_bit(formula):
     expected = reference_extract_features(formula).tobytes()
-    assert extract_features(formula).values.tobytes() == expected
+    assert extract_features(formula).tobytes() == expected
     incidence = clause_incidence(formula)
-    assert extract_features(formula, incidence).values.tobytes() == expected
+    assert extract_features(formula, incidence).tobytes() == expected
 
 
 def test_features_match_the_reference_extraction_on_generated_instances():
@@ -256,4 +261,4 @@ def test_features_match_the_reference_extraction_on_generated_instances():
     for k in range(60):
         n = rng.randint(3, 80)
         f = (planted_ksat if k % 2 else random_ksat)(n, rng.randint(1, 6 * n), rng)
-        assert extract_features(f).values.tobytes() == reference_extract_features(f).tobytes()
+        assert extract_features(f).tobytes() == reference_extract_features(f).tobytes()

@@ -29,7 +29,7 @@ def test_single_clause_observation():
     assert obs[:2].tolist() == [1.0, 0.0]  # variable assignments
     assert obs[2:3].tolist() == [1.0]  # clause evaluations
     assert obs[3:5].tolist() == [1.0, 1.0]  # signed adjacency, row-major
-    assert obs[5:].tolist() == feats.values.tolist()
+    assert obs[5:].tolist() == feats.tolist()
 
 
 def test_empty_assignment_is_all_zero():

@@ -5,8 +5,9 @@ import pytest
 
 from satkit.logic import pipeline
 from satkit.logic.convert import SymbolTable, to_cnf
+from satkit.logic.expressions import And
 from satkit.logic.parser import parse_expression
-from satkit.logic.pipeline import DocumentError, compile_document, compile_expressions, conjoin
+from satkit.logic.pipeline import DocumentError, compile_document, compile_expressions
 from satkit.logic.sentences import EmptyInputError
 from satkit.logic.translate import (
     MalformedTranslationError,
@@ -51,7 +52,7 @@ def test_paragraph_has_four_vars_four_clauses_before_simplification(stub):
         parse_expression(translate_sentence(stub, s).expression) for s in sentences
     ]
     table = SymbolTable()
-    unsimplified = to_cnf(conjoin(exprs), table)
+    unsimplified = to_cnf(And(tuple(exprs)), table)
     assert unsimplified.num_vars == 4
     assert unsimplified.num_clauses == 4
 
@@ -87,6 +88,11 @@ def test_compiled_expressions_have_no_phrases():
     _, table = compile_expressions([parse_expression("Or(P, Q)")])
     assert table.names() == ("P", "Q")
     assert table.phrases == {}
+
+
+def test_no_expressions_is_a_value_error():
+    with pytest.raises(ValueError, match="nothing to conjoin"):
+        compile_expressions([])
 
 
 def test_contradictory_document_still_compiles(stub):

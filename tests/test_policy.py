@@ -399,6 +399,23 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 4.5),
+            ("minibatch_size", 2.5),
+            ("rollout_window", True),
+            ("episode_max_decisions", "500"),
+            ("hidden_sizes", [16, 16.0]),
+            ("learning_rate", "0.0002"),
+        ],
+    )
+    def test_header_setting_of_the_wrong_type_rejected(self, field, value):
+        # Training on such a header would raise a TypeError.
+        blob = edit_header(save_policy(make_policy()), lambda h: h["config"].update({field: value}))
+        with pytest.raises(PolicyFormatError, match=field):
+            load_policy(blob)
+
     def test_scalar_hidden_sizes_rejected(self):
         blob = edit_header(
             save_policy(make_policy()), lambda h: h["config"].update(hidden_sizes=5)
@@ -545,7 +562,7 @@ class TestNonzeroFold:
     def test_fold_is_within_1e_12_of_the_dense_fold(self, formula, seed):
         policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(16,)), seed)
         incidence = clause_incidence(formula)
-        features = extract_features(formula, incidence).values
+        features = extract_features(formula, incidence)
         index, values = static_entries(incidence, features, formula.num_vars)
         static = np.concatenate([signed_adjacency(formula).reshape(-1), features])
         assert np.array_equal(np.flatnonzero(static), index)
@@ -585,7 +602,7 @@ class TestNonzeroFold:
         assert windows(logs) == windows(expected) and len(logs) == 5
         for log, want in zip(logs, expected):
             for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
-                assert getattr(log.metrics, name) == pytest.approx(getattr(want.metrics, name), rel=1e-9)
+                assert getattr(log, name) == pytest.approx(getattr(want, name), rel=1e-9)
 
 
 class CountedClauses(tuple):
@@ -608,7 +625,7 @@ class TestOneDecodeConstruction:
     def check(policy, formula):
         expected = reference_construction(policy, formula)
         incidence = clause_incidence(formula)
-        features = extract_features(formula, incidence).values
+        features = extract_features(formula, incidence)
         index, values = static_entries(incidence, features, formula.num_vars)
         assert features.tobytes() == expected["features"].tobytes()
         assert index.tobytes() == expected["index"].tobytes()

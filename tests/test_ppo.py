@@ -60,14 +60,14 @@ def count_adam_steps(optimizer):
 class TestClippedSurrogate:
     def test_analytic_clip_case(self):
         # r=2.0, A=1, eps=0.2 -> min(2.0, 1.2) = 1.2
-        assert clipped_surrogate(np.array([2.0]), np.array([1.0]), 0.2)[0] == 1.2
+        assert clipped_surrogate(np.array([2.0]), np.array([1.0]))[0] == 1.2
 
     def test_interior_ratio_unclipped(self):
-        assert clipped_surrogate(np.array([1.1]), np.array([2.0]), 0.2)[0] == pytest.approx(2.2)
+        assert clipped_surrogate(np.array([1.1]), np.array([2.0]))[0] == pytest.approx(2.2)
 
     def test_negative_advantage_clips_low_side(self):
         # r=0.5 below 1-eps: min(0.5*-1, 0.8*-1) = -0.8
-        assert clipped_surrogate(np.array([0.5]), np.array([-1.0]), 0.2)[0] == -0.8
+        assert clipped_surrogate(np.array([0.5]), np.array([-1.0]))[0] == -0.8
 
 
 class TestGae:
@@ -255,7 +255,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, values",
         [
-            pytest.param("learning_rate", [-1.0, math.nan, math.inf], id="learning_rate"),
+            pytest.param(
+                "learning_rate", [-1.0, math.nan, math.inf, "0.1", None, True, [0.1]], id="learning_rate"
+            ),
         ],
     )
     def test_out_of_range_float_rejected(self, field, values):
@@ -265,6 +267,17 @@ class TestConfig:
 
     def test_range_ends_accepted(self):
         PpoConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None, 0], ids=repr)
+    @pytest.mark.parametrize("field", ["epochs", "minibatch_size", "rollout_window", "episode_max_decisions"])
+    def test_count_that_is_not_an_integer_of_at_least_1_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PpoConfig(**{field: value})
+
+    @pytest.mark.parametrize("sizes", [(16, 2.5), (True,), ("8",), (0,), 16, [16]], ids=repr)
+    def test_hidden_size_that_is_not_an_integer_of_at_least_1_rejected(self, sizes):
+        with pytest.raises(ConfigError, match="hidden_sizes"):
+            PpoConfig(hidden_sizes=sizes)
 
     @pytest.mark.parametrize(
         "name", ["clip_epsilon", "discount", "gae_lambda", "entropy_coef", "value_coef"]
@@ -416,7 +429,7 @@ class TestCompactBatch:
         assert windows(logs) == windows(expected) and len(logs) >= 3
         for log, want in zip(logs, expected):
             for name in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
-                assert_close(getattr(log.metrics, name), getattr(want.metrics, name))
+                assert_close(getattr(log, name), getattr(want, name))
         for got, want in zip(
             policy.actor.parameters() + policy.critic.parameters(),
             reference.actor.parameters() + reference.critic.parameters(),
