@@ -195,6 +195,8 @@ def _make_limits(args) -> SolveLimits:
 
 
 def _cmd_solve(args) -> int:
+    if args.heuristic == BASELINE and args.policy is not None:
+        raise _UsageError(f"--policy applies to every heuristic but {BASELINE}")
     formula = read_dimacs_file(args.cnf)
     policy = None
     if args.heuristic != BASELINE:
@@ -222,6 +224,8 @@ def _cmd_features(args) -> int:
     from .features import FEATURE_SCHEMA, extract_features
 
     if args.schema:
+        if args.cnf:
+            raise _UsageError("--schema prints the feature names and reads no CNF file")
         for name in FEATURE_SCHEMA:
             print(name)
         return EXIT_OK

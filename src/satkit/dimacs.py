@@ -2,9 +2,10 @@
 
 The reader accepts comment lines anywhere, clauses spanning or sharing
 lines (only the ``0`` terminator delimits clauses), and the SATLIB
-footer convention: once the declared clause count has been read, any
-remaining content (typically ``%`` and a stray ``0``) is ignored. The
-header clause count is otherwise enforced strictly.
+footer convention: once the declared clause count has been read, the
+``%`` and ``0`` tokens of the footer may follow. The header clause
+count is otherwise enforced strictly: too few clauses, or any other
+token past the count, is a ``ClauseCountMismatchError``.
 
 The writer emits the canonical form used by the round-trip tests: no
 comments, one clause per line, LF line endings, ASCII.
@@ -67,14 +68,15 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
 
     clauses: list[list[int]] = []
     current: list[int] = []
-    done = len(clauses) == num_clauses
-    for raw in lines[body_start:]:
-        if done:
-            break
+    rest = iter(lines[body_start:])
+    tail: list[str] = []  # the tokens past the declared count
+    done = False
+    for raw in rest if num_clauses else ():
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        for tok in line.split():
+        tokens = iter(line.split())
+        for tok in tokens:
             try:
                 code = int(tok)
             except ValueError:
@@ -86,9 +88,21 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
                 current = []
                 if len(clauses) == num_clauses:
                     done = True
+                    tail = list(tokens)
                     break
             else:
                 current.append(code)
+        if done:
+            break
+    # Past the count: only the SATLIB footer, comments and blank lines.
+    for raw in rest:
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            tail += line.split()
+    if any(tok != "%" and tok != "0" for tok in tail):
+        raise ClauseCountMismatchError(
+            f"header declares {num_clauses} clauses, more follow: {' '.join(tail)[:60]!r}"
+        )
 
     if current:
         raise UnterminatedClauseError(

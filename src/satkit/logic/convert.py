@@ -82,7 +82,7 @@ def _clauses(expr: LogicalExpr, negate: bool, index: dict[str, int], cap: int) -
     distributed over And in the same walk. An atom met for the first
     time is interned into ``index``, a ``SymbolTable``'s dict; the walk
     meets atoms in pre-order, an Iff's first part covering its lhs and
-    then its rhs, so they are interned in ``atoms(expr)`` order.
+    then its rhs, so they are interned in pre-order of first appearance.
 
     Every part of a node is taken under the node's own ``negate``, so an
     arrow is rewritten to parts that need no other: a -> b as the

@@ -20,7 +20,7 @@ and ``FrozenInstanceError`` on assignment are the dataclass ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 LogicalExpr = Union["Atom", "Not", "And", "Or", "Implies", "Iff"]
 
@@ -149,57 +149,3 @@ _OPERATORS = {
     "Implies": (2, 2, _implies),
     "Iff": (2, 2, _iff),
 }
-
-
-def atoms(expr: LogicalExpr) -> list[str]:
-    """Atom names in first-appearance (pre-order) order. The walk keeps
-    its own stack, so it takes a tree of any depth."""
-    seen: dict[str, None] = {}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            seen[node.name] = None
-        elif kind is Not:
-            stack.append(node.child)
-        elif kind is And or kind is Or:
-            stack.extend(reversed(node.children))
-        elif kind is Implies or kind is Iff:
-            stack += (node.rhs, node.lhs)
-    return list(seen)
-
-
-def evaluate(expr: LogicalExpr, env: Mapping[str, bool]) -> bool:
-    match expr:
-        case Atom(name):
-            return env[name]
-        case Not(child):
-            return not evaluate(child, env)
-        case And(children):
-            return all(evaluate(c, env) for c in children)
-        case Or(children):
-            return any(evaluate(c, env) for c in children)
-        case Implies(lhs, rhs):
-            return (not evaluate(lhs, env)) or evaluate(rhs, env)
-        case Iff(lhs, rhs):
-            return evaluate(lhs, env) == evaluate(rhs, env)
-    raise TypeError(f"not a logical expression: {expr!r}")
-
-
-def format_expr(expr: LogicalExpr) -> str:
-    """Render back to the functional prefix notation the parser accepts."""
-    match expr:
-        case Atom(name):
-            return name
-        case Not(child):
-            return f"Not({format_expr(child)})"
-        case And(children):
-            return f"And({', '.join(format_expr(c) for c in children)})"
-        case Or(children):
-            return f"Or({', '.join(format_expr(c) for c in children)})"
-        case Implies(lhs, rhs):
-            return f"Implies({format_expr(lhs)}, {format_expr(rhs)})"
-        case Iff(lhs, rhs):
-            return f"Iff({format_expr(lhs)}, {format_expr(rhs)})"
-    raise TypeError(f"not a logical expression: {expr!r}")

@@ -4,10 +4,11 @@ Translation itself is delegated to an external service; this module
 fixes the contract. ``StubTranslator`` answers from a fixture table and
 is what every test uses, so the suite never needs the network.
 ``HttpTranslator`` speaks the JSON contract to a live endpoint, with
-the credential taken from an environment variable. It imports ``uuid``
-when it is built, and ``json`` and the HTTP client (``urllib.request``,
-which loads ``http.client`` and ``ssl``) on its first request, so a
-process that sends no request never loads them. A reply whose
+the credential, if any, taken from the environment variable
+``SATKIT_TRANSLATOR_API_KEY``. It imports ``uuid`` when it is built,
+and ``json`` and the HTTP client (``urllib.request``, which loads
+``http.client`` and ``ssl``) on its first request, so a process that
+sends no request never loads them. A reply whose
 expression does not parse is rejected where it is parsed, in
 ``pipeline.compile_document``.
 
@@ -28,7 +29,7 @@ from typing import Mapping, Protocol
 from ..errors import LimitError, SatkitError
 
 INSTRUCTION_TEMPLATE = "functional-prefix-v1"
-DEFAULT_API_KEY_ENV = "SATKIT_TRANSLATOR_API_KEY"
+API_KEY_ENV = "SATKIT_TRANSLATOR_API_KEY"
 
 # What a glossary phrase may not hold, since it becomes one field of one
 # UTF-8 row of the ``--map`` table: the tab, every line boundary that
@@ -123,16 +124,18 @@ class HttpTranslator:
     reply is a ``MalformedTranslationError``. Each request waits up to
     ``timeout_s`` seconds, which must be finite and > 0 (a
     ``LimitError`` otherwise, raised before any connection is made).
+    Each request reads the environment variable
+    ``SATKIT_TRANSLATOR_API_KEY`` and, if it is set and not empty, sends
+    it as a bearer token.
     """
 
-    def __init__(self, endpoint: str, timeout_s: float, api_key_env: str = DEFAULT_API_KEY_ENV):
+    def __init__(self, endpoint: str, timeout_s: float):
         import uuid
 
         if not (math.isfinite(timeout_s) and timeout_s > 0):
             raise LimitError(f"translator timeout must be finite and > 0, got {timeout_s}")
         self.endpoint = endpoint
         self.timeout_s = timeout_s
-        self.api_key_env = api_key_env
         self.session_id = uuid.uuid4().hex
 
     def translate(self, sentence: str) -> TranslationResponse:
@@ -148,7 +151,7 @@ class HttpTranslator:
             }
         ).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         request = urllib.request.Request(self.endpoint, data=body, headers=headers)

@@ -66,16 +66,6 @@ class Policy:
         self.actor = Mlp(actor_sizes, rng, out_gain=0.01)
         self.critic = Mlp(critic_sizes, rng, out_gain=1.0)
 
-    @classmethod
-    def _allocate(cls, num_vars: int, num_clauses: int, config: PpoConfig, seed: int) -> "Policy":
-        """A policy whose weights are allocated but not set, for
-        ``load_policy`` to fill."""
-        policy = cls.__new__(cls)
-        actor_sizes, critic_sizes = policy._set_up(num_vars, num_clauses, config, seed)
-        policy.actor = Mlp.allocate(actor_sizes)
-        policy.critic = Mlp.allocate(critic_sizes)
-        return policy
-
     def _set_up(
         self, num_vars: int, num_clauses: int, config: PpoConfig, seed: int
     ) -> tuple[list[int], list[int]]:
@@ -214,17 +204,6 @@ def _layer_sizes(num_vars: int, num_clauses: int, hidden_sizes) -> tuple[list[in
 # -- checkpoint format --------------------------------------------------
 
 
-def _payload_bytes(num_vars: int, num_clauses: int, hidden_sizes) -> int:
-    """Bytes of float64 weights and biases a policy of this shape saves."""
-    if not all(isinstance(d, int) for d in (num_vars, num_clauses, *hidden_sizes)):
-        raise TypeError("policy dimensions must be integers")
-    return 8 * sum(
-        fan_in * fan_out + fan_out
-        for sizes in _layer_sizes(num_vars, num_clauses, hidden_sizes)
-        for fan_in, fan_out in zip(sizes, sizes[1:])
-    )
-
-
 def save_policy(policy: Policy) -> bytes:
     """The checkpoint bytes: the magic, the header's length, a JSON
     header of the format version, the shape, the seed and the config,
@@ -253,9 +232,12 @@ def load_policy(data: bytes) -> Policy:
     """The policy a ``save_policy`` checkpoint holds, or a
     ``PolicyFormatError`` if the bytes are not a whole, well-formed one.
 
-    The weights are copied from the payload into arrays allocated at the
-    header's layer sizes; no random weights are built, so a load costs
-    about a copy of the payload.
+    ``Policy`` owns the header's rules: its shape, its seed and its
+    ``PpoConfig`` are checked as a new policy's are, and the payload's
+    size must match the layer sizes they give before any weight is
+    allocated. The weights are copied from the payload into arrays
+    allocated at those sizes; no random weights are built, so a load
+    costs about a copy of the payload.
     """
     if len(data) < len(_MAGIC) + 8 or not data.startswith(_MAGIC):
         raise PolicyFormatError("not a policy checkpoint")
@@ -279,22 +261,27 @@ def load_policy(data: bytes) -> Policy:
     try:
         cfg = dict(header["config"])
         cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
-        config = PpoConfig(**cfg)
-        num_vars, num_clauses = header["num_vars"], header["num_clauses"]
-        # Checked before any weight is allocated: an edited header must
-        # not make a small file allocate a large policy.
-        implied = _payload_bytes(num_vars, num_clauses, config.hidden_sizes)
-        if implied != len(data) - offset:
-            raise PolicyFormatError(
-                f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
-            )
-        policy = Policy._allocate(num_vars, num_clauses, config, header["seed"])
-    except PolicyFormatError:
-        raise
+        policy = Policy.__new__(Policy)
+        actor_sizes, critic_sizes = policy._set_up(
+            header["num_vars"], header["num_clauses"], PpoConfig(**cfg), header["seed"]
+        )
     except KeyError as exc:
         raise PolicyFormatError(f"checkpoint header lacks field {exc}") from None
     except (TypeError, ValueError) as exc:  # a ConfigError among them
         raise PolicyFormatError(f"malformed checkpoint header: {exc}") from None
+    # Checked before any weight is allocated: an edited header must not
+    # make a small file allocate a large policy.
+    implied = 8 * sum(
+        fan_in * fan_out + fan_out
+        for sizes in (actor_sizes, critic_sizes)
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    )
+    if implied != len(data) - offset:
+        raise PolicyFormatError(
+            f"checkpoint payload is {len(data) - offset} bytes, its header implies {implied}"
+        )
+    policy.actor = Mlp.allocate(actor_sizes)
+    policy.critic = Mlp.allocate(critic_sizes)
     # The payload's size matched the layer sizes, so every array is filled.
     for i, arr in enumerate(policy.actor.parameters() + policy.critic.parameters()):
         arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)

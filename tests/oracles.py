@@ -29,6 +29,9 @@ the retired checkpoint formats 1 and 2 did, for the loader to refuse.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
 solver's internal invariants, and ``RandomHeuristic`` is a seeded third
 branching heuristic for the solver's golden counts and the race.
+``format_expr`` prints an expression in the notation the parser reads,
+and ``reference_atoms`` lists its atoms in pre-order of first
+appearance, the order the CNF conversion interns them in.
 """
 
 from __future__ import annotations
@@ -88,15 +91,6 @@ def brute_force_satisfiable(formula: CnfFormula) -> bool:
     if formula.num_vars == 0:
         return len(formula.clauses) == 0
     return bool(formula_truth_column(formula, assignment_matrix(formula.num_vars)).any())
-
-
-def brute_force_models(formula: CnfFormula) -> list[dict[int, bool]]:
-    table = assignment_matrix(formula.num_vars)
-    sat = formula_truth_column(formula, table)
-    return [
-        {v + 1: bool(row[v]) for v in range(formula.num_vars)}
-        for row in table[sat]
-    ]
 
 
 def expr_truth_column(expr: LogicalExpr, atom_order: list[str], table: np.ndarray) -> np.ndarray:
@@ -474,6 +468,24 @@ def random_expression(rng: random.Random, max_atoms: int = 8, max_depth: int = 5
     return build(0)
 
 
+def format_expr(expr: LogicalExpr) -> str:
+    """Render back to the functional prefix notation the parser accepts."""
+    match expr:
+        case Atom(name):
+            return name
+        case Not(child):
+            return f"Not({format_expr(child)})"
+        case And(children):
+            return f"And({', '.join(format_expr(c) for c in children)})"
+        case Or(children):
+            return f"Or({', '.join(format_expr(c) for c in children)})"
+        case Implies(lhs, rhs):
+            return f"Implies({format_expr(lhs)}, {format_expr(rhs)})"
+        case Iff(lhs, rhs):
+            return f"Iff({format_expr(lhs)}, {format_expr(rhs)})"
+    raise TypeError(f"not a logical expression: {expr!r}")
+
+
 # -- Lang2Logic references -------------------------------------------------------
 
 
@@ -591,7 +603,7 @@ def reference_parse_expression(line: str) -> LogicalExpr:
     return expr
 
 
-def _reference_atoms(expr: LogicalExpr) -> list[str]:
+def reference_atoms(expr: LogicalExpr) -> list[str]:
     seen: dict[str, None] = {}
 
     def walk(node: LogicalExpr) -> None:
@@ -669,7 +681,7 @@ def _reference_distribute(expr: LogicalExpr, index: dict[str, int], cap: int) ->
 def reference_to_cnf(expr: LogicalExpr, table: SymbolTable, max_clauses: int) -> CnfFormula:
     """A negation normal form tree first, then a second walk that
     distributes Or over And."""
-    for name in _reference_atoms(expr):
+    for name in reference_atoms(expr):
         table.intern(name)
     clauses = _reference_distribute(_reference_nnf(expr, False), dict(table.items()), max_clauses)
     return CnfFormula(len(table), clauses)

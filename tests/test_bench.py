@@ -94,6 +94,15 @@ class TestLoadDataset:
             load_dataset(tmp_path, strict=True)
         assert "inst_zzz.cnf" in str(exc_info.value)
 
+    def test_file_with_clauses_past_its_count_skipped_unless_strict(self, tmp_path, capsys):
+        generate_dataset(tmp_path, count=2, num_vars=8, num_clauses=20, seed=1)
+        (tmp_path / "inst_zzz.cnf").write_text("p cnf 1 1\n1 0\n-1 0\n", encoding="ascii")
+        assert len(load_dataset(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("warning: skipping inst_zzz.cnf: header declares 1 clauses, more follow")
+        with pytest.raises(BenchError, match="inst_zzz.cnf"):
+            load_dataset(tmp_path, strict=True)
+
     def test_shape_check(self, tmp_path, capsys):
         f = planted_ksat(10, 30, random.Random(0))
         write_dimacs_file(f, tmp_path / "a.cnf")

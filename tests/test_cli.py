@@ -331,8 +331,24 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", list(bench.ENTRANTS))
     def test_every_entrant_solves(self, uf_file, small_policy_file, capsys, name):
-        argv = ["solve", str(uf_file), "--heuristic", name, "--policy", str(small_policy_file)]
+        argv = ["solve", str(uf_file), "--heuristic", name]
+        if name != bench.BASELINE:
+            argv += ["--policy", str(small_policy_file)]
         assert main(argv) == 10
+
+    def test_baseline_refuses_a_policy(self, uf_file, tmp_path, capsys):
+        # Refused before any file is read: the checkpoint need not exist.
+        argv = ["solve", str(uf_file), "--heuristic", bench.BASELINE]
+        assert main(argv + ["--policy", str(tmp_path / "absent.bin")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --policy applies to every heuristic but {bench.BASELINE}\n"
+
+    def test_clauses_past_the_header_count_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "extra.cnf"
+        path.write_text("p cnf 1 1\n1 0\n-1 0\n", encoding="ascii")
+        assert main(["solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: header declares 1 clauses, more follow")
 
     @pytest.mark.parametrize("flags", [["--heuristic", "random"], ["--seed", "4"]])
     def test_removed_flag_is_usage_error(self, uf_file, capsys, flags):
@@ -361,6 +377,11 @@ class TestFeatures:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 48
         assert lines[0] == "num_vars"
+
+    def test_schema_refuses_a_cnf_file(self, uf_file, capsys):
+        assert main(["features", str(uf_file), "--schema"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --schema")
 
 
 class TestTrainAndBench:
@@ -662,7 +683,7 @@ class TestTrainAndBench:
         args = self._mixed_shape_bench(tmp_path)
         (tmp_path / "data" / "inst_002b.cnf").unlink()
         assert main(args) == 0
-        rows = list(csv.DictReader((tmp_path / "r.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()))
         assert len(rows) == 2 * 4
         assert {row["seed"] for row in rows} == {"11"}
 

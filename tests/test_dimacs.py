@@ -70,6 +70,24 @@ class TestParse:
         f = parse_dimacs(text)
         assert f.num_clauses == 2
 
+    def test_satlib_footer_with_comments_and_blank_lines_tolerated(self):
+        text = "p cnf 2 2\n1 2 0\n-1 -2 0\nc end of clauses\n\n%\n\nc footer\n0\n\n"
+        f = parse_dimacs(text)
+        assert list(f.clauses) == [(1, 2), (-1, -2)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p cnf 1 1\n1 0\n-1 0\n",  # the dropped clause would make it UNSAT
+            "p cnf 3 1\n1 0 -1 0\n",  # past the count on the count's own line
+            "p cnf 2 0\n1 0\n",  # a clause under a header that declares none
+        ],
+        ids=["next-line", "same-line", "zero-count"],
+    )
+    def test_clause_past_the_declared_count_rejected(self, text):
+        with pytest.raises(ClauseCountMismatchError, match="more follow"):
+            parse_dimacs(text)
+
     def test_missing_header(self):
         with pytest.raises(MissingHeaderError):
             parse_dimacs("1 -2 0\n")

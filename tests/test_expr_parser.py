@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, atoms, evaluate, format_expr
+from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or
 from satkit.logic.parser import ArityError, ExpressionSyntaxError, parse_expression
 
-from oracles import random_expression
+from oracles import format_expr, random_expression
 
 
 class TestParse:
@@ -81,13 +81,3 @@ class TestRoundTrip:
     def test_print_then_parse_is_identity(self, seed):
         expr = random_expression(random.Random(seed))
         assert parse_expression(format_expr(expr)) == expr
-
-    def test_atoms_first_appearance_order(self):
-        expr = parse_expression("And(Q, Or(P, Q), Not(R))")
-        assert atoms(expr) == ["Q", "P", "R"]
-
-    def test_evaluate_matches_python_semantics(self):
-        expr = parse_expression("Iff(Implies(P, Q), Or(Not(P), Q))")
-        for p in (False, True):
-            for q in (False, True):
-                assert evaluate(expr, {"P": p, "Q": q}) is True

@@ -18,11 +18,13 @@ from satkit.logic.convert import (
     simplify_cnf,
     to_cnf,
 )
-from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or, atoms, format_expr
+from satkit.logic.expressions import And, Atom, Iff, Implies, Not, Or
 from satkit.logic.parser import parse_expression
 from satkit.logic.sentences import split_sentences
 
 from oracles import (
+    format_expr,
+    reference_atoms,
     reference_parse_expression,
     reference_simplify_cnf,
     reference_split_sentences,
@@ -181,13 +183,13 @@ def test_to_cnf_and_simplify_match_the_two_walk_conversion(exprs, cap):
 @given(st.lists(expressions, min_size=1, max_size=3), st.integers(1, 40))
 def test_to_cnf_interns_in_atoms_order_also_when_it_fails(exprs, cap):
     """One walk interns as it converts: a shared table ends with the
-    names ``atoms`` lists, after those it already held. A failed
+    names ``reference_atoms`` lists, after those it already held. A failed
     conversion stops its walk, so it adds only a leading part of them."""
     table = SymbolTable()
     table.intern("D")
     for expr in exprs:
         held = list(table.names())
-        new = [name for name in atoms(expr) if name not in held]
+        new = [name for name in reference_atoms(expr) if name not in held]
         try:
             to_cnf(expr, table, cap)
         except BlowupExceededError:

@@ -32,7 +32,6 @@ from satkit.rl.policy import (
     PolicyFormatError,
     PpoConfig,
     VersionMismatchError,
-    _payload_bytes,
     action_to_decision,
     legal_action_mask,
     load_policy,
@@ -321,14 +320,16 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("shape", [(0, 6), (4, 0), (0, 0)], ids=repr)
     def test_header_shape_with_no_variable_or_no_clause_rejected(self, shape):
-        # The payload is the size the edited shape implies, so only the
-        # shape rule can refuse the file.
+        # The shape rule runs before the payload's size is compared.
         blob = edit_header(
             save_policy(make_policy()), lambda h: h.update(num_vars=shape[0], num_clauses=shape[1])
         )
-        header_end = 18 + int.from_bytes(blob[10:18], "little")
-        blob = blob[:header_end] + bytes(_payload_bytes(*shape, SMALL.hidden_sizes))
         with pytest.raises(PolicyFormatError, match=">= 1"):
+            load_policy(blob)
+
+    def test_header_shape_that_is_a_string_rejected_by_the_shape_rule(self):
+        blob = edit_header(save_policy(make_policy()), lambda h: h.update(num_vars="20"))
+        with pytest.raises(PolicyFormatError, match="variables must be an integer >= 1, got '20'"):
             load_policy(blob)
 
     @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.5, "x", True], ids=repr)

@@ -67,10 +67,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     reply: bytes = b"{}"
     status: int = 200
     last_request: dict = {}
+    last_authorization: "str | None" = None
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).last_request = json.loads(self.rfile.read(length))
+        type(self).last_authorization = self.headers.get("Authorization")
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -83,10 +85,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the loop's next poll, 0.5 s apart by default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/translate"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestHttpClient:
@@ -102,6 +107,7 @@ class TestHttpClient:
         assert response.glossary == {"P": "a", "Q": "b"}
         assert _Handler.last_request["session_id"] == client.session_id
         assert _Handler.last_request["sentence"].startswith("The circus")
+        assert _Handler.last_authorization == "Bearer secret-token"
 
     def test_http_error_is_unavailable(self, http_server):
         _Handler.status = 503
