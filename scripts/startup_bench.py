@@ -67,7 +67,7 @@ WORKLOADS = ("race-uf20", "solve-uniform", "train-uf20", "langsat-docs")
 COMMANDS = {
     "solve --heuristic vsids": ["solve", "{cnf}", "--heuristic", "vsids"],
     "solve --heuristic rl --policy": ["solve", "{cnf}", "--heuristic", "rl", "--policy", "{policy}"],
-    "convert --mode expr": ["convert", "{expr}", "--mode", "expr"],
+    "convert": ["convert", "{expr}"],
     "--version": ["--version"],
 }
 _WALL_TIME = re.compile(r"wall_time_s=\S+")

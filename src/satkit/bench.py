@@ -152,8 +152,8 @@ def _counters(result) -> tuple:
 def run_comparison(
     test_set: Sequence[Instance],
     policy: Policy,
-    limits: Optional[SolveLimits] = None,
-    repetitions: int = 3,
+    limits: SolveLimits,
+    repetitions: int,
 ) -> list[BenchRecord]:
     """Benchmark every entrant of ``ENTRANTS`` on each instance.
 
@@ -174,7 +174,6 @@ def run_comparison(
         raise BenchError("empty test set")
     if repetitions < 1:
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
-    limits = limits or SolveLimits()
 
     names = list(ENTRANTS)
     records: list[BenchRecord] = []

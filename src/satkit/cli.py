@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: convert (text or expressions to DIMACS), solve, features,
-train, bench. ``solve --heuristic`` names an entrant of
+Subcommands: convert (English with ``--translator``, else expressions,
+to DIMACS), solve, features (the names alone with no file), train,
+bench. ``solve --heuristic`` names an entrant of
 ``bench.ENTRANTS``, and every column or ``name=value`` pair printed is
 a field of a library record (``BenchRecord``, ``TrainWindowLog``,
 ``SolveStats``). Exit codes follow SAT-competition convention for solve
@@ -49,6 +50,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 DEFAULT_TRANSLATOR_TIMEOUT_S = 30.0
+_HTTP_SCHEMES = ("http://", "https://")
 
 
 class _UsageError(Exception):
@@ -63,16 +65,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="satkit", description=__doc__)
     parser.add_argument("--version", action="store_true", help="print tool and schema versions")
-    parser.add_argument("--verbose", action="store_true", help="print the effective configuration")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("convert", help="compile text or expressions to DIMACS")
+    p = sub.add_parser("convert", help="compile English or expressions to DIMACS")
     p.add_argument("input", help="input file, or '-' for stdin")
-    p.add_argument("--mode", choices=["english", "expr"], default="expr")
     p.add_argument(
         "--translator",
         default=None,
-        help="'stub:FILE' or an http(s):// URL (english mode only)",
+        help="'stub:FILE' or an http(s):// URL; the input is English with one, expressions without",
     )
     p.add_argument(
         "--timeout-s",
@@ -94,8 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--timeout-ms", type=int, default=None)
 
     p = sub.add_parser("features", help="print the 48 global features of a CNF file")
-    p.add_argument("cnf", nargs="?", help="DIMACS-CNF file")
-    p.add_argument("--schema", action="store_true", help="print feature names only")
+    p.add_argument("cnf", nargs="?", help="DIMACS-CNF file; without one, the feature names")
 
     defaults = PpoConfig()
     p = sub.add_parser("train", help="train the branching policy")
@@ -141,11 +140,9 @@ def _read_input(path: str) -> str:
 
 
 def _make_translator(spec: str, timeout_s: float):
-    if spec is None:
-        raise SatkitError("english mode needs --translator stub:FILE or an http(s) endpoint")
     if spec.startswith("stub:"):
         return StubTranslator.from_fixture_file(spec[len("stub:") :])
-    if spec.startswith("http://") or spec.startswith("https://"):
+    if spec.startswith(_HTTP_SCHEMES):
         return HttpTranslator(spec, timeout_s=timeout_s)
     raise SatkitError(
         f"unknown translator spec {spec!r}: expected 'stub:FILE' or an http:// or https:// URL"
@@ -153,14 +150,10 @@ def _make_translator(spec: str, timeout_s: float):
 
 
 def _cmd_convert(args) -> int:
-    if args.mode != "english":
-        for flag, value in (("--translator", args.translator), ("--timeout-s", args.timeout_s)):
-            if value is not None:
-                raise _UsageError(f"{flag} applies to --mode english only")
-    elif args.timeout_s is not None and (args.translator or "").startswith("stub:"):
+    if args.timeout_s is not None and not (args.translator or "").startswith(_HTTP_SCHEMES):
         raise _UsageError("--timeout-s applies to an http(s) translator only")
     text = _read_input(args.input)
-    if args.mode == "english":
+    if args.translator is not None:
         timeout_s = DEFAULT_TRANSLATOR_TIMEOUT_S if args.timeout_s is None else args.timeout_s
         client = _make_translator(args.translator, timeout_s)
         formula, table = compile_document(text, client, max_clauses=args.max_clauses)
@@ -197,11 +190,11 @@ def _make_limits(args) -> SolveLimits:
 def _cmd_solve(args) -> int:
     if args.heuristic == BASELINE and args.policy is not None:
         raise _UsageError(f"--policy applies to every heuristic but {BASELINE}")
+    if args.heuristic != BASELINE and not args.policy:
+        raise _UsageError(f"--heuristic {args.heuristic} requires --policy FILE")
     formula = read_dimacs_file(args.cnf)
     policy = None
     if args.heuristic != BASELINE:
-        if not args.policy:
-            raise _UsageError(f"--heuristic {args.heuristic} requires --policy FILE")
         from .rl.policy import load_policy_file
 
         policy = load_policy_file(args.policy)
@@ -223,14 +216,10 @@ def _cmd_solve(args) -> int:
 def _cmd_features(args) -> int:
     from .features import FEATURE_SCHEMA, extract_features
 
-    if args.schema:
-        if args.cnf:
-            raise _UsageError("--schema prints the feature names and reads no CNF file")
+    if not args.cnf:
         for name in FEATURE_SCHEMA:
             print(name)
         return EXIT_OK
-    if not args.cnf:
-        raise _UsageError("features needs a CNF file (or --schema)")
     features = extract_features(read_dimacs_file(args.cnf))
     for name, value in zip(FEATURE_SCHEMA, features):
         print(f"{name}={value:.10g}")
@@ -312,9 +301,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.verbose:
-        config = {k: v for k, v in sorted(vars(args).items()) if k != "verbose"}
-        print(f"c config: {config}", file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

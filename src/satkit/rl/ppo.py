@@ -56,13 +56,10 @@ def clipped_surrogate(ratio: np.ndarray, advantage: np.ndarray) -> np.ndarray:
 
 
 def compute_gae(
-    rewards: np.ndarray,
-    values: np.ndarray,
-    dones: np.ndarray,
-    discount: float,
-    lam: float,
+    rewards: np.ndarray, values: np.ndarray, dones: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates and value targets.
+    """Generalized advantage estimates and value targets at ``DISCOUNT``
+    and ``GAE_LAMBDA``.
 
     Episodes terminate at done flags with no bootstrapping; a truncated
     tail (batch ending mid-episode) is treated the same way.
@@ -73,8 +70,8 @@ def compute_gae(
     next_advantage = 0.0
     for t in range(n - 1, -1, -1):
         live = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + discount * next_value * live - values[t]
-        next_advantage = delta + discount * lam * live * next_advantage
+        delta = rewards[t] + DISCOUNT * next_value * live - values[t]
+        next_advantage = delta + DISCOUNT * GAE_LAMBDA * live * next_advantage
         advantages[t] = next_advantage
         next_value = values[t]
     return advantages, advantages + values
@@ -144,7 +141,7 @@ class PpoOptimizer:
             with np.errstate(all="ignore"):
                 critic_folds = _fold_blocks(policy, policy.critic, policy.preprocess(statics))
                 values = policy.value(dynamic, critic_folds[episodes])
-                advantages, returns = compute_gae(rewards, values, dones, DISCOUNT, GAE_LAMBDA)
+                advantages, returns = compute_gae(rewards, values, dones)
                 for _ in range(cfg.epochs):
                     order = self.rng.permutation(n)
                     for start in range(0, n, cfg.minibatch_size):

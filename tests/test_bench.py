@@ -123,7 +123,7 @@ class TestRunComparison:
             Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(4)
         ]
         policy = Policy(10, 35, SMALL, seed=3)
-        records = run_comparison(instances, policy, repetitions=2)
+        records = run_comparison(instances, policy, SolveLimits(), repetitions=2)
         assert len(records) == 8
         assert {r.heuristic for r in records} == {"vsids", "rl"}
         assert all(r.verdict == Verdict.SAT for r in records)
@@ -136,7 +136,8 @@ class TestRunComparison:
         )
         rng = random.Random(5)
         instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(3)]
-        records = run_comparison(instances, Policy(10, 35, SMALL, seed=3), repetitions=1)
+        policy = Policy(10, 35, SMALL, seed=3)
+        records = run_comparison(instances, policy, SolveLimits(), repetitions=1)
         assert [(r.instance, r.heuristic) for r in records] == [
             (f"i{k}.cnf", h) for k in range(3) for h in ("random", "rl", "vsids")
         ]
@@ -164,7 +165,8 @@ class TestRunComparison:
         rng = random.Random(5)
         count = 4 // repetitions
         instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(count)]
-        records = run_comparison(instances, Policy(10, 35, SMALL, seed=3), repetitions=repetitions)
+        policy = Policy(10, 35, SMALL, seed=3)
+        records = run_comparison(instances, policy, SolveLimits(), repetitions)
         assert calls == expected
         assert [(r.instance, r.heuristic) for r in records] == [
             (f"i{k}.cnf", h) for k in range(count) for h in "abc"
@@ -175,7 +177,7 @@ class TestRunComparison:
 
         f = CnfFormula.from_codes(2, [[1], [-1, 2]])
         policy = Policy(2, 2, SMALL, seed=0)
-        records = run_comparison([Instance("u.cnf", f)], policy, repetitions=1)
+        records = run_comparison([Instance("u.cnf", f)], policy, SolveLimits(), repetitions=1)
         assert all(r.decisions == 0 for r in records)
 
     def test_unknown_recorded_not_raised(self):
@@ -227,8 +229,8 @@ class TestRunComparison:
             (r.instance, r.heuristic, r.verdict, r.decisions, r.conflicts, r.propagations)
             for r in rs
         ]
-        first = run_comparison(instances, policy, repetitions=2)
-        second = run_comparison(instances, policy, repetitions=2)
+        first = run_comparison(instances, policy, SolveLimits(), repetitions=2)
+        second = run_comparison(instances, policy, SolveLimits(), repetitions=2)
         assert key(first) == key(second)
 
 

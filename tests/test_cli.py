@@ -59,6 +59,12 @@ class TestConvert:
         assert formula.num_vars == 3
         assert list(formula.clauses) == [(-1,), (2, 3)]
 
+    def test_a_translator_alone_makes_the_input_english(self, tmp_path, capsys):
+        src = tmp_path / "doc.txt"
+        src.write_text("The circus has a Ferris wheel or a rollercoaster.", encoding="utf-8")
+        assert main(["convert", str(src), "--translator", f"stub:{FIXTURE_PATH}"]) == 0
+        assert capsys.readouterr().out == "p cnf 2 1\n1 2 0\n"
+
     def test_english_mode_with_stub(self, tmp_path, capsys):
         src = tmp_path / "doc.txt"
         src.write_text("The circus has a Ferris wheel or a rollercoaster.", encoding="utf-8")
@@ -68,8 +74,6 @@ class TestConvert:
             [
                 "convert",
                 str(src),
-                "--mode",
-                "english",
                 "--translator",
                 f"stub:{FIXTURE_PATH}",
                 "--out",
@@ -96,7 +100,7 @@ class TestConvert:
             encoding="utf-8",
         )
         map_path = tmp_path / "out.map"
-        argv = ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
+        argv = ["convert", str(src), "--translator", f"stub:{FIXTURE_PATH}"]
         assert main(argv + ["--out", str(tmp_path / "out.cnf"), "--map", str(map_path)]) == 0
         assert map_path.read_text(encoding="utf-8") == (
             "P\t1\tThe workshop is open\n"
@@ -109,14 +113,14 @@ class TestConvert:
         src = tmp_path / "empty.txt"
         src.write_text("   ", encoding="utf-8")
         code = main(
-            ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
+            ["convert", str(src), "--translator", f"stub:{FIXTURE_PATH}"]
         )
         assert code == 2
 
     def test_translator_spec_without_slashes_exits_2(self, tmp_path, capsys):
         src = tmp_path / "doc.txt"
         src.write_text("The circus has a Ferris wheel.", encoding="utf-8")
-        code = main(["convert", str(src), "--mode", "english", "--translator", "http:host/x"])
+        code = main(["convert", str(src), "--translator", "http:host/x"])
         assert code == 2
         err = capsys.readouterr().err
         assert "http://" in err and "stub:FILE" in err
@@ -135,7 +139,7 @@ class TestConvert:
         src.write_bytes(document)
         table = tmp_path / "table.tsv"
         table.write_bytes(fixture if fixture is not None else FIXTURE_PATH.read_bytes())
-        code = main(["convert", str(src), "--mode", "english", "--translator", f"stub:{table}"])
+        code = main(["convert", str(src), "--translator", f"stub:{table}"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -149,7 +153,7 @@ class TestConvert:
     def test_deeply_nested_expression_exits_2(self, tmp_path, capsys):
         src = tmp_path / "exprs.txt"
         src.write_text("P\n" + "Not(" * 1200 + "A" + ")" * 1200 + "\n", encoding="utf-8")
-        assert main(["convert", str(src), "--mode", "expr"]) == 2
+        assert main(["convert", str(src)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: expression nested 1200 levels deep")
         assert "Traceback" not in err
@@ -166,33 +170,24 @@ class TestConvert:
     def test_out_of_range_translator_timeout_exits_2(self, tmp_path, capsys, timeout):
         src = tmp_path / "doc.txt"
         src.write_text("The lamp is on.\n", encoding="utf-8")
-        args = ["convert", str(src), "--mode", "english", "--translator", "http://127.0.0.1:1/x"]
+        args = ["convert", str(src), "--translator", "http://127.0.0.1:1/x"]
         assert main(args + ["--timeout-s", timeout]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: translator timeout") and "Traceback" not in err
 
-    def test_translator_in_expr_mode_is_a_usage_error(self, tmp_path, capsys):
-        src = tmp_path / "exprs.txt"
-        src.write_text("Or(P, Q)\n", encoding="utf-8")
-        assert main(["convert", str(src), "--mode", "expr", "--translator", "bogus:spec"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --translator applies to --mode english only\n"
-
     @pytest.mark.parametrize("timeout", ["30", "-1"])
-    def test_timeout_in_expr_mode_is_a_usage_error(self, tmp_path, capsys, timeout):
-        src = tmp_path / "exprs.txt"
-        src.write_text("Or(P, Q)\n", encoding="utf-8")
-        assert main(["convert", str(src), "--mode", "expr", "--timeout-s", timeout]) == 1
+    def test_timeout_without_a_translator_is_a_usage_error(self, tmp_path, capsys, timeout):
+        # Refused before any input is read: the input need not exist.
+        assert main(["convert", str(tmp_path / "absent.txt"), "--timeout-s", timeout]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --timeout-s applies to --mode english only\n"
+        assert captured.err == "error: --timeout-s applies to an http(s) translator only\n"
 
     @pytest.mark.parametrize("timeout", ["30", "-1", "nan"])
     def test_timeout_with_a_stub_translator_is_a_usage_error(self, tmp_path, capsys, timeout):
         src = tmp_path / "doc.txt"
         src.write_text("The lamp is on.\n", encoding="utf-8")
-        args = ["convert", str(src), "--mode", "english", "--translator", f"stub:{FIXTURE_PATH}"]
+        args = ["convert", str(src), "--translator", f"stub:{FIXTURE_PATH}"]
         assert main(args + ["--timeout-s", timeout]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -208,8 +203,9 @@ class TestConvert:
             raise cli.SatkitError("no translator here")
 
         monkeypatch.setattr(cli, "_make_translator", refuse)
+        argv = ["convert", str(src), "--translator", "http://127.0.0.1:1/x"]
         for extra, expected in (([], 30.0), (["--timeout-s", "2.5"], 2.5)):
-            assert main(["convert", str(src), "--mode", "english", *extra]) == 2
+            assert main(argv + extra) == 2
             assert seen.pop() == expected
 
     def test_max_clauses_default_is_the_conversion_cap(self):
@@ -275,6 +271,11 @@ class TestSolve:
 
     def test_rl_without_policy_is_usage_error(self, uf_file, capsys):
         assert main(["solve", str(uf_file), "--heuristic", "rl"]) == 1
+
+    def test_rl_without_policy_is_refused_before_the_cnf_is_read(self, capsys):
+        assert main(["solve", "/nonexistent/file.cnf", "--heuristic", "rl"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --heuristic rl requires --policy FILE\n"
 
     def test_wrong_shape_policy_exits_2(self, tmp_path, small_policy_file, capsys):
         path = tmp_path / "small.cnf"
@@ -372,16 +373,11 @@ class TestFeatures:
         expected = reference_extract_features(parse_dimacs(uf_file.read_text(encoding="ascii")))
         assert lines == [f"{name}={value:.10g}" for name, value in zip(FEATURE_SCHEMA, expected)]
 
-    def test_schema_dump(self, capsys):
-        assert main(["features", "--schema"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 48
-        assert lines[0] == "num_vars"
-
-    def test_schema_refuses_a_cnf_file(self, uf_file, capsys):
-        assert main(["features", str(uf_file), "--schema"]) == 1
+    def test_no_file_prints_the_48_names(self, capsys):
+        assert main(["features"]) == 0
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --schema")
+        assert out.splitlines() == list(FEATURE_SCHEMA) and len(FEATURE_SCHEMA) == 48
+        assert err == ""
 
 
 class TestTrainAndBench:
@@ -704,9 +700,15 @@ class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
 
-    def test_verbose_prints_effective_config(self, uf_file, capsys):
-        main(["--verbose", "features", str(uf_file)])
-        assert "c config:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [["--verbose", "features"], ["features", "--schema"], ["convert", "-", "--mode", "expr"]],
+        ids=["verbose", "schema", "mode"],
+    )
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unrecognized arguments")
 
     @pytest.mark.parametrize(
         "argv",

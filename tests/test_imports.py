@@ -224,7 +224,7 @@ import satkit, satkit.logic, satkit.solver, satkit.bench, satkit.cli
 expr_path, cnf_path = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
-        satkit.cli.main(["convert", expr_path, "--mode", "expr", "--out", cnf_path]),
+        satkit.cli.main(["convert", expr_path, "--out", cnf_path]),
         satkit.cli.main(["solve", cnf_path, "--heuristic", "vsids"]),
         satkit.cli.main(["--version"]),
     ]

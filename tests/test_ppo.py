@@ -10,8 +10,6 @@ from satkit.rl.heuristic import Transition
 from satkit.rl.network import ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, Adam, Mlp, cholesky_qr, orthogonal_init
 from satkit.rl.policy import ConfigError, Policy, PpoConfig, save_policy
 from satkit.rl.ppo import (
-    DISCOUNT,
-    GAE_LAMBDA,
     NonFiniteLossError,
     PpoOptimizer,
     _batch_arrays,
@@ -75,19 +73,21 @@ class TestGae:
         rewards = np.array([1.0, 2.0, 3.0])
         values = np.array([0.5, 0.5, 0.5])
         dones = np.array([False, False, True])
-        adv, ret = compute_gae(rewards, values, dones, discount=0.5, lam=0.5)
-        assert adv == pytest.approx([1.34375, 2.375, 2.5])
-        assert ret == pytest.approx([1.84375, 2.875, 3.0])
+        adv, ret = compute_gae(rewards, values, dones)
+        # discount 0.99 and lambda 0.95: each step's delta is
+        # r + 0.99 * 0.5 - 0.5, the last one's r - 0.5
+        assert adv == pytest.approx([5.082648125, 4.34625, 2.5])
+        assert ret == pytest.approx([5.582648125, 4.84625, 3.0])
 
     def test_done_flag_stops_credit_flow(self):
         rewards = np.array([1.0, 2.0, 5.0])
         values = np.array([0.5, 0.5, 0.5])
         dones = np.array([False, True, True])
-        adv, _ = compute_gae(rewards, values, dones, discount=0.5, lam=0.5)
+        adv, _ = compute_gae(rewards, values, dones)
         # episode 2 (last transition) must not leak into episode 1
         assert adv[2] == pytest.approx(4.5)
         assert adv[1] == pytest.approx(1.5)
-        assert adv[0] == pytest.approx(0.75 + 0.25 * 1.5)
+        assert adv[0] == pytest.approx(0.995 + 0.99 * 0.95 * 1.5)
 
 
 class TestNetwork:
@@ -456,7 +456,7 @@ class TestUpdate:
         batch = [make_transition(policy, rng, reward=float(i), done=True) for i in range(5)]
         dynamic, statics, episodes, actions, old_logp, rewards, dones, masks = _batch_arrays(batch)
         values = np.array([full_value(policy, obs) for obs in whole_observations(batch)])
-        advantages, returns = compute_gae(rewards, values, dones, DISCOUNT, GAE_LAMBDA)
+        advantages, returns = compute_gae(rewards, values, dones)
         metrics, _ = ppo_loss_and_grads(
             policy, dynamic, statics, episodes, actions, old_logp, advantages, returns, masks,
             gradient_buffers(policy),

@@ -168,7 +168,7 @@ class TestHttpClient:
         _Handler.reply = json.dumps({"expression": "P", "glossary": glossary}).encode()
         src = tmp_path / "doc.txt"
         src.write_text("It rains.")
-        argv = ["convert", str(src), "--mode", "english", "--translator", http_server]
+        argv = ["convert", str(src), "--translator", http_server]
         code = main(argv + ["--out", str(tmp_path / "doc.cnf"), "--map", str(tmp_path / "m.tsv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
