@@ -1,23 +1,24 @@
 """Dataset management and the race between branching heuristics.
 
-``ENTRANTS`` maps each heuristic in the race to the factory that builds
-it for one formula; the others race against ``BASELINE``.
-``run_comparison`` solves every given instance with every entrant under
-identical limits, timing each entrant's set-up (the factory call) apart
-from its solve; neither includes parsing. ``summarize`` reduces the
-records to one flat dict. ``split_dataset`` makes the train/test file
-lists that ``scripts/run_comparison.py`` writes to two directories; the
-benchmark itself runs every instance it is given.
+``ENTRANTS`` names the heuristics in the race, says which need a loaded
+policy, and through ``entrant_factories`` gives each the factory that
+builds it for one formula; the others race against ``BASELINE``.
+``run_comparison`` solves every given instance with every factory
+under identical limits, timing each entrant's set-up (the factory call)
+apart from its solve; neither includes parsing. ``summarize`` reduces
+the records to one flat dict. ``split_dataset`` makes the train/test
+file lists that ``scripts/run_comparison.py`` writes to two
+directories; the benchmark itself runs every instance it is given.
 
 The module imports no numpy, so ``satkit solve --heuristic vsids`` and
 ``satkit convert``, which read ``ENTRANTS`` and the record writers, do
-not load it: the ``rl`` entrant imports ``PolicyHeuristic`` when it is
-called, and ``Policy`` is named only in annotations.
+not load it: the ``rl`` entrant imports ``PolicyHeuristic`` when its
+factory is made, and ``Policy`` is named only in annotations.
 
 ``records_to_csv`` writes a dataclass's records with one column per
 field, in field order; the bench CSV and the training log are both
 written by it. In the bench CSV, ``feature_time_s`` is the set-up time
-and ``seed`` the policy's seed.
+and ``seed`` the loaded policy's seed, empty when none was loaded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .cnf import CnfFormula
 from .dimacs import DimacsError, read_dimacs_file
@@ -45,20 +46,34 @@ CSV_SCHEMA_VERSION = 1
 TRAIN_SHARE = 0.8  # of a dataset that ``split_dataset`` puts in train
 
 
-def _policy_heuristic(policy: Policy, formula: CnfFormula) -> Heuristic:
-    """The ``rl`` entrant. Building a ``Policy`` has already loaded
-    ``satkit.rl`` and with it ``satkit.rl.heuristic``, so the import in
-    ``run_comparison``'s timed set-up is a lookup in ``sys.modules``."""
+Factory = Callable[[CnfFormula], Heuristic]
+
+
+def _rl(policy: Policy) -> Factory:
+    """The ``rl`` entrant's factory over ``policy``; the import is made
+    here, so ``run_comparison``'s timed set-up imports nothing."""
     from .rl.heuristic import PolicyHeuristic
 
-    return PolicyHeuristic(policy, formula)
+    return lambda formula: PolicyHeuristic(policy, formula)
 
 
 BASELINE = "vsids"
-ENTRANTS: dict[str, Callable[[Policy, CnfFormula], Heuristic]] = {
-    "vsids": lambda policy, formula: VsidsHeuristic(formula.num_vars),
-    "rl": _policy_heuristic,
+# name -> (needs a policy, maker): the maker is the factory, or for an
+# entrant that needs a policy, the function that makes it from the policy.
+ENTRANTS: dict[str, tuple[bool, Callable]] = {
+    "vsids": (False, lambda formula: VsidsHeuristic(formula.num_vars)),
+    "rl": (True, _rl),
 }
+
+
+def entrant_factories(names: Iterable[str], policy: Optional[Policy]) -> dict[str, Factory]:
+    """Each entrant's factory, in ``names`` order; an entrant that needs
+    a policy gets ``policy``."""
+    factories = {}
+    for name in names:
+        needs_policy, make = ENTRANTS[name]
+        factories[name] = make(policy) if needs_policy else make
+    return factories
 
 
 class BenchError(SatkitError):
@@ -85,7 +100,7 @@ class BenchRecord:
     decisions: int
     conflicts: int
     propagations: int
-    seed: int
+    seed: Optional[int]
     feature_time_s: float
 
 
@@ -151,31 +166,32 @@ def _counters(result) -> tuple:
 
 def run_comparison(
     test_set: Sequence[Instance],
-    policy: Policy,
+    entrants: Mapping[str, Factory],
     limits: SolveLimits,
     repetitions: int,
+    seed: Optional[int],
 ) -> list[BenchRecord]:
-    """Benchmark every entrant of ``ENTRANTS`` on each instance.
+    """Race every entrant of ``entrants``, name -> factory, per instance.
 
     Instances run one after another. Per instance, ``repetitions``
-    rounds each build and run every entrant once, the table rotated by
+    rounds each build and run every entrant once, the order rotated by
     (instance index + round) mod the number of entrants, so the entrant
     that runs first alternates, also at one repetition; each run builds
     its heuristic anew. Per instance and entrant, the minimum set-up
     time and the minimum wall time are kept. Verdicts and counters are
     asserted identical across repetitions (the solver is
-    deterministic). Every record carries the policy's seed. Unknown
-    verdicts are recorded, not raised. A wall-clock timeout does not
-    stop at the same decision twice, so if any repetition times out,
-    the first that did is recorded with its own time and the
-    repetitions are not compared.
+    deterministic). Every record carries ``seed``, the loaded policy's
+    seed or None. Unknown verdicts are recorded, not raised. A
+    wall-clock timeout does not stop at the same decision twice, so if
+    any repetition times out, the first that did is recorded with its
+    own time and the repetitions are not compared.
     """
     if not test_set:
         raise BenchError("empty test set")
     if repetitions < 1:
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
 
-    names = list(ENTRANTS)
+    names = list(entrants)
     records: list[BenchRecord] = []
     for index, item in enumerate(test_set):
         setup_times: dict[str, list[float]] = {name: [] for name in names}
@@ -186,7 +202,7 @@ def run_comparison(
             shift = (index + rep) % len(names)
             for name in names[shift:] + names[:shift]:
                 t0 = time.perf_counter()
-                heuristic = ENTRANTS[name](policy, item.formula)
+                heuristic = entrants[name](item.formula)
                 setup_times[name].append(time.perf_counter() - t0)
                 runs[name].append(Solver(item.formula, heuristic, limits).run())
         for name in names:
@@ -214,7 +230,7 @@ def run_comparison(
                     decisions=result.stats.decisions,
                     conflicts=result.stats.conflicts,
                     propagations=result.stats.propagations,
-                    seed=policy.seed,
+                    seed=seed,
                     feature_time_s=min(setup_times[name]),
                 )
             )
@@ -230,8 +246,8 @@ def summarize(records: Sequence[BenchRecord]) -> dict[str, float]:
     instances it beats the baseline on strictly (ties lose), by
     ``time_s`` in ``fraction_faster.<name>`` and by ``feature_time_s +
     time_s`` in ``fraction_faster_with_setup.<name>``.
-    ``fraction_rl_faster`` is ``fraction_faster.rl`` (0.0 without
-    ``rl`` records) under its original name.
+    ``fraction_rl_faster`` is ``fraction_faster.rl`` under its original
+    name, present only with ``rl`` records.
     """
     by_heuristic: dict[str, dict[str, BenchRecord]] = {}
     for record in records:
@@ -263,7 +279,8 @@ def summarize(records: Sequence[BenchRecord]) -> dict[str, float]:
             summary[f"fraction_faster_with_setup.{name}"] = sum(
                 r.feature_time_s + r.time_s < b.feature_time_s + b.time_s for r, b in pairs
             ) / len(pairs)
-    summary["fraction_rl_faster"] = summary.get("fraction_faster.rl", 0.0)
+    if "fraction_faster.rl" in summary:
+        summary["fraction_rl_faster"] = summary["fraction_faster.rl"]
     return summary
 
 

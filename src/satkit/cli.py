@@ -3,7 +3,7 @@
 Subcommands: convert (English with ``--translator``, else expressions,
 to DIMACS), solve, features (the names alone with no file), train,
 bench. ``solve --heuristic`` names an entrant of
-``bench.ENTRANTS``, and every column or ``name=value`` pair printed is
+``bench.ENTRANTS``, which ``bench`` races, and every column or ``name=value`` pair printed is
 a field of a library record (``BenchRecord``, ``TrainWindowLog``,
 ``SolveStats``). Exit codes follow SAT-competition convention for solve
 (10 satisfiable, 20 unsatisfiable, 0 unknown); elsewhere 0 means
@@ -18,15 +18,16 @@ import sys
 from pathlib import Path
 
 # numpy loads with satkit.features and satkit.rl, so the commands that
-# run them (features, train, bench and solve with any heuristic but
-# vsids) import them where they run; convert, solve --heuristic vsids
-# and --version start without numpy.
+# run them (features, train, and solve or bench with an entrant that
+# needs a policy) import them where they run; convert, solve --heuristic
+# vsids and --version start without numpy.
 from . import __version__
 from .bench import (
     BASELINE,
     CSV_SCHEMA_VERSION,
     ENTRANTS,
     BenchRecord,
+    entrant_factories,
     load_dataset,
     record_cells,
     record_columns,
@@ -87,9 +88,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve a DIMACS file")
     p.add_argument("cnf", help="DIMACS-CNF file")
     p.add_argument("--heuristic", choices=list(ENTRANTS), default=BASELINE)
-    p.add_argument(
-        "--policy", default=None, help=f"policy checkpoint (any heuristic but {BASELINE})"
-    )
+    p.add_argument("--policy", default=None, help="policy checkpoint, for a heuristic that needs one")
     p.add_argument("--max-decisions", type=int, default=None)
     p.add_argument("--timeout-ms", type=int, default=None)
 
@@ -111,9 +110,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--episode-cap", type=int, default=defaults.episode_max_decisions)
     p.add_argument("--strict", action="store_true", help="abort on unparseable dataset files")
 
-    p = sub.add_parser("bench", help="compare VSIDS against the learned policy")
+    p = sub.add_parser("bench", help=f"race {', '.join(ENTRANTS)} against each other")
     p.add_argument("--dataset", required=True, help="directory of DIMACS files")
-    p.add_argument("--policy", required=True, help="policy checkpoint")
+    p.add_argument("--policy", default=None, help="policy checkpoint, if an entrant needs one")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--timeout-ms", type=int, default=None)
     p.add_argument("--max-decisions", type=int, default=None)
@@ -187,18 +186,29 @@ def _make_limits(args) -> SolveLimits:
     return SolveLimits(max_decisions=args.max_decisions, timeout_s=timeout_s)
 
 
-def _cmd_solve(args) -> int:
-    if args.heuristic == BASELINE and args.policy is not None:
-        raise _UsageError(f"--policy applies to every heuristic but {BASELINE}")
-    if args.heuristic != BASELINE and not args.policy:
-        raise _UsageError(f"--heuristic {args.heuristic} requires --policy FILE")
-    formula = read_dimacs_file(args.cnf)
-    policy = None
-    if args.heuristic != BASELINE:
-        from .rl.policy import load_policy_file
+def _load_policy_for(names, args, label: str):
+    """The policy that the entrants ``names`` need, loaded from
+    ``--policy``, or None when, as ``ENTRANTS`` says, none needs one.
+    ``--policy`` is a usage error unless given exactly then; ``label``
+    leads the error that names the entrants needing it."""
+    takers = [name for name, (needs_policy, _) in ENTRANTS.items() if needs_policy]
+    needing = [name for name in names if name in takers]
+    if needing and not args.policy:
+        raise _UsageError(f"{label} {', '.join(needing)} requires --policy FILE")
+    if not needing:
+        if args.policy is not None:
+            only = f"applies only to {', '.join(takers)}" if takers else "applies to no entrant"
+            raise _UsageError(f"--policy {only}")
+        return None
+    from .rl.policy import load_policy_file
 
-        policy = load_policy_file(args.policy)
-    heuristic = ENTRANTS[args.heuristic](policy, formula)
+    return load_policy_file(args.policy)
+
+
+def _cmd_solve(args) -> int:
+    policy = _load_policy_for([args.heuristic], args, "--heuristic")
+    formula = read_dimacs_file(args.cnf)
+    heuristic = entrant_factories([args.heuristic], policy)[args.heuristic](formula)
     result = Solver(formula, heuristic, _make_limits(args)).run()
     stats = zip(record_columns(SolveStats), record_cells(result.stats))
     print("c", *(f"{name}={cell}" for name, cell in stats))
@@ -263,11 +273,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .rl.policy import load_policy_file
-
-    policy = load_policy_file(args.policy)
-    instances = _load_instances(args, policy.shape)
-    records = run_comparison(instances, policy, _make_limits(args), args.reps)
+    policy = _load_policy_for(ENTRANTS, args, "racing")
+    shape, seed = (None, None) if policy is None else (policy.shape, policy.seed)
+    instances = _load_instances(args, shape)
+    factories = entrant_factories(ENTRANTS, policy)
+    records = run_comparison(instances, factories, _make_limits(args), args.reps, seed)
     Path(args.out).write_text(records_to_csv(BenchRecord, records), encoding="ascii", newline="\n")
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"

@@ -30,6 +30,11 @@ from oracles import RandomHeuristic
 SMALL = PpoConfig(hidden_sizes=(16, 16))
 
 
+def race(policy):
+    """Every entrant's factory, those that need a policy over ``policy``."""
+    return bench.entrant_factories(bench.ENTRANTS, policy)
+
+
 def record(
     instance, heuristic, time_s, verdict=Verdict.SAT, decisions=5, conflicts=1, setup_s=0.0
 ):
@@ -123,7 +128,7 @@ class TestRunComparison:
             Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(4)
         ]
         policy = Policy(10, 35, SMALL, seed=3)
-        records = run_comparison(instances, policy, SolveLimits(), repetitions=2)
+        records = run_comparison(instances, race(policy), SolveLimits(), 2, policy.seed)
         assert len(records) == 8
         assert {r.heuristic for r in records} == {"vsids", "rl"}
         assert all(r.verdict == Verdict.SAT for r in records)
@@ -131,13 +136,11 @@ class TestRunComparison:
         assert all(r.feature_time_s > 0 for r in records)  # VSIDS set-up is timed too
 
     def test_an_added_entrant_races_with_no_other_change(self, monkeypatch):
-        monkeypatch.setitem(
-            bench.ENTRANTS, "random", lambda policy, formula: RandomHeuristic(seed=0)
-        )
+        monkeypatch.setitem(bench.ENTRANTS, "random", (False, lambda formula: RandomHeuristic(seed=0)))
         rng = random.Random(5)
         instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(3)]
         policy = Policy(10, 35, SMALL, seed=3)
-        records = run_comparison(instances, policy, SolveLimits(), repetitions=1)
+        records = run_comparison(instances, race(policy), SolveLimits(), 1, policy.seed)
         assert [(r.instance, r.heuristic) for r in records] == [
             (f"i{k}.cnf", h) for k in range(3) for h in ("random", "rl", "vsids")
         ]
@@ -155,18 +158,17 @@ class TestRunComparison:
             (2, ["a", "b", "c", "b", "c", "a", "b", "c", "a", "c", "a", "b"]),
         ],
     )
-    def test_entrants_interleave_and_the_first_rotates(self, monkeypatch, repetitions, expected):
+    def test_entrants_interleave_and_the_first_rotates(self, repetitions, expected):
         calls = []
 
         def entrant(name):
-            return lambda policy, formula: calls.append(name) or VsidsHeuristic(formula.num_vars)
+            return lambda formula: calls.append(name) or VsidsHeuristic(formula.num_vars)
 
-        monkeypatch.setattr(bench, "ENTRANTS", {name: entrant(name) for name in "abc"})
+        entrants = {name: entrant(name) for name in "abc"}
         rng = random.Random(5)
         count = 4 // repetitions
         instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(count)]
-        policy = Policy(10, 35, SMALL, seed=3)
-        records = run_comparison(instances, policy, SolveLimits(), repetitions)
+        records = run_comparison(instances, entrants, SolveLimits(), repetitions, None)
         assert calls == expected
         assert [(r.instance, r.heuristic) for r in records] == [
             (f"i{k}.cnf", h) for k in range(count) for h in "abc"
@@ -177,7 +179,7 @@ class TestRunComparison:
 
         f = CnfFormula.from_codes(2, [[1], [-1, 2]])
         policy = Policy(2, 2, SMALL, seed=0)
-        records = run_comparison([Instance("u.cnf", f)], policy, SolveLimits(), repetitions=1)
+        records = run_comparison([Instance("u.cnf", f)], race(policy), SolveLimits(), 1, 0)
         assert all(r.decisions == 0 for r in records)
 
     def test_unknown_recorded_not_raised(self):
@@ -186,9 +188,10 @@ class TestRunComparison:
         policy = Policy(20, 91, SMALL, seed=0)
         records = run_comparison(
             [Instance("t.cnf", f)],
-            policy,
+            race(policy),
             limits=SolveLimits(max_decisions=0),
             repetitions=1,
+            seed=policy.seed,
         )
         assert all(r.verdict == Verdict.UNKNOWN for r in records)
 
@@ -208,11 +211,11 @@ class TestRunComparison:
         policy = Policy(75, 320, SMALL, seed=0)
         limits = SolveLimits(timeout_s=30.0)
         install_clock()
-        records = run_comparison([Instance("t.cnf", f)], policy, limits, repetitions=3)
+        records = run_comparison([Instance("t.cnf", f)], race(policy), limits, 3, policy.seed)
         assert [r.verdict for r in records] == [Verdict.UNKNOWN, Verdict.UNKNOWN]
         install_clock()
         # records sort rl before vsids, and VSIDS runs first, from the fresh clock
-        [_, first] = run_comparison([Instance("t.cnf", f)], policy, limits, repetitions=1)
+        [_, first] = run_comparison([Instance("t.cnf", f)], race(policy), limits, 1, policy.seed)
         vsids = records[1]
         assert first.heuristic == vsids.heuristic == "vsids" and first.decisions > 1
         assert (vsids.decisions, vsids.conflicts, vsids.propagations, vsids.time_s) == (
@@ -229,9 +232,21 @@ class TestRunComparison:
             (r.instance, r.heuristic, r.verdict, r.decisions, r.conflicts, r.propagations)
             for r in rs
         ]
-        first = run_comparison(instances, policy, SolveLimits(), repetitions=2)
-        second = run_comparison(instances, policy, SolveLimits(), repetitions=2)
+        first = run_comparison(instances, race(policy), SolveLimits(), 2, policy.seed)
+        second = run_comparison(instances, race(policy), SolveLimits(), 2, policy.seed)
         assert key(first) == key(second)
+
+    def test_a_race_that_loads_no_policy_leaves_the_seed_empty(self):
+        rng = random.Random(5)
+        instances = [Instance(f"i{k}.cnf", planted_ksat(10, 35, rng)) for k in range(2)]
+        entrants = {
+            "vsids": bench.entrant_factories(["vsids"], None)["vsids"],
+            "random": lambda formula: RandomHeuristic(seed=0),
+        }
+        records = run_comparison(instances, entrants, SolveLimits(), 1, None)
+        assert len(records) == 4 and all(r.seed is None for r in records)
+        rows = csv.DictReader(io.StringIO(records_to_csv(BenchRecord, records)))
+        assert {row["seed"] for row in rows} == {""}
 
 
 class TestSummarize:
@@ -305,6 +320,12 @@ class TestSummarize:
         assert summary["fraction_faster.rl"] == 1.0
         assert summary["fraction_faster_with_setup.rl"] == 0.0
         assert summary["fraction_rl_faster"] == 1.0
+
+    def test_no_rl_records_no_fraction_rl_faster(self):
+        records = [record(i, h, 1.0) for i in "ab" for h in ("jw", "vsids")]
+        summary = summarize(records)
+        assert "fraction_rl_faster" not in summary
+        assert summary["fraction_faster.jw"] == 0.0
 
     def test_summary_keys(self):
         records = [record(i, h, 1.0) for i in "ab" for h in ("rl", "vsids")]

@@ -28,8 +28,14 @@ from satkit.rl.policy import (
 )
 from satkit.rl.train import TrainWindowLog
 from satkit.solver.engine import SolveStats
+from satkit.solver.heuristics import VsidsHeuristic
 
-from oracles import format_1_checkpoint, format_2_checkpoint, reference_extract_features
+from oracles import (
+    RandomHeuristic,
+    format_1_checkpoint,
+    format_2_checkpoint,
+    reference_extract_features,
+)
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "translations.tsv"
 SMALL = PpoConfig(hidden_sizes=(16, 16))
@@ -47,6 +53,21 @@ def small_policy_file(tmp_path):
     path = tmp_path / "policy.bin"
     save_policy_file(Policy(20, 91, SMALL, seed=0), path)
     return path
+
+
+@pytest.fixture
+def extra_entrants(monkeypatch):
+    """Adds ``plain``, which needs no policy, and ``learned``, which needs
+    one, to ``bench.ENTRANTS``; returns the policies ``learned`` is given."""
+    given = []
+
+    def learned(policy):
+        given.append(policy)
+        return lambda formula: VsidsHeuristic(formula.num_vars)
+
+    monkeypatch.setitem(bench.ENTRANTS, "plain", (False, lambda formula: RandomHeuristic(seed=0)))
+    monkeypatch.setitem(bench.ENTRANTS, "learned", (True, learned))
+    return given
 
 
 class TestConvert:
@@ -333,7 +354,8 @@ class TestSolve:
     @pytest.mark.parametrize("name", list(bench.ENTRANTS))
     def test_every_entrant_solves(self, uf_file, small_policy_file, capsys, name):
         argv = ["solve", str(uf_file), "--heuristic", name]
-        if name != bench.BASELINE:
+        needs_policy, _ = bench.ENTRANTS[name]
+        if needs_policy:
             argv += ["--policy", str(small_policy_file)]
         assert main(argv) == 10
 
@@ -342,7 +364,28 @@ class TestSolve:
         argv = ["solve", str(uf_file), "--heuristic", bench.BASELINE]
         assert main(argv + ["--policy", str(tmp_path / "absent.bin")]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --policy applies to every heuristic but {bench.BASELINE}\n"
+        assert out == "" and err == "error: --policy applies only to rl\n"
+
+    def test_an_entrant_that_needs_no_policy_runs_without_one(
+        self, uf_file, small_policy_file, extra_entrants, capsys
+    ):
+        assert main(["solve", str(uf_file), "--heuristic", "plain"]) == 10
+        capsys.readouterr()
+        argv = ["solve", str(uf_file), "--heuristic", "plain", "--policy", str(small_policy_file)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --policy applies only to rl, learned\n"
+        assert extra_entrants == []
+
+    def test_an_entrant_that_needs_a_policy_gets_the_loaded_one(
+        self, uf_file, small_policy_file, extra_entrants, capsys
+    ):
+        assert main(["solve", "/nonexistent/file.cnf", "--heuristic", "learned"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --heuristic learned requires --policy FILE\n"
+        argv = ["solve", str(uf_file), "--heuristic", "learned", "--policy", str(small_policy_file)]
+        assert main(argv) == 10
+        assert [(p.shape, p.seed) for p in extra_entrants] == [((20, 91), 0)]
 
     def test_clauses_past_the_header_count_exit_2(self, tmp_path, capsys):
         path = tmp_path / "extra.cnf"
@@ -603,6 +646,39 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "no decisions" in err
+
+    def test_bench_without_a_policy_names_the_entrants_that_need_one(
+        self, tmp_path, extra_entrants, capsys
+    ):
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=6)
+        out_path = tmp_path / "r.csv"
+        assert main(["bench", "--dataset", str(data_dir), "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: racing rl, learned requires --policy FILE\n"
+        assert not out_path.exists() and extra_entrants == []
+
+    def test_a_race_that_needs_no_policy_loads_none(self, tmp_path, monkeypatch, capsys):
+        # No policy sets a shape, so instances of any shape race, and the
+        # seed column is empty.
+        monkeypatch.delitem(bench.ENTRANTS, "rl")
+        monkeypatch.setitem(bench.ENTRANTS, "plain", (False, lambda formula: RandomHeuristic(seed=0)))
+        data_dir = tmp_path / "data"
+        generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=6)
+        write_dimacs_file(planted_ksat(9, 24, random.Random(0)), data_dir / "other.cnf")
+        out_path = tmp_path / "r.csv"
+        args = ["bench", "--dataset", str(data_dir), "--reps", "1", "--out", str(out_path)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out_path.read_text(encoding="ascii").splitlines()))
+        assert sorted({row["heuristic"] for row in rows}) == ["plain", "vsids"]
+        assert len(rows) == 2 * 3 and {row["seed"] for row in rows} == {""}
+        summary = json.loads(Path(f"{out_path}.summary.json").read_text())
+        assert "fraction_faster.plain" in summary and "fraction_rl_faster" not in summary
+        policy_path = tmp_path / "p.bin"
+        save_policy_file(Policy(8, 24, SMALL, seed=0), policy_path)
+        assert main(args + ["--policy", str(policy_path)]) == 1
+        assert capsys.readouterr().err == "error: --policy applies to no entrant\n"
 
     def test_bench_parallel_flag_is_usage_error(self, tmp_path, small_policy_file):
         args = ["bench", "--dataset", str(tmp_path), "--policy", str(small_policy_file)]

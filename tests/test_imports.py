@@ -248,8 +248,10 @@ before_load = "satkit.rl.heuristic" in sys.modules
 from satkit.rl.policy import load_policy_file
 policy = load_policy_file(sys.argv[1])
 after_load = "satkit.rl.heuristic" in sys.modules
+factory = bench.entrant_factories(["rl"], policy)["rl"]
+formula = planted_ksat(6, 20, random.Random(0))
 modules = set(sys.modules)
-bench.ENTRANTS["rl"](policy, planted_ksat(6, 20, random.Random(0)))
+factory(formula)
 print(json.dumps({
     "before_load": before_load,
     "after_load": after_load,

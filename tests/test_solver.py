@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from satkit import bench
 from satkit.cnf import CnfFormula, FALSE, TRUE, UNDEF
 from satkit.generators import planted_ksat, random_ksat
 from satkit.solver.engine import (
@@ -30,20 +31,24 @@ class ScriptedHeuristic(Heuristic):
         return self.queue.pop(0)
 
 
-HEURISTICS = ["vsids", "random", "policy"]
+# Every entrant of the race meets the soundness oracle, and so does the
+# test-only seeded random rule.
+HEURISTICS = [*bench.ENTRANTS, "random"]
 
 
 def make_heuristic(name, formula, seed):
-    """A fresh VSIDS, seeded random or untrained greedy policy heuristic."""
-    if name == "vsids":
-        return VsidsHeuristic(formula.num_vars)
+    """A fresh ``name`` heuristic for ``formula``: the seeded random rule,
+    or the entrant's, built over an untrained seeded policy if it needs
+    one."""
     if name == "random":
         return RandomHeuristic(seed=seed)
-    from satkit.rl.heuristic import PolicyHeuristic
-    from satkit.rl.policy import Policy, PpoConfig
+    policy = None
+    if bench.ENTRANTS[name][0]:
+        from satkit.rl.policy import Policy, PpoConfig
 
-    policy = Policy(formula.num_vars, formula.num_clauses, PpoConfig(hidden_sizes=(8,)), seed=seed)
-    return PolicyHeuristic(policy, formula)
+        config = PpoConfig(hidden_sizes=(8,))
+        policy = Policy(formula.num_vars, formula.num_clauses, config, seed=seed)
+    return bench.entrant_factories([name], policy)[name](formula)
 
 
 def model_satisfies(formula, model):
