@@ -7,7 +7,10 @@ bench. ``solve --heuristic`` names an entrant of
 a field of a library record (``BenchRecord``, ``TrainWindowLog``,
 ``SolveStats``). Exit codes follow SAT-competition convention for solve
 (10 satisfiable, 20 unsatisfiable, 0 unknown); elsewhere 0 means
-success, 1 is a usage error, 2 an input error.
+success, 1 is a usage error, 2 an input error. The settings objects
+(``SolveLimits``, ``PpoConfig``, the translator) are built before any
+input is read, so an out-of-range setting is refused, under its own
+rule and name, first.
 """
 
 from __future__ import annotations
@@ -151,10 +154,12 @@ def _make_translator(spec: str, timeout_s: float):
 def _cmd_convert(args) -> int:
     if args.timeout_s is not None and not (args.translator or "").startswith(_HTTP_SCHEMES):
         raise _UsageError("--timeout-s applies to an http(s) translator only")
-    text = _read_input(args.input)
+    client = None
     if args.translator is not None:
         timeout_s = DEFAULT_TRANSLATOR_TIMEOUT_S if args.timeout_s is None else args.timeout_s
         client = _make_translator(args.translator, timeout_s)
+    text = _read_input(args.input)
+    if client is not None:
         formula, table = compile_document(text, client, max_clauses=args.max_clauses)
     else:
         exprs = []
@@ -206,10 +211,11 @@ def _load_policy_for(names, args, label: str):
 
 
 def _cmd_solve(args) -> int:
+    limits = _make_limits(args)
     policy = _load_policy_for([args.heuristic], args, "--heuristic")
     formula = read_dimacs_file(args.cnf)
     heuristic = entrant_factories([args.heuristic], policy)[args.heuristic](formula)
-    result = Solver(formula, heuristic, _make_limits(args)).run()
+    result = Solver(formula, heuristic, limits).run()
     stats = zip(record_columns(SolveStats), record_cells(result.stats))
     print("c", *(f"{name}={cell}" for name, cell in stats))
     if result.verdict == Verdict.SAT:
@@ -244,11 +250,6 @@ def _load_instances(args, expect_shape=None):
 
 
 def _cmd_train(args) -> int:
-    from .rl.policy import Policy, save_policy_file
-    from .rl.train import TrainWindowLog, train
-
-    dataset = [inst.formula for inst in _load_instances(args)]
-    shape = (dataset[0].num_vars, dataset[0].num_clauses)
     config = PpoConfig(
         learning_rate=args.lr,
         hidden_sizes=tuple(args.hidden),
@@ -257,6 +258,11 @@ def _cmd_train(args) -> int:
         minibatch_size=args.minibatch,
         episode_max_decisions=args.episode_cap,
     )
+    from .rl.policy import Policy, save_policy_file
+    from .rl.train import TrainWindowLog, train
+
+    dataset = [inst.formula for inst in _load_instances(args)]
+    shape = (dataset[0].num_vars, dataset[0].num_clauses)
     policy = Policy(shape[0], shape[1], config, seed=args.seed)
 
     def checkpoint(p, window):
@@ -273,11 +279,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    limits = _make_limits(args)
     policy = _load_policy_for(ENTRANTS, args, "racing")
     shape, seed = (None, None) if policy is None else (policy.shape, policy.seed)
     instances = _load_instances(args, shape)
     factories = entrant_factories(ENTRANTS, policy)
-    records = run_comparison(instances, factories, _make_limits(args), args.reps, seed)
+    records = run_comparison(instances, factories, limits, args.reps, seed)
     Path(args.out).write_text(records_to_csv(BenchRecord, records), encoding="ascii", newline="\n")
     summary = summarize(records)
     summary_path = args.summary or f"{args.out}.summary.json"

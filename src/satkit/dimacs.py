@@ -50,55 +50,33 @@ def parse_dimacs(data: "str | bytes") -> CnfFormula:
     else:
         text = data
 
-    lines = text.splitlines()
-    num_vars = num_clauses = -1
-    body_start = 0
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        m = _HEADER.match(line)
-        if m is None:
-            raise MissingHeaderError(f"expected 'p cnf V C' header, got {line[:60]!r}")
-        num_vars, num_clauses = int(m.group(1)), int(m.group(2))
-        body_start = i + 1
-        break
-    if num_vars < 0:
+    lines = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("c")]
+    if not lines:
         raise MissingHeaderError("no 'p cnf' header found")
+    m = _HEADER.match(lines[0])
+    if m is None:
+        raise MissingHeaderError(f"expected 'p cnf V C' header, got {lines[0][:60]!r}")
+    num_vars, num_clauses = int(m.group(1)), int(m.group(2))
 
     clauses: list[list[int]] = []
     current: list[int] = []
-    rest = iter(lines[body_start:])
-    tail: list[str] = []  # the tokens past the declared count
-    done = False
-    for raw in rest if num_clauses else ():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = iter(line.split())
-        for tok in tokens:
-            try:
-                code = int(tok)
-            except ValueError:
-                raise DimacsError(f"invalid token {tok!r} in clause data") from None
-            if code == 0:
-                if not current:
-                    raise DimacsError("empty clause (bare '0') is not supported")
-                clauses.append(current)
-                current = []
-                if len(clauses) == num_clauses:
-                    done = True
-                    tail = list(tokens)
-                    break
-            else:
-                current.append(code)
-        if done:
-            break
-    # Past the count: only the SATLIB footer, comments and blank lines.
-    for raw in rest:
-        line = raw.strip()
-        if line and not line.startswith("c"):
-            tail += line.split()
+    tokens = iter(" ".join(lines[1:]).split())
+    for tok in tokens if num_clauses else ():
+        try:
+            code = int(tok)
+        except ValueError:
+            raise DimacsError(f"invalid token {tok!r} in clause data") from None
+        if code == 0:
+            if not current:
+                raise DimacsError("empty clause (bare '0') is not supported")
+            clauses.append(current)
+            current = []
+            if len(clauses) == num_clauses:
+                break
+        else:
+            current.append(code)
+    # Past the count: only the SATLIB footer.
+    tail = list(tokens)
     if any(tok != "%" and tok != "0" for tok in tail):
         raise ClauseCountMismatchError(
             f"header declares {num_clauses} clauses, more follow: {' '.join(tail)[:60]!r}"

@@ -16,27 +16,23 @@ from .cnf import CnfFormula
 from .dimacs import write_dimacs_file
 
 
-def random_ksat(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
+def _draw_clause(num_vars: int, rng: random.Random) -> list[int]:
+    """A clause of 3 distinct variables drawn uniformly, signs independent."""
     if num_vars < 3:
         raise ValueError("need at least 3 variables for 3-SAT")
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.sample(range(1, num_vars + 1), 3)
-        codes = [v if rng.random() < 0.5 else -v for v in variables]
-        clauses.append(codes)
-    return CnfFormula(num_vars, clauses)
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+
+
+def random_ksat(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
+    return CnfFormula(num_vars, [_draw_clause(num_vars, rng) for _ in range(num_clauses)])
 
 
 def planted_ksat(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
-    if num_vars < 3:
-        raise ValueError("need at least 3 variables for 3-SAT")
     hidden = [rng.random() < 0.5 for _ in range(num_vars)]
     clauses = []
     while len(clauses) < num_clauses:
-        variables = rng.sample(range(1, num_vars + 1), 3)
-        codes = [v if rng.random() < 0.5 else -v for v in variables]
-        satisfied = any((c > 0) == hidden[abs(c) - 1] for c in codes)
-        if satisfied:
+        codes = _draw_clause(num_vars, rng)
+        if any((c > 0) == hidden[abs(c) - 1] for c in codes):
             clauses.append(codes)
     return CnfFormula(num_vars, clauses)
 

@@ -107,15 +107,14 @@ def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: floa
 class Mlp:
     """Feed-forward net: tanh hidden layers, linear output.
 
-    ``forward`` returns the output and a cache of layer activations;
-    ``backward`` consumes the cache of a folded forward and the gradient
-    at the output and writes per-parameter gradients, in
-    ``parameters()`` order, into arrays the caller owns.
-
-    Inputs that stay fixed across many calls can be folded: ``fold``
-    turns the nonzero trailing inputs into their share of the first
-    layer's pre-activation, bias included, and ``forward(head, folded)``
-    then multiplies only the leading inputs ``head``.
+    The first layer always takes its input in two parts: ``fold`` turns
+    the trailing inputs, which stay fixed across many calls, into their
+    share of the first layer's pre-activation, bias included, and
+    ``forward(head, folded)`` multiplies only the leading inputs
+    ``head``. ``forward`` returns the output and a cache of layer
+    activations; ``backward`` consumes that cache and the gradient at
+    the output and writes per-parameter gradients, in ``parameters()``
+    order, into arrays the caller owns.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator, out_gain: float = 1.0):
@@ -145,18 +144,15 @@ class Mlp:
         ``rows``, every other trailing input 0, bias included."""
         return x @ self.weights[0][rows] + self.biases[0]
 
-    def forward(
-        self, x: np.ndarray, folded: "np.ndarray | None" = None
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Output and activation cache for ``x``. With ``folded`` (from
-        ``fold``), ``x`` holds only the leading inputs and ``folded``
-        stands in for the rest, one row of it per row of ``x`` or one
-        row for all. ``backward`` takes a folded cache only."""
+    def forward(self, x: np.ndarray, folded: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output and activation cache for the leading inputs ``x``, with
+        ``folded`` (from ``fold``) standing in for the rest, one row of
+        it per row of ``x`` or one row for all."""
         h = np.asarray(x, dtype=np.float64)
         cache = [h]
         last = self.num_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i == 0 and folded is not None:
+            if i == 0:
                 w, b = w[: h.shape[-1]], folded
             # Each layer's product is a fresh array: its bias and tanh go
             # in place, and no later step writes to a cached activation.
@@ -167,7 +163,7 @@ class Mlp:
             cache.append(h)
         return h, cache
 
-    def __call__(self, x: np.ndarray, folded: "np.ndarray | None" = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray, folded: np.ndarray) -> np.ndarray:
         return self.forward(x, folded)[0]
 
     def backward(
@@ -179,7 +175,7 @@ class Mlp:
     ) -> None:
         """Write the per-parameter gradients, in ``parameters()`` order,
         into the arrays of ``grads`` through ``out=``, given the cache
-        of a folded ``forward`` and the gradient at the output.
+        of a ``forward`` and the gradient at the output.
 
         ``cache[0]`` holds only the leading inputs, and ``tail = (blocks,
         owner)`` gives the trailing ones: their distinct rows ``blocks``
@@ -210,6 +206,9 @@ class Mlp:
 class Adam:
     """Adam (Kingma & Ba 2015, Algorithm 1) over a fixed list of
     parameter arrays, updated in place.
+
+    The optimizer owns that list: ``params`` is the list it was built
+    on, and ``step(grads)`` takes one gradient per array, in its order.
 
     The moments are kept per array and the step count is shared, so one
     optimizer over two networks' parameter lists updates each array
@@ -244,24 +243,24 @@ class Adam:
         for i, p in enumerate(params):
             if not p.flags.c_contiguous:
                 raise ValueError(f"Adam updates C-contiguous arrays only; parameter {i} is not")
+        self.params = params
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = np.empty(ADAM_BLOCK)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if not len(params) == len(grads) == len(self.m) == len(self.v):
+    def step(self, grads: list[np.ndarray]) -> None:
+        if len(grads) != len(self.params):
             # checked before anything moves, so a refused step changes nothing
             raise ValueError(
-                f"Adam steps {len(self.m)} parameter arrays, got {len(params)} "
-                f"parameters and {len(grads)} gradients"
+                f"Adam steps {len(self.params)} parameter arrays, got {len(grads)} gradients"
             )
         self.t += 1
         root = math.sqrt((1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA2))
         k = self.lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**self.t) * root
         eps = ADAM_EPS * root
-        for arrays in zip(params, grads, self.m, self.v, strict=True):
+        for arrays in zip(self.params, grads, self.m, self.v):
             p, g, m, v = (x.reshape(-1) for x in arrays)
             for start in range(0, p.size, ADAM_BLOCK):
                 end = start + ADAM_BLOCK

@@ -146,14 +146,16 @@ class Policy:
         draw from the masked softmax and its log-probability.
         """
         values = dynamic[: self.num_vars].tolist()
-        if 0 not in values:
-            raise AllMaskedError("no legal action remains")
+        try:
+            first = values.index(0)
+        except ValueError:
+            raise AllMaskedError("no legal action remains") from None
         logits = self.actor(self.preprocess(dynamic), fold)
         if rng is None:
             # One pass from the first legal action: a later one wins only
             # by a strictly higher logit.
             scores = logits.tolist()
-            best = 2 * values.index(0)
+            best = 2 * first
             top = scores[best]
             for action, score in enumerate(scores):
                 if score > top and values[action >> 1] == 0:

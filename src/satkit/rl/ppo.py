@@ -100,19 +100,20 @@ def _fold_blocks(policy: Policy, net: Mlp, blocks: np.ndarray) -> np.ndarray:
 
 
 class PpoOptimizer:
-    """Stateful updater: owns the parameter list (actor, then critic),
-    its Adam moments, the gradient list and the minibatch rng."""
+    """Stateful updater: owns the Adam optimizer, which holds the
+    parameter list (the actor's, then the critic's) and its moments,
+    the gradient list and the minibatch rng."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self.params = policy.actor.parameters() + policy.critic.parameters()
-        self.adam = Adam(self.params, policy.config.learning_rate)
+        params = policy.actor.parameters() + policy.critic.parameters()
+        self.adam = Adam(params, policy.config.learning_rate)
         self.rng = np.random.default_rng(policy.seed)
         # The gradients and the rollback snapshot, in buffers allocated
         # once: a step writes into pages already mapped rather than into
         # fresh arrays.
-        self._grads = [np.empty_like(p) for p in self.params]
-        self._live = self.params + self.adam.m + self.adam.v
+        self._grads = [np.empty_like(p) for p in params]
+        self._live = params + self.adam.m + self.adam.v
         self._saved = [np.empty_like(a) for a in self._live]
 
     def update(self, batch: Sequence[Transition]) -> np.ndarray:
@@ -160,12 +161,12 @@ class PpoOptimizer:
                         )
                         if not np.isfinite(metrics[:3]).all():
                             raise NonFiniteLossError("non-finite loss in update step")
-                        self.adam.step(self.params, grads)
+                        self.adam.step(grads)
                         totals += metrics
                         steps += 1
                 # A step's loss is checked before it, so the last step's
                 # outcome only here.
-                if not all(np.isfinite(p).all() for p in self.params):
+                if not all(np.isfinite(p).all() for p in self.adam.params):
                     raise NonFiniteLossError("non-finite parameters after update")
         except NonFiniteLossError:
             for saved, live in zip(self._saved, self._live):
@@ -199,8 +200,9 @@ def ppo_loss_and_grads(
     The scalar being descended is
         policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy,
     returned metrics are [policy_loss, value_loss, entropy, clip_fraction]
-    and the gradients are in ``PpoOptimizer.params`` order: the actor's
-    parameters, then the critic's, written into the arrays of ``grads``.
+    and the gradients are in the order of the parameter list that
+    ``PpoOptimizer``'s ``Adam`` holds: the actor's parameters, then the
+    critic's, written into the arrays of ``grads``.
     """
     batch_size = len(dynamic)
     rows = np.arange(batch_size)

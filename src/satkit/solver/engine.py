@@ -16,10 +16,10 @@ by literal code: slot v holds the clauses watching +v and slot
 ``2n + 1 - v`` those watching -v, so ``watches[lit]`` works directly
 for a negative ``lit`` through Python's negative indexing (slot 0 is
 unused). Every clause of length >= 2 is listed exactly once under
-each of its two watched literals, slots 0 and 1 of the clause. The hot
-loops read ``values`` inline with a sign test in place of
-``lit_value``: ``values[l - 1] if l > 0 else -values[-l - 1]`` is > 0
-for a true literal, < 0 for a false one and 0 for an unassigned one.
+each of its two watched literals, slots 0 and 1 of the clause. A
+literal's value is read inline with a sign test, ``values[l - 1] if
+l > 0 else -values[-l - 1]``, which is > 0 for a true literal, < 0 for
+a false one and 0 for an unassigned one.
 
 Satisfiability is declared as soon as every original clause evaluates
 true; a partial assignment is completed from saved phases before the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..cnf import CnfFormula, FALSE, TRUE, UNDEF, evaluate_clause
+from ..cnf import CnfFormula, TRUE, evaluate_clause
 from ..errors import LimitError
 
 
@@ -138,12 +138,6 @@ class Solver:
     @property
     def current_level(self) -> int:
         return len(self.trail_lim)
-
-    def lit_value(self, lit: int) -> int:
-        v = self.values[abs(lit) - 1]
-        if v == 0:
-            return UNDEF
-        return TRUE if (v > 0) == (lit > 0) else FALSE
 
     def original_clauses_satisfied(self) -> bool:
         values = self.values
@@ -355,12 +349,13 @@ class Solver:
         started = time.perf_counter()
         self.heuristic.attach(self)
 
+        values = self.values
         for ci in self._unit_clauses:
             lit = self.clauses[ci][0]
-            value = self.lit_value(lit)
-            if value == FALSE:
+            value = values[lit - 1] if lit > 0 else -values[-lit - 1]
+            if value < 0:
                 return self._finish(Verdict.UNSAT, started)
-            if value == UNDEF:
+            if value == 0:
                 self._enqueue(lit, ci)
         if self.propagate() is not None:
             return self._finish(Verdict.UNSAT, started)

@@ -24,10 +24,13 @@ the from-scratch reward, which the learned heuristic's clause block
 static entries and actor fold) as it was built beside a second decode
 of the clauses, which the one-decode construction must match byte for
 byte.
+``reference_parse_dimacs`` is the line-by-line DIMACS reader that the
+one-pass token walk must match formula for formula and error for error.
 ``format_1_checkpoint`` and ``format_2_checkpoint`` write a policy as
 the retired checkpoint formats 1 and 2 did, for the loader to refuse.
 ``check_watch_invariants`` and ``check_trail_invariants`` assert a
-solver's internal invariants, and ``RandomHeuristic`` is a seeded third
+solver's internal invariants, ``lit_value`` reads a literal's value off
+a solver's assignment, and ``RandomHeuristic`` is a seeded third
 branching heuristic for the solver's golden counts and the race.
 ``format_expr`` prints an expression in the notation the parser reads,
 and ``reference_atoms`` lists its atoms in pre-order of first
@@ -47,7 +50,14 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from satkit.cnf import FALSE, TRUE, CnfFormula
+from satkit.cnf import FALSE, TRUE, UNDEF, CnfFormula
+from satkit.dimacs import (
+    ClauseCountMismatchError,
+    DimacsError,
+    LiteralOutOfRangeError,
+    MissingHeaderError,
+    UnterminatedClauseError,
+)
 from satkit.features import FEATURE_COUNT
 from satkit.logic.convert import BlowupExceededError, SymbolTable
 from satkit.logic.expressions import And, Atom, Iff, Implies, LogicalExpr, Not, Or
@@ -142,12 +152,12 @@ def compute_reward(clause_eval: np.ndarray) -> int:
 def full_logits(policy, obs: np.ndarray) -> np.ndarray:
     """Actor logits for a whole observation, through the whole first
     layer: the reference the folded inference path must match."""
-    return policy.actor(policy.preprocess(obs)[None, :])[0]
+    return _dense_forward(policy.actor, policy.preprocess(obs)[None, :])[-1][0]
 
 
 def full_value(policy, obs: np.ndarray) -> float:
     """Critic value for a whole observation, unfolded."""
-    return float(policy.critic(policy.preprocess(obs)[None, :])[0, 0])
+    return float(_dense_forward(policy.critic, policy.preprocess(obs)[None, :])[-1][0, 0])
 
 
 def fold_block(policy, net, static: np.ndarray) -> np.ndarray:
@@ -820,6 +830,15 @@ def check_watch_invariants(solver) -> None:
     assert set(listed) == expected, "watch lists do not match the clauses' watched slots"
 
 
+def lit_value(solver, lit: int) -> int:
+    """``TRUE``, ``FALSE`` or ``UNDEF``: the value of the literal ``lit``
+    under the solver's assignment."""
+    v = solver.values[abs(lit) - 1]
+    if v == 0:
+        return UNDEF
+    return TRUE if (v > 0) == (lit > 0) else FALSE
+
+
 def check_trail_invariants(solver) -> None:
     """Every trail literal is true, levels never fall along the trail,
     and a reason clause asserted its literal at slot 0 with every other
@@ -828,7 +847,7 @@ def check_trail_invariants(solver) -> None:
     last_level = 0
     for i, lit in enumerate(solver.trail):
         var = abs(lit)
-        assert solver.lit_value(lit) == TRUE, "trail literal not assigned true"
+        assert lit_value(solver, lit) == TRUE, "trail literal not assigned true"
         assert solver.level[var] >= last_level, "trail levels not monotone"
         last_level = solver.level[var]
         reason = solver.reason[var]
@@ -838,7 +857,7 @@ def check_trail_invariants(solver) -> None:
             for other in clause:
                 if other == lit:
                     continue
-                assert solver.lit_value(other) == FALSE, "reason clause not unit at append"
+                assert lit_value(solver, other) == FALSE, "reason clause not unit at append"
                 assert position[abs(other)] < i, "reason literal assigned later"
 
 
@@ -852,3 +871,90 @@ class RandomHeuristic(Heuristic):
         unassigned = [var for var, value in enumerate(solver.values, 1) if not value]
         var = self.rng.choice(unassigned)
         return var if self.rng.random() < 0.5 else -var
+
+
+# -- DIMACS reference --------------------------------------------------------------
+
+_DIMACS_HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)\s*$")
+
+
+def reference_parse_dimacs(data: "str | bytes") -> CnfFormula:
+    """The reader line by line: a header loop, a clause loop over the
+    lines that stops at the declared count, and a third loop that
+    gathers the tokens past it."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DimacsError(f"DIMACS input must be ASCII: {exc}") from None
+    else:
+        text = data
+
+    lines = text.splitlines()
+    num_vars = num_clauses = -1
+    body_start = 0
+    for i, raw in enumerate(lines):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        m = _DIMACS_HEADER.match(line)
+        if m is None:
+            raise MissingHeaderError(f"expected 'p cnf V C' header, got {line[:60]!r}")
+        num_vars, num_clauses = int(m.group(1)), int(m.group(2))
+        body_start = i + 1
+        break
+    if num_vars < 0:
+        raise MissingHeaderError("no 'p cnf' header found")
+
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    rest = iter(lines[body_start:])
+    tail: list[str] = []  # the tokens past the declared count
+    done = False
+    for raw in rest if num_clauses else ():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = iter(line.split())
+        for tok in tokens:
+            try:
+                code = int(tok)
+            except ValueError:
+                raise DimacsError(f"invalid token {tok!r} in clause data") from None
+            if code == 0:
+                if not current:
+                    raise DimacsError("empty clause (bare '0') is not supported")
+                clauses.append(current)
+                current = []
+                if len(clauses) == num_clauses:
+                    done = True
+                    tail = list(tokens)
+                    break
+            else:
+                current.append(code)
+        if done:
+            break
+    # Past the count: only the SATLIB footer, comments and blank lines.
+    for raw in rest:
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            tail += line.split()
+    if any(tok != "%" and tok != "0" for tok in tail):
+        raise ClauseCountMismatchError(
+            f"header declares {num_clauses} clauses, more follow: {' '.join(tail)[:60]!r}"
+        )
+
+    if current:
+        raise UnterminatedClauseError(
+            f"clause {' '.join(map(str, current))} is missing its '0' terminator"
+        )
+    if len(clauses) != num_clauses:
+        raise ClauseCountMismatchError(
+            f"header declares {num_clauses} clauses, found {len(clauses)}"
+        )
+    try:
+        return CnfFormula(num_vars, clauses)
+    except ValueError as exc:
+        # The header, terminators and clause count are checked above, so
+        # the only check left to the formula is the literal range.
+        raise LiteralOutOfRangeError(str(exc)) from None

@@ -196,6 +196,15 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith("error: translator timeout") and "Traceback" not in err
 
+    def test_out_of_range_translator_timeout_is_refused_before_the_input_is_read(
+        self, tmp_path, capsys
+    ):
+        absent = tmp_path / "absent.txt"
+        args = ["convert", str(absent), "--translator", "http://127.0.0.1:1/x", "--timeout-s", "0"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: translator timeout must be finite and > 0, got 0.0\n"
+
     @pytest.mark.parametrize("timeout", ["30", "-1"])
     def test_timeout_without_a_translator_is_a_usage_error(self, tmp_path, capsys, timeout):
         # Refused before any input is read: the input need not exist.
@@ -283,6 +292,11 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert "s UNKNOWN" not in captured.out
+
+    def test_out_of_range_limit_is_refused_before_the_cnf_is_read(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path / "absent.cnf"), "--max-decisions", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: max_decisions must be >= 0, got -1\n"
 
     def test_rl_heuristic_with_policy(self, uf_file, small_policy_file, capsys):
         code = main(
@@ -592,6 +606,15 @@ class TestTrainAndBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_out_of_range_training_setting_is_refused_before_the_dataset_is_read(
+        self, tmp_path, capsys
+    ):
+        args = ["train", "--dataset", str(tmp_path / "absent"), "--window", "0"]
+        assert main(args + ["--out", str(tmp_path / "p.bin")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: rollout_window must be an integer >= 1, got 0\n"
+        assert not (tmp_path / "p.bin").exists()
+
     def test_reward_mode_flag_is_usage_error(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         generate_dataset(data_dir, count=2, num_vars=8, num_clauses=24, seed=5)
@@ -696,6 +719,15 @@ class TestTrainAndBench:
         assert main(args + ["--out", str(tmp_path / "r.csv")] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_out_of_range_bench_limit_is_refused_before_the_dataset_is_read(
+        self, tmp_path, capsys, small_policy_file
+    ):
+        args = ["bench", "--dataset", str(tmp_path / "absent"), "--policy", str(small_policy_file)]
+        assert main(args + ["--out", str(tmp_path / "r.csv"), "--timeout-ms", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: timeout_s must be >= 0, got -0.001\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bench_shape_mismatch_exits_2(self, tmp_path, small_policy_file):
         data_dir = tmp_path / "data"

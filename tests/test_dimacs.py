@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit.cnf import CnfFormula
@@ -15,6 +15,8 @@ from satkit.dimacs import (
     write_dimacs,
 )
 from satkit.generators import planted_ksat
+
+from oracles import reference_parse_dimacs
 
 
 def formula_strategy():
@@ -38,7 +40,69 @@ def formula_strategy():
     )
 
 
+# Tokens a DIMACS body may hold, well- or ill-formed: literals in and out
+# of a small header's range, terminators and footers, header words out of
+# place, and garbage (a non-ASCII one makes the bytes form undecodable).
+_SOUP_TOKENS = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(str),
+    st.sampled_from(["0", "0", "%", "-0", "+2", "007", "99999999999", "p", "cnf", "c", "x", "1.5", "--1", "é"]),
+)
+_SOUP_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\f", " \t "])
+_SOUP_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\f"])
+
+
+@st.composite
+def _soup_line(draw):
+    kind = draw(st.sampled_from(["header", "comment", "blank", "clause", "clause", "clause", "tokens"]))
+    if kind == "header":
+        num_vars, num_clauses = draw(st.integers(0, 6)), draw(st.sampled_from([0, 0, 1, 2, 3]))
+        return draw(st.sampled_from(["p cnf {} {}", " p  cnf\t{} {} ", "p cnf {} {} x"])).format(
+            num_vars, num_clauses
+        )
+    if kind == "comment":
+        return draw(st.sampled_from(["c", "c comment 1 0", "  c p cnf 1 1", "cnf"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "clause":
+        literals = st.integers(min_value=-7, max_value=7).filter(bool)
+        tokens = [str(lit) for lit in draw(st.lists(literals, min_size=1, max_size=3))] + ["0"]
+    else:
+        tokens = draw(st.lists(_SOUP_TOKENS, max_size=6))
+    gaps = draw(st.lists(_SOUP_SEPARATORS, min_size=len(tokens), max_size=len(tokens)))
+    return "".join(gap + tok for gap, tok in zip(gaps, tokens))
+
+
+@st.composite
+def dimacs_soups(draw):
+    """A DIMACS-like text: mostly a header first, then a mix of headers
+    (a second one among them), comments, blank lines and clause or token
+    lines, each line ended by LF, CRLF, CR or a form feed."""
+    lines = draw(st.lists(_soup_line(), max_size=10))
+    if draw(st.sampled_from([False, True, True, True])):
+        # Declaring as many clauses as there are "0"-ended lines makes a
+        # well-formed text likely.
+        ended = sum(line.endswith(" 0") for line in lines)
+        num_clauses = draw(st.sampled_from([ended, ended, 0, 1, 2]))
+        lines.insert(0, "p cnf {} {}".format(draw(st.integers(0, 7)), num_clauses))
+    ends = draw(st.lists(_SOUP_LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, data):
+    try:
+        formula = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return formula.num_vars, list(formula.clauses)
+
+
 class TestParse:
+    @settings(max_examples=2000, deadline=None)
+    @given(dimacs_soups())
+    def test_matches_the_line_by_line_reference(self, text):
+        for data in (text, text.encode("utf-8")):
+            assert _outcome(parse_dimacs, data) == _outcome(reference_parse_dimacs, data)
+
     def test_two_clause_example(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0\n-1 3 0\n")
         assert f.num_vars == 3

@@ -210,24 +210,22 @@ class TestGreedyStep:
     @pytest.mark.parametrize("hidden", [(16, 8), (5,), ()])
     @pytest.mark.parametrize(
         "rows, fold_rows",
-        [(None, None), (3, None), (None, 1), (3, 1), (3, 3)],
-        ids=["row", "batch", "row-folded", "batch-one-fold-row", "batch-fold-row-each"],
+        [(None, 1), (3, 1), (3, 3)],
+        ids=["row-folded", "batch-one-fold-row", "batch-fold-row-each"],
     )
     def test_in_place_layers_are_the_textbook_layers_bit_for_bit(self, hidden, rows, fold_rows):
         rng = np.random.default_rng(len(hidden))
         net = network.Mlp([12, *hidden, 7], rng)
         for b in net.biases:
             b[...] = rng.standard_normal(b.shape)
-        lead = 12 if fold_rows is None else 5
+        lead = 5
         x = rng.standard_normal((lead,) if rows is None else (rows, lead))
-        folded = None
-        if fold_rows is not None:
-            folded = net.fold(np.arange(5, 12), rng.standard_normal((fold_rows, 7)))
-            if rows is None:
-                folded = folded[0]
+        folded = net.fold(np.arange(5, 12), rng.standard_normal((fold_rows, 7)))
+        if rows is None:
+            folded = folded[0]
         want = [x]
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            if i == 0 and folded is not None:
+            if i == 0:
                 w, b = w[:lead], folded
             z = want[-1] @ w + b
             want.append(np.tanh(z) if i < net.num_layers - 1 else z)

@@ -51,7 +51,7 @@ def count_adam_steps(optimizer):
     """Record each Adam step ``optimizer`` takes in the returned list."""
     steps = []
     step = optimizer.adam.step
-    optimizer.adam.step = lambda params, grads: (steps.append(optimizer.adam.t), step(params, grads))
+    optimizer.adam.step = lambda grads: (steps.append(optimizer.adam.t), step(grads))
     return steps
 
 
@@ -129,7 +129,7 @@ class TestNetwork:
     def test_forward_shapes(self):
         rng = np.random.default_rng(0)
         net = Mlp([5, 3, 2], rng)
-        out, cache = net.forward(np.zeros((7, 5)))
+        out, cache = net.forward(np.zeros((7, 2)), net.fold(np.arange(2, 5), np.zeros((7, 3))))
         assert out.shape == (7, 2)
         assert len(cache) == 3
 
@@ -139,7 +139,7 @@ class TestNetwork:
         before = [p.copy() for p in net.parameters()]
         opt = Adam(net.parameters(), lr=0.0)
         grads = [np.ones_like(p) for p in net.parameters()]
-        opt.step(net.parameters(), grads)
+        opt.step(grads)
         for b, a in zip(before, net.parameters()):
             assert np.array_equal(b, a)
 
@@ -183,7 +183,7 @@ class TestAdam:
         adam = Adam(params, lr=2e-4)
         for t in range(1, 6):
             grads = adam_gradients(rng, params)
-            adam.step(params, grads)
+            adam.step(grads)
             adam_step_reference(expected, grads, m_ref, v_ref, t, lr=2e-4)
             for got, want in zip(params + adam.m + adam.v, expected + m_ref + v_ref):
                 assert np.array_equal(got, want), f"step {t} differs"
@@ -211,7 +211,7 @@ class TestAdam:
                 np.divide(vi, 1.0 - ADAM_BETA2, out=v)
         for t in range(first_t, first_t + 5):
             grads = adam_gradients(rng, params)
-            adam.step(params, grads)
+            adam.step(grads)
             textbook_adam_step(expected, grads, m_ref, v_ref, t, lr=2e-4)
             for i, (p, want) in enumerate(zip(params, expected)):
                 assert_close(p, want)
@@ -219,20 +219,17 @@ class TestAdam:
                 assert_close(adam.v[i] * (1.0 - ADAM_BETA2), v_ref[i])
         assert adam.t == first_t + 4
 
-    @pytest.mark.parametrize("extra", ["params", "grads"])
+    @pytest.mark.parametrize("extra", ["grads"])
     def test_lists_of_different_lengths_raise(self, extra):
         rng = np.random.default_rng(0)
         params = [rng.standard_normal(4), rng.standard_normal(3)]
         grads = [np.ones(4), np.ones(3)]
         adam = Adam(params, lr=0.1)
-        adam.step(params, grads)
+        adam.step(grads)
         before = [[a.copy() for a in arrays] for arrays in (params, adam.m, adam.v)]
-        if extra == "params":
-            params.append(np.ones(2))
-        else:
-            grads.append(np.ones(2))
+        grads.append(np.ones(2))
         with pytest.raises(ValueError, match="Adam steps 2 parameter arrays"):
-            adam.step(params, grads)
+            adam.step(grads)
         # refused before anything moved: the step count, every parameter and both moments
         assert adam.t == 1
         for arrays, saved in zip((params, adam.m, adam.v), before):

@@ -18,6 +18,7 @@ from oracles import (
     brute_force_satisfiable,
     check_trail_invariants,
     check_watch_invariants,
+    lit_value,
 )
 
 
@@ -152,13 +153,13 @@ class TestConflictAnalysis:
         assert sorted(learned) == [-2, -1]
         assert backjump_level == 1
         # Learned clause is falsified under the pre-backjump trail.
-        assert all(solver.lit_value(lit) == FALSE for lit in learned)
+        assert all(lit_value(solver, lit) == FALSE for lit in learned)
         # After the jump, the asserting literal makes the clause unit.
         ci = solver.add_learned_clause(learned)
         solver.backjump(backjump_level)
         others = [lit for lit in learned[1:]]
-        assert solver.lit_value(learned[0]) == UNDEF
-        assert all(solver.lit_value(lit) == FALSE for lit in others)
+        assert lit_value(solver, learned[0]) == UNDEF
+        assert all(lit_value(solver, lit) == FALSE for lit in others)
         solver._enqueue(learned[0], ci)
         assert solver.propagate() is None
         check_trail_invariants(solver)
@@ -172,7 +173,7 @@ class TestConflictAnalysis:
         solver.trail_lim.append(len(solver.trail))
         solver._enqueue(1, None)
         assert solver.propagate() is None
-        assert solver.lit_value(3) == TRUE
+        assert lit_value(solver, 3) == TRUE
         solver.trail_lim.append(len(solver.trail))
         solver._enqueue(2, None)
         conflict = solver.propagate()
@@ -186,7 +187,7 @@ class TestConflictAnalysis:
 
         class Watcher(VsidsHeuristic):
             def on_conflict(self, solver, learned):
-                assert all(solver.lit_value(lit) == FALSE for lit in learned)
+                assert all(lit_value(solver, lit) == FALSE for lit in learned)
                 super().on_conflict(solver, learned)
 
         for _ in range(40):
